@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 
 #include "sim/logging.hh"
 
@@ -26,6 +27,15 @@ parseLogShardsFlag(const char *flag, const char *value)
         fatal("%s needs a shard count in [1,64], got '%s'", flag,
               value);
     return static_cast<std::uint32_t>(n);
+}
+
+CcMode
+parseCcFlag(const char *flag, const char *value)
+{
+    for (CcMode m : {CcMode::TwoPhase, CcMode::Tl2, CcMode::None})
+        if (std::strcmp(ccModeName(m), value) == 0)
+            return m;
+    fatal("%s wants 2pl, tl2, or none, got '%s'", flag, value);
 }
 
 std::uint64_t

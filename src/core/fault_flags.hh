@@ -18,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/system_config.hh"
+
 namespace snf
 {
 
@@ -34,6 +36,12 @@ std::uint64_t parseCountFlag(const char *flag, const char *value);
  * mask width). fatal() with a diagnostic otherwise.
  */
 std::uint32_t parseLogShardsFlag(const char *flag, const char *value);
+
+/**
+ * Parse a --cc value: one of the ccModeName() spellings (2pl, tl2,
+ * none). fatal() with a diagnostic naming the flag otherwise.
+ */
+CcMode parseCcFlag(const char *flag, const char *value);
 
 /**
  * Strict count that must be >= 1 (thread counts, transaction counts,

@@ -1,7 +1,9 @@
 #include "oltp/ycsb.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 
 #include "mem/backing_store.hh"
 #include "sim/logging.hh"
@@ -14,6 +16,35 @@ namespace
 
 constexpr unsigned kMaxTxAttempts = 200;
 constexpr std::uint64_t kMaxBackoff = 2048;
+
+/** Words verify() reads per record: the version, then the payload. */
+constexpr std::uint64_t kRecordWords = 1 + YcsbEngine::kPayloadWords;
+
+/**
+ * Check one record's words (@p w: version, then payload): every
+ * payload word must equal the version. Describes the first mismatch
+ * in @p why.
+ */
+bool
+recordIntact(std::uint64_t key, const std::uint64_t (&w)[kRecordWords],
+             std::string *why)
+{
+    for (std::uint64_t p = 0; p < YcsbEngine::kPayloadWords; ++p) {
+        if (w[1 + p] == w[0])
+            continue;
+        if (why) {
+            char buf[128];
+            std::snprintf(buf, sizeof(buf),
+                          "key %" PRIu64 ": payload word %" PRIu64
+                          " = %" PRIu64 " but version %" PRIu64
+                          " (torn update)",
+                          key, p, w[1 + p], w[0]);
+            *why = buf;
+        }
+        return false;
+    }
+    return true;
+}
 
 } // namespace
 
@@ -35,6 +66,7 @@ YcsbEngine::setup(System &sys, const WorkloadParams &params)
     // setup stays O(1) even for millions of keys.
     records = sys.heap().alloc(nkeys * kRecordBytes, 64);
     dramIndex = sys.dramHeap().alloc(nkeys * 8, 64);
+    zipf.reset();
 
     resetMetrics({"read", "update"});
 }
@@ -48,13 +80,20 @@ YcsbEngine::thread(System &sys, Thread &t,
     const bool noSteal = ccOn && !canAbort;
 
     // With CC, all threads sample the shared keyspace; without, each
-    // thread owns the keys congruent to its id.
+    // thread owns the keys congruent to its id. Either way perThread
+    // is the same for every thread, so the first one to run builds
+    // the sampler and the rest reuse it.
     const std::uint64_t perThread =
         ccOn ? nkeys : nkeys / params.threads;
-    sim::Zipf zipf(perThread, theta);
+    if (!zipf)
+        zipf.emplace(perThread, theta);
+    SNF_ASSERT(zipf->n() == perThread,
+               "oltp-ycsb: shared Zipf over %" PRIu64
+               " keys, core %u wants %" PRIu64,
+               zipf->n(), t.id(), perThread);
 
     for (std::uint64_t n = 0; n < params.txPerThread; ++n) {
-        std::uint64_t s = zipf.sample(rng);
+        std::uint64_t s = zipf->sample(rng);
         std::uint64_t key = ccOn ? s : s * params.threads + t.id();
         bool update = rng.below(2) == 0;
         std::size_t type = update ? kUpdate : kRead;
@@ -122,25 +161,29 @@ bool
 YcsbEngine::verify(const mem::BackingStore &nvram,
                    std::string *why) const
 {
-    for (std::uint64_t k = 0; k < nkeys; ++k) {
-        Addr rec = recordAddr(k);
-        std::uint64_t ver = nvram.read64(rec + 0);
-        for (std::uint64_t p = 0; p < kPayloadWords; ++p) {
-            std::uint64_t v = nvram.read64(rec + 8 + p * 8);
-            if (v != ver) {
-                if (why) {
-                    char buf[128];
-                    std::snprintf(buf, sizeof(buf),
-                                  "key %" PRIu64 ": payload word "
-                                  "%" PRIu64 " = %" PRIu64
-                                  " but version %" PRIu64
-                                  " (torn update)",
-                                  k, p, v, ver);
-                    *why = buf;
-                }
+    // Walk the keyspace a page at a time, in key order so the lowest
+    // failing key is the one reported. A never-written page reads as
+    // all-zero records, which are valid, so it is skipped whole.
+    std::uint64_t w[kRecordWords];
+    for (std::uint64_t k = 0; k < nkeys;) {
+        std::uint64_t avail = 0;
+        const std::uint8_t *page = nvram.pageAt(recordAddr(k), &avail);
+        const std::uint64_t inPage =
+            std::min(nkeys - k, avail / kRecordBytes);
+        if (inPage == 0) {
+            // The record straddles the end of the page or the store.
+            nvram.read(recordAddr(k), sizeof(w), w);
+            if (!recordIntact(k, w, why))
                 return false;
-            }
+            ++k;
+            continue;
         }
+        for (std::uint64_t i = 0; page && i < inPage; ++i) {
+            std::memcpy(w, page + i * kRecordBytes, sizeof(w));
+            if (!recordIntact(k + i, w, why))
+                return false;
+        }
+        k += inPage;
     }
     return true;
 }

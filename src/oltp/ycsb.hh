@@ -10,10 +10,17 @@
  * A record is version word + 4 payload words, every payload word
  * written equal to the version — verify() detects torn or lost
  * updates on the (possibly recovered) image.
+ *
+ * Host cost stays proportional to the simulation: every thread samples
+ * from the same (n, theta), so the engine holds one Zipf normaliser
+ * (an O(n) pow() sum), built by the first thread to run; verify()
+ * walks the image page by page and skips never-written pages whole.
  */
 
 #ifndef SNF_OLTP_YCSB_HH
 #define SNF_OLTP_YCSB_HH
+
+#include <optional>
 
 #include "oltp/engine.hh"
 
@@ -24,6 +31,9 @@ namespace snf::oltp
 class YcsbEngine : public OltpEngine
 {
   public:
+    static constexpr std::uint64_t kRecordBytes = 64;
+    static constexpr std::uint64_t kPayloadWords = 4;
+
     std::string name() const override { return "oltp-ycsb"; }
 
     void setup(System &sys, const WorkloadParams &params) override;
@@ -36,6 +46,12 @@ class YcsbEngine : public OltpEngine
 
     std::uint64_t keys() const { return nkeys; }
 
+    /** NVRAM address of key @p k's record (version word first). */
+    Addr recordAddr(std::uint64_t k) const
+    {
+        return records + k * kRecordBytes;
+    }
+
   private:
     enum TxType : std::size_t
     {
@@ -43,19 +59,16 @@ class YcsbEngine : public OltpEngine
         kUpdate = 1,
     };
 
-    static constexpr std::uint64_t kRecordBytes = 64;
-    static constexpr std::uint64_t kPayloadWords = 4;
-
-    Addr recordAddr(std::uint64_t k) const
-    {
-        return records + k * kRecordBytes;
-    }
-
     Addr records = 0;
     Addr dramIndex = 0;
     std::uint64_t nkeys = 0;
     double theta = 0.0;
     bool ccOn = false;
+    /**
+     * The key sampler all threads share. Not built in setup(): its
+     * O(n) normaliser belongs to the run, paid once per cell.
+     */
+    std::optional<sim::Zipf> zipf;
 };
 
 } // namespace snf::oltp

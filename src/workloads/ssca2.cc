@@ -15,12 +15,12 @@ Ssca2::setup(System &sys, const WorkloadParams &params)
     vertices = sys.heap().alloc(nvertices * kVertexBytes, 64);
     // Preload a sparse seed graph: a few edges per vertex.
     sim::Rng rng(params.seed);
-    sim::Zipf zipf(nvertices, 0.6);
+    zipf.emplace(nvertices, 0.6);
     for (std::uint64_t v = 0; v < nvertices; ++v) {
         std::uint64_t deg = rng.below(4);
         std::uint64_t sum = 0;
         for (std::uint64_t e = 0; e < deg; ++e) {
-            std::uint64_t to = zipf.sample(rng) + 1;
+            std::uint64_t to = zipf->sample(rng) + 1;
             std::uint64_t w = rng.range(1, 100);
             sys.heap().prewrite64(
                 vertexAddr(v) + kEdges + e * 16, to);
@@ -38,7 +38,6 @@ Ssca2::thread(System &sys, Thread &t, const WorkloadParams &params)
 {
     (void)sys;
     sim::Rng rng(params.seed * 65537 + t.id());
-    sim::Zipf zipf(nvertices, 0.6);
     std::uint64_t share = nvertices / nthreads;
     std::uint64_t lo = t.id() * share;
 
@@ -52,7 +51,7 @@ Ssca2::thread(System &sys, Thread &t, const WorkloadParams &params)
         std::uint64_t deg = co_await t.load64(va + kDegree);
         if (rng.chance(0.8) && deg < kEdgeCapacity) {
             // Kernel 1: insert a weighted edge.
-            std::uint64_t to = zipf.sample(rng) + 1;
+            std::uint64_t to = zipf->sample(rng) + 1;
             std::uint64_t w = rng.range(1, 100);
             co_await t.store64(va + kEdges + deg * 16, to);
             co_await t.store64(va + kEdges + deg * 16 + 8, w);

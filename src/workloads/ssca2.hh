@@ -15,6 +15,8 @@
 #ifndef SNF_WORKLOADS_SSCA2_HH
 #define SNF_WORKLOADS_SSCA2_HH
 
+#include <optional>
+
 #include "workloads/workload.hh"
 
 namespace snf::workloads
@@ -53,6 +55,8 @@ class Ssca2 : public Workload
     Addr vertices = 0;
     std::uint64_t nvertices = 0;
     std::uint32_t nthreads = 1;
+    /** Edge-target sampler, built in setup(), shared by every thread. */
+    std::optional<sim::Zipf> zipf;
 };
 
 } // namespace snf::workloads

@@ -12,6 +12,7 @@ WhisperYcsb::setup(System &sys, const WorkloadParams &params)
     records = sys.heap().alloc(nrecords * kRecordBytes, 64);
     locks = sys.dramHeap().alloc(nrecords * 8, 64);
     index = sys.dramHeap().alloc(nrecords * 16, 64);
+    zipf.emplace(nrecords, 0.8);
     for (std::uint64_t k = 0; k < nrecords; ++k) {
         sys.heap().prewrite64(recordAddr(k), 1);
         for (std::uint64_t w = 0; w < kPayloadWords; ++w)
@@ -25,10 +26,9 @@ WhisperYcsb::thread(System &sys, Thread &t,
 {
     (void)sys;
     sim::Rng rng(params.seed * 7127 + t.id());
-    sim::Zipf zipf(nrecords, 0.8);
 
     for (std::uint64_t n = 0; n < params.txPerThread; ++n) {
-        std::uint64_t k = zipf.sample(rng);
+        std::uint64_t k = zipf->sample(rng);
         Addr rec = recordAddr(k);
         Addr lock = locks + k * 8;
 

@@ -12,6 +12,8 @@
 #ifndef SNF_WORKLOADS_WHISPER_YCSB_HH
 #define SNF_WORKLOADS_WHISPER_YCSB_HH
 
+#include <optional>
+
 #include "workloads/workload.hh"
 
 namespace snf::workloads
@@ -47,6 +49,8 @@ class WhisperYcsb : public Workload
     Addr locks = 0; ///< DRAM spinlock per record
     Addr index = 0; ///< DRAM index (key -> slot metadata)
     std::uint64_t nrecords = 0;
+    /** Key sampler, built in setup(), shared by every thread. */
+    std::optional<sim::Zipf> zipf;
 };
 
 } // namespace snf::workloads

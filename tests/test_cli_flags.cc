@@ -2,7 +2,9 @@
  * @file
  * Tests for the shared fault-flag CLI parser (core/fault_flags.hh):
  * the preset/explicit-rate ordering contract, the contradiction
- * diagnostics, the seed exemption, and both flag spellings.
+ * diagnostics, the seed exemption, and both flag spellings; plus the
+ * strict single-value parsers (counts, --log-shards, --cc, open-unit
+ * reals) the tools share.
  */
 
 #include <gtest/gtest.h>
@@ -239,6 +241,26 @@ TEST(LogShardsFlagDeathTest, RejectsZeroOverflowAndGarbage)
     EXPECT_EXIT(parseLogShardsFlag("--log-shards", "2q"),
                 ::testing::ExitedWithCode(1),
                 "--log-shards needs a number, got '2q'");
+}
+
+TEST(CcFlag, ParsesEveryScheme)
+{
+    EXPECT_EQ(parseCcFlag("--cc", "2pl"), CcMode::TwoPhase);
+    EXPECT_EQ(parseCcFlag("--cc", "tl2"), CcMode::Tl2);
+    EXPECT_EQ(parseCcFlag("--cc", "none"), CcMode::None);
+}
+
+TEST(CcFlagDeathTest, RejectsUnknownSchemeNamingTheFlag)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(parseCcFlag("--cc", "occ"),
+                ::testing::ExitedWithCode(1),
+                "--cc wants 2pl, tl2, or none, got 'occ'");
+    EXPECT_EXIT(parseCcFlag("--cc", "2PL"),
+                ::testing::ExitedWithCode(1),
+                "--cc wants 2pl, tl2, or none, got '2PL'");
+    EXPECT_EXIT(parseCcFlag("--cc", ""), ::testing::ExitedWithCode(1),
+                "--cc wants 2pl, tl2, or none");
 }
 
 TEST(OpenUnitFlag, AcceptsInteriorValues)

@@ -4,7 +4,8 @@
  * consistency oracle after clean runs AND after crash-point recovery
  * under every guaranteed mode × CC scheme, the oracle's own teeth (a
  * corrupted image must be rejected), YCSB torn-update detection at a
- * large Zipf-skewed keyspace, counter determinism across repeats and
+ * large Zipf-skewed keyspace and the page-wise YCSB verify against a
+ * per-word reference, counter determinism across repeats and
  * across host --jobs, the no-steal empty-write-set abort being legal
  * under redo-only logging, the contended multi-shard crash sweep
  * (I1–I8), and the latency histogram's quantile contract.
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <tuple>
 
@@ -159,6 +161,198 @@ TEST(TpccOracleTeeth, CorruptedImageIsRejected)
     EXPECT_FALSE(checkTpccConsistency(sys.mem().nvram().store(), lay,
                                       &why));
     EXPECT_NE(why.find("w_ytd"), std::string::npos) << why;
+}
+
+// ------------------------------------------------------------------
+// The YCSB oracle has teeth too. verify() walks the image page by
+// page (absent pages skipped whole, resident records read in place),
+// so it must agree with the per-word reference loop and still reject
+// a torn word anywhere in the keyspace.
+// ------------------------------------------------------------------
+
+namespace
+{
+
+/** A small contended oltp-ycsb cell, kept live for its NVRAM image. */
+class YcsbCell
+{
+  public:
+    explicit YcsbCell(CcMode cc)
+    {
+        params.threads = 4;
+        params.txPerThread = 120;
+        params.footprint = 65536; // 4 MB of records, mostly untouched
+        params.zipfTheta = 0.9;
+        params.seed = 5;
+        SystemConfig cfg = SystemConfig::scaled(params.threads);
+        cfg.persist.ccMode = cc;
+        cfg.persist.crashJournal = true;
+        sys = std::make_unique<System>(cfg, PersistMode::UndoClwb);
+        eng.setup(*sys, params);
+        for (CoreId c = 0; c < params.threads; ++c)
+            sys->spawn(c, [this](Thread &t) -> sim::Co<void> {
+                return eng.thread(*sys, t, params);
+            });
+    }
+
+    // The spawned threads hold `this`.
+    YcsbCell(const YcsbCell &) = delete;
+    YcsbCell &operator=(const YcsbCell &) = delete;
+
+    /** Run to completion and flush: the final image. */
+    mem::BackingStore
+    finalImage()
+    {
+        sys->flushAll(sys->run(kTickNever));
+        return sys->mem().nvram().store();
+    }
+
+    /** Crash at @p at and recover: the recovered image. */
+    mem::BackingStore
+    recoveredImage(Tick at)
+    {
+        sys->run(at);
+        mem::BackingStore image = sys->crashSnapshot(at);
+        persist::Recovery::run(image, sys->config().map);
+        return image;
+    }
+
+    WorkloadParams params;
+    std::unique_ptr<System> sys;
+    YcsbEngine eng;
+};
+
+/** The per-word check verify() replaced: a read64 per word. */
+bool
+referenceVerify(const YcsbEngine &eng, const mem::BackingStore &image)
+{
+    for (std::uint64_t k = 0; k < eng.keys(); ++k) {
+        Addr rec = eng.recordAddr(k);
+        for (std::uint64_t p = 1; p <= YcsbEngine::kPayloadWords; ++p)
+            if (image.read64(rec + p * 8) != image.read64(rec))
+                return false;
+    }
+    return true;
+}
+
+/** Address of key @p k's payload word @p p. */
+Addr
+payloadAddr(const YcsbEngine &eng, std::uint64_t k, std::uint64_t p)
+{
+    return eng.recordAddr(k) + 8 + p * 8;
+}
+
+/** Verify @p image and return the diagnostic ("" if it passed). */
+std::string
+verifyWhy(const YcsbEngine &eng, const mem::BackingStore &image)
+{
+    std::string why;
+    return eng.verify(image, &why) ? std::string() : why;
+}
+
+} // namespace
+
+TEST(YcsbOracleTeeth, TornPayloadWordInResidentPageIsRejected)
+{
+    YcsbCell cell(CcMode::Tl2);
+    mem::BackingStore image = cell.finalImage();
+    ASSERT_EQ(verifyWhy(cell.eng, image), "");
+
+    // The lowest updated key: its page is resident.
+    std::uint64_t k = 0;
+    while (k < cell.eng.keys() &&
+           image.read64(cell.eng.recordAddr(k)) == 0)
+        ++k;
+    ASSERT_LT(k, cell.eng.keys());
+    std::uint64_t ver = image.read64(cell.eng.recordAddr(k));
+    image.write64(payloadAddr(cell.eng, k, 2), ver + 7);
+
+    EXPECT_EQ(verifyWhy(cell.eng, image),
+              "key " + std::to_string(k) + ": payload word 2 = " +
+                  std::to_string(ver + 7) + " but version " +
+                  std::to_string(ver) + " (torn update)");
+    EXPECT_FALSE(referenceVerify(cell.eng, image));
+}
+
+TEST(YcsbOracleTeeth, StrayWordInUntouchedPageIsRejected)
+{
+    YcsbCell cell(CcMode::Tl2);
+    mem::BackingStore image = cell.finalImage();
+
+    // A key in the middle of the keyspace whose page was never written.
+    std::uint64_t k = cell.eng.keys() / 2;
+    std::uint64_t avail = 0;
+    while (k < cell.eng.keys() &&
+           image.pageAt(cell.eng.recordAddr(k), &avail) != nullptr)
+        ++k;
+    ASSERT_LT(k, cell.eng.keys());
+    image.write64(payloadAddr(cell.eng, k, 3), 1);
+
+    EXPECT_EQ(verifyWhy(cell.eng, image),
+              "key " + std::to_string(k) +
+                  ": payload word 3 = 1 but version 0 (torn update)");
+    EXPECT_FALSE(referenceVerify(cell.eng, image));
+}
+
+TEST(YcsbOracleTeeth, FirstAndLastKeysAreCheckedLowestReported)
+{
+    YcsbCell cell(CcMode::Tl2);
+    const mem::BackingStore clean = cell.finalImage();
+    const std::uint64_t last = cell.eng.keys() - 1;
+
+    mem::BackingStore image = clean;
+    image.write64(cell.eng.recordAddr(last), 9); // version, not payload
+    EXPECT_EQ(verifyWhy(cell.eng, image),
+              "key " + std::to_string(last) +
+                  ": payload word 0 = 0 but version 9 (torn update)");
+
+    // With key 0 torn as well, the lowest failing key is reported.
+    std::uint64_t ver0 = image.read64(cell.eng.recordAddr(0));
+    image.write64(payloadAddr(cell.eng, 0, 1), ver0 + 1);
+    EXPECT_EQ(verifyWhy(cell.eng, image).rfind("key 0: payload word 1", 0),
+              0u)
+        << verifyWhy(cell.eng, image);
+}
+
+TEST(YcsbVerify, PageWiseWalkAgreesWithPerWordReference)
+{
+    {
+        YcsbCell cell(CcMode::Tl2);
+        mem::BackingStore image = cell.finalImage();
+        EXPECT_TRUE(cell.eng.verify(image, nullptr));
+        EXPECT_TRUE(referenceVerify(cell.eng, image));
+    }
+    // The cell ends near tick 76 000, so every crash lands mid-run.
+    for (Tick at : {Tick(15000), Tick(40000), Tick(65000)}) {
+        YcsbCell cell(CcMode::Tl2);
+        mem::BackingStore image = cell.recoveredImage(at);
+        EXPECT_TRUE(cell.eng.verify(image, nullptr)) << "@" << at;
+        EXPECT_TRUE(referenceVerify(cell.eng, image)) << "@" << at;
+
+        // And they agree on a torn recovered image.
+        image.write64(payloadAddr(cell.eng, 1, 0),
+                      image.read64(cell.eng.recordAddr(1)) + 1);
+        EXPECT_FALSE(cell.eng.verify(image, nullptr)) << "@" << at;
+        EXPECT_FALSE(referenceVerify(cell.eng, image)) << "@" << at;
+    }
+}
+
+TEST(YcsbVerify, PartitionedCellVerifiesWithSharedZipf)
+{
+    // Without CC every thread maps the one shared sampler's draws onto
+    // its own keys (k % threads == id): each partition gets updates,
+    // and the image still verifies.
+    YcsbCell cell(CcMode::None);
+    mem::BackingStore image = cell.finalImage();
+    EXPECT_EQ(verifyWhy(cell.eng, image), "");
+    for (std::uint32_t id = 0; id < cell.params.threads; ++id) {
+        bool updated = false;
+        for (std::uint64_t k = id; k < cell.eng.keys() && !updated;
+             k += cell.params.threads)
+            updated = image.read64(cell.eng.recordAddr(k)) != 0;
+        EXPECT_TRUE(updated) << "no update in thread " << id
+                             << "'s partition";
+    }
 }
 
 // ------------------------------------------------------------------

@@ -277,14 +277,7 @@ main(int argc, char **argv)
             if (base.run.sys.persist.ccMode == CcMode::None)
                 base.run.sys.persist.ccMode = CcMode::TwoPhase;
         } else if (const char *v = arg("--cc")) {
-            if (std::strcmp(v, "2pl") == 0)
-                base.run.sys.persist.ccMode = CcMode::TwoPhase;
-            else if (std::strcmp(v, "tl2") == 0)
-                base.run.sys.persist.ccMode = CcMode::Tl2;
-            else if (std::strcmp(v, "none") == 0)
-                base.run.sys.persist.ccMode = CcMode::None;
-            else
-                fatal("--cc wants 2pl, tl2, or none");
+            base.run.sys.persist.ccMode = parseCcFlag("--cc", v);
         } else if (const char *v = arg("--log-shards")) {
             base.run.sys.persist.logShards =
                 parseLogShardsFlag("--log-shards", v);

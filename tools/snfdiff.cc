@@ -182,14 +182,7 @@ main(int argc, char **argv)
             if (gen.loadRate < 0.0 || gen.loadRate > 1.0)
                 fatal("--load-rate wants a probability");
         } else if (const char *v = arg("--cc")) {
-            if (std::strcmp(v, "2pl") == 0)
-                cfg.ccMode = CcMode::TwoPhase;
-            else if (std::strcmp(v, "tl2") == 0)
-                cfg.ccMode = CcMode::Tl2;
-            else if (std::strcmp(v, "none") == 0)
-                cfg.ccMode = CcMode::None;
-            else
-                fatal("--cc wants 2pl, tl2, or none");
+            cfg.ccMode = parseCcFlag("--cc", v);
         } else if (args[i] == "--inject-lost-update") {
             cfg.injectLostUpdate = true;
         } else if (args[i] == "--no-crash") {

@@ -15,6 +15,8 @@
  *     --footprint N      elements in the initial structure (>= 1)
  *     --warehouses N     oltp-tpcc warehouse count (>= 1)
  *     --zipf-theta X     oltp-ycsb Zipf skew, strictly in (0,1)
+ *     --cc 2pl|tl2|none  concurrency control for shared-data
+ *                        workloads (default none; oltp-tpcc needs one)
  *     --seed N           workload RNG seed
  *     --strings          string (multi-word) values
  *     --distributed-log  per-thread log partitions
@@ -87,7 +89,8 @@ usage()
 {
     std::printf("usage: snfsim [--workload W] [--mode M] "
                 "[--threads N] [--tx N] [--footprint N]\n"
-                "              [--warehouses N] [--zipf-theta X]\n"
+                "              [--warehouses N] [--zipf-theta X] "
+                "[--cc 2pl|tl2|none]\n"
                 "              [--seed N] [--strings] "
                 "[--distributed-log] [--paper]\n"
                 "              [--crash-at TICK] "
@@ -154,6 +157,7 @@ runBenchMatrix(const RunSpec &base, bool paper, std::uint64_t repeats,
             spec.sys.persist.logFullPolicy =
                 base.sys.persist.logFullPolicy;
             spec.sys.persist.logShards = base.sys.persist.logShards;
+            spec.sys.persist.ccMode = base.sys.persist.ccMode;
             spec.sys.persist.crashJournal = true;
 
             RunStats s;
@@ -266,6 +270,7 @@ main(int argc, char **argv)
     faults.seed = 1;
     LogFullPolicy logFull = LogFullPolicy::Reclaim;
     std::uint32_t logShards = 1;
+    CcMode cc = CcMode::None;
     bool scrub = false;
     std::string benchJsonPath;
     std::uint64_t benchRepeats = 1;
@@ -329,6 +334,8 @@ main(int argc, char **argv)
         } else if (const char *v = arg("--zipf-theta")) {
             spec.params.zipfTheta =
                 parseOpenUnitFlag("--zipf-theta", v);
+        } else if (const char *v = arg("--cc")) {
+            cc = parseCcFlag("--cc", v);
         } else if (const char *v = arg("--seed")) {
             spec.params.seed = parseCountFlag("--seed", v);
         } else if (const char *v = arg("--crash-at")) {
@@ -370,6 +377,7 @@ main(int argc, char **argv)
     spec.sys.persist.distributedLogs = distributed;
     spec.sys.persist.logFullPolicy = logFull;
     spec.sys.persist.logShards = logShards;
+    spec.sys.persist.ccMode = cc;
     spec.sys.nvram.faults = faults;
     if (scrub) {
         spec.sys.persist.scrub = true;
