@@ -229,7 +229,7 @@ runCrashSweep(const SweepConfig &cfg)
                          &outcomes[i].plan, false);
             // The adversary: every legal subset/linearization of the
             // pending persist set lands on top of the prefix image
-            // (COW copies, so each variant is O(pages) to set up) and
+            // (COW copies, so each variant is O(leaves) to set up) and
             // runs through the same checker pipeline. The first
             // failing ordering is recorded; re-entrancy is skipped
             // for variants (the prefix pass above covers it).

@@ -170,22 +170,36 @@ BackingStore::operator=(BackingStore &&other) noexcept
 
 // --- page access (copy-on-write) -------------------------------------
 
+const BackingStore::Page BackingStore::kZeroPage{};
+
 const BackingStore::Page *
 BackingStore::pagePtr(std::uint64_t pageIdx) const
 {
-    auto it = pages.find(pageIdx);
-    return it == pages.end() ? nullptr : it->second.get();
+    const std::uint64_t leaf = pageIdx / kLeafPages;
+    if (leaf >= pages.size() || !pages[leaf])
+        return nullptr;
+    return pages[leaf]->page[pageIdx % kLeafPages].get();
 }
 
 std::uint8_t *
 BackingStore::pagePtrMut(std::uint64_t pageIdx)
 {
-    PageRef &ref = pages[pageIdx];
+    // Shared with a snapshot, checkpoint, or sibling image: unshare
+    // the leaf, then the page, before the first write diverges us
+    // from them. Cloning a leaf adds a ref to each of its pages, so
+    // the page step below then clones the written page too.
+    const std::uint64_t leaf = pageIdx / kLeafPages;
+    if (leaf >= pages.size())
+        pages.resize(leaf + 1);
+    LeafRef &lref = pages[leaf];
+    if (!lref)
+        lref = std::make_shared<Leaf>(); // value-initialized: all null
+    else if (lref.use_count() > 1)
+        lref = std::make_shared<Leaf>(*lref);
+    PageRef &ref = lref->page[pageIdx % kLeafPages];
     if (!ref) {
         ref = std::make_shared<Page>(); // value-initialized: zeroed
     } else if (ref.use_count() > 1) {
-        // Shared with a snapshot, checkpoint, or sibling image:
-        // clone before the first write diverges us from them.
         ref = std::make_shared<Page>(*ref);
         statCloned.fetch_add(1, std::memory_order_relaxed);
     }
@@ -232,25 +246,22 @@ BackingStore::pageAt(Addr addr, std::uint64_t *avail) const
 void
 BackingStore::rawWrite(Addr addr, std::uint64_t size, const void *in)
 {
-    static const Page kZeroPage{};
     const auto *src = static_cast<const std::uint8_t *>(in);
     std::uint64_t off = addr - rangeBase;
     while (size > 0) {
         std::uint64_t page = off / kPageBytes;
         std::uint64_t in_page = off % kPageBytes;
         std::uint64_t n = std::min(size, kPageBytes - in_page);
-        // Writing zeros to a page never written leaves the byte image
-        // unchanged (absent pages read as zero): skip the allocation
-        // so bulk zeroing (log truncation) keeps the store sparse and
-        // later sparse scans can skip the pages outright.
-        if (pagePtr(page) == nullptr &&
-            std::memcmp(src, kZeroPage.bytes, n) == 0) {
-            src += n;
-            off += n;
-            size -= n;
-            continue;
-        }
-        std::memcpy(pagePtrMut(page) + in_page, src, n);
+        // A write that changes no bytes is the identity on the image
+        // (absent pages read as zero), so it must not allocate or
+        // clone: zeroing absent pages (log truncation) keeps the store
+        // sparse for the sparse scans, and replaying values an image
+        // already holds (a second recovery pass) keeps its pages
+        // shared, so firstDifference skips them by pointer.
+        const Page *cur = pagePtr(page);
+        if (std::memcmp(src, (cur ? cur : &kZeroPage)->bytes + in_page,
+                        n) != 0)
+            std::memcpy(pagePtrMut(page) + in_page, src, n);
         src += n;
         off += n;
         size -= n;
@@ -280,8 +291,8 @@ BackingStore::read64(Addr addr) const
 {
     std::uint64_t v = 0;
     // Fast path: an in-range word that does not straddle a page is
-    // one hash lookup + one 8-byte copy; the generic loop handles the
-    // page-straddling and out-of-range (assert) cases.
+    // one page-table lookup + one 8-byte copy; the generic loop
+    // handles the page-straddling and out-of-range (assert) cases.
     const std::uint64_t off = addr - rangeBase;
     if (addr >= rangeBase && off + sizeof(v) <= rangeSize &&
         off % kPageBytes <= kPageBytes - sizeof(v)) {
@@ -306,7 +317,7 @@ BackingStore::enableJournal()
 {
     SNF_ASSERT(!journalOn, "journal already enabled");
     journalOn = true;
-    journalBase = pages; // COW share: O(pages) pointer copies
+    journalBase = pages; // COW share: O(leaves) refcount bumps
     journal.clear();
     invalidateIndex();
 }
@@ -358,9 +369,10 @@ BackingStore::ensureIndex() const
               });
 
     // Materialize a checkpoint image every ckptInterval entries. The
-    // working image and every checkpoint share pages copy-on-write,
-    // so each checkpoint costs O(pages) pointer copies plus one clone
-    // per page touched in the following interval.
+    // working image and every checkpoint share leaves and pages
+    // copy-on-write, so each checkpoint costs O(leaves) refcount bumps
+    // plus one clone per leaf and page changed in the following
+    // interval.
     checkpoints.clear();
     if (ckptInterval != 0 && journal.size() >= ckptInterval) {
         BackingStore work(rangeBase, rangeSize);
@@ -450,8 +462,8 @@ BackingStore::Cursor::imageAt(Tick t)
     lastTick = t;
 
     // Fast-forward through checkpoints when that skips at least one
-    // full interval of replay; re-basing the image is only O(pages)
-    // pointer copies.
+    // full interval of replay; re-basing the image is only O(leaves)
+    // refcount bumps.
     if (const Checkpoint *ck = src->checkpointFor(t)) {
         if (ck->count > pos &&
             ck->count - pos >= std::max<std::size_t>(
@@ -474,7 +486,7 @@ BackingStore::Cursor::imageAt(Tick t)
     src->statCloned.fetch_add(image->statCloned.load(),
                               std::memory_order_relaxed);
     image->statCloned = 0;
-    return *image; // COW copy: O(pages) pointer copies
+    return *image; // COW copy: O(leaves) refcount bumps
 }
 
 // --- whole-image operations ------------------------------------------
@@ -522,41 +534,42 @@ BackingStore::firstDifference(const BackingStore &other, Addr from,
                "firstDifference needs equal store bases");
     SNF_ASSERT(contains(from, size) && other.contains(from, size),
                "firstDifference range outside store");
-    static const Page kZeroPage{};
-    std::uint64_t first_page = (from - rangeBase) / kPageBytes;
-    std::uint64_t last_off = from - rangeBase + size; // exclusive
-    std::uint64_t last_page = (last_off + kPageBytes - 1) / kPageBytes;
-    // Only pages present in either store can differ (absent pages
-    // read as zero), so visit those instead of walking the whole
-    // range: the range can be gigabytes while the touched set is a
-    // few hundred pages.
-    std::vector<std::uint64_t> candidates;
-    candidates.reserve(pages.size() + other.pages.size());
-    for (const auto &kv : pages)
-        if (kv.first >= first_page && kv.first < last_page)
-            candidates.push_back(kv.first);
-    for (const auto &kv : other.pages)
-        if (kv.first >= first_page && kv.first < last_page)
-            candidates.push_back(kv.first);
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(
-        std::unique(candidates.begin(), candidates.end()),
-        candidates.end());
-    for (std::uint64_t p : candidates) {
-        const Page *a = pagePtr(p);
-        const Page *b = other.pagePtr(p);
-        if (a == b) // both absent, or one COW-shared page
+    const std::uint64_t lo = from - rangeBase; // byte offsets [lo, hi)
+    const std::uint64_t hi = lo + size;
+    const std::uint64_t first_page = lo / kPageBytes;
+    const std::uint64_t end_page = (hi + kPageBytes - 1) / kPageBytes;
+    // Walk both tables in address order. Only leaves and pages the two
+    // stores neither share nor both lack can differ (absent pages read
+    // as zero), so the range can be gigabytes while the walk touches a
+    // few leaves and the pages that actually diverged.
+    const std::uint64_t end_leaf = std::min<std::uint64_t>(
+        (end_page + kLeafPages - 1) / kLeafPages,
+        std::max(pages.size(), other.pages.size()));
+    for (std::uint64_t l = first_page / kLeafPages; l < end_leaf; ++l) {
+        const Leaf *la = l < pages.size() ? pages[l].get() : nullptr;
+        const Leaf *lb =
+            l < other.pages.size() ? other.pages[l].get() : nullptr;
+        if (la == lb) // both absent, or one COW-shared leaf
             continue;
-        const std::uint8_t *pa = a ? a->bytes : kZeroPage.bytes;
-        const std::uint8_t *pb = b ? b->bytes : kZeroPage.bytes;
-        std::uint64_t lo = std::max<std::uint64_t>(
-            p * kPageBytes, from - rangeBase);
-        std::uint64_t hi =
-            std::min<std::uint64_t>((p + 1) * kPageBytes, last_off);
-        for (std::uint64_t off = lo; off < hi; ++off) {
-            std::uint64_t in_page = off % kPageBytes;
-            if (pa[in_page] != pb[in_page])
-                return rangeBase + off;
+        const std::uint64_t p_end =
+            std::min(end_page, (l + 1) * kLeafPages);
+        for (std::uint64_t p = std::max(first_page, l * kLeafPages);
+             p < p_end; ++p) {
+            const Page *a = la ? la->page[p % kLeafPages].get() : nullptr;
+            const Page *b = lb ? lb->page[p % kLeafPages].get() : nullptr;
+            if (a == b)
+                continue;
+            const std::uint8_t *pa = (a ? a : &kZeroPage)->bytes;
+            const std::uint8_t *pb = (b ? b : &kZeroPage)->bytes;
+            const std::uint64_t page_off = p * kPageBytes;
+            const std::uint64_t b0 = std::max(page_off, lo) - page_off;
+            const std::uint64_t b1 =
+                std::min(page_off + kPageBytes, hi) - page_off;
+            if (std::memcmp(pa + b0, pb + b0, b1 - b0) == 0)
+                continue;
+            for (std::uint64_t i = b0; i < b1; ++i)
+                if (pa[i] != pb[i])
+                    return rangeBase + page_off + i;
         }
     }
     return std::nullopt;

@@ -4,17 +4,22 @@
  * with an optional timestamped write journal used to reconstruct the
  * device image as of a simulated crash instant.
  *
- * Snapshot engine (perf): pages are immutable-by-sharing and
- * copy-on-write (`shared_ptr`-backed), so cloning an image is
- * O(pages present) pointer copies instead of byte copies; the journal
- * keeps a lazily built completion-tick index with materialized
- * checkpoints every K entries, so snapshotAt(t) replays only the
- * delta past the nearest checkpoint instead of the whole journal; and
- * journal entries store payloads of up to 32 bytes (the common
- * line/word write) inline, eliminating one heap allocation per
- * journaled NVRAM write. The monotone Cursor turns a sequence of
- * ascending-tick snapshots (a crash sweep) into a single incremental
- * replay: O(journal + points × delta) instead of O(points × journal).
+ * Snapshot engine (perf): pages live in a two-level copy-on-write
+ * page table — a directory of `shared_ptr` leaves, each holding 512
+ * `shared_ptr` page refs (2 MB of address space) — so cloning an
+ * image is O(leaves) refcount bumps instead of byte copies, a lookup
+ * is two array indexes, and a write unshares first its leaf, then its
+ * page. A write that changes no bytes leaves the table untouched (no
+ * allocation, no clone), so replaying values an image already holds
+ * keeps it sharing every page with its parent. The journal keeps a lazily
+ * built completion-tick index with materialized checkpoints every K
+ * entries, so snapshotAt(t) replays only the delta past the nearest
+ * checkpoint instead of the whole journal; and journal entries store
+ * payloads of up to 32 bytes (the common line/word write) inline,
+ * eliminating one heap allocation per journaled NVRAM write. The
+ * monotone Cursor turns a sequence of ascending-tick snapshots (a
+ * crash sweep) into a single incremental replay: O(journal + points ×
+ * delta) instead of O(points × journal).
  */
 
 #ifndef SNF_MEM_BACKING_STORE_HH
@@ -26,7 +31,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hh"
@@ -36,9 +40,12 @@ namespace snf::mem
 
 /**
  * Byte storage for a [base, base+size) physical range. Pages are
- * allocated lazily and zero-filled. When journaling is enabled, every
- * write is recorded with its completion tick so snapshotAt() can
- * rebuild the exact persistent image at any earlier tick.
+ * allocated lazily and zero-filled; a write that leaves every byte as
+ * it was (zeros over an absent page included) changes nothing, not
+ * even page residency or sharing. When journaling is enabled, every
+ * write is recorded with its completion tick — no-op writes too — so
+ * snapshotAt() can rebuild the exact persistent image at any earlier
+ * tick.
  *
  * Thread safety: concurrent const use (snapshotAt, read,
  * firstDifference, Cursor) on a quiescent store is safe — the lazy
@@ -135,7 +142,7 @@ class BackingStore
      * applied in completion-tick order (the bus serializes by
      * completion, not by issue). Requires enableJournal(). The
      * returned image shares unmodified pages with this store
-     * (copy-on-write), so the call is O(pages + replay delta).
+     * (copy-on-write), so the call is O(leaves + replay delta).
      */
     BackingStore snapshotAt(Tick tick) const;
 
@@ -211,9 +218,10 @@ class BackingStore
      * Lowest address in [from, from+size) at which this store and
      * @p other differ (absent pages compare as zero), or nullopt if
      * the ranges are byte-identical. Both stores must cover the
-     * range. Compares page-wise and skips pages the two stores share
-     * (COW siblings diff only where they actually diverged), so
-     * sparse images stay cheap.
+     * range. Walks both page tables in address order and skips
+     * leaves and pages the two stores share or both lack (COW
+     * siblings diff only where they actually diverged), so sparse
+     * images stay cheap.
      */
     std::optional<Addr> firstDifference(const BackingStore &other,
                                         Addr from,
@@ -231,6 +239,8 @@ class BackingStore
 
   private:
     static constexpr std::uint64_t kPageBytes = 4096;
+    /** Page refs per page-table leaf: 2 MB of address space. */
+    static constexpr std::uint64_t kLeafPages = 512;
     static constexpr std::size_t kDefaultCheckpointInterval = 1024;
 
     struct Page
@@ -238,7 +248,24 @@ class BackingStore
         std::uint8_t bytes[kPageBytes];
     };
     using PageRef = std::shared_ptr<Page>;
-    using PageMap = std::unordered_map<std::uint64_t, PageRef>;
+
+    struct Leaf
+    {
+        PageRef page[kLeafPages]; ///< null = page never written
+    };
+    using LeafRef = std::shared_ptr<Leaf>;
+
+    /**
+     * Two-level copy-on-write page table: entry i covers pages
+     * [i*kLeafPages, (i+1)*kLeafPages) of the range, null when none of
+     * them was ever written. It grows only to the highest leaf
+     * touched. Copying one is a refcount bump per leaf; leaves and
+     * pages are shared until a write unshares them.
+     */
+    using PageTable = std::vector<LeafRef>;
+
+    /** The all-zero page an absent page reads as. */
+    static const Page kZeroPage;
 
     /**
      * One journaled write. Payloads of up to kInlineCapacity bytes
@@ -289,7 +316,7 @@ class BackingStore
     {
         Tick lastDone;     ///< doneTick of the last entry included
         std::size_t count; ///< index entries materialized
-        PageMap pages;
+        PageTable pages;
     };
 
     const Page *pagePtr(std::uint64_t pageIdx) const;
@@ -307,10 +334,10 @@ class BackingStore
 
     Addr rangeBase;
     std::uint64_t rangeSize;
-    PageMap pages;
+    PageTable pages;
 
     bool journalOn = false;
-    PageMap journalBase;
+    PageTable journalBase;
     std::vector<JournalEntry> journal;
     std::size_t ckptInterval = kDefaultCheckpointInterval;
 

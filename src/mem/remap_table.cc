@@ -4,32 +4,11 @@
 #include <cstring>
 
 #include "mem/backing_store.hh"
+#include "sim/crc32.hh"
 #include "sim/logging.hh"
 
 namespace snf::mem
 {
-
-namespace
-{
-
-/**
- * CRC32 (reflected, poly 0xEDB88320). Kept local so mem/ does not
- * depend on the persist/ log-record header; the polynomial matches
- * the log's slot CRC, so one hardware CRC unit would serve both.
- */
-std::uint32_t
-crc32(const std::uint8_t *data, std::uint64_t n)
-{
-    std::uint32_t crc = 0xffffffffu;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        crc ^= data[i];
-        for (int b = 0; b < 8; ++b)
-            crc = (crc >> 1) ^ (0xedb88320u & (~(crc & 1u) + 1u));
-    }
-    return ~crc;
-}
-
-} // namespace
 
 RemapTable::RemapTable(Addr remapBase, std::uint64_t remapSize,
                        Addr spareBase, std::uint64_t spareSize)
@@ -99,7 +78,7 @@ RemapTable::serializeBank(std::uint64_t seq) const
         std::memcpy(e + 8, &table[i].spare, 8);
     }
     // CRC over the whole serialized state with the CRC field zero.
-    std::uint32_t crc = crc32(buf.data(), buf.size());
+    std::uint32_t crc = sim::crc32(buf.data(), buf.size());
     std::memcpy(buf.data() + 40, &crc, 4);
     return buf;
 }
@@ -157,7 +136,7 @@ RemapTable::parseBank(const BackingStore &img, std::uint32_t bank,
     std::vector<std::uint8_t> buf(kHeaderBytes + n * kEntryBytes);
     img.read(base, buf.size(), buf.data());
     std::memset(buf.data() + 40, 0, 4);
-    if (crc32(buf.data(), buf.size()) != crc)
+    if (sim::crc32(buf.data(), buf.size()) != crc)
         return false;
 
     entriesOut.clear();

@@ -1,8 +1,8 @@
 #include "persist/log_record.hh"
 
-#include <array>
 #include <cstring>
 
+#include "sim/crc32.hh"
 #include "sim/logging.hh"
 
 namespace snf::persist
@@ -113,28 +113,6 @@ LogRecord::payloadBytes() const
     return n;
 }
 
-std::uint32_t
-LogRecord::crc32(const std::uint8_t *data, std::uint32_t n)
-{
-    // Table-driven, same polynomial (and therefore same values) as
-    // the original bitwise loop. The recovery scan CRCs every written
-    // log slot, which puts this on the crash sweep's critical path.
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int b = 0; b < 8; ++b)
-                c = (c >> 1) ^ (0xedb88320u & (~(c & 1) + 1));
-            t[i] = c;
-        }
-        return t;
-    }();
-    std::uint32_t crc = 0xffffffffu;
-    for (std::uint32_t i = 0; i < n; ++i)
-        crc = (crc >> 8) ^ table[(crc ^ data[i]) & 0xffu];
-    return ~crc;
-}
-
 void
 LogRecord::serialize(std::uint8_t out[kSlotBytes], bool torn) const
 {
@@ -178,7 +156,7 @@ LogRecord::serialize(std::uint8_t out[kSlotBytes], bool torn) const
     }
     // The CRC covers the entire written payload (torn bit included)
     // with the CRC field itself as zero; it goes in last.
-    std::uint32_t crc = crc32(out, payloadBytes());
+    std::uint32_t crc = sim::crc32(out, payloadBytes());
     std::memcpy(out + 12, &crc, 4);
 }
 
@@ -250,12 +228,15 @@ classifySlot(const std::uint8_t in[LogRecord::kSlotBytes])
         info.cls = SlotClass::CrcFail;
         return info;
     }
-    std::uint8_t img[LogRecord::kSlotBytes];
-    std::memcpy(img, in, LogRecord::kSlotBytes);
+    // CRC the slot in place, feeding zeros for the CRC field [12, 16)
+    // itself (the value serialize() saw there).
+    static constexpr std::uint8_t kZeroField[4] = {};
     std::uint32_t stored = 0;
-    std::memcpy(&stored, img + 12, 4);
-    std::memset(img + 12, 0, 4);
-    if (LogRecord::crc32(img, rec->payloadBytes()) != stored) {
+    std::memcpy(&stored, in + 12, 4);
+    std::uint32_t crc = sim::crc32(in, 12);
+    crc = sim::crc32(kZeroField, 4, crc);
+    crc = sim::crc32(in + 16, rec->payloadBytes() - 16, crc);
+    if (crc != stored) {
         info.cls = SlotClass::CrcFail;
         return info;
     }

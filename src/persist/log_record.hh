@@ -23,7 +23,8 @@
  *   [4]      store size in bytes (0 for commit records)
  *   [5]      format version (kFormatVersion)
  *   [6..11]  48-bit address (commit records: [6..9] = nUpdates)
- *   [12..15] CRC32 of bytes [0, payloadBytes()) with [12..15] as zero
+ *   [12..15] CRC32 (sim/crc32.hh) of bytes [0, payloadBytes()) with
+ *            [12..15] as zero
  *   [16..23] undo value (if present)
  *   [16..31] / [24..31] redo value (if present)
  *
@@ -147,10 +148,6 @@ struct LogRecord
      */
     static std::optional<LogRecord>
     deserialize(const std::uint8_t in[kSlotBytes], bool &tornOut);
-
-    /** CRC32 (reflected, poly 0xEDB88320) of @p n bytes. */
-    static std::uint32_t crc32(const std::uint8_t *data,
-                               std::uint32_t n);
 };
 
 /** Result of classifying a raw slot image. */

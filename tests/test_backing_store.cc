@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/backing_store.hh"
 
 using namespace snf;
@@ -126,8 +129,15 @@ TEST(BackingStore, FirstDifferenceFindsLowestMismatch)
     EXPECT_FALSE(a.firstDifference(b, 0, 1 << 20).has_value());
 
     // A page present in one store but all-zero matches an absent one.
+    // (Zeros written over an absent page are a no-op, so make the
+    // page resident with a nonzero word first.)
+    std::uint64_t avail = 0;
+    a.write64(4096, 1, 0);
     a.write64(4096, 0, 0);
+    ASSERT_NE(a.pageAt(4096, &avail), nullptr);
+    ASSERT_EQ(b.pageAt(4096, &avail), nullptr);
     EXPECT_FALSE(a.firstDifference(b, 0, 1 << 20).has_value());
+    EXPECT_FALSE(b.firstDifference(a, 0, 1 << 20).has_value());
 
     b.write64(8192 + 16, 7, 0);
     a.write64(65536, 9, 0);
@@ -140,4 +150,186 @@ TEST(BackingStore, FirstDifferenceFindsLowestMismatch)
     auto d2 = a.firstDifference(b, 16384, (1 << 20) - 16384);
     ASSERT_TRUE(d2.has_value());
     EXPECT_EQ(*d2, 65536u);
+}
+
+namespace
+{
+
+constexpr std::uint64_t kPage = 4096;
+/** Pages per page-table leaf (2 MB of address space). */
+constexpr std::uint64_t kLeafPages = 512;
+constexpr std::uint64_t kLeafBytes = kLeafPages * kPage;
+
+void
+writeByte(BackingStore &bs, Addr a, std::uint8_t v)
+{
+    bs.write(a, 1, &v);
+}
+
+} // namespace
+
+TEST(BackingStore, FirstDifferenceInAPagesLastByte)
+{
+    BackingStore a(0, 1 << 20);
+    BackingStore b(0, 1 << 20);
+    // Present in one store only.
+    writeByte(a, 3 * kPage + kPage - 1, 0x5a);
+    EXPECT_EQ(a.firstDifference(b, 0, 1 << 20), 3 * kPage + kPage - 1);
+    EXPECT_EQ(b.firstDifference(a, 0, 1 << 20), 3 * kPage + kPage - 1);
+    // Present in both, equal everywhere but the last byte.
+    writeByte(a, 7 * kPage, 1);
+    writeByte(b, 7 * kPage, 1);
+    writeByte(b, 3 * kPage + kPage - 1, 0x5a);
+    writeByte(a, 7 * kPage + kPage - 1, 2);
+    writeByte(b, 7 * kPage + kPage - 1, 3);
+    EXPECT_EQ(a.firstDifference(b, 0, 1 << 20), 7 * kPage + kPage - 1);
+    // A range ending just before that byte sees no difference.
+    EXPECT_FALSE(a.firstDifference(b, 0, 8 * kPage - 1).has_value());
+}
+
+TEST(BackingStore, FirstDifferenceRangeStartsAndEndsMidPage)
+{
+    BackingStore a(0, 1 << 20);
+    BackingStore b(0, 1 << 20);
+    for (Addr off : {Addr{100}, Addr{4200}, Addr{8300}})
+        writeByte(a, off, 0xee);
+
+    // [150, 4150): mid page 0 to mid page 1, every mismatch outside.
+    EXPECT_FALSE(a.firstDifference(b, 150, 4000).has_value());
+    // [150, 4250) reaches the mismatch at 4200.
+    EXPECT_EQ(a.firstDifference(b, 150, 4100), 4200u);
+    // [4201, 8300): the end is exclusive, so 8300 is outside.
+    EXPECT_FALSE(a.firstDifference(b, 4201, 8300 - 4201).has_value());
+    EXPECT_EQ(a.firstDifference(b, 4201, 8301 - 4201), 8300u);
+    // A one-byte range exactly on a mismatch, and an empty range.
+    EXPECT_EQ(a.firstDifference(b, 4200, 1), 4200u);
+    EXPECT_FALSE(a.firstDifference(b, 4200, 0).has_value());
+}
+
+TEST(BackingStore, FirstDifferenceAcrossALeafBoundary)
+{
+    const std::uint64_t size = 4 * kLeafBytes;
+    BackingStore a(0x100000000ULL, size);
+    BackingStore b(0x100000000ULL, size);
+    const Addr base = a.base();
+    const Addr page511 = base + 511 * kPage;
+    const Addr page512 = base + 512 * kPage; // first page of leaf 1
+
+    // Present in both stores, identical, on each side of the boundary.
+    a.write64(page511 + 8, 7);
+    b.write64(page511 + 8, 7);
+    writeByte(a, page512 + 5, 9);
+    EXPECT_EQ(a.firstDifference(b, base, size), page512 + 5);
+    // A range ending at the boundary excludes leaf 1.
+    EXPECT_FALSE(a.firstDifference(b, base, 512 * kPage).has_value());
+    // A range straddling the boundary, starting mid-page 511.
+    EXPECT_EQ(a.firstDifference(b, page511 + 100, kPage), page512 + 5);
+
+    // A difference in the last byte of leaf 0 wins over leaf 1.
+    writeByte(b, page512 - 1, 1);
+    EXPECT_EQ(a.firstDifference(b, base, size), page512 - 1);
+    EXPECT_EQ(b.firstDifference(a, page511, 2 * kPage), page512 - 1);
+}
+
+TEST(BackingStore, CowSiblingsDivergingInOneLeafShareTheRest)
+{
+    const std::uint64_t size = 4 * kLeafBytes;
+    BackingStore parent(0, size);
+    for (std::uint64_t leaf = 0; leaf < 3; ++leaf)
+        parent.write64(leaf * kLeafBytes + 64, leaf + 1);
+    BackingStore x = parent;
+    BackingStore y = parent;
+    ASSERT_FALSE(x.firstDifference(y, 0, size).has_value());
+
+    const Addr hit = kLeafBytes + 17 * kPage + 40; // leaf 1 only
+    x.write64(hit, 0xabcdefULL);
+    EXPECT_EQ(x.firstDifference(y, 0, size), hit);
+    EXPECT_EQ(y.firstDifference(x, 0, size), hit);
+    EXPECT_FALSE(y.firstDifference(parent, 0, size).has_value());
+
+    // The untouched leaves' pages are still the parent's.
+    std::uint64_t ax = 0, ay = 0;
+    for (std::uint64_t leaf : {0ULL, 2ULL})
+        EXPECT_EQ(x.pageAt(leaf * kLeafBytes + 64, &ax),
+                  y.pageAt(leaf * kLeafBytes + 64, &ay));
+    EXPECT_NE(x.pageAt(hit, &ax), y.pageAt(hit, &ay));
+    EXPECT_EQ(parent.read64(hit), 0u);
+}
+
+TEST(BackingStore, IdenticalWriteToSharedPageClonesNothing)
+{
+    BackingStore parent(0, 1 << 22);
+    parent.write64(64, 0xabcULL);
+    BackingStore child = parent;
+    const std::uint64_t cloned = child.pagesCloned();
+
+    child.write64(64, 0xabcULL);  // same bytes as the shared page
+    child.write64(5 * kPage, 0);  // zeros over an absent page
+    std::uint8_t run[16];
+    child.read(56, sizeof(run), run); // write bytes 56..71 back as-is
+    child.write(56, sizeof(run), run);
+    EXPECT_EQ(child.pagesCloned(), cloned);
+    std::uint64_t ac = 0, ap = 0;
+    EXPECT_EQ(child.pageAt(64, &ac), parent.pageAt(64, &ap));
+    EXPECT_EQ(child.pageAt(5 * kPage, &ac), nullptr);
+
+    // One changed byte clones the page, and only in the child.
+    child.write64(64, 0xabdULL);
+    EXPECT_EQ(child.pagesCloned(), cloned + 1);
+    EXPECT_NE(child.pageAt(64, &ac), parent.pageAt(64, &ap));
+    EXPECT_EQ(parent.read64(64), 0xabcULL);
+    EXPECT_EQ(child.read64(64), 0xabdULL);
+}
+
+TEST(BackingStore, WriteIntoSharedLeafLeavesParentByteIdentical)
+{
+    const std::uint64_t size = 4 * kLeafBytes;
+    BackingStore parent(0, size);
+    std::vector<std::uint8_t> fill(6 * kPage);
+    for (std::size_t i = 0; i < fill.size(); ++i)
+        fill[i] = static_cast<std::uint8_t>(i * 13 + 1);
+    const Addr start = kLeafBytes - 3 * kPage; // pages 509..514
+    parent.write(start, fill.size(), fill.data());
+    const BackingStore pristine = parent;
+
+    // A child write straddling the leaf 0 / leaf 1 boundary, plus one
+    // into a page of leaf 1 the parent never wrote.
+    BackingStore child = parent;
+    std::vector<std::uint8_t> patch(2 * kPage, 0x77);
+    child.write(kLeafBytes - kPage, patch.size(), patch.data());
+    child.write64(kLeafBytes + 100 * kPage, 5);
+
+    std::vector<std::uint8_t> out(fill.size());
+    parent.read(start, out.size(), out.data());
+    EXPECT_EQ(out, fill);
+    EXPECT_FALSE(parent.firstDifference(pristine, 0, size).has_value());
+    EXPECT_EQ(parent.read64(kLeafBytes + 100 * kPage), 0u);
+    EXPECT_EQ(parent.firstDifference(child, 0, size),
+              kLeafBytes - kPage);
+    child.read(kLeafBytes - kPage, patch.size(), out.data());
+    EXPECT_TRUE(std::equal(patch.begin(), patch.end(), out.begin()));
+
+    // And the reverse: the parent's writes stay out of the child.
+    parent.write64(kLeafBytes + 8, 0xfeedULL);
+    EXPECT_EQ(child.read64(kLeafBytes + 8), 0x7777777777777777ULL);
+}
+
+TEST(BackingStore, NvramSizedStoreLastPageSurvivesWriteAndCopy)
+{
+    const Addr base = 0x100000000ULL;
+    const std::uint64_t size = 8ULL << 30; // the default NVRAM range
+    BackingStore bs(base, size);
+    const Addr last = base + size - 8;
+    bs.write64(last, 0x1122334455667788ULL);
+    EXPECT_EQ(bs.read64(last), 0x1122334455667788ULL);
+    std::uint64_t avail = 0;
+    ASSERT_NE(bs.pageAt(last, &avail), nullptr);
+    EXPECT_EQ(avail, 8u);
+
+    BackingStore copy = bs;
+    EXPECT_EQ(copy.read64(last), 0x1122334455667788ULL);
+    EXPECT_FALSE(copy.firstDifference(bs, base, size).has_value());
+    copy.write64(last, 1);
+    EXPECT_EQ(bs.read64(last), 0x1122334455667788ULL);
+    EXPECT_EQ(copy.firstDifference(bs, base, size), last);
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the simulation kernel: event queue, PRNG, stats,
- * and the coroutine task type.
+ * Unit tests for the simulation kernel: event queue, PRNG, CRC32,
+ * stats, and the coroutine task type.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/coro.hh"
+#include "sim/crc32.hh"
 #include "sim/event_queue.hh"
 #include "sim/small_callback.hh"
 #include "sim/logging.hh"
@@ -399,6 +400,54 @@ TEST(Zipf, SkewsTowardsSmallKeys)
     }
     // The 1% hottest keys should draw far more than 1% of samples.
     EXPECT_GT(low, total / 10);
+}
+
+namespace
+{
+
+/** Bit-at-a-time CRC32 (reflected, poly 0xEDB88320): the reference. */
+std::uint32_t
+bitwiseCrc32(const std::uint8_t *data, std::size_t n)
+{
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+        crc ^= data[i];
+        for (int b = 0; b < 8; ++b)
+            crc = (crc >> 1) ^ (0xedb88320u & (~(crc & 1u) + 1u));
+    }
+    return ~crc;
+}
+
+} // namespace
+
+TEST(Crc32, MatchesBitwiseReferenceOnRandomData)
+{
+    Rng rng(0xc4c32);
+    std::uint8_t buf[64 + 7];
+    for (int round = 0; round < 8; ++round) {
+        for (auto &b : buf)
+            b = static_cast<std::uint8_t>(rng.next());
+        // Every length 0..64 from every start offset 0..7, so the word
+        // loop sees unaligned loads and every tail length.
+        for (std::size_t off = 0; off < 8; ++off)
+            for (std::size_t len = 0; len <= 64; ++len)
+                ASSERT_EQ(sim::crc32(buf + off, len),
+                          bitwiseCrc32(buf + off, len))
+                    << "round " << round << " offset " << off
+                    << " length " << len;
+    }
+}
+
+TEST(Crc32, StandardCheckValueAndExactChaining)
+{
+    const char *check = "123456789";
+    EXPECT_EQ(sim::crc32(check, 9), 0xcbf43926u);
+    EXPECT_EQ(sim::crc32(check, 0), 0u);
+    for (std::size_t cut = 0; cut <= 9; ++cut) {
+        std::uint32_t head = sim::crc32(check, cut);
+        EXPECT_EQ(sim::crc32(check + cut, 9 - cut, head), 0xcbf43926u)
+            << "split at " << cut;
+    }
 }
 
 TEST(Stats, CountersAndScalars)

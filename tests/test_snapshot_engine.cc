@@ -203,6 +203,70 @@ TEST(SnapshotEngine, InlineAndHeapJournalPayloadsRoundTrip)
         ASSERT_EQ(out[i], 0) << "at offset " << i;
 }
 
+TEST(SnapshotEngine, IdenticalWritesAreJournaledAndReplayed)
+{
+    // Two writes of one value to one word, completing out of issue
+    // order: the second changes no live byte, but it completes first,
+    // so it alone decides the word between the two completions. The
+    // same holds for zeros written over a never-written page.
+    BackingStore bs(kBase, kSize);
+    bs.setCheckpointInterval(0);
+    bs.enableJournal();
+    const Addr y = kBase + 64;
+    const Addr z = kBase + 5 * 4096;
+    bs.write64(y, 7, 50);
+    bs.write64(y, 7, 20); // identical to the live word
+    bs.write64(z, 0, 40); // zeros over an absent page
+    bs.write64(z, 9, 30);
+    EXPECT_EQ(bs.journalSize(), 4u);
+
+    EXPECT_EQ(bs.snapshotAt(10).read64(y), 0u);
+    EXPECT_EQ(bs.snapshotAt(25).read64(y), 7u);
+    EXPECT_EQ(bs.snapshotAt(35).read64(z), 9u);
+    EXPECT_EQ(bs.snapshotAt(45).read64(z), 0u);
+    EXPECT_EQ(bs.snapshotAt(60).read64(y), 7u);
+
+    const std::uint64_t before = bs.entriesReplayed();
+    (void)bs.snapshotAt(60);
+    EXPECT_EQ(bs.entriesReplayed() - before, 4u);
+
+    BackingStore::Cursor cursor(bs);
+    EXPECT_EQ(cursor.imageAt(25).read64(y), 7u);
+    EXPECT_EQ(cursor.imageAt(35).read64(z), 9u);
+    EXPECT_EQ(cursor.imageAt(45).read64(z), 0u);
+}
+
+TEST(SnapshotEngine, CheckpointedMatchesNaiveWithIdenticalRewrites)
+{
+    EnginePair eng(32, 300, 23);
+    // Append writes that each put back the bytes the live image holds
+    // (no-ops on the live image), completing at random earlier ticks,
+    // so in the snapshots they land out of order and do matter.
+    sim::Rng rng(29);
+    for (int i = 0; i < 300; ++i) {
+        std::uint8_t buf[48];
+        std::uint64_t len = 1 + rng.next() % sizeof(buf);
+        Addr a = kBase + rng.next() % (kSize - sizeof(buf));
+        eng.ckpt.read(a, len, buf);
+        Tick done = rng.next() % (eng.lastTick + 1);
+        eng.ckpt.write(a, len, buf, done);
+        eng.naive.write(a, len, buf, done);
+    }
+    ASSERT_EQ(eng.ckpt.journalSize(), 600u);
+
+    BackingStore::Cursor cursor(eng.ckpt);
+    for (Tick t = 0; t <= eng.lastTick + 1; t += 1 + eng.lastTick / 60) {
+        BackingStore ref = eng.naive.snapshotAt(t);
+        EXPECT_EQ(eng.ckpt.snapshotAt(t).firstDifference(ref, kBase,
+                                                         kSize),
+                  std::nullopt)
+            << "checkpointed and naive snapshots diverge at tick " << t;
+        EXPECT_EQ(cursor.imageAt(t).firstDifference(ref, kBase, kSize),
+                  std::nullopt)
+            << "cursor image diverges from naive replay at tick " << t;
+    }
+}
+
 TEST(SnapshotEngine, ReplayCountersShrinkWithCheckpoints)
 {
     EnginePair eng(64, 1000, 11);
