@@ -247,9 +247,11 @@ writeCell(std::ostream &os, const CellResult &cell,
                << jsonEscape(f.reorderDetail) << "\"";
         os << "}";
     }
-    os << (sw.failures.empty() ? "]" : ("\n" + std::string(indent) +
-                                        "  ]"))
-       << ",\n";
+    if (sw.failures.empty())
+        os << "]";
+    else
+        os << "\n" << indent << "  ]";
+    os << ",\n";
     if (sw.minimizedTick) {
         os << indent << "  \"minimized_tick\": " << *sw.minimizedTick
            << ",\n";

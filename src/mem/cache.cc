@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace snf::mem
@@ -16,17 +18,19 @@ Cache::Cache(std::string name, const CacheConfig &config)
 {
     SNF_ASSERT(cfg.lineBytes >= 2, "line size too small for tag "
                "sentinel in %s", cacheName.c_str());
-    lines.resize(cfg.numLines());
-    for (auto &l : lines)
-        l.data.assign(cfg.lineBytes, 0);
-    tags.assign(cfg.numLines(), kInvalidTag);
-}
-
-std::uint32_t
-Cache::setIndex(Addr lineAddr) const
-{
-    return static_cast<std::uint32_t>(
-        (lineAddr / cfg.lineBytes) & (cfg.numSets() - 1));
+    SNF_ASSERT(std::has_single_bit(cfg.lineBytes) &&
+                   std::has_single_bit(cfg.numSets()),
+               "line size and set count of %s must be powers of two",
+               cacheName.c_str());
+    lineShift = static_cast<std::uint32_t>(std::countr_zero(cfg.lineBytes));
+    setMask = cfg.numSets() - 1;
+    const std::size_t n = cfg.numLines();
+    lines.resize(n);
+    dataArray.assign(n * cfg.lineBytes, 0);
+    for (std::size_t i = 0; i < n; ++i)
+        lines[i].bytes = &dataArray[i * cfg.lineBytes];
+    tags.assign(n, kInvalidTag);
+    dirtyIndex.assign((n + 63) / 64, 0);
 }
 
 CacheLine *
@@ -53,9 +57,7 @@ Cache::install(CacheLine *slot, Addr lineAddr)
     SNF_ASSERT(lineOf(lineAddr) == lineAddr, "unaligned line address");
     slot->lineAddr = lineAddr;
     slot->valid = true;
-    slot->dirty = false;
-    slot->fwb = false;
-    tags[static_cast<std::size_t>(slot - lines.data())] = lineAddr;
+    tags[slotOf(slot)] = lineAddr;
     touch(slot);
 }
 
@@ -69,9 +71,9 @@ void
 Cache::invalidate(CacheLine *line)
 {
     line->valid = false;
-    line->dirty = false;
-    line->fwb = false;
-    tags[static_cast<std::size_t>(line - lines.data())] = kInvalidTag;
+    line->sharers = 0;
+    clearDirty(line);
+    tags[slotOf(line)] = kInvalidTag;
 }
 
 void

@@ -12,11 +12,17 @@
  * that can never equal a line-aligned address). The tag array is kept
  * consistent by install()/invalidate(), the only mutators of line
  * identity.
+ *
+ * Every line's data lives in one contiguous array owned by the cache,
+ * and a bitmap indexes the dirty slots. setDirty()/clearDirty() are the
+ * only writers of a line's dirty bit and of the bitmap, so the two
+ * always agree and forEachDirtyLine() can skip clean lines whole.
  */
 
 #ifndef SNF_MEM_CACHE_HH
 #define SNF_MEM_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -28,16 +34,36 @@
 namespace snf::mem
 {
 
-/** One cache line: tag state plus a byte-accurate data image. */
-struct CacheLine
+/** One cache line: tag state plus its byte-accurate data image. */
+class CacheLine
 {
+  public:
     Addr lineAddr = 0;
-    bool valid = false;
-    bool dirty = false;
-    /** Force-write-back flag bit (paper Section IV-D). */
-    bool fwb = false;
     std::uint64_t lastUse = 0;
-    std::vector<std::uint8_t> data;
+    /**
+     * Inclusive L2 only: bitmask of the L1 caches holding this line
+     * (the sharer directory). Always zero in an L1 line and in an
+     * invalid line.
+     */
+    std::uint64_t sharers = 0;
+    bool valid = false;
+
+    bool dirty() const { return dirtyBit; }
+
+    /** Force-write-back flag bit (paper Section IV-D). Only ever set
+     *  on a dirty line; cleaning the line clears it. */
+    bool fwb() const { return fwbBit; }
+
+    /** The line's lineBytes() of data, inside the cache's array. */
+    std::uint8_t *data() { return bytes; }
+    const std::uint8_t *data() const { return bytes; }
+
+  private:
+    friend class Cache;
+
+    std::uint8_t *bytes = nullptr;
+    bool dirtyBit = false;
+    bool fwbBit = false;
 };
 
 /**
@@ -49,6 +75,10 @@ class Cache
 {
   public:
     Cache(std::string name, const CacheConfig &config);
+
+    /** Lines point into this cache's data array: no copies. */
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
 
     /** Look up @p lineAddr; nullptr on miss. Does not update LRU. */
     CacheLine *
@@ -80,15 +110,37 @@ class Cache
     CacheLine *victimFor(Addr lineAddr);
 
     /**
-     * Reset @p slot and bind it to @p lineAddr (valid, clean).
-     * The caller then fills slot->data.
+     * Bind the invalid (hence clean, sharer-free) @p slot to
+     * @p lineAddr. The caller then fills slot->data().
      */
     void install(CacheLine *slot, Addr lineAddr);
 
     /** Mark @p line most recently used. */
     void touch(CacheLine *line);
 
-    /** Invalidate a line (also clears dirty/fwb). */
+    /** Mark @p line dirty. */
+    void
+    setDirty(CacheLine *line)
+    {
+        line->dirtyBit = true;
+        const std::size_t slot = slotOf(line);
+        dirtyIndex[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    }
+
+    /** Mark @p line clean; a clean line never carries fwb. */
+    void
+    clearDirty(CacheLine *line)
+    {
+        line->dirtyBit = false;
+        line->fwbBit = false;
+        const std::size_t slot = slotOf(line);
+        dirtyIndex[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+    }
+
+    /** Set the fwb bit of the dirty @p line (FWB FLAG state). */
+    void setFwb(CacheLine *line) { line->fwbBit = true; }
+
+    /** Invalidate a line (also clears dirty, fwb and sharers). */
     void invalidate(CacheLine *line);
 
     /** Invalidate every line (crash model). */
@@ -102,6 +154,28 @@ class Cache
     {
         for (auto &l : lines)
             fn(l);
+    }
+
+    /**
+     * Apply @p fn to every dirty line, in slot order. The index word
+     * is re-read after each visit, so a line that @p fn dirties ahead
+     * of the cursor is still visited and one it cleans is skipped:
+     * the visits are exactly those of a walk over every slot that
+     * tests the dirty bit as it passes.
+     */
+    template <typename Fn>
+    void
+    forEachDirtyLine(Fn &&fn)
+    {
+        for (std::size_t w = 0; w < dirtyIndex.size(); ++w) {
+            std::uint64_t pending = dirtyIndex[w];
+            while (pending != 0) {
+                const int bit = std::countr_zero(pending);
+                fn(lines[w * 64 + static_cast<std::size_t>(bit)]);
+                pending = dirtyIndex[w] &
+                          ~((std::uint64_t{2} << bit) - 1);
+            }
+        }
     }
 
     std::uint32_t lineBytes() const { return cfg.lineBytes; }
@@ -130,6 +204,9 @@ class Cache
 
     std::string cacheName;
     CacheConfig cfg;
+    /** log2(lineBytes) and numSets() - 1: both are powers of two. */
+    std::uint32_t lineShift = 0;
+    std::uint32_t setMask = 0;
     sim::StatGroup statGroup; // must precede the counter references
 
   public:
@@ -159,11 +236,25 @@ class Cache
     }
 
   private:
-    std::uint32_t setIndex(Addr lineAddr) const;
+    std::uint32_t
+    setIndex(Addr lineAddr) const
+    {
+        return static_cast<std::uint32_t>(lineAddr >> lineShift) & setMask;
+    }
+
+    std::size_t
+    slotOf(const CacheLine *line) const
+    {
+        return static_cast<std::size_t>(line - lines.data());
+    }
 
     std::vector<CacheLine> lines;
     /** Parallel to `lines`: lineAddr when valid, kInvalidTag when not. */
     std::vector<Addr> tags;
+    /** numLines() × lineBytes(): line i's data starts at i × lineBytes. */
+    std::vector<std::uint8_t> dataArray;
+    /** Bit i of word i / 64 is set iff lines[i] is dirty. */
+    std::vector<std::uint64_t> dirtyIndex;
     std::uint64_t useClock = 0;
 };
 

@@ -1,12 +1,28 @@
 #include "mem/memory_system.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "sim/logging.hh"
 
 namespace snf::mem
 {
+
+namespace
+{
+
+/** Apply @p fn to each core whose bit is set in @p sharers, in
+ *  ascending core order. */
+template <typename Fn>
+void
+forEachSharer(std::uint64_t sharers, Fn &&fn)
+{
+    for (; sharers != 0; sharers &= sharers - 1)
+        fn(static_cast<CoreId>(std::countr_zero(sharers)));
+}
+
+} // namespace
 
 MemorySystem::MemorySystem(const SystemConfig &config)
     : cfg(config),
@@ -46,21 +62,14 @@ MemorySystem::deviceFor(Addr addr)
     return dramDev;
 }
 
-std::uint64_t &
-MemorySystem::sharersOf(Addr lineAddr)
+CacheLine *
+MemorySystem::l2ParentOf(CoreId core, const CacheLine *line)
 {
-    return directory[lineAddr];
-}
-
-void
-MemorySystem::clearSharer(Addr lineAddr, CoreId core)
-{
-    auto it = directory.find(lineAddr);
-    if (it == directory.end())
-        return;
-    it->second &= ~(1ULL << core);
-    if (it->second == 0)
-        directory.erase(it);
+    CacheLine *parent = l2.find(line->lineAddr);
+    SNF_ASSERT(parent != nullptr,
+               "inclusivity violated: L1.%u line %llx missing in L2",
+               core, static_cast<unsigned long long>(line->lineAddr));
+    return parent;
 }
 
 void
@@ -68,32 +77,24 @@ MemorySystem::evictL2Line(CacheLine *slot, Tick now)
 {
     Addr line = slot->lineAddr;
     // Inclusive hierarchy: recall every L1 copy first.
-    auto it = directory.find(line);
-    if (it != directory.end()) {
-        std::uint64_t mask = it->second;
-        for (CoreId c = 0; c < cfg.numCores; ++c) {
-            if (!(mask & (1ULL << c)))
-                continue;
-            CacheLine *l1line = l1s[c]->find(line);
-            if (l1line) {
-                if (l1line->dirty) {
-                    slot->data = l1line->data;
-                    slot->dirty = true;
-                }
-                l1s[c]->invalidate(l1line);
-                coherenceInvalidations.inc();
-            }
+    forEachSharer(slot->sharers, [&](CoreId c) {
+        CacheLine *l1line = l1s[c]->find(line);
+        if (!l1line)
+            return;
+        if (l1line->dirty()) {
+            std::memcpy(slot->data(), l1line->data(), l2.lineBytes());
+            l2.setDirty(slot);
         }
-        directory.erase(it);
-    }
+        l1s[c]->invalidate(l1line);
+        coherenceInvalidations.inc();
+    });
     l2.evictions.inc();
-    if (slot->dirty) {
+    if (slot->dirty()) {
         MemDevice &dev = deviceFor(line);
         Tick preBarrier = now;
         now = barrierFor(line, now);
-        auto res = dev.access(true, line, l2.lineBytes(),
-                              slot->data.data(), nullptr, now, false,
-                              PersistOrigin::Data,
+        auto res = dev.access(true, line, l2.lineBytes(), slot->data(),
+                              nullptr, now, false, PersistOrigin::Data,
                               wbIssueHint(preBarrier));
         l2.writebacks.inc();
         if (cfg.map.isNvram(line))
@@ -117,30 +118,28 @@ MemorySystem::fillL2(Addr lineAddr, Tick now)
         evictL2Line(slot, start);
     MemDevice &dev = deviceFor(lineAddr);
     auto res = dev.access(false, lineAddr, l2.lineBytes(), nullptr,
-                          slot->data.data(), start + l2.latency());
+                          slot->data(), start + l2.latency());
     l2.install(slot, lineAddr);
     return FillResult{slot, res.done, false};
 }
 
 void
-MemorySystem::writebackL1ToL2(CoreId core, CacheLine *line)
+MemorySystem::writebackL1ToL2(CoreId core, CacheLine *line,
+                              CacheLine *parent)
 {
-    CacheLine *l2line = l2.find(line->lineAddr);
-    SNF_ASSERT(l2line != nullptr,
-               "inclusivity violated: L1.%u line %llx missing in L2",
-               core, static_cast<unsigned long long>(line->lineAddr));
-    l2line->data = line->data;
-    l2line->dirty = true;
-    l2.touch(l2line);
+    std::memcpy(parent->data(), line->data(), l2.lineBytes());
+    l2.setDirty(parent);
+    l2.touch(parent);
     l1s[core]->writebacks.inc();
 }
 
 void
 MemorySystem::evictL1Line(CoreId core, CacheLine *victim)
 {
-    if (victim->dirty)
-        writebackL1ToL2(core, victim);
-    clearSharer(victim->lineAddr, core);
+    CacheLine *parent = l2ParentOf(core, victim);
+    if (victim->dirty())
+        writebackL1ToL2(core, victim, parent);
+    parent->sharers &= ~(1ULL << core);
     l1s[core]->evictions.inc();
     l1s[core]->invalidate(victim);
 }
@@ -158,26 +157,22 @@ MemorySystem::ensureInL1(CoreId core, Addr lineAddr, Tick now,
         Tick done = start + l1.latency();
         if (for_store) {
             // Invalidate other (clean) sharers for exclusivity.
-            auto it = directory.find(lineAddr);
-            if (it != directory.end() &&
-                (it->second & ~(1ULL << core)) != 0) {
-                std::uint64_t mask = it->second & ~(1ULL << core);
-                for (CoreId c = 0; c < cfg.numCores; ++c) {
-                    if (!(mask & (1ULL << c)))
-                        continue;
-                    CacheLine *other = l1s[c]->find(lineAddr);
-                    if (other) {
-                        SNF_ASSERT(!other->dirty,
-                                   "two dirty copies of line %llx",
-                                   static_cast<unsigned long long>(
-                                       lineAddr));
-                        l1s[c]->invalidate(other);
-                    }
-                    coherenceInvalidations.inc();
-                }
-                it->second = 1ULL << core;
+            CacheLine *parent = l2ParentOf(core, line);
+            const std::uint64_t others =
+                parent->sharers & ~(1ULL << core);
+            if (others != 0) {
+                parent->sharers = 1ULL << core;
                 done += l1.latency();
             }
+            forEachSharer(others, [&](CoreId c) {
+                if (CacheLine *other = l1s[c]->find(lineAddr)) {
+                    SNF_ASSERT(!other->dirty(),
+                               "two dirty copies of line %llx",
+                               static_cast<unsigned long long>(lineAddr));
+                    l1s[c]->invalidate(other);
+                }
+                coherenceInvalidations.inc();
+            });
         }
         level = HitLevel::L1;
         return FillResult{line, done, true};
@@ -185,43 +180,37 @@ MemorySystem::ensureInL1(CoreId core, Addr lineAddr, Tick now,
 
     ++l1.pendingMisses;
     FillResult l2res = fillL2(lineAddr, start + l1.latency());
+    CacheLine *parent = l2res.line;
     Tick done = l2res.done;
     level = l2res.hit ? HitLevel::L2 : HitLevel::Memory;
 
     // If another L1 holds a dirty copy, pull it into L2 first
     // (cache-to-cache transfer).
-    auto it = directory.find(lineAddr);
-    if (it != directory.end()) {
-        std::uint64_t mask = it->second;
-        for (CoreId c = 0; c < cfg.numCores; ++c) {
-            if (!(mask & (1ULL << c)) || c == core)
-                continue;
-            CacheLine *other = l1s[c]->find(lineAddr);
-            if (!other)
-                continue;
-            if (other->dirty) {
-                l2res.line->data = other->data;
-                l2res.line->dirty = true;
-                other->dirty = false;
-                other->fwb = false;
-                cacheToCacheTransfers.inc();
-                done += l1.latency();
-            }
-            if (for_store) {
-                l1s[c]->invalidate(other);
-                coherenceInvalidations.inc();
-            }
+    forEachSharer(parent->sharers & ~(1ULL << core), [&](CoreId c) {
+        CacheLine *other = l1s[c]->find(lineAddr);
+        if (!other)
+            return;
+        if (other->dirty()) {
+            std::memcpy(parent->data(), other->data(), l2.lineBytes());
+            l2.setDirty(parent);
+            l1s[c]->clearDirty(other);
+            cacheToCacheTransfers.inc();
+            done += l1.latency();
         }
-        if (for_store)
-            it->second = 0;
-    }
+        if (for_store) {
+            l1s[c]->invalidate(other);
+            coherenceInvalidations.inc();
+        }
+    });
+    if (for_store)
+        parent->sharers = 0;
 
     CacheLine *victim = l1.victimFor(lineAddr);
     if (victim->valid)
         evictL1Line(core, victim);
     l1.install(victim, lineAddr);
-    victim->data = l2res.line->data;
-    sharersOf(lineAddr) |= 1ULL << core;
+    std::memcpy(victim->data(), parent->data(), l1.lineBytes());
+    parent->sharers |= 1ULL << core;
 
     return FillResult{victim, done + l1.latency(), false};
 }
@@ -235,7 +224,7 @@ MemorySystem::load(CoreId core, Addr addr, std::uint32_t size, void *out,
     SNF_ASSERT(lineOf(addr + size - 1) == line, "load crosses line");
     HitLevel level = HitLevel::L1;
     FillResult r = ensureInL1(core, line, now, false, level);
-    std::memcpy(out, r.line->data.data() + (addr - line), size);
+    std::memcpy(out, r.line->data() + (addr - line), size);
     return AccessResult{r.done, level};
 }
 
@@ -249,14 +238,14 @@ MemorySystem::store(CoreId core, Addr addr, std::uint32_t size,
     HitLevel level = HitLevel::L1;
     FillResult r = ensureInL1(core, line, now, true, level);
 
-    std::uint8_t *p = r.line->data.data() + (addr - line);
+    std::uint8_t *p = r.line->data() + (addr - line);
     std::uint64_t old_val = 0;
     std::uint64_t new_val = 0;
     std::memcpy(&old_val, p, size);
     std::memcpy(&new_val, in, size);
 
     std::memcpy(p, in, size);
-    r.line->dirty = true;
+    l1s[core]->setDirty(r.line);
     l1s[core]->touch(r.line);
 
     Tick done = r.done;
@@ -287,36 +276,32 @@ MemorySystem::clwb(CoreId core, Addr addr, Tick now)
     Addr line = lineOf(addr);
     Tick t = std::max(now, l1s[core]->busyUntil);
 
+    // Inclusion: a line absent from L2 is in no L1 either.
+    CacheLine *l2line = l2.find(line);
+    if (!l2line)
+        return t + l2.latency();
+
     // Step 1: any dirty L1 copy is written through to L2.
-    auto it = directory.find(line);
-    if (it != directory.end()) {
-        std::uint64_t mask = it->second;
-        for (CoreId c = 0; c < cfg.numCores; ++c) {
-            if (!(mask & (1ULL << c)))
-                continue;
-            CacheLine *l1line = l1s[c]->find(line);
-            if (l1line && l1line->dirty) {
-                writebackL1ToL2(c, l1line);
-                l1line->dirty = false;
-                l1line->fwb = false;
-                t += l1s[c]->latency();
-            }
+    forEachSharer(l2line->sharers, [&](CoreId c) {
+        CacheLine *l1line = l1s[c]->find(line);
+        if (l1line && l1line->dirty()) {
+            writebackL1ToL2(c, l1line, l2line);
+            l1s[c]->clearDirty(l1line);
+            t += l1s[c]->latency();
         }
-    }
+    });
 
     // Step 2: a dirty L2 copy is written back to its device.
-    CacheLine *l2line = l2.find(line);
-    if (l2line && l2line->dirty) {
+    if (l2line->dirty()) {
         Tick start = std::max(t, l2.busyUntil) + l2.latency();
         Tick preBarrier = start;
         start = barrierFor(line, start);
         MemDevice &dev = deviceFor(line);
         auto res = dev.access(true, line, l2.lineBytes(),
-                              l2line->data.data(), nullptr, start,
-                              false, PersistOrigin::Data,
+                              l2line->data(), nullptr, start, false,
+                              PersistOrigin::Data,
                               wbIssueHint(preBarrier));
-        l2line->dirty = false;
-        l2line->fwb = false;
+        l2.clearDirty(l2line);
         l2.writebacks.inc();
         if (cfg.map.isNvram(line))
             busMonitor.onDataWriteback(line, start, res.done);
@@ -339,30 +324,24 @@ MemorySystem::fwbScanAll(Tick now, double costPerLine)
         1;
     Tick wb_issue = now;
 
+    // The hardware scanner reads every tag, but only dirty NVRAM
+    // lines change state: a clean line is IDLE and never carries fwb,
+    // and a DRAM line is never flagged. So the walk visits just the
+    // dirty lines while the port is charged for all of them.
     auto scan_cache = [&](Cache &cache, bool is_l1, CoreId core) {
-        std::uint64_t scanned = 0;
-        cache.forEachLine([&](CacheLine &line) {
-            ++scanned;
-            if (!line.valid || !cfg.map.isNvram(line.lineAddr)) {
-                line.fwb = false;
+        cache.forEachDirtyLine([&](CacheLine &line) {
+            if (!cfg.map.isNvram(line.lineAddr))
                 return;
-            }
-            if (!line.dirty) {
-                // Eviction or write-back already cleaned it: IDLE.
-                line.fwb = false;
-                return;
-            }
-            if (!line.fwb) {
+            if (!line.fwb()) {
                 // FLAG state: mark for write-back on the next pass.
-                line.fwb = true;
+                cache.setFwb(&line);
                 ++out.linesFlagged;
                 return;
             }
             // {fwb,dirty} == {1,1}: force the write-back.
             if (is_l1) {
-                writebackL1ToL2(core, &line);
-                line.dirty = false;
-                line.fwb = false;
+                writebackL1ToL2(core, &line, l2ParentOf(core, &line));
+                cache.clearDirty(&line);
             } else {
                 MemDevice &dev = deviceFor(line.lineAddr);
                 wb_issue += wb_spacing;
@@ -370,11 +349,10 @@ MemorySystem::fwbScanAll(Tick now, double costPerLine)
                     wb_issue, barrierFor(line.lineAddr, now));
                 auto res =
                     dev.access(true, line.lineAddr, cache.lineBytes(),
-                               line.data.data(), nullptr, start,
-                               false, PersistOrigin::Data,
+                               line.data(), nullptr, start, false,
+                               PersistOrigin::Data,
                                wbIssueHint(wb_issue));
-                line.dirty = false;
-                line.fwb = false;
+                cache.clearDirty(&line);
                 cache.writebacks.inc();
                 busMonitor.onDataWriteback(line.lineAddr, start,
                                            res.done);
@@ -383,9 +361,9 @@ MemorySystem::fwbScanAll(Tick now, double costPerLine)
             }
             ++out.linesWrittenBack;
         });
-        out.linesScanned += scanned;
-        Tick busy = static_cast<Tick>(static_cast<double>(scanned) *
-                                      costPerLine);
+        out.linesScanned += cache.numLines();
+        Tick busy = static_cast<Tick>(
+            static_cast<double>(cache.numLines()) * costPerLine);
         cache.busyUntil = std::max(cache.busyUntil, now) + busy;
     };
 
@@ -400,30 +378,22 @@ MemorySystem::flushAllDirty(Tick now)
 {
     Tick done = now;
     for (CoreId c = 0; c < cfg.numCores; ++c) {
-        l1s[c]->forEachLine([&](CacheLine &line) {
-            if (line.valid && line.dirty) {
-                writebackL1ToL2(c, &line);
-                line.dirty = false;
-                line.fwb = false;
-            }
+        l1s[c]->forEachDirtyLine([&](CacheLine &line) {
+            writebackL1ToL2(c, &line, l2ParentOf(c, &line));
+            l1s[c]->clearDirty(&line);
         });
     }
-    l2.forEachLine([&](CacheLine &line) {
-        if (line.valid && line.dirty) {
-            MemDevice &dev = deviceFor(line.lineAddr);
-            Tick start = barrierFor(line.lineAddr, now);
-            auto res = dev.access(true, line.lineAddr, l2.lineBytes(),
-                                  line.data.data(), nullptr, start,
-                                  false, PersistOrigin::Data,
-                                  wbIssueHint(now));
-            line.dirty = false;
-            line.fwb = false;
-            l2.writebacks.inc();
-            if (cfg.map.isNvram(line.lineAddr))
-                busMonitor.onDataWriteback(line.lineAddr, now,
-                                           res.done);
-            done = std::max(done, res.done);
-        }
+    l2.forEachDirtyLine([&](CacheLine &line) {
+        MemDevice &dev = deviceFor(line.lineAddr);
+        Tick start = barrierFor(line.lineAddr, now);
+        auto res = dev.access(true, line.lineAddr, l2.lineBytes(),
+                              line.data(), nullptr, start, false,
+                              PersistOrigin::Data, wbIssueHint(now));
+        l2.clearDirty(&line);
+        l2.writebacks.inc();
+        if (cfg.map.isNvram(line.lineAddr))
+            busMonitor.onDataWriteback(line.lineAddr, now, res.done);
+        done = std::max(done, res.done);
     });
     done = std::max(done, wcbuf.drainAll(now));
     return done;
@@ -443,7 +413,6 @@ MemorySystem::invalidateAllCaches()
     for (auto &l1 : l1s)
         l1->invalidateAll();
     l2.invalidateAll();
-    directory.clear();
     wcbuf.dropAll();
 }
 
@@ -453,11 +422,11 @@ MemorySystem::isLineDirtyAnywhere(Addr addr) const
     Addr line = addr & ~static_cast<Addr>(cfg.l1.lineBytes - 1);
     for (const auto &l1 : l1s) {
         const CacheLine *l = l1->find(line);
-        if (l && l->dirty)
+        if (l && l->dirty())
             return true;
     }
     const CacheLine *l = l2.find(line);
-    return l && l->dirty;
+    return l && l->dirty();
 }
 
 } // namespace snf::mem

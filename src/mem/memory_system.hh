@@ -1,8 +1,10 @@
 /**
  * @file
  * The memory-system protocol layer: per-core write-back write-allocate
- * L1 caches, a shared inclusive L2/LLC with a sharer directory, DRAM
- * and NVRAM devices, and the uncacheable write-combining path.
+ * L1 caches, a shared inclusive L2/LLC, DRAM and NVRAM devices, and the
+ * uncacheable write-combining path. The sharer directory lives in the
+ * L2 lines themselves (CacheLine::sharers): under inclusion every line
+ * an L1 holds is in the L2, so the L2 line is the directory entry.
  *
  * All fill/write-back/coherence/clwb logic is concentrated here; the
  * Cache objects themselves are passive arrays. The persistence layer
@@ -15,7 +17,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/system_config.hh"
@@ -133,8 +134,8 @@ class MemorySystem
      * One FWB scan pass over every cache level: FLAG newly-dirty
      * lines, force-write-back lines flagged on the previous pass
      * (paper Figure 5). Only NVRAM-backed lines participate.
-     * Charges @p costPerLine cycles of port busy time per scanned
-     * line to each cache.
+     * Charges @p costPerLine cycles of port busy time per line of
+     * each cache, though only its dirty lines are visited.
      */
     FwbScanResult fwbScanAll(Tick now, double costPerLine);
 
@@ -209,8 +210,13 @@ class MemorySystem
     /** Evict a valid L1 line of @p core into the (inclusive) L2. */
     void evictL1Line(CoreId core, CacheLine *victim);
 
-    /** Write a dirty L1 line's data into L2 without invalidating. */
-    void writebackL1ToL2(CoreId core, CacheLine *line);
+    /** The L2 copy of @p core's L1 @p line (inclusion asserts it). */
+    CacheLine *l2ParentOf(CoreId core, const CacheLine *line);
+
+    /** Write a dirty L1 line's data into its L2 @p parent without
+     *  invalidating it. */
+    void writebackL1ToL2(CoreId core, CacheLine *line,
+                         CacheLine *parent);
 
     /**
      * Get the line into core's L1 ready for a load or (exclusive)
@@ -218,9 +224,6 @@ class MemorySystem
      */
     FillResult ensureInL1(CoreId core, Addr lineAddr, Tick now,
                           bool for_store, HitLevel &level);
-
-    std::uint64_t &sharersOf(Addr lineAddr);
-    void clearSharer(Addr lineAddr, CoreId core);
 
     SystemConfig cfg;
     sim::StatGroup statGroup;
@@ -230,8 +233,6 @@ class MemorySystem
     MemDevice dramDev;
     WriteCombineBuffer wcbuf;
     BusMonitor busMonitor;
-    /** lineAddr -> bitmask of L1 caches holding the line. */
-    std::unordered_map<Addr, std::uint64_t> directory;
     PersistentStoreHook *hook = nullptr;
     DataWbBarrier dataWbBarrier;
 

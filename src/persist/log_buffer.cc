@@ -76,7 +76,7 @@ LogBuffer::flushGroup(Tick now)
     }
     inflight.emplace_back(open.records, done);
     hasOpen = false;
-    open = Group{};
+    open.clear();
     return done;
 }
 
@@ -167,7 +167,7 @@ void
 LogBuffer::dropAll()
 {
     hasOpen = false;
-    open = Group{};
+    open.clear();
     inflight.clear();
 }
 

@@ -86,6 +86,16 @@ class LogBuffer
         /** Commit records in the group (txids), for the probe. */
         std::vector<TxId> commits;
         std::uint32_t records = 0;
+
+        /** Empty the group, keeping the vectors' capacity. */
+        void
+        clear()
+        {
+            bytes.clear();
+            covered.clear();
+            commits.clear();
+            records = 0;
+        }
     };
 
     /** Issue the open group to the NVRAM bus; returns completion. */

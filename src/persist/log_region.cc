@@ -11,12 +11,7 @@ namespace snf::persist
 
 LogRegion::LogRegion(Addr base, std::uint64_t size,
                      mem::MemDevice &dev, const std::string &statName)
-    : regionBase(base),
-      regionSize(size),
-      nvram(dev),
-      slots((size - kHeaderBytes) / LogRecord::kSlotBytes),
-      meta(slots),
-      statGroup(statName),
+    : statGroup(statName),
       appends(statGroup.counter("appends")),
       wraps(statGroup.counter("wraps")),
       reclaims(statGroup.counter("reclaims")),
@@ -24,7 +19,12 @@ LogRegion::LogRegion(Addr base, std::uint64_t size,
       truncates(statGroup.counter("truncates")),
       logFullStalls(statGroup.counter("logfull_stalls")),
       logFullStallCycles(statGroup.counter("logfull_stall_cycles")),
-      forcedWritebacks(statGroup.counter("forced_writebacks"))
+      forcedWritebacks(statGroup.counter("forced_writebacks")),
+      regionBase(base),
+      regionSize(size),
+      nvram(dev),
+      slots((size - kHeaderBytes) / LogRecord::kSlotBytes),
+      meta(slots)
 {
     SNF_ASSERT(slots > 2, "log too small: %llu slots",
                static_cast<unsigned long long>(slots));

@@ -31,6 +31,8 @@ constexpr std::uint64_t kLineBytes = mem::RemapTable::kLineBytes;
  */
 struct ImageIO
 {
+    explicit ImageIO(mem::BackingStore &image) : img(image) {}
+
     mem::BackingStore &img;
     const mem::RemapTable *remap = nullptr;
     std::uint64_t budget = ~0ULL;

@@ -1,10 +1,14 @@
 /**
  * @file
  * Unit tests for the passive cache array: lookup, install, LRU
- * victim selection, invalidation, and the fwb tag bit.
+ * victim selection, invalidation, the fwb tag bit, the dirty-slot
+ * index and the contiguous line data.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <vector>
 
 #include "mem/cache.hh"
 
@@ -58,8 +62,9 @@ TEST(Cache, InstallStartsCleanAndValid)
     installLine(c, 0x40);
     CacheLine *l = c.find(0x40);
     EXPECT_TRUE(l->valid);
-    EXPECT_FALSE(l->dirty);
-    EXPECT_FALSE(l->fwb);
+    EXPECT_FALSE(l->dirty());
+    EXPECT_FALSE(l->fwb());
+    EXPECT_EQ(l->sharers, 0u);
 }
 
 TEST(Cache, LruVictimIsLeastRecentlyTouched)
@@ -91,13 +96,18 @@ TEST(Cache, InvalidateClearsAllState)
     Cache c("t", smallConfig());
     installLine(c, 0x80);
     CacheLine *l = c.find(0x80);
-    l->dirty = true;
-    l->fwb = true;
+    c.setDirty(l);
+    c.setFwb(l);
+    l->sharers = 0b101;
     c.invalidate(l);
     EXPECT_FALSE(l->valid);
-    EXPECT_FALSE(l->dirty);
-    EXPECT_FALSE(l->fwb);
+    EXPECT_FALSE(l->dirty());
+    EXPECT_FALSE(l->fwb());
+    EXPECT_EQ(l->sharers, 0u);
     EXPECT_EQ(c.find(0x80), nullptr);
+    std::size_t visited = 0;
+    c.forEachDirtyLine([&](CacheLine &) { ++visited; });
+    EXPECT_EQ(visited, 0u);
 }
 
 TEST(Cache, InvalidateAll)
@@ -133,7 +143,79 @@ TEST(Cache, SetsDoNotAlias)
 
 TEST(Cache, DataSizedToLine)
 {
+    // Each line owns exactly lineBytes() of the contiguous array:
+    // filling one line end to end leaves its neighbours zero.
     Cache c("t", smallConfig());
-    installLine(c, 0);
-    EXPECT_EQ(c.find(0)->data.size(), 64u);
+    for (Addr a = 0; a < 3 * 64; a += 64)
+        installLine(c, a);
+    CacheLine *mid = c.find(64);
+    std::memset(mid->data(), 0xff, c.lineBytes());
+    const std::vector<std::uint8_t> zeros(c.lineBytes(), 0);
+    EXPECT_EQ(std::memcmp(c.find(0)->data(), zeros.data(), zeros.size()),
+              0);
+    EXPECT_EQ(
+        std::memcmp(c.find(128)->data(), zeros.data(), zeros.size()), 0);
+    EXPECT_EQ(mid->data()[0], 0xff);
+    EXPECT_EQ(mid->data()[c.lineBytes() - 1], 0xff);
+}
+
+TEST(Cache, ClearDirtyAlsoClearsFwb)
+{
+    Cache c("t", smallConfig());
+    installLine(c, 0x40);
+    CacheLine *l = c.find(0x40);
+    c.setDirty(l);
+    c.setFwb(l);
+    EXPECT_TRUE(l->dirty());
+    EXPECT_TRUE(l->fwb());
+    c.clearDirty(l);
+    EXPECT_FALSE(l->dirty());
+    EXPECT_FALSE(l->fwb());
+    EXPECT_TRUE(l->valid);
+}
+
+TEST(Cache, DirtyWalkVisitsDirtySlotsInSlotOrder)
+{
+    CacheConfig cfg = smallConfig();
+    cfg.sizeBytes = 64 * 256; // 256 lines: four index words
+    cfg.ways = 1;
+    Cache c("t", cfg);
+    for (Addr a = 0; a < 256 * 64; a += 64)
+        installLine(c, a);
+    const std::vector<Addr> dirty = {0, 63 * 64, 64 * 64, 200 * 64,
+                                     255 * 64};
+    for (auto it = dirty.rbegin(); it != dirty.rend(); ++it)
+        c.setDirty(c.find(*it));
+    std::vector<Addr> seen;
+    c.forEachDirtyLine([&](CacheLine &l) { seen.push_back(l.lineAddr); });
+    EXPECT_EQ(seen, dirty);
+}
+
+TEST(Cache, DirtyWalkSeesChangesAheadOfTheCursor)
+{
+    // Slot i holds line i × 64 (direct-mapped), so slot order is
+    // address order. Visiting slot 1 dirties slot 5 in the same index
+    // word and slot 70 in the next, and cleans slot 3: the walk must
+    // visit 5 and 70 and skip 3, exactly like a full-array walk.
+    CacheConfig cfg = smallConfig();
+    cfg.sizeBytes = 64 * 128;
+    cfg.ways = 1;
+    Cache c("t", cfg);
+    for (Addr a = 0; a < 128 * 64; a += 64)
+        installLine(c, a);
+    for (Addr slot : {1, 3, 63})
+        c.setDirty(c.find(slot * 64));
+    std::vector<Addr> seen;
+    c.forEachDirtyLine([&](CacheLine &l) {
+        seen.push_back(l.lineAddr / 64);
+        if (l.lineAddr == 64) {
+            c.setDirty(c.find(5 * 64));
+            c.setDirty(c.find(70 * 64));
+            c.clearDirty(c.find(3 * 64));
+            c.setDirty(c.find(0)); // behind the cursor: not visited
+        }
+        if (l.lineAddr == 63 * 64)
+            c.clearDirty(&l); // cleaning the current line is fine
+    });
+    EXPECT_EQ(seen, (std::vector<Addr>{1, 5, 63, 70}));
 }

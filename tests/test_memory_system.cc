@@ -2,12 +2,21 @@
  * @file
  * Unit tests for the memory-system protocol layer: hierarchy fills,
  * write-allocate, coherence between private L1s, clwb, the FWB scan
- * state machine, eviction write-backs, and the persistent-store hook.
+ * state machine, eviction write-backs, and the persistent-store hook,
+ * plus a seeded differential of the dirty-line walk and the in-L2
+ * sharer directory against full-array reference walks.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <sstream>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "mem/memory_system.hh"
+#include "sim/rng.hh"
 
 using namespace snf;
 using namespace snf::mem;
@@ -306,4 +315,281 @@ TEST_F(MemorySystemTest, LoadsTrackHitLevels)
     EXPECT_EQ(ms.load(0, a, 8, &out, 0).level, HitLevel::Memory);
     EXPECT_EQ(ms.load(0, a, 8, &out, 1000).level, HitLevel::L1);
     EXPECT_EQ(ms.load(1, a, 8, &out, 2000).level, HitLevel::L2);
+}
+
+namespace
+{
+
+/** Tag state of one slot as a reference walk sees it. */
+struct SlotState
+{
+    Addr lineAddr = 0;
+    bool valid = false;
+    bool dirty = false;
+    bool fwb = false;
+
+    bool
+    operator==(const SlotState &o) const
+    {
+        return valid == o.valid && dirty == o.dirty && fwb == o.fwb &&
+               (!valid || lineAddr == o.lineAddr);
+    }
+};
+
+std::vector<SlotState>
+tagsOf(Cache &c)
+{
+    std::vector<SlotState> out;
+    c.forEachLine([&](CacheLine &l) {
+        out.push_back({l.lineAddr, l.valid, l.dirty(), l.fwb()});
+    });
+    return out;
+}
+
+/**
+ * Every structural invariant of the hierarchy, checked over the full
+ * tag arrays: the dirty index names exactly the dirty slots, no clean
+ * line carries fwb, each valid L2 line's sharer mask is exactly the set
+ * of L1s holding it, and inclusion holds. Empty when all hold.
+ */
+std::string
+hierarchyViolation(MemorySystem &ms)
+{
+    std::ostringstream why;
+    const SystemConfig &cfg = ms.config();
+    auto check_cache = [&](Cache &c) {
+        std::vector<const CacheLine *> flagged;
+        c.forEachLine([&](CacheLine &l) {
+            if (l.dirty())
+                flagged.push_back(&l);
+            if (l.dirty() && !l.valid)
+                why << c.name() << ": dirty invalid line; ";
+            if (l.fwb() && !l.dirty())
+                why << c.name() << ": clean line " << l.lineAddr
+                    << " carries fwb; ";
+            if (l.fwb() && !cfg.map.isNvram(l.lineAddr))
+                why << c.name() << ": DRAM line carries fwb; ";
+        });
+        std::vector<const CacheLine *> indexed;
+        c.forEachDirtyLine([&](CacheLine &l) { indexed.push_back(&l); });
+        if (indexed != flagged)
+            why << c.name() << ": dirty index has " << indexed.size()
+                << " slots, dirty bits " << flagged.size() << "; ";
+    };
+    for (CoreId core = 0; core < cfg.numCores; ++core) {
+        check_cache(ms.l1(core));
+        ms.l1(core).forEachLine([&](CacheLine &l) {
+            if (l.sharers != 0)
+                why << "L1 line carries sharers; ";
+            if (l.valid && ms.l2Cache().find(l.lineAddr) == nullptr)
+                why << "inclusion: L1." << core << " line "
+                    << l.lineAddr << " not in L2; ";
+        });
+    }
+    check_cache(ms.l2Cache());
+    ms.l2Cache().forEachLine([&](CacheLine &l) {
+        std::uint64_t holders = 0;
+        for (CoreId core = 0; core < cfg.numCores; ++core) {
+            if (l.valid && ms.l1(core).find(l.lineAddr) != nullptr)
+                holders |= 1ULL << core;
+        }
+        if (l.sharers != holders)
+            why << "L2 line " << l.lineAddr << " sharers " << l.sharers
+                << " but held by " << holders << "; ";
+    });
+    return why.str();
+}
+
+/** Reference prediction of one FWB pass (paper Figure 5). */
+struct ScanReference
+{
+    std::vector<std::vector<SlotState>> l1;
+    std::vector<SlotState> l2;
+    FwbScanResult counts;
+    std::vector<std::pair<CoreId, Addr>> l1Writebacks;
+    std::vector<Addr> l2Writebacks;
+    std::vector<Tick> busyUntil; ///< L1s by core, then the L2
+};
+
+/**
+ * Walk every slot of every cache, as the hardware scanner does, and
+ * apply the per-line {fwb, dirty} state machine to a copy of the tags.
+ * An L1 forced write-back dirties the line's L2 copy, which the L2 pass
+ * that follows then sees.
+ */
+ScanReference
+referenceScan(MemorySystem &ms, Tick now, double costPerLine)
+{
+    const SystemConfig &cfg = ms.config();
+    ScanReference ref;
+    auto walk = [&](std::vector<SlotState> &slots, Cache &cache,
+                    auto &&forceWriteback) {
+        for (SlotState &s : slots) {
+            ++ref.counts.linesScanned;
+            if (!s.valid || !cfg.map.isNvram(s.lineAddr) || !s.dirty) {
+                s.fwb = false;
+                continue;
+            }
+            if (!s.fwb) {
+                s.fwb = true;
+                ++ref.counts.linesFlagged;
+                continue;
+            }
+            s.dirty = false;
+            s.fwb = false;
+            forceWriteback(s.lineAddr);
+            ++ref.counts.linesWrittenBack;
+        }
+        ref.busyUntil.push_back(
+            std::max(cache.busyUntil, now) +
+            static_cast<Tick>(static_cast<double>(cache.numLines()) *
+                              costPerLine));
+    };
+    ref.l2 = tagsOf(ms.l2Cache());
+    for (CoreId core = 0; core < cfg.numCores; ++core) {
+        ref.l1.push_back(tagsOf(ms.l1(core)));
+        walk(ref.l1.back(), ms.l1(core), [&](Addr line) {
+            ref.l1Writebacks.emplace_back(core, line);
+            for (SlotState &s : ref.l2) {
+                if (s.valid && s.lineAddr == line)
+                    s.dirty = true;
+            }
+        });
+    }
+    walk(ref.l2, ms.l2Cache(),
+         [&](Addr line) { ref.l2Writebacks.push_back(line); });
+    return ref;
+}
+
+std::string
+scanMismatch(MemorySystem &ms, const ScanReference &ref,
+             const FwbScanResult &got)
+{
+    std::ostringstream why;
+    const SystemConfig &cfg = ms.config();
+    if (got.linesScanned != ref.counts.linesScanned ||
+        got.linesFlagged != ref.counts.linesFlagged ||
+        got.linesWrittenBack != ref.counts.linesWrittenBack)
+        why << "counts scanned/flagged/written " << got.linesScanned
+            << "/" << got.linesFlagged << "/" << got.linesWrittenBack
+            << ", reference " << ref.counts.linesScanned << "/"
+            << ref.counts.linesFlagged << "/"
+            << ref.counts.linesWrittenBack << "; ";
+    for (CoreId core = 0; core < cfg.numCores; ++core) {
+        if (tagsOf(ms.l1(core)) != ref.l1[core])
+            why << "L1." << core << " tags differ from reference; ";
+        if (ms.l1(core).busyUntil != ref.busyUntil[core])
+            why << "L1." << core << " busyUntil; ";
+    }
+    if (tagsOf(ms.l2Cache()) != ref.l2)
+        why << "L2 tags differ from reference; ";
+    if (ms.l2Cache().busyUntil != ref.busyUntil.back())
+        why << "L2 busyUntil; ";
+    // An L1 forced write-back leaves the L2 copy equal to the L1 one.
+    for (auto [core, line] : ref.l1Writebacks) {
+        const CacheLine *l1line = ms.l1(core).find(line);
+        const CacheLine *l2line = ms.l2Cache().find(line);
+        if (!l1line || !l2line ||
+            std::memcmp(l1line->data(), l2line->data(),
+                        ms.lineBytes()) != 0)
+            why << "L1 write-back of " << line << " not in L2; ";
+    }
+    // An L2 forced write-back reaches NVRAM, and the pass reports the
+    // latest completion among them.
+    Tick last = 0;
+    for (Addr line : ref.l2Writebacks) {
+        last = std::max(last, ms.monitor().lastWritebackOf(line));
+        std::vector<std::uint8_t> dev(ms.lineBytes());
+        ms.nvram().functionalRead(line, dev.size(), dev.data());
+        const CacheLine *l2line = ms.l2Cache().find(line);
+        if (!l2line ||
+            std::memcmp(dev.data(), l2line->data(), dev.size()) != 0)
+            why << "L2 write-back of " << line << " not in NVRAM; ";
+    }
+    if (got.lastWritebackDone != last)
+        why << "lastWritebackDone " << got.lastWritebackDone
+            << ", reference " << last << "; ";
+    return why.str();
+}
+
+/** Small caches so conflict evictions are frequent at both levels. */
+SystemConfig
+tinyHierarchy()
+{
+    SystemConfig cfg = SystemConfig::scaled(4);
+    cfg.l1.sizeBytes = 1024; // 16 lines, 2 ways
+    cfg.l1.ways = 2;
+    cfg.l2.sizeBytes = 8192; // 128 lines, 4 ways
+    cfg.l2.ways = 4;
+    return cfg;
+}
+
+} // namespace
+
+TEST(MemorySystemDifferential, DirtyWalkAndInL2DirectoryMatchReference)
+{
+    constexpr std::uint64_t kLines = 512; // 4x the L2 per region
+    constexpr int kSteps = 4000;
+    std::uint64_t scans = 0;
+    std::uint64_t forced = 0;
+    for (std::uint64_t seed : {1, 2, 3, 4}) {
+        MemorySystem ms(tinyHierarchy());
+        const SystemConfig &cfg = ms.config();
+        const Addr nvData = cfg.map.nvramBase + (1u << 20);
+        sim::Rng rng(seed);
+        std::unordered_map<Addr, std::uint64_t> shadow;
+        Tick now = 0;
+        for (int step = 0; step < kSteps; ++step) {
+            now += 1 + rng.below(40);
+            const CoreId core = static_cast<CoreId>(
+                rng.below(cfg.numCores));
+            const Addr base =
+                rng.below(4) == 0 ? cfg.map.dramBase : nvData;
+            const Addr addr = base + rng.below(kLines) * 64 +
+                              8 * rng.below(8);
+            const std::uint64_t op = rng.below(100);
+            if (op < 45) {
+                std::uint64_t v = rng.next();
+                ms.store(core, addr, 8, &v, now);
+                shadow[addr] = v;
+            } else if (op < 80) {
+                std::uint64_t out = 0;
+                ms.load(core, addr, 8, &out, now);
+                auto it = shadow.find(addr);
+                if (it == shadow.end())
+                    shadow[addr] = out;
+                else
+                    ASSERT_EQ(out, it->second)
+                        << "seed " << seed << " step " << step;
+            } else if (op < 88) {
+                ms.clwb(core, addr, now);
+            } else if (op < 98) {
+                const double cost = 0.5 * static_cast<double>(
+                                              rng.below(3));
+                ScanReference ref = referenceScan(ms, now, cost);
+                FwbScanResult got = ms.fwbScanAll(now, cost);
+                ASSERT_EQ(scanMismatch(ms, ref, got), "")
+                    << "seed " << seed << " step " << step;
+                ++scans;
+                forced += got.linesWrittenBack;
+            } else if (op < 99) {
+                ms.flushAllDirty(now);
+                for (Addr a = 0; a < kLines; ++a) {
+                    ASSERT_FALSE(ms.isLineDirtyAnywhere(nvData + a * 64));
+                    ASSERT_FALSE(
+                        ms.isLineDirtyAnywhere(cfg.map.dramBase + a * 64));
+                }
+            } else {
+                // Crash: cached data is lost, so the shadow is
+                // re-learned from what loads see next.
+                ms.invalidateAllCaches();
+                shadow.clear();
+            }
+            ASSERT_EQ(hierarchyViolation(ms), "")
+                << "seed " << seed << " step " << step << " op " << op;
+        }
+    }
+    // The loads must really exercise flagging and forced write-backs.
+    EXPECT_GT(scans, 1000u);
+    EXPECT_GT(forced, 1000u);
 }

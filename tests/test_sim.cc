@@ -1,14 +1,19 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue, PRNG, CRC32,
- * stats, and the coroutine task type.
+ * stats, the coroutine task type and its frame pool.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,6 +27,48 @@
 
 using namespace snf;
 using namespace snf::sim;
+
+namespace
+{
+
+// What the global operator new/delete below saw of requests above the
+// frame pool's largest size class.
+std::atomic<std::size_t> largeNews{0};
+std::atomic<void *> lastLargeNew{nullptr};
+std::atomic<bool> lastLargeNewFreed{false};
+
+} // namespace
+
+// Replaced for this binary only, to observe the frame pool handing
+// oversized frames to ::operator new / ::operator delete. Not inlined,
+// so callers never see the malloc behind a later operator delete.
+[[gnu::noinline]] void *
+operator new(std::size_t n)
+{
+    void *p = std::malloc(n != 0 ? n : 1);
+    if (!p)
+        throw std::bad_alloc();
+    if (n > detail::FramePool::kMaxPooledBytes) {
+        ++largeNews;
+        lastLargeNew = p;
+        lastLargeNewFreed = false;
+    }
+    return p;
+}
+
+void
+operator delete(void *p) noexcept
+{
+    if (p != nullptr && p == lastLargeNew.load())
+        lastLargeNewFreed = true;
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    ::operator delete(p);
+}
 
 TEST(EventQueue, RunsInTimeOrder)
 {
@@ -592,4 +639,119 @@ TEST(Coro, ExceptionPropagatesToAwaiter)
     Co<void> root = catcher(&caught);
     root.raw().resume();
     EXPECT_TRUE(caught);
+}
+
+namespace
+{
+
+using detail::FramePool;
+
+Co<int>
+pooledLeaf(int v)
+{
+    co_return v + 1;
+}
+
+// The buffer lives across a suspension point, so it is part of the
+// frame, which is then larger than the largest size class.
+Co<int>
+oversizedFrame(ManualResume *gate)
+{
+    std::array<char, 2 * FramePool::kMaxPooledBytes> buf{};
+    buf.back() = 3;
+    co_await *gate;
+    co_return buf.front() + buf.back();
+}
+
+} // namespace
+
+TEST(FramePool, CompletedFrameIsReusedForTheNextOfItsClass)
+{
+    void *first = nullptr;
+    {
+        Co<int> a = pooledLeaf(1);
+        first = a.raw().address();
+        a.raw().resume();
+        ASSERT_TRUE(a.done());
+        EXPECT_EQ(a.raw().promise().result, 2);
+    }
+    const std::size_t cached = FramePool::cachedFrames();
+    ASSERT_GT(cached, 0u);
+    Co<int> b = pooledLeaf(2);
+    EXPECT_EQ(b.raw().address(), first);
+    EXPECT_EQ(FramePool::cachedFrames(), cached - 1);
+}
+
+TEST(FramePool, FrameAboveTheLargestClassBypassesThePool)
+{
+    const std::size_t cached = FramePool::cachedFrames();
+    const std::int64_t upstream = FramePool::upstreamFrames();
+    const std::size_t news = largeNews;
+    {
+        ManualResume gate;
+        Co<int> big = oversizedFrame(&gate);
+        EXPECT_EQ(largeNews, news + 1);
+        EXPECT_EQ(lastLargeNew.load(), big.raw().address());
+        big.raw().resume();
+        gate.handle.resume();
+        ASSERT_TRUE(big.done());
+        EXPECT_EQ(big.raw().promise().result, 3);
+        EXPECT_EQ(FramePool::upstreamFrames(), upstream);
+    }
+    EXPECT_TRUE(lastLargeNewFreed);
+    EXPECT_EQ(FramePool::cachedFrames(), cached);
+    EXPECT_EQ(FramePool::upstreamFrames(), upstream);
+}
+
+TEST(FramePool, ExitingThreadReleasesItsLists)
+{
+    const std::int64_t upstream = FramePool::upstreamFrames();
+    std::size_t cachedInWorker = 0;
+    std::thread worker([&cachedInWorker] {
+        for (int i = 0; i < 4; ++i) {
+            int result = 0;
+            Co<void> root = nestedRoot(&result);
+            root.raw().resume();
+            EXPECT_EQ(result, 42);
+        }
+        cachedInWorker = FramePool::cachedFrames();
+    });
+    worker.join();
+    EXPECT_GT(cachedInWorker, 0u);
+    EXPECT_EQ(FramePool::upstreamFrames(), upstream);
+}
+
+TEST(FramePool, ThreadThatOnlyDestroysFramesReleasesThem)
+{
+    // Allocated here, destroyed by a worker that never allocates a
+    // frame itself: the worker caches it, then releases it at exit.
+    Co<int> handed = pooledLeaf(7);
+    handed.raw().resume();
+    const std::int64_t upstream = FramePool::upstreamFrames();
+    std::size_t cachedInWorker = 0;
+    std::thread worker([&handed, &cachedInWorker] {
+        handed = Co<int>();
+        cachedInWorker = FramePool::cachedFrames();
+    });
+    worker.join();
+    EXPECT_EQ(cachedInWorker, 1u);
+    EXPECT_EQ(FramePool::upstreamFrames(), upstream - 1);
+}
+
+TEST(FramePool, FrameReturnsToTheDestroyingThread)
+{
+    // Created (and run) on a worker, destroyed here: the frame joins
+    // this thread's list and outlives the worker's release.
+    Co<int> moved;
+    std::thread worker([&moved] {
+        moved = pooledLeaf(5);
+        moved.raw().resume();
+    });
+    worker.join();
+    const std::size_t cached = FramePool::cachedFrames();
+    void *frame = moved.raw().address();
+    moved = Co<int>();
+    EXPECT_EQ(FramePool::cachedFrames(), cached + 1);
+    Co<int> again = pooledLeaf(6);
+    EXPECT_EQ(again.raw().address(), frame);
 }
