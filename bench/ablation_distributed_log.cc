@@ -67,12 +67,13 @@ main()
     std::printf("\nExpected: log-buffer stalls collapse (per-thread "
                 "FIFOs drain in parallel), helping\n"
                 "most where the centralized tail saturates (8-thread "
-                "echo/sps). The counterweight is\n"
-                "that each partition is smaller, so the FWB scan "
-                "period shortens (more scan overhead) -\n"
-                "visible as a small net loss on tpcc. At one thread "
-                "the two are identical.\n"
+                "hash/sps, 4-thread hash/echo). The\n"
+                "counterweight is that each partition is smaller, so "
+                "the FWB scan period shortens\n"
+                "(more scan overhead) - visible as net losses on "
+                "8-thread echo and tpcc. At one\n"
+                "thread the two are identical.\n"
                 "Constraint: requires thread-private persistent data "
-                "(see PersistConfig::distributedLogs).\n");
+                "(see Workload::threadPrivate).\n");
     return 0;
 }

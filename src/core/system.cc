@@ -30,20 +30,18 @@ System::System(const SystemConfig &config, PersistMode m)
     pheap = std::make_unique<PersistentHeap>(cfg.map, memory->nvram());
     dheap = std::make_unique<BumpAllocator>(cfg.map.dramBase,
                                             cfg.map.dramSize);
-    // Split the log area: one circular region for centralized
-    // logging, one per core for distributed per-thread logs
-    // (Section III-F), or one per address-interleaved shard
-    // (shardlab). Partitions and shards are mutually exclusive
-    // (validate() enforces it), so the region count is whichever
-    // splitting is active.
-    std::uint32_t partitions =
+    // Split the log area into AddressMap::logShards circular regions:
+    // one per core for distributed per-thread logs (Section III-F,
+    // hardware modes only), else one per address-interleaved shard
+    // (shardlab; 1 = centralized). validate() keeps the two exclusive;
+    // recovery treats both alike, the engines route by core or by
+    // address.
+    std::uint32_t shards = cfg.persist.logShards;
+    cfg.map.logShards =
         (cfg.persist.distributedLogs && isHardwareLogging(persistMode))
             ? cfg.numCores
-            : 1;
-    std::uint32_t shards = cfg.persist.logShards;
-    cfg.map.logPartitions = partitions;
-    cfg.map.logShards = shards;
-    std::uint32_t region_count = std::max(partitions, shards);
+            : shards;
+    std::uint32_t region_count = cfg.map.logShards;
     std::uint64_t part_bytes = cfg.map.logSize / region_count;
     for (std::uint32_t p = 0; p < region_count; ++p) {
         logRegions.push_back(std::make_unique<persist::LogRegion>(
@@ -52,8 +50,7 @@ System::System(const SystemConfig &config, PersistMode m)
             region_count == 1 ? "log" : strfmt("log.%u", p)));
         logRegions.back()->create();
     }
-    if (shards > 1)
-        memory->nvram().setLogShards(shards);
+    memory->nvram().setLogShards(region_count);
 
     // Wire reclamation-hazard predicates (invariant I4).
     for (auto &region : logRegions) {

@@ -145,8 +145,9 @@ class System
 
     persist::LogRegion &log() { return *logRegions[0]; }
 
-    /** Log regions (1 unless PersistConfig::distributedLogs splits
-     *  per core or PersistConfig::logShards splits per address). */
+    /** Log regions: AddressMap::logShards of config().map (1 unless
+     *  PersistConfig::distributedLogs splits per core or
+     *  PersistConfig::logShards splits per address). */
     std::size_t logPartitionCount() const { return logRegions.size(); }
 
     persist::LogRegion &logPartition(std::size_t i)

@@ -272,11 +272,13 @@ struct PersistConfig
      * with its own log buffer. Only meaningful for hardware-logging
      * modes; software baselines stay centralized.
      *
-     * Constraint: partitions recover independently, so persistent
-     * data written by transactions must be thread-private (the
-     * paper's one-transaction-stream-per-thread model, Figure 4);
-     * committed writes to shared addresses from different partitions
-     * have no recovery-time order without a global LSN.
+     * The regions are AddressMap::logShards shards routed by core,
+     * recovered by the one merged pass. Constraint: persistent data
+     * written by transactions must be thread-private (the paper's
+     * one-transaction-stream-per-thread model, Figure 4); committed
+     * writes to shared addresses from different regions have no
+     * recovery-time order without a global LSN. runWorkload enforces
+     * it through Workload::threadPrivate().
      */
     bool distributedLogs = false;
     /**
@@ -370,12 +372,13 @@ struct AddressMap
     std::uint64_t nvramSize = 8ULL << 30;
     /** Log region lives at the bottom of NVRAM. */
     std::uint64_t logSize = 4ULL << 20;
-    /** Number of log partitions (1 = centralized). */
-    std::uint32_t logPartitions = 1;
     /**
-     * Number of address-interleaved log shards (shardlab); 1 =
-     * centralized. Exclusive with logPartitions > 1: partitions
-     * split the log per core, shards split it per line address.
+     * Number of equal circular log regions the log area is split into
+     * (1 = centralized). System sets it at construction: numCores
+     * when PersistConfig::distributedLogs applies (per-core regions,
+     * hardware modes only), else PersistConfig::logShards (address
+     * shards). Recovery, faultlab and the invariant checkers iterate
+     * regions through it and treat both layouts alike.
      */
     std::uint32_t logShards = 1;
     /**
@@ -400,21 +403,6 @@ struct AddressMap
     }
 
     Addr logBase() const { return nvramBase; }
-
-    /**
-     * Number of independent circular log regions in the log area —
-     * per-core partitions and address-interleaved shards both slice
-     * the same area, and they are mutually exclusive, so the count is
-     * simply the larger of the two (minimum 1). Recovery, the
-     * invariant checkers, and faultlab iterate regions through this.
-     */
-    std::uint32_t
-    logRegionCount() const
-    {
-        std::uint32_t n = logPartitions > logShards ? logPartitions
-                                                    : logShards;
-        return n > 0 ? n : 1;
-    }
 
     /** Remap-table region: NVRAM after the log. */
     Addr remapBase() const { return nvramBase + logSize; }

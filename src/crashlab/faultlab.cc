@@ -109,23 +109,22 @@ applyImageFaults(mem::BackingStore &image, const AddressMap &map,
     };
     SlotView view(image, map);
 
-    std::uint32_t partitions = map.logRegionCount();
-    std::uint64_t part_bytes = map.logSize / partitions;
-    for (std::uint32_t p = 0; p < partitions; ++p) {
-        Addr base = map.logBase() + p * part_bytes;
+    std::uint64_t shard_bytes = map.logSize / map.logShards;
+    for (std::uint32_t s = 0; s < map.logShards; ++s) {
+        Addr base = map.logBase() + s * shard_bytes;
         if (image.read64(view.translate(base)) !=
             persist::LogRegion::kMagic)
             continue;
         std::uint64_t slots = image.read64(view.translate(base + 8));
         std::uint64_t max_slots =
-            (part_bytes - persist::LogRegion::kHeaderBytes) /
+            (shard_bytes - persist::LogRegion::kHeaderBytes) /
             persist::LogRecord::kSlotBytes;
         if (slots > max_slots)
             continue;
 
         Addr slot0 = base + persist::LogRegion::kHeaderBytes;
         if (cfg.killShard >= 0 &&
-            p == static_cast<std::uint32_t>(cfg.killShard)) {
+            s == static_cast<std::uint32_t>(cfg.killShard)) {
             // Shard death (degraded mode): every record the shard
             // held is damage by definition — record the txids first,
             // then wipe the header so recovery cannot trust the
@@ -218,10 +217,9 @@ coveredRanges(const mem::BackingStore &image, const AddressMap &map,
 
     std::vector<std::pair<Addr, Addr>> ranges;
     SlotView view(image, map);
-    std::uint32_t partitions = map.logRegionCount();
-    std::uint64_t part_bytes = map.logSize / partitions;
-    for (std::uint32_t p = 0; p < partitions; ++p) {
-        Addr base = map.logBase() + p * part_bytes;
+    std::uint64_t shard_bytes = map.logSize / map.logShards;
+    for (std::uint32_t s = 0; s < map.logShards; ++s) {
+        Addr base = map.logBase() + s * shard_bytes;
         if (image.read64(view.translate(base)) !=
             persist::LogRegion::kMagic)
             continue;

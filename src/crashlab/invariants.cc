@@ -173,19 +173,18 @@ std::string
 describeLogWindow(const mem::BackingStore &image, const AddressMap &map)
 {
     std::string out;
-    std::uint32_t partitions = map.logRegionCount();
-    std::uint64_t part_bytes = map.logSize / partitions;
-    for (std::uint32_t p = 0; p < partitions; ++p) {
-        Addr base = map.logBase() + p * part_bytes;
+    std::uint64_t shard_bytes = map.logSize / map.logShards;
+    for (std::uint32_t s = 0; s < map.logShards; ++s) {
+        Addr base = map.logBase() + s * shard_bytes;
         std::uint64_t magic = image.read64(base);
         std::uint64_t slots = image.read64(base + 8);
-        out += format("log[%u] @0x%llx magic=%s slots=%llu\n", p,
+        out += format("log[%u] @0x%llx magic=%s slots=%llu\n", s,
                       static_cast<unsigned long long>(base),
                       magic == persist::LogRegion::kMagic ? "ok"
                                                           : "BAD",
                       static_cast<unsigned long long>(slots));
         if (magic != persist::LogRegion::kMagic ||
-            slots > (part_bytes - persist::LogRegion::kHeaderBytes) /
+            slots > (shard_bytes - persist::LogRegion::kHeaderBytes) /
                         persist::LogRecord::kSlotBytes)
             continue;
         Addr slot0 = base + persist::LogRegion::kHeaderBytes;

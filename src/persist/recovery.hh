@@ -9,6 +9,13 @@
  * committed transactions whose records are damaged or missing, and
  * truncate the log. All recovery writes bypass the (volatile, reset)
  * caches and go directly to the NVRAM image.
+ *
+ * One pass serves every log layout: the log area is
+ * AddressMap::logShards circular regions (1 = centralized), whether
+ * they are address-interleaved shards or per-core regions
+ * (PersistConfig::distributedLogs). Each region is scanned on its own;
+ * commit decisions join records across regions, and truncation is
+ * re-entrant across all of them.
  */
 
 #ifndef SNF_PERSIST_RECOVERY_HH
@@ -73,11 +80,12 @@ struct RecoveryOptions
 };
 
 /**
- * Per-shard outcome of a merged (AddressMap::logShards > 1) recovery
- * pass. A shard whose header is unreadable is dead: its records are
- * lost and recovery degrades — surviving shards are salvaged while
- * every transaction whose participation mask intersects the dead
- * shard is rolled back on the shards that still hold its records.
+ * Per-region outcome of a recovery pass over AddressMap::logShards > 1
+ * regions (address shards or per-core regions). A region whose header
+ * is unreadable is dead: its records are lost and recovery degrades —
+ * surviving regions are salvaged while every transaction whose
+ * participation mask intersects the dead shard is rolled back on the
+ * shards that still hold its records.
  */
 struct ShardSummary
 {
@@ -144,8 +152,9 @@ struct RecoveryReport
     /** Lines written by this pass (only with opts.collectWrites). */
     std::vector<Addr> touchedLines;
 
-    // --- shardlab (merged multi-shard recovery only) ---
-    /** Per-shard salvage summary; empty unless logShards > 1. */
+    // --- shardlab (more than one log region only) ---
+    /** Per-region salvage summary, indexed by region; empty when the
+     *  log is one region, so single-log reports carry no shard block. */
     std::vector<ShardSummary> shards;
     /** Transactions aborted because of a dead shard: committed ones
      *  whose participation mask intersects it (rolled back on the
@@ -198,7 +207,9 @@ class Recovery
     /**
      * Recover the NVRAM image in place.
      * @param image   the (crash-snapshot) NVRAM backing store
-     * @param map     the system's address map (log location)
+     * @param map     the system's address map (log location and
+     *        region count — pass System::config().map, which carries
+     *        the count chosen at construction)
      * @param truncateLog clear the log window after replay (default),
      *        matching the paper's Step 4; disable to test idempotence
      *        of the replay itself.
@@ -211,18 +222,6 @@ class Recovery
     static RecoveryReport run(mem::BackingStore &image,
                               const AddressMap &map,
                               const RecoveryOptions &opts);
-
-    /** Recover one log region at [logBase, logBase+logSize). */
-    static RecoveryReport recoverRegion(mem::BackingStore &image,
-                                        Addr logBase,
-                                        std::uint64_t logSize,
-                                        bool truncateLog = true);
-
-    /** As above with full options. */
-    static RecoveryReport recoverRegion(mem::BackingStore &image,
-                                        Addr logBase,
-                                        std::uint64_t logSize,
-                                        const RecoveryOptions &opts);
 };
 
 } // namespace snf::persist

@@ -35,6 +35,9 @@ class BTree : public Workload
     bool verify(const mem::BackingStore &nvram,
                 std::string *why) const override;
 
+    /** Each thread owns one tree. */
+    bool threadPrivate() const override { return true; }
+
   private:
     static constexpr std::uint64_t kMaxKeys = 7;
     static constexpr std::uint64_t kMinChildren = 2;

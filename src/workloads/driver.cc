@@ -17,8 +17,14 @@ runWorkload(const RunSpec &spec)
     if (spec.crashAt && !cfg.persist.crashJournal)
         fatal("crash runs need PersistConfig::crashJournal");
 
-    System sys(cfg, spec.mode);
     auto workload = makeWorkload(spec.workload);
+    if (cfg.persist.distributedLogs && isHardwareLogging(spec.mode) &&
+        !workload->threadPrivate())
+        fatal("--distributed-log needs thread-private persistent data, "
+              "but workload '%s' shares it between threads",
+              spec.workload.c_str());
+
+    System sys(cfg, spec.mode);
     workload->setup(sys, spec.params);
 
     for (CoreId c = 0; c < spec.params.threads; ++c) {

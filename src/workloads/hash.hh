@@ -37,6 +37,10 @@ class OpenChainHashBase : public Workload
     bool verify(const mem::BackingStore &nvram,
                 std::string *why) const override;
 
+    /** Each thread owns a slice of the buckets and the nodes it
+     *  inserts. */
+    bool threadPrivate() const override { return true; }
+
   protected:
     /** Fraction of transactions that are pure lookups. */
     virtual double lookupFraction() const { return 0.0; }

@@ -34,6 +34,9 @@ class RbTree : public Workload
     bool verify(const mem::BackingStore &nvram,
                 std::string *why) const override;
 
+    /** Each thread owns one tree. */
+    bool threadPrivate() const override { return true; }
+
   private:
     // Node layout.
     static constexpr std::uint64_t kKey = 0;

@@ -36,6 +36,9 @@ class Sps : public Workload
      *  permutation, so SPS can resume on a recovered image. */
     bool resumable() const override { return true; }
 
+    /** Each thread swaps within its own slice of the array. */
+    bool threadPrivate() const override { return true; }
+
     Addr arrayBase() const { return base; }
 
     std::uint64_t elements() const { return count; }

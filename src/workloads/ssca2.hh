@@ -36,6 +36,9 @@ class Ssca2 : public Workload
     bool verify(const mem::BackingStore &nvram,
                 std::string *why) const override;
 
+    /** Each thread writes only its own vertex range. */
+    bool threadPrivate() const override { return true; }
+
   private:
     static constexpr std::uint64_t kEdgeCapacity = 30;
 

@@ -29,6 +29,9 @@ class WhisperCtree : public Workload
     bool verify(const mem::BackingStore &nvram,
                 std::string *why) const override;
 
+    /** Each thread owns one tree. */
+    bool threadPrivate() const override { return true; }
+
   private:
     // Node layout: key(8) | left(8) | right(8) | value...
     static constexpr std::uint64_t kKey = 0;

@@ -32,6 +32,9 @@ class WhisperEcho : public Workload
     bool verify(const mem::BackingStore &nvram,
                 std::string *why) const override;
 
+    /** Each thread appends to its own message queue. */
+    bool threadPrivate() const override { return true; }
+
   private:
     // Message: seq(8) | body(3 x 8) | checksum(8).
     static constexpr std::uint64_t kMsgBytes = 40;

@@ -35,6 +35,9 @@ class WhisperTpcc : public Workload
     bool verify(const mem::BackingStore &nvram,
                 std::string *why) const override;
 
+    /** Each thread owns two districts and their orders. */
+    bool threadPrivate() const override { return true; }
+
   private:
     static constexpr std::uint64_t kMaxLines = 15;
 

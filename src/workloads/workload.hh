@@ -81,6 +81,15 @@ class Workload
      * members (base addresses, expected aggregates) carry over.
      */
     virtual bool resumable() const { return false; }
+
+    /**
+     * Does every thread write only persistent data of its own (split
+     * by Thread::id())? Distributed per-core logs need it: writes to
+     * a shared address from different log regions have no
+     * recovery-time order, so runWorkload rejects
+     * PersistConfig::distributedLogs on any other workload.
+     */
+    virtual bool threadPrivate() const { return false; }
 };
 
 /** Instantiate a workload by name; fatal() on unknown names. */

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the Section III-F extensions: distributed per-thread
- * logs (partitioned regions, per-core routing, multi-partition
- * recovery) and the NVRAM wear/lifetime accounting.
+ * logs (per-core regions, per-core routing, recovery as shards routed
+ * by core) and the NVRAM wear/lifetime accounting.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "core/system.hh"
+#include "crashlab/lifecycle.hh"
 #include "persist/recovery.hh"
 #include "workloads/driver.hh"
 
@@ -45,7 +46,7 @@ TEST(DistributedLogs, OnePartitionPerCore)
 {
     System sys(distCfg(4), PersistMode::Fwb);
     EXPECT_EQ(sys.logPartitionCount(), 4u);
-    EXPECT_EQ(sys.config().map.logPartitions, 4u);
+    EXPECT_EQ(sys.config().map.logShards, 4u);
 }
 
 TEST(DistributedLogs, CentralizedByDefault)
@@ -94,6 +95,67 @@ TEST(DistributedLogs, RecoverySpansAllPartitions)
     EXPECT_EQ(report.committedTxns, 10u);
     EXPECT_EQ(snap.read64(base), 5u);
     EXPECT_EQ(snap.read64(base + 64), 5u);
+    // Per-core regions are recovered as shards: one summary each.
+    ASSERT_EQ(report.shards.size(), 2u);
+    EXPECT_EQ(report.shards[0].salvagedTxns, 5u);
+    EXPECT_EQ(report.shards[1].salvagedTxns, 5u);
+}
+
+TEST(DistributedLogs, RecoveryReentrantAtEveryWriteBudget)
+{
+    // Per-core regions truncate through the merged protocol: every
+    // region's flag is raised before any slot array is zeroed. A
+    // recovery cut after any number of line writes, then re-run, must
+    // converge on the uninterrupted pass's image, and a further pass
+    // over that image must have nothing left to apply.
+    SystemConfig cfg = distCfg(2, /*journal=*/true);
+    System sys(cfg, PersistMode::Fwb);
+    Addr base = sys.heap().alloc(256, 64);
+    for (CoreId c = 0; c < 2; ++c) {
+        sys.spawn(c, [&](Thread &t) {
+            return writerThread(t, base, 5);
+        });
+    }
+    Tick end = sys.run();
+    mem::BackingStore snap = sys.crashSnapshot(end);
+    const AddressMap &map = sys.config().map;
+
+    persist::RecoveryOptions opts;
+    std::vector<crashlab::Violation> v =
+        crashlab::checkRecoveryReentrancy(snap, map, opts, 1);
+    for (const crashlab::Violation &viol : v)
+        ADD_FAILURE() << viol.invariant << ": " << viol.detail;
+
+    mem::BackingStore ref = snap;
+    auto full = persist::Recovery::run(ref, map, opts);
+    EXPECT_GT(full.redoApplied, 0u);
+    EXPECT_GT(full.writesIssued, 2u);
+    mem::BackingStore again = ref;
+    auto rerun = persist::Recovery::run(again, map, opts);
+    EXPECT_EQ(rerun.validRecords, 0u);
+    EXPECT_EQ(rerun.redoApplied + rerun.undoApplied, 0u);
+    EXPECT_FALSE(
+        again.firstDifference(ref, ref.base(), ref.size()).has_value());
+}
+
+TEST(DistributedLogsDeathTest, RejectsWorkloadWithSharedData)
+{
+    // vacation's reservations share resource rows between threads:
+    // per-core regions could not order their writes at recovery.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    RunSpec spec;
+    spec.workload = "vacation";
+    spec.mode = PersistMode::Fwb;
+    spec.params.threads = 2;
+    spec.sys = distCfg(2, /*journal=*/true);
+    spec.crashAt = 20000;
+    EXPECT_EXIT(runWorkload(spec), ::testing::ExitedWithCode(1),
+                "--distributed-log");
+    // Software modes keep the centralized log, so the flag is inert.
+    spec.mode = PersistMode::UndoClwb;
+    spec.crashAt.reset();
+    spec.params.txPerThread = 10;
+    EXPECT_TRUE(runWorkload(spec).verified);
 }
 
 TEST(DistributedLogs, WorkloadsVerifyUnderDistributedFwb)
@@ -121,7 +183,8 @@ TEST(DistributedLogs, CrashRecoveryUnderDistributedFwb)
     // without a global LSN, committed writes to SHARED addresses
     // from different partitions cannot be ordered at recovery. The
     // partitioned workloads satisfy this; vacation/ycsb (shared
-    // writes) must use the centralized log.
+    // writes) must use the centralized log, and runWorkload rejects
+    // them (RejectsWorkloadWithSharedData below).
     for (const auto &wl : {"tpcc", "hash", "echo"}) {
         RunSpec spec;
         spec.workload = wl;

@@ -326,6 +326,8 @@ TEST(Recovery, EmptyLogIsNoop)
     EXPECT_TRUE(report.headerValid);
     EXPECT_EQ(report.validRecords, 0u);
     EXPECT_EQ(f.image.read64(f.data(0)), 42u);
+    // One log region: no per-shard summaries.
+    EXPECT_TRUE(report.shards.empty());
 }
 
 TEST(Recovery, InvalidHeaderIsRejected)
@@ -589,7 +591,7 @@ class ShardedImageLog
 {
   public:
     ShardedImageLog(mem::BackingStore &image, const AddressMap &map)
-        : image(image), map(map), shards(map.logRegionCount())
+        : image(image), map(map), shards(map.logShards)
     {
         shardBytes = map.logSize / shards;
         slots = (shardBytes - LogRegion::kHeaderBytes) /
