@@ -127,7 +127,7 @@ printTableII()
                 c.nvram.writeConflictLat, c.nvram.banks);
     std::printf("#   log %lluKB, log buffer %u entries, WCB %u\n",
                 static_cast<unsigned long long>(
-                    c.persist.logBytes / 1024),
+                    c.map.logSize / 1024),
                 c.persist.logBufferEntries, c.persist.wcbEntries);
     std::printf("#   SNF_BENCH_SCALE=%.2f\n\n", benchScale());
 }

@@ -31,7 +31,6 @@ hazardsAt(std::uint64_t logBytes, Tick period)
         spec.params.txPerThread = 1;
     spec.params.footprint = 65536;
     spec.sys = benchConfig(4);
-    spec.sys.persist.logBytes = logBytes;
     spec.sys.map.logSize = logBytes;
     spec.sys.persist.fwbPeriod = period;
     spec.verifyAtEnd = false;
@@ -54,7 +53,6 @@ main()
     for (std::uint64_t kb : {64ULL, 128ULL, 256ULL, 512ULL, 1024ULL,
                              2048ULL, 4096ULL}) {
         SystemConfig cfg = benchConfig(4);
-        cfg.persist.logBytes = kb * 1024;
         cfg.map.logSize = kb * 1024;
         Tick period = persist::FwbEngine::derivePeriod(cfg);
         std::uint64_t at_derived = hazardsAt(kb * 1024, 0);

@@ -134,8 +134,7 @@ SystemConfig::paper(std::uint32_t cores)
     c.dram.arrayReadPjBit = 1.17;
     c.dram.arrayWritePjBit = 1.17;
 
-    c.persist.logBytes = 4ULL << 20;
-    c.map.logSize = c.persist.logBytes;
+    c.map.logSize = 4ULL << 20;
     c.validate();
     return c;
 }
@@ -152,8 +151,7 @@ SystemConfig::scaled(std::uint32_t cores)
     // are unchanged.
     c.l1.sizeBytes = 8 * 1024;
     c.l2.sizeBytes = 512 * 1024;
-    c.persist.logBytes = 256 * 1024;
-    c.map.logSize = c.persist.logBytes;
+    c.map.logSize = 256 * 1024;
     c.validate();
     return c;
 }
@@ -176,20 +174,16 @@ SystemConfig::validate() const
         if (sets == 0 || (sets & (sets - 1)) != 0)
             fatal("cache set count %u not a power of two", sets);
     }
-    if (map.logSize != persist.logBytes)
-        fatal("address-map log size (%llu) != persist log size (%llu)",
-              static_cast<unsigned long long>(map.logSize),
-              static_cast<unsigned long long>(persist.logBytes));
-    if (persist.logBytes >= map.nvramSize)
+    if (map.logSize >= map.nvramSize)
         fatal("log does not fit in NVRAM");
     if (persist.logShards == 0 || persist.logShards > 64)
         fatal("logShards %u out of range [1,64]", persist.logShards);
     if (persist.logShards > 1 && persist.distributedLogs)
         fatal("logShards and distributedLogs are mutually exclusive "
               "(per-address vs per-core log splitting)");
-    if (persist.logBytes % persist.logShards != 0)
+    if (map.logSize % persist.logShards != 0)
         fatal("log size %llu not divisible into %u shards",
-              static_cast<unsigned long long>(persist.logBytes),
+              static_cast<unsigned long long>(map.logSize),
               persist.logShards);
     if (persist.wcbEntries == 0)
         fatal("WCB needs at least one entry");

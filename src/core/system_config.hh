@@ -245,7 +245,6 @@ const char *ccModeName(CcMode mode);
 /** Persistence machinery parameters (Sections III and IV). */
 struct PersistConfig
 {
-    std::uint64_t logBytes = 4ULL << 20;  ///< circular log size (4 MB)
     std::uint32_t logBufferEntries = 15;  ///< volatile FIFO in the MC
     std::uint32_t wcbEntries = 6;         ///< write-combining buffer
     /**
@@ -370,7 +369,8 @@ struct AddressMap
     std::uint64_t dramSize = 1ULL << 30;
     Addr nvramBase = 0x100000000ULL; ///< 4 GB boundary
     std::uint64_t nvramSize = 8ULL << 30;
-    /** Log region lives at the bottom of NVRAM. */
+    /** Size of the circular log (paper: 4 MB), which lives at the
+     *  bottom of NVRAM; the one log-size setting. */
     std::uint64_t logSize = 4ULL << 20;
     /**
      * Number of equal circular log regions the log area is split into

@@ -7,6 +7,7 @@
 
 #include <optional>
 
+#include "core/flags.hh"
 #include "mem/fault_model.hh"
 #include "mem/remap_table.hh"
 #include "persist/log_record.hh"
@@ -378,6 +379,32 @@ checkFaultedCrashPoint(const mem::BackingStore &image,
     }
 
     return out;
+}
+
+void
+addImageFaultFlags(FlagSet &flags, ImageFaultConfig *faults)
+{
+    flags.addRate("--fault-bitflip P", &faults->bitFlipProb,
+                  "faultlab: bit-flip probability per snapshot slot");
+    flags.addRate("--fault-multibit P", &faults->multiBitProb,
+                  "double-bit flip probability per slot");
+    flags.addRate("--fault-drop-slot P", &faults->dropSlotProb,
+                  "lost-slot-write probability per slot");
+    flags.addRate("--fault-torn-slot P", &faults->tornSlotProb,
+                  "torn-header-word probability per slot");
+    flags.addCount("--fault-seed N", &faults->seed,
+                   "seed of the deterministic damage (default 1)");
+    ImageFaultConfig light = ImageFaultConfig::light(0);
+    ImageFaultConfig heavy = ImageFaultConfig::heavy(0);
+    flags.addPresetFlag(
+        "--fault-preset light|heavy",
+        {{"light", {{&faults->bitFlipProb, light.bitFlipProb}}},
+         {"heavy",
+          {{&faults->bitFlipProb, heavy.bitFlipProb},
+           {&faults->multiBitProb, heavy.multiBitProb},
+           {&faults->dropSlotProb, heavy.dropSlotProb},
+           {&faults->tornSlotProb, heavy.tornSlotProb}}}},
+        "canned damage mix, before any --fault-* rate");
 }
 
 } // namespace snf::crashlab

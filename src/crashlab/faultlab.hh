@@ -39,6 +39,11 @@
 #include "crashlab/invariants.hh"
 #include "mem/backing_store.hh"
 
+namespace snf
+{
+class FlagSet;
+}
+
 namespace snf::crashlab
 {
 
@@ -138,6 +143,14 @@ checkFaultedCrashPoint(const mem::BackingStore &image,
                        const persist::RecoveryOptions &recOpts,
                        persist::RecoveryReport *reportOut = nullptr,
                        ImageFaultPlan *planOut = nullptr);
+
+/**
+ * Declare the snapshot-damage flag family snfcrash and snfsoak share:
+ * the --fault-bitflip, --fault-multibit, --fault-drop-slot and
+ * --fault-torn-slot rates, --fault-seed, and --fault-preset with the
+ * rates of ImageFaultConfig::light() and heavy().
+ */
+void addImageFaultFlags(FlagSet &flags, ImageFaultConfig *faults);
 
 } // namespace snf::crashlab
 

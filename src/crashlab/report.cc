@@ -3,47 +3,11 @@
 #include <cstdio>
 #include <ostream>
 
+#include "sim/json.hh"
 #include "sim/probe.hh"
 
 namespace snf::crashlab
 {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 void
 writeTextSummary(std::ostream &os, const CellResult &cell)
@@ -136,134 +100,103 @@ namespace
 {
 
 void
-writePerfJson(std::ostream &os, const SweepPerf &p,
-              const char *indent)
+writePerfJson(JsonWriter &w, const SweepPerf &p)
 {
-    char line[192];
-    os << indent << "\"perf\": {\n";
-    auto secs = [&](const char *key, double v, bool comma = true) {
-        std::snprintf(line, sizeof(line), "%s  \"%s_sec\": %.6f%s\n",
-                      indent, key, v, comma ? "," : "");
-        os << line;
-    };
-    secs("ref_run", p.refRunSec);
-    secs("harvest", p.harvestSec);
-    secs("index", p.indexSec);
-    secs("snapshot", p.snapshotSec);
-    secs("recover", p.recoverSec);
-    secs("check", p.checkSec);
-    secs("minimize", p.minimizeSec);
-    secs("total", p.totalSec);
-    os << indent << "  \"journal_entries\": " << p.journalEntries
-       << ",\n";
-    os << indent << "  \"checkpoints_built\": " << p.checkpointsBuilt
-       << ",\n";
-    os << indent << "  \"entries_replayed\": " << p.entriesReplayed
-       << ",\n";
-    os << indent << "  \"pages_cloned\": " << p.pagesCloned << ",\n";
-    os << indent << "  \"jobs\": " << p.jobsUsed << "\n";
-    os << indent << "}";
+    w.key("perf").beginObject();
+    w.key("ref_run_sec").fixed(p.refRunSec, 6);
+    w.key("harvest_sec").fixed(p.harvestSec, 6);
+    w.key("index_sec").fixed(p.indexSec, 6);
+    w.key("snapshot_sec").fixed(p.snapshotSec, 6);
+    w.key("recover_sec").fixed(p.recoverSec, 6);
+    w.key("check_sec").fixed(p.checkSec, 6);
+    w.key("minimize_sec").fixed(p.minimizeSec, 6);
+    w.key("total_sec").fixed(p.totalSec, 6);
+    w.field("journal_entries", p.journalEntries);
+    w.field("checkpoints_built", p.checkpointsBuilt);
+    w.field("entries_replayed", p.entriesReplayed);
+    w.field("pages_cloned", p.pagesCloned);
+    w.field("jobs", p.jobsUsed);
+    w.end();
+}
+
+/** The cell parameters both documents open a cell with. */
+void
+writeCellHead(JsonWriter &w, const CellResult &cell)
+{
+    w.field("workload", cell.workload);
+    w.field("mode", persistModeName(cell.mode));
+    w.field("seed", cell.seed);
+    w.field("threads", cell.threads);
+    w.field("tx_per_thread", cell.txPerThread);
 }
 
 void
-writeCell(std::ostream &os, const CellResult &cell,
-          const char *indent)
+writeCell(JsonWriter &w, const CellResult &cell)
 {
     const SweepResult &sw = cell.sweep;
-    os << indent << "{\n";
-    os << indent << "  \"workload\": \""
-       << jsonEscape(cell.workload) << "\",\n";
-    os << indent << "  \"mode\": \"" << persistModeName(cell.mode)
-       << "\",\n";
-    os << indent << "  \"seed\": " << cell.seed << ",\n";
-    os << indent << "  \"threads\": " << cell.threads << ",\n";
-    os << indent << "  \"tx_per_thread\": " << cell.txPerThread
-       << ",\n";
-    os << indent << "  \"end_tick\": " << sw.endTick << ",\n";
-    os << indent << "  \"committed_tx\": " << sw.refCommittedTx
-       << ",\n";
-    os << indent << "  \"log_wraps\": " << sw.refLogWraps << ",\n";
-    os << indent << "  \"reference_verified\": "
-       << (sw.refVerified ? "true" : "false") << ",\n";
-    os << indent << "  \"points_harvested\": " << sw.pointsHarvested
-       << ",\n";
-    os << indent << "  \"points_tested\": " << sw.pointsTested
-       << ",\n";
-    os << indent << "  \"points_failed\": " << sw.pointsFailed
-       << ",\n";
-    os << indent << "  \"slots_faulted\": " << sw.totalSlotsFaulted
-       << ",\n";
-    os << indent << "  \"txns_salvaged\": " << sw.totalSalvaged
-       << ",\n";
-    os << indent << "  \"txns_quarantined\": " << sw.totalQuarantined
-       << ",\n";
+    w.beginObject();
+    writeCellHead(w, cell);
+    w.field("end_tick", sw.endTick);
+    w.field("committed_tx", sw.refCommittedTx);
+    w.field("log_wraps", sw.refLogWraps);
+    w.field("reference_verified", sw.refVerified);
+    w.field("points_harvested", sw.pointsHarvested);
+    w.field("points_tested", sw.pointsTested);
+    w.field("points_failed", sw.pointsFailed);
+    w.field("slots_faulted", sw.totalSlotsFaulted);
+    w.field("txns_salvaged", sw.totalSalvaged);
+    w.field("txns_quarantined", sw.totalQuarantined);
     // Shard fields only when the log was sharded: unsharded reports
     // stay byte-identical to the pre-shardlab format.
     if (!sw.shardTotals.empty()) {
-        os << indent << "  \"dead_shard_aborted\": "
-           << sw.totalDeadShardAborted << ",\n";
-        os << indent << "  \"shards\": [";
-        for (std::size_t i = 0; i < sw.shardTotals.size(); ++i) {
-            const SweepResult::ShardTotals &t = sw.shardTotals[i];
-            os << (i ? ",\n" : "\n");
-            os << indent << "    {\"shard\": " << t.shard
-               << ", \"valid_records\": " << t.validRecords
-               << ", \"salvaged\": " << t.salvagedTxns
-               << ", \"quarantined\": " << t.quarantinedTxns
-               << ", \"aborted_dead_shard\": " << t.abortedDeadShard
-               << ", \"dead_points\": " << t.deadPoints << "}";
+        w.field("dead_shard_aborted", sw.totalDeadShardAborted);
+        w.key("shards").beginArray();
+        for (const SweepResult::ShardTotals &t : sw.shardTotals) {
+            w.beginObject(JsonWriter::Layout::Inline);
+            w.field("shard", t.shard);
+            w.field("valid_records", t.validRecords);
+            w.field("salvaged", t.salvagedTxns);
+            w.field("quarantined", t.quarantinedTxns);
+            w.field("aborted_dead_shard", t.abortedDeadShard);
+            w.field("dead_points", t.deadPoints);
+            w.end();
         }
-        os << "\n" << indent << "  ],\n";
+        w.end();
     }
     // Reorder fields only when the adversary ran: reorder-off
     // reports stay byte-identical to the pre-reorderlab format.
     if (sw.reorderEnabled) {
-        os << indent << "  \"reorder_images_tested\": "
-           << sw.reorderImagesTested << ",\n";
-        os << indent << "  \"reorder_points_with_pending\": "
-           << sw.reorderPointsWithPending << ",\n";
-        os << indent << "  \"reorder_max_pending\": "
-           << sw.reorderMaxPending << ",\n";
+        w.field("reorder_images_tested", sw.reorderImagesTested);
+        w.field("reorder_points_with_pending",
+                sw.reorderPointsWithPending);
+        w.field("reorder_max_pending", sw.reorderMaxPending);
     }
-    os << indent << "  \"failures\": [";
-    for (std::size_t i = 0; i < sw.failures.size(); ++i) {
-        const PointOutcome &f = sw.failures[i];
-        os << (i ? ",\n" : "\n");
-        os << indent << "    {\"tick\": " << f.point.tick
-           << ", \"event\": \"" << sim::probeEventName(f.point.kind)
-           << "\", \"before_event\": "
-           << (f.point.before ? "true" : "false")
-           << ", \"violations\": [";
-        for (std::size_t j = 0; j < f.violations.size(); ++j) {
-            os << (j ? ", " : "");
-            os << "{\"invariant\": \""
-               << jsonEscape(f.violations[j].invariant)
-               << "\", \"detail\": \""
-               << jsonEscape(f.violations[j].detail) << "\"}";
+    w.key("failures").beginArray();
+    for (const PointOutcome &f : sw.failures) {
+        w.beginObject(JsonWriter::Layout::Inline);
+        w.field("tick", f.point.tick);
+        w.field("event", sim::probeEventName(f.point.kind));
+        w.field("before_event", f.point.before);
+        w.key("violations").beginArray();
+        for (const Violation &v : f.violations) {
+            w.beginObject();
+            w.field("invariant", v.invariant);
+            w.field("detail", v.detail);
+            w.end();
         }
-        os << "]";
+        w.end();
         if (!f.reorderDetail.empty())
-            os << ", \"reorder\": \""
-               << jsonEscape(f.reorderDetail) << "\"";
-        os << "}";
+            w.field("reorder", f.reorderDetail);
+        w.end();
     }
-    if (sw.failures.empty())
-        os << "]";
-    else
-        os << "\n" << indent << "  ]";
-    os << ",\n";
+    w.end();
     if (sw.minimizedTick) {
-        os << indent << "  \"minimized_tick\": " << *sw.minimizedTick
-           << ",\n";
-        os << indent << "  \"minimized_detail\": \""
-           << jsonEscape(sw.minimizedDetail) << "\",\n";
+        w.field("minimized_tick", *sw.minimizedTick);
+        w.field("minimized_detail", sw.minimizedDetail);
     }
-    writePerfJson(os, sw.perf,
-                  (std::string(indent) + "  ").c_str());
-    os << ",\n";
-    os << indent << "  \"passed\": "
-       << (sw.passed() ? "true" : "false") << "\n";
-    os << indent << "}";
+    writePerfJson(w, sw.perf);
+    w.field("passed", sw.passed());
+    w.end();
 }
 
 } // namespace
@@ -276,45 +209,36 @@ writeJsonReport(std::ostream &os,
     for (const auto &c : cells)
         if (!c.sweep.passed())
             ++failed;
-    os << "{\n";
-    os << "  \"tool\": \"snfcrash\",\n";
-    os << "  \"cells\": [";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        os << (i ? ",\n" : "\n");
-        writeCell(os, cells[i], "    ");
-    }
-    os << (cells.empty() ? "]" : "\n  ]") << ",\n";
-    os << "  \"cells_total\": " << cells.size() << ",\n";
-    os << "  \"cells_failed\": " << failed << "\n";
-    os << "}\n";
+    JsonWriter w(os);
+    w.beginObject();
+    w.field("tool", "snfcrash");
+    w.key("cells").beginArray();
+    for (const CellResult &c : cells)
+        writeCell(w, c);
+    w.end();
+    w.field("cells_total", cells.size());
+    w.field("cells_failed", failed);
+    w.end();
 }
 
 void
 writeBenchJson(std::ostream &os, const std::string &tool,
                const std::vector<CellResult> &cells)
 {
-    os << "{\n";
-    os << "  \"schema\": \"snf-bench-sweep-v1\",\n";
-    os << "  \"tool\": \"" << jsonEscape(tool) << "\",\n";
-    os << "  \"cells\": [";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const CellResult &c = cells[i];
-        os << (i ? ",\n" : "\n");
-        os << "    {\n";
-        os << "      \"workload\": \"" << jsonEscape(c.workload)
-           << "\",\n";
-        os << "      \"mode\": \"" << persistModeName(c.mode)
-           << "\",\n";
-        os << "      \"seed\": " << c.seed << ",\n";
-        os << "      \"threads\": " << c.threads << ",\n";
-        os << "      \"tx_per_thread\": " << c.txPerThread << ",\n";
-        os << "      \"points_tested\": " << c.sweep.pointsTested
-           << ",\n";
-        writePerfJson(os, c.sweep.perf, "      ");
-        os << "\n    }";
+    JsonWriter w(os);
+    w.beginObject();
+    w.field("schema", "snf-bench-sweep-v1");
+    w.field("tool", tool);
+    w.key("cells").beginArray();
+    for (const CellResult &c : cells) {
+        w.beginObject();
+        writeCellHead(w, c);
+        w.field("points_tested", c.sweep.pointsTested);
+        writePerfJson(w, c.sweep.perf);
+        w.end();
     }
-    os << (cells.empty() ? "]" : "\n  ]") << "\n";
-    os << "}\n";
+    w.end();
+    w.end();
 }
 
 } // namespace snf::crashlab

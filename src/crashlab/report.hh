@@ -50,9 +50,6 @@ void writeJsonReport(std::ostream &os,
 void writeBenchJson(std::ostream &os, const std::string &tool,
                     const std::vector<CellResult> &cells);
 
-/** JSON string escaping (exposed for tests). */
-std::string jsonEscape(const std::string &s);
-
 } // namespace snf::crashlab
 
 #endif // SNF_CRASHLAB_REPORT_HH

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <sstream>
 #include <thread>
 
 #include "persist/log_buffer.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/probe.hh"
 
@@ -104,17 +104,22 @@ runOnce(const OltpCellSpec &cell, const OltpMatrixConfig &cfg,
 
 } // namespace
 
+std::vector<std::pair<const char *, std::uint64_t>>
+OltpCellResult::counters() const
+{
+    return {{"cycles", cycles},           {"committed_tx", committedTx},
+            {"aborted_tx", abortedTx},    {"instructions", instructions},
+            {"retries", retries},         {"user_aborts", userAborts},
+            {"log_records", logRecords},  {"nvram_writes", nvramWrites},
+            {"occ_samples", occSamples},  {"log_occ_sum", logOccSum},
+            {"log_occ_max", logOccMax},   {"wcb_occ_sum", wcbOccSum},
+            {"wcb_occ_max", wcbOccMax}};
+}
+
 bool
 OltpCellResult::countersEqual(const OltpCellResult &o) const
 {
-    return cycles == o.cycles && committedTx == o.committedTx &&
-           abortedTx == o.abortedTx &&
-           instructions == o.instructions && retries == o.retries &&
-           userAborts == o.userAborts && logRecords == o.logRecords &&
-           nvramWrites == o.nvramWrites &&
-           occSamples == o.occSamples && logOccSum == o.logOccSum &&
-           logOccMax == o.logOccMax && wcbOccSum == o.wcbOccSum &&
-           wcbOccMax == o.wcbOccMax && types == o.types;
+    return counters() == o.counters() && types == o.types;
 }
 
 std::vector<OltpCellSpec>
@@ -186,77 +191,58 @@ runOltpMatrix(const std::vector<OltpCellSpec> &cells,
     return results;
 }
 
-std::string
-oltpBenchJson(const OltpMatrixConfig &cfg,
-              const std::vector<OltpCellResult> &results)
+void
+writeOltpBenchJson(std::ostream &os, const OltpMatrixConfig &cfg,
+                   const std::vector<OltpCellResult> &results)
 {
-    std::ostringstream out;
-    out << "{\n";
-    out << "  \"schema\": \"snf-bench-oltp-v1\",\n";
-    out << "  \"tool\": \"snfoltp\",\n";
-    out << "  \"threads\": " << cfg.threads << ",\n";
-    out << "  \"tx_per_thread\": " << cfg.txPerThread << ",\n";
-    out << "  \"seed\": " << cfg.seed << ",\n";
-    out << "  \"warehouses\": " << cfg.warehouses << ",\n";
-    out << "  \"customers\": " << cfg.customers << ",\n";
-    out << "  \"keys\": " << cfg.keys << ",\n";
-    out << "  \"zipf_theta\": " << cfg.zipfTheta << ",\n";
-    out << "  \"log_shards\": " << cfg.logShards << ",\n";
-    out << "  \"cells\": [";
-    bool first = true;
+    JsonWriter w(os);
+    w.beginObject();
+    w.field("schema", "snf-bench-oltp-v1");
+    w.field("tool", "snfoltp");
+    w.field("threads", cfg.threads);
+    w.field("tx_per_thread", cfg.txPerThread);
+    w.field("seed", cfg.seed);
+    w.field("warehouses", cfg.warehouses);
+    w.field("customers", cfg.customers);
+    w.field("keys", cfg.keys);
+    w.field("zipf_theta", cfg.zipfTheta);
+    w.field("log_shards", cfg.logShards);
+    w.key("cells").beginArray();
     for (const OltpCellResult &r : results) {
-        out << (first ? "\n" : ",\n");
-        first = false;
-        out << "    {\n";
-        out << "      \"workload\": \"" << r.spec.engine << "\",\n";
-        out << "      \"mode\": \"" << persistModeName(r.spec.mode)
-            << "\",\n";
-        out << "      \"cc\": \"" << ccModeName(r.spec.cc) << "\",\n";
-        out << "      \"counters\": {\n";
-        out << "        \"cycles\": " << r.cycles << ",\n";
-        out << "        \"committed_tx\": " << r.committedTx << ",\n";
-        out << "        \"aborted_tx\": " << r.abortedTx << ",\n";
-        out << "        \"instructions\": " << r.instructions
-            << ",\n";
-        out << "        \"retries\": " << r.retries << ",\n";
-        out << "        \"user_aborts\": " << r.userAborts << ",\n";
-        out << "        \"log_records\": " << r.logRecords << ",\n";
-        out << "        \"nvram_writes\": " << r.nvramWrites << ",\n";
-        out << "        \"occ_samples\": " << r.occSamples << ",\n";
-        out << "        \"log_occ_sum\": " << r.logOccSum << ",\n";
-        out << "        \"log_occ_max\": " << r.logOccMax << ",\n";
-        out << "        \"wcb_occ_sum\": " << r.wcbOccSum << ",\n";
-        out << "        \"wcb_occ_max\": " << r.wcbOccMax << ",\n";
-        out << "        \"tx_types\": [";
-        bool firstType = true;
+        w.beginObject();
+        w.field("workload", r.spec.engine);
+        w.field("mode", persistModeName(r.spec.mode));
+        w.field("cc", ccModeName(r.spec.cc));
+        w.key("counters").beginObject();
+        for (const auto &[name, value] : r.counters())
+            w.field(name, value);
+        w.key("tx_types").beginArray();
         for (const OltpTypeCounters &t : r.types) {
-            out << (firstType ? "\n" : ",\n");
-            firstType = false;
-            out << "          {\"type\": \"" << t.type
-                << "\", \"committed\": " << t.committed
-                << ", \"lat_p50\": " << t.latP50
-                << ", \"lat_p99\": " << t.latP99
-                << ", \"lat_p999\": " << t.latP999
-                << ", \"lat_mean\": " << t.latMean
-                << ", \"lat_max\": " << t.latMax
-                << ", \"lat_sum\": " << t.latSum << "}";
+            w.beginObject(JsonWriter::Layout::Inline);
+            w.field("type", t.type);
+            w.field("committed", t.committed);
+            w.field("lat_p50", t.latP50);
+            w.field("lat_p99", t.latP99);
+            w.field("lat_p999", t.latP999);
+            w.field("lat_mean", t.latMean);
+            w.field("lat_max", t.latMax);
+            w.field("lat_sum", t.latSum);
+            w.end();
         }
-        out << "\n        ]\n";
-        out << "      },\n";
-        out << "      \"perf\": {\n";
-        out << "        \"wall_sec\": " << r.wallSec << ",\n";
-        out << "        \"sim_tx_per_sec\": "
-            << (r.wallSec > 0.0
+        w.end();
+        w.end();
+        w.key("perf").beginObject();
+        w.field("wall_sec", r.wallSec);
+        w.field("sim_tx_per_sec",
+                r.wallSec > 0.0
                     ? static_cast<double>(r.committedTx) / r.wallSec
-                    : 0.0)
-            << ",\n";
-        out << "        \"repeats\": " << r.repeats << "\n";
-        out << "      }\n";
-        out << "    }";
+                    : 0.0);
+        w.field("repeats", r.repeats);
+        w.end();
+        w.end();
     }
-    out << "\n  ]\n";
-    out << "}\n";
-    return out.str();
+    w.end();
+    w.end();
 }
 
 } // namespace snf::oltp

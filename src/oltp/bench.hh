@@ -13,7 +13,9 @@
 #ifndef SNF_OLTP_BENCH_HH
 #define SNF_OLTP_BENCH_HH
 
+#include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "oltp/engine.hh"
@@ -96,6 +98,10 @@ struct OltpCellResult
     double wallSec = 0.0;
     std::uint64_t repeats = 0;
 
+    /** The deterministic counters block in report order, tx_types
+     *  aside. */
+    std::vector<std::pair<const char *, std::uint64_t>> counters() const;
+
     /** Equality of the deterministic counters block only. */
     bool countersEqual(const OltpCellResult &o) const;
 };
@@ -118,9 +124,9 @@ std::vector<OltpCellResult>
 runOltpMatrix(const std::vector<OltpCellSpec> &cells,
               const OltpMatrixConfig &cfg);
 
-/** Serialize a snf-bench-oltp-v1 report. */
-std::string oltpBenchJson(const OltpMatrixConfig &cfg,
-                          const std::vector<OltpCellResult> &results);
+/** Write a snf-bench-oltp-v1 report. */
+void writeOltpBenchJson(std::ostream &os, const OltpMatrixConfig &cfg,
+                        const std::vector<OltpCellResult> &results);
 
 } // namespace snf::oltp
 

@@ -29,7 +29,7 @@ FwbEngine::derivePeriod(const SystemConfig &config)
     // partition size.
     std::uint32_t partitions =
         config.persist.distributedLogs ? config.numCores : 1;
-    std::uint64_t slots = (config.persist.logBytes / partitions - 64) /
+    std::uint64_t slots = (config.map.logSize / partitions - 64) /
                           LogRecord::kSlotBytes;
     // Sequential log-entry write service time at full NVRAM write
     // bandwidth; two slots coalesce per 64-byte line.

@@ -6,7 +6,7 @@ namespace snf::workloads
 {
 
 RunOutcome
-runWorkload(const RunSpec &spec)
+runWorkload(const RunSpec &spec, std::ostream *statsDump)
 {
     RunOutcome out;
 
@@ -35,6 +35,8 @@ runWorkload(const RunSpec &spec)
 
     Tick stop = spec.crashAt ? *spec.crashAt : kTickNever;
     out.endTick = sys.run(stop);
+    if (statsDump)
+        sys.dumpStats(*statsDump);
 
     if (spec.crashAt && out.endTick >= *spec.crashAt) {
         out.crashed = true;

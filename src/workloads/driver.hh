@@ -8,6 +8,7 @@
 #ifndef SNF_WORKLOADS_DRIVER_HH
 #define SNF_WORKLOADS_DRIVER_HH
 
+#include <iosfwd>
 #include <optional>
 #include <string>
 
@@ -49,8 +50,13 @@ struct RunOutcome
     persist::RecoveryReport recovery;
 };
 
-/** Run one cell. fatal() on misconfiguration. */
-RunOutcome runWorkload(const RunSpec &spec);
+/**
+ * Run one cell. fatal() on misconfiguration. With @p statsDump, every
+ * component counter is dumped there (System::dumpStats) as soon as
+ * the simulation stops, before any crash snapshot or final flush.
+ */
+RunOutcome runWorkload(const RunSpec &spec,
+                       std::ostream *statsDump = nullptr);
 
 } // namespace snf::workloads
 

@@ -1,0 +1,34 @@
+# Command-line contract checks, run by ctest as
+#   cmake -DTOOL=<binary> -DARGS="<args>" [-DEXPECT=<regex>]
+#         [-DARGS2="<args>"] -P cli_check.cmake
+#
+# With EXPECT: the invocation must be rejected — exit status 1 and a
+# diagnostic on stderr matching EXPECT (the flag it names).
+# With ARGS2: both invocations must agree — same exit status, same
+# stdout (e.g. two orders of the same flags).
+
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND ${TOOL} ${args}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+
+if(DEFINED EXPECT)
+    if(NOT rc EQUAL 1)
+        message(FATAL_ERROR "'${ARGS}': exit status ${rc}, want 1\n"
+                            "stdout: ${out}\nstderr: ${err}")
+    endif()
+    if(NOT err MATCHES "${EXPECT}")
+        message(FATAL_ERROR "'${ARGS}': stderr does not match "
+                            "'${EXPECT}'\nstderr: ${err}")
+    endif()
+endif()
+
+if(DEFINED ARGS2)
+    separate_arguments(args2 UNIX_COMMAND "${ARGS2}")
+    execute_process(COMMAND ${TOOL} ${args2}
+        RESULT_VARIABLE rc2 OUTPUT_VARIABLE out2 ERROR_VARIABLE err2)
+    if(NOT rc EQUAL rc2 OR NOT out STREQUAL out2)
+        message(FATAL_ERROR "'${ARGS}' and '${ARGS2}' disagree: exit "
+                            "${rc} vs ${rc2}\n--- first\n${out}\n"
+                            "--- second\n${out2}")
+    endif()
+endif()

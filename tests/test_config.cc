@@ -60,7 +60,7 @@ TEST(SystemConfig, PaperPresetMatchesTableII)
     EXPECT_EQ(c.nvram.readConflictLat, 250u); // 100 ns
     EXPECT_EQ(c.nvram.writeConflictLat, 750u); // 300 ns
     EXPECT_DOUBLE_EQ(c.nvram.arrayWritePjBit, 16.82);
-    EXPECT_EQ(c.persist.logBytes, 4ULL << 20);
+    EXPECT_EQ(c.map.logSize, 4ULL << 20);
     EXPECT_EQ(c.persist.logBufferEntries, 15u);
 }
 
@@ -70,7 +70,7 @@ TEST(SystemConfig, ScaledShrinksCapacityKeepsTiming)
     SystemConfig s = SystemConfig::scaled();
     EXPECT_LT(s.l1.sizeBytes, p.l1.sizeBytes);
     EXPECT_EQ(p.l2.sizeBytes / s.l2.sizeBytes, 16u);
-    EXPECT_EQ(p.persist.logBytes / s.persist.logBytes, 16u);
+    EXPECT_EQ(p.map.logSize / s.map.logSize, 16u);
     // Latencies and bandwidths are untouched: only capacity scales.
     EXPECT_EQ(p.l1.latency, s.l1.latency);
     EXPECT_EQ(p.l2.latency, s.l2.latency);
@@ -102,11 +102,9 @@ TEST(AddressMap, RangesDisjoint)
 TEST(FwbEngine, PeriodScalesLinearlyWithLogSize)
 {
     SystemConfig c = SystemConfig::scaled();
-    c.persist.logBytes = 256 * 1024;
-    c.map.logSize = c.persist.logBytes;
+    c.map.logSize = 256 * 1024;
     Tick p1 = persist::FwbEngine::derivePeriod(c);
-    c.persist.logBytes = 1024 * 1024;
-    c.map.logSize = c.persist.logBytes;
+    c.map.logSize = 1024 * 1024;
     Tick p4 = persist::FwbEngine::derivePeriod(c);
     EXPECT_NEAR(static_cast<double>(p4) / static_cast<double>(p1),
                 4.0, 0.1);

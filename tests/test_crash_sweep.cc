@@ -19,6 +19,7 @@
 #include "crashlab/report.hh"
 #include "crashlab/sweep.hh"
 #include "persist/recovery.hh"
+#include "sim/json.hh"
 #include "workloads/driver.hh"
 
 using namespace snf;
@@ -250,8 +251,13 @@ TEST(CrashSweep, DriverForwardsRecoveryOptions)
 // JSON report: escaping and document shape.
 TEST(CrashSweep, JsonReport)
 {
-    EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
+    auto escaped = [](const std::string &s) {
+        std::ostringstream os;
+        JsonWriter(os).value(s);
+        return os.str();
+    };
+    EXPECT_EQ(escaped("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+    EXPECT_EQ(escaped(std::string(1, '\x01')), "\"\\u0001\"");
 
     CellResult cell;
     cell.workload = "sps";

@@ -278,7 +278,6 @@ TEST(Wear, LogRegionWearsUniformly)
     spec.params.txPerThread = 3000;
     spec.params.footprint = 1024;
     spec.sys = SystemConfig::scaled(1);
-    spec.sys.persist.logBytes = 32 * 1024;
     spec.sys.map.logSize = 32 * 1024;
     auto outcome = runWorkload(spec);
     ASSERT_GT(outcome.stats.logWraps, 1u);

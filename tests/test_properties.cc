@@ -120,8 +120,7 @@ TEST_P(LogSizeSweep, DerivedFwbPeriodPreventsHazards)
 {
     RunSpec spec = propSpec("sps", PersistMode::Fwb, 3);
     spec.params.txPerThread = 1500;
-    spec.sys.persist.logBytes = GetParam() * 1024;
-    spec.sys.map.logSize = spec.sys.persist.logBytes;
+    spec.sys.map.logSize = GetParam() * 1024;
     auto outcome = runWorkload(spec);
     EXPECT_TRUE(outcome.verified) << outcome.verifyMessage;
     EXPECT_EQ(outcome.stats.overwriteHazards, 0u);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue, PRNG, CRC32,
- * stats, the coroutine task type and its frame pool.
+ * stats, the coroutine task type and its frame pool, and the JSON
+ * writer the tools' reports go through.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "sim/coro.hh"
 #include "sim/crc32.hh"
 #include "sim/event_queue.hh"
+#include "sim/json.hh"
 #include "sim/small_callback.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -754,4 +756,69 @@ TEST(FramePool, FrameReturnsToTheDestroyingThread)
     EXPECT_EQ(FramePool::cachedFrames(), cached + 1);
     Co<int> again = pooledLeaf(6);
     EXPECT_EQ(again.raw().address(), frame);
+}
+
+// ---- JSON writer ----
+
+TEST(JsonWriter, BlockAndInlineLayouts)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginObject();
+    w.field("tool", "snfsim");
+    w.field("threads", 2u);
+    w.key("empty").beginArray().end();
+    w.key("cells").beginArray();
+    w.beginObject();
+    w.field("ok", true);
+    w.key("types").beginArray();
+    w.beginObject(JsonWriter::Layout::Inline);
+    w.field("type", "a");
+    w.key("v").beginArray().value(1).value(-2).end();
+    w.end();
+    w.end();
+    w.end();
+    w.end();
+    w.end();
+    EXPECT_EQ(os.str(), "{\n"
+                        "  \"tool\": \"snfsim\",\n"
+                        "  \"threads\": 2,\n"
+                        "  \"empty\": [],\n"
+                        "  \"cells\": [\n"
+                        "    {\n"
+                        "      \"ok\": true,\n"
+                        "      \"types\": [\n"
+                        "        {\"type\": \"a\", \"v\": [1, -2]}\n"
+                        "      ]\n"
+                        "    }\n"
+                        "  ]\n"
+                        "}\n");
+}
+
+TEST(JsonWriter, NumbersPrintAsTheStreamDoes)
+{
+    for (double d : {0.9, 1.0 / 3.0, 1e-7, 123456789.0, 0.0}) {
+        std::ostringstream want;
+        want << d;
+        std::ostringstream os;
+        JsonWriter(os).value(d);
+        EXPECT_EQ(os.str(), want.str());
+    }
+    std::ostringstream os;
+    JsonWriter(os).fixed(0.0461237, 6);
+    EXPECT_EQ(os.str(), "0.046124");
+    std::ostringstream big;
+    JsonWriter(big).value(std::uint64_t{18446744073709551615ULL});
+    EXPECT_EQ(big.str(), "18446744073709551615");
+}
+
+TEST(JsonWriter, EscapesStrings)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginObject(JsonWriter::Layout::Inline);
+    w.field("k\"ey", std::string("tab\there\r\n\\ \x1f"));
+    w.end();
+    EXPECT_EQ(os.str(),
+              "{\"k\\\"ey\": \"tab\\there\\r\\n\\\\ \\u001f\"}\n");
 }

@@ -5,50 +5,13 @@
  * HWL+FWB backend, the software-logging reference, and the pure
  * model oracle (final images plus crash-point recovery consistency).
  *
- * Usage:
- *   snfdiff [options]
- *     --programs N        seeded programs to run (default 50)
- *     --seed N            base seed; program i uses seed base+i
- *     --jobs N            worker threads (default: hardware)
- *     --replay FILE       replay one .snfprog repro instead
- *     --corpus DIR        replay every *.snfprog in DIR (sorted)
- *     --max-crash-points N  harvested crash points per backend
- *     --reorder-samples N reorderlab: at every crash point, also
- *                         recover up to N legal completion orders of
- *                         the pending persist set and require each to
- *                         stay model-consistent (0 = prefix only)
- *     --log-shards N      run both backends with the log NVRAM
- *                         sliced across N shards and the cross-shard
- *                         commit protocol (default 1)
- *     --no-crash          final-image differential only
- *     --no-shrink         report the first failure unminimized
- *     --out FILE          failing-program repro path
- *                         (default snfdiff-failure.snfprog)
- *     --conflict-rate R   generate shared-data conflicts: each op
- *                         targets the shared region with probability
- *                         R; judged by the serializability oracle
- *     --load-rate R       per-op load probability for conflicting
- *                         programs (default 0.25)
- *     --cc 2pl|tl2|none   CC scheme for conflicting programs
- *                         (default 2pl)
- *     --inject-skip-undo  self-test: sabotage the hardware backend's
- *     --inject-skip-redo  recovery (skip a replay phase / trust bad
- *     --inject-ignore-crc CRCs) so the differential has a real bug
- *                         to catch and shrink
- *     --inject-lost-update  self-test: run conflicting programs with
- *                         CC disabled so racing transactions produce
- *                         the anomalies the serializability oracle
- *                         must catch and shrink
- *
- * Exit status 0 iff every program agreed. Every value flag also
- * accepts --flag=value.
+ * `snfdiff --help` lists every flag. Exit status 0 iff every program
+ * agreed.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <optional>
@@ -59,7 +22,8 @@
 #include "conformlab/diffrun.hh"
 #include "conformlab/proggen.hh"
 #include "conformlab/shrink.hh"
-#include "core/fault_flags.hh"
+#include "core/flags.hh"
+#include "crashlab/sweep.hh"
 #include "sim/logging.hh"
 
 using namespace snf;
@@ -67,23 +31,6 @@ using namespace snf::conformlab;
 
 namespace
 {
-
-void
-usage()
-{
-    std::printf("usage: snfdiff [--programs N] [--seed N] [--jobs N]\n"
-                "               [--replay FILE] [--corpus DIR] "
-                "[--max-crash-points N]\n"
-                "               [--reorder-samples N] "
-                "[--log-shards N]\n"
-                "               [--no-crash] [--no-shrink] "
-                "[--out FILE]\n"
-                "               [--conflict-rate R] [--load-rate R] "
-                "[--cc 2pl|tl2|none]\n"
-                "               [--inject-skip-undo] "
-                "[--inject-skip-redo] [--inject-ignore-crc]\n"
-                "               [--inject-lost-update]\n");
-}
 
 struct Failure
 {
@@ -132,93 +79,81 @@ main(int argc, char **argv)
 {
     std::size_t programs = 50;
     std::uint64_t baseSeed = 1;
-    unsigned jobs = std::max(1u, std::thread::hardware_concurrency());
-    std::optional<std::string> replayPath;
-    std::optional<std::string> corpusDir;
+    std::size_t jobs = 0;
+    std::string replayPath;
+    std::string corpusDir;
     bool shrink = true;
     std::string outPath = "snfdiff-failure.snfprog";
     DiffConfig cfg;
     ProgGenConfig gen;
 
-    std::vector<std::string> args(argv + 1, argv + argc);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        auto arg = [&](const char *flag) -> const char * {
-            std::size_t n = std::strlen(flag);
-            if (std::strncmp(args[i].c_str(), flag, n) == 0 &&
-                args[i][n] == '=')
-                return args[i].c_str() + n + 1;
-            if (args[i] != flag)
-                return nullptr;
-            if (i + 1 >= args.size())
-                fatal("%s needs a value", flag);
-            return args[++i].c_str();
-        };
-        if (const char *v = arg("--programs")) {
-            programs = static_cast<std::size_t>(std::atoll(v));
-        } else if (const char *v = arg("--seed")) {
-            baseSeed = static_cast<std::uint64_t>(std::atoll(v));
-        } else if (const char *v = arg("--jobs")) {
-            jobs = std::max(1, std::atoi(v));
-        } else if (const char *v = arg("--replay")) {
-            replayPath = v;
-        } else if (const char *v = arg("--corpus")) {
-            corpusDir = v;
-        } else if (const char *v = arg("--max-crash-points")) {
-            cfg.maxCrashPoints =
-                static_cast<std::size_t>(std::atoll(v));
-        } else if (const char *v = arg("--reorder-samples")) {
-            cfg.reorderSamples =
-                static_cast<std::size_t>(std::atoll(v));
-        } else if (const char *v = arg("--log-shards")) {
-            cfg.logShards = parseLogShardsFlag("--log-shards", v);
-        } else if (const char *v = arg("--out")) {
-            outPath = v;
-        } else if (const char *v = arg("--conflict-rate")) {
-            gen.conflictRate = std::atof(v);
-            if (gen.conflictRate < 0.0 || gen.conflictRate > 1.0)
-                fatal("--conflict-rate wants a probability");
-        } else if (const char *v = arg("--load-rate")) {
-            gen.loadRate = std::atof(v);
-            if (gen.loadRate < 0.0 || gen.loadRate > 1.0)
-                fatal("--load-rate wants a probability");
-        } else if (const char *v = arg("--cc")) {
-            cfg.ccMode = parseCcFlag("--cc", v);
-        } else if (args[i] == "--inject-lost-update") {
-            cfg.injectLostUpdate = true;
-        } else if (args[i] == "--no-crash") {
-            cfg.crashDifferential = false;
-        } else if (args[i] == "--no-shrink") {
-            shrink = false;
-        } else if (args[i] == "--inject-skip-undo") {
-            cfg.hwRecovery.faultSkipUndo = true;
-        } else if (args[i] == "--inject-skip-redo") {
-            cfg.hwRecovery.faultSkipRedo = true;
-        } else if (args[i] == "--inject-ignore-crc") {
-            cfg.hwRecovery.faultIgnoreCrc = true;
-        } else {
-            usage();
-            return args[i] == "--help" ? 0 : 2;
-        }
-    }
+    FlagSet flags("snfdiff");
+    flags.addCount("--programs N", &programs,
+                   "seeded programs to run (default 50)");
+    flags.addCount("--seed N", &baseSeed,
+                   "base seed; program i uses seed base+i (default 1)");
+    flags.addCount("--jobs N", &jobs,
+                   "worker threads; 0 = one per hardware thread (0)");
+    flags.addString("--replay FILE", &replayPath,
+                    "replay one .snfprog repro instead");
+    flags.addString("--corpus DIR", &corpusDir,
+                    "replay every *.snfprog in DIR (sorted)");
+    flags.addCount("--max-crash-points N", &cfg.maxCrashPoints,
+                   "harvested crash points per backend (default 32)");
+    flags.addCount("--reorder-samples N", &cfg.reorderSamples,
+                   "reorderlab: legal orders recovered per crash point");
+    flags.addCount("--log-shards N", &cfg.logShards,
+                   "log shards on both backends (default 1)", 1, 64);
+    flags.addSwitch("--no-crash", &cfg.crashDifferential,
+                    "final-image differential only", false);
+    flags.addSwitch("--no-shrink", &shrink,
+                    "report the first failure unminimized", false);
+    flags.addString("--out FILE", &outPath,
+                    "repro path (default snfdiff-failure.snfprog)");
+    // Conflicting programs are judged by the commit-order
+    // serializability oracle.
+    flags.addProbability("--conflict-rate R", &gen.conflictRate,
+                         "share of ops on the shared region");
+    flags.addProbability("--load-rate R", &gen.loadRate,
+                         "per-op load share of conflicting programs");
+    flags.addChoice("--cc 2pl|tl2|none", &cfg.ccMode, ccModeChoices(),
+                    "CC for conflicting programs (default 2pl)");
+    // Self-tests: give the differential a real bug to catch and
+    // shrink.
+    flags.addSwitch("--inject-skip-undo", &cfg.hwRecovery.faultSkipUndo,
+                    "hardware recovery skips the undo phase");
+    flags.addSwitch("--inject-skip-redo", &cfg.hwRecovery.faultSkipRedo,
+                    "hardware recovery skips the redo phase");
+    flags.addSwitch("--inject-ignore-crc",
+                    &cfg.hwRecovery.faultIgnoreCrc,
+                    "hardware recovery trusts bad CRCs");
+    flags.addSwitch("--inject-lost-update", &cfg.injectLostUpdate,
+                    "run conflicting programs without CC");
+    flags.parse(argc, argv);
+    jobs = crashlab::resolveJobs(jobs);
 
     // --- Replay paths: one repro file, or a whole corpus ---------
     std::vector<std::pair<std::string, Program>> fixed;
-    if (replayPath) {
+    if (flags.given("--replay")) {
         Program p;
         std::string err;
-        if (!loadProgramFile(*replayPath, &p, &err))
+        if (!loadProgramFile(replayPath, &p, &err))
             fatal("%s", err.c_str());
-        fixed.emplace_back(*replayPath, p);
+        fixed.emplace_back(replayPath, p);
     }
-    if (corpusDir) {
+    if (flags.given("--corpus")) {
         std::vector<std::string> files;
+        std::error_code ec;
         for (const auto &e :
-             std::filesystem::directory_iterator(*corpusDir))
+             std::filesystem::directory_iterator(corpusDir, ec))
             if (e.path().extension() == ".snfprog")
                 files.push_back(e.path().string());
+        if (ec)
+            fatal("--corpus %s: %s", corpusDir.c_str(),
+                  ec.message().c_str());
         std::sort(files.begin(), files.end());
         if (files.empty())
-            fatal("no .snfprog files in %s", corpusDir->c_str());
+            fatal("no .snfprog files in %s", corpusDir.c_str());
         for (const auto &f : files) {
             Program p;
             std::string err;
@@ -276,7 +211,7 @@ main(int argc, char **argv)
         }
     };
     std::vector<std::thread> pool;
-    for (unsigned t = 1; t < jobs; ++t)
+    for (std::size_t t = 1; t < jobs; ++t)
         pool.emplace_back(worker);
     worker();
     for (auto &t : pool)

@@ -6,72 +6,26 @@
  * throughput, commit-latency quantiles (p50/p99/p999), abort/retry
  * rates, and log-buffer / WCB occupancy per mode.
  *
- * Usage:
- *   snfoltp [options]
- *     --threads N        simulated cores (default 4)
- *     --tx N             transactions per thread (default 50)
- *     --seed N           workload RNG seed (default 11)
- *     --warehouses N     TPC-C warehouses (>= 1, default 2)
- *     --customers N      TPC-C customers per district (default 64)
- *     --keys N           YCSB keyspace size (>= 1, default 8192)
- *     --zipf-theta X     YCSB Zipf skew, strictly in (0,1)
- *                        (default 0.9)
- *     --log-shards N     shard the log across N regions (default 1)
- *     --oltp-seconds S   wall-clock budget per cell: after
- *                        --bench-repeats, keep re-running (and
- *                        re-checking counter identity) until S
- *                        seconds of measured time accumulate
- *     --bench-repeats N  minimum timed repeats per cell (default 1);
- *                        counters must be byte-identical across all
- *                        repeats or the run aborts
- *     --jobs N           run cells on N host threads (default 1);
- *                        counters are independent of this
- *     --bench-json FILE  write the snf-bench-oltp-v1 report
- *                        ("-" = stdout) instead of the table
- *
- * Every value flag also accepts --flag=value. All counts are strict:
- * a malformed or zero value is a hard error, never a silent default.
+ * `snfoltp --help` lists every flag; every count is strict, so a
+ * malformed or out-of-range value is a hard error, never a silent
+ * default.
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
-#include "core/fault_flags.hh"
+#include "core/flags.hh"
+#include "crashlab/sweep.hh"
 #include "oltp/bench.hh"
-#include "sim/logging.hh"
+#include "sim/json.hh"
 
 using namespace snf;
 using namespace snf::oltp;
 
 namespace
 {
-
-void
-usage()
-{
-    std::printf(
-        "usage: snfoltp [--threads N] [--tx N] [--seed N]\n"
-        "               [--warehouses N] [--customers N] [--keys N]\n"
-        "               [--zipf-theta X] [--log-shards N]\n"
-        "               [--oltp-seconds S] [--bench-repeats N]\n"
-        "               [--jobs N] [--bench-json FILE]\n");
-}
-
-double
-parsePositiveSecondsFlag(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    double s = std::strtod(value, &end);
-    if (end == value || *end != '\0')
-        fatal("%s needs a number, got '%s'", flag, value);
-    if (!(s > 0.0))
-        fatal("%s needs a positive duration, got '%s'", flag, value);
-    return s;
-}
 
 void
 printTable(const std::vector<OltpCellResult> &results)
@@ -125,70 +79,44 @@ main(int argc, char **argv)
     OltpMatrixConfig cfg;
     std::string benchJsonPath;
 
-    std::vector<std::string> args(argv + 1, argv + argc);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        auto arg = [&](const char *flag) -> const char * {
-            std::size_t n = std::strlen(flag);
-            if (std::strncmp(args[i].c_str(), flag, n) == 0 &&
-                args[i][n] == '=')
-                return args[i].c_str() + n + 1;
-            if (args[i] != flag)
-                return nullptr;
-            if (i + 1 >= args.size())
-                fatal("%s needs a value", flag);
-            return args[++i].c_str();
-        };
-        if (const char *v = arg("--threads")) {
-            cfg.threads = static_cast<std::uint32_t>(
-                parsePositiveCountFlag("--threads", v));
-        } else if (const char *v = arg("--tx")) {
-            cfg.txPerThread = parsePositiveCountFlag("--tx", v);
-        } else if (const char *v = arg("--seed")) {
-            cfg.seed = parseCountFlag("--seed", v);
-        } else if (const char *v = arg("--warehouses")) {
-            cfg.warehouses =
-                parsePositiveCountFlag("--warehouses", v);
-        } else if (const char *v = arg("--customers")) {
-            cfg.customers = parsePositiveCountFlag("--customers", v);
-        } else if (const char *v = arg("--keys")) {
-            cfg.keys = parsePositiveCountFlag("--keys", v);
-        } else if (const char *v = arg("--zipf-theta")) {
-            cfg.zipfTheta = parseOpenUnitFlag("--zipf-theta", v);
-        } else if (const char *v = arg("--log-shards")) {
-            cfg.logShards = parseLogShardsFlag("--log-shards", v);
-        } else if (const char *v = arg("--oltp-seconds")) {
-            cfg.secondsPerCell =
-                parsePositiveSecondsFlag("--oltp-seconds", v);
-        } else if (const char *v = arg("--bench-repeats")) {
-            cfg.minRepeats =
-                parsePositiveCountFlag("--bench-repeats", v);
-        } else if (const char *v = arg("--jobs")) {
-            cfg.jobs = static_cast<unsigned>(
-                parsePositiveCountFlag("--jobs", v));
-        } else if (const char *v = arg("--bench-json")) {
-            benchJsonPath = v;
-        } else {
-            usage();
-            return args[i] == "--help" ? 0 : 1;
-        }
-    }
-
-    if (cfg.threads > 64)
-        fatal("bad thread count");
+    FlagSet flags("snfoltp");
+    flags.addCount("--threads N", &cfg.threads,
+                   "simulated cores (default 4)", 1, 64);
+    flags.addCount("--tx N", &cfg.txPerThread,
+                   "transactions per thread (default 50)", 1);
+    flags.addCount("--seed N", &cfg.seed,
+                   "workload RNG seed (default 11)");
+    flags.addCount("--warehouses N", &cfg.warehouses,
+                   "TPC-C warehouses (default 2)", 1);
+    flags.addCount("--customers N", &cfg.customers,
+                   "TPC-C customers per district (default 64)", 1);
+    flags.addCount("--keys N", &cfg.keys,
+                   "YCSB keyspace size (default 8192)", 1);
+    flags.addReal("--zipf-theta X", &cfg.zipfTheta,
+                  "YCSB Zipf skew (default 0.9)", 0.0, 1.0);
+    flags.addCount("--log-shards N", &cfg.logShards,
+                   "log shards (default 1)", 1, 64);
+    // After --bench-repeats, keep re-running each cell (re-checking
+    // its counters) until S seconds of measured time accumulate.
+    flags.addReal("--oltp-seconds S", &cfg.secondsPerCell,
+                  "wall-clock budget per cell", 0.0,
+                  std::numeric_limits<double>::infinity());
+    flags.addCount("--bench-repeats N", &cfg.minRepeats,
+                   "min repeats per cell, counters identical (1)", 1);
+    flags.addCount("--jobs N", &cfg.jobs,
+                   "host threads; 0 = one per hardware thread (1)");
+    flags.addString("--bench-json FILE", &benchJsonPath,
+                    "write the snf-bench-oltp-v1 report, not the table");
+    flags.parse(argc, argv);
+    cfg.jobs = static_cast<unsigned>(crashlab::resolveJobs(cfg.jobs));
 
     std::vector<OltpCellSpec> cells = oltpReferenceCells();
     std::vector<OltpCellResult> results = runOltpMatrix(cells, cfg);
 
     if (!benchJsonPath.empty()) {
-        std::string json = oltpBenchJson(cfg, results);
-        if (benchJsonPath == "-") {
-            std::cout << json;
-        } else {
-            std::ofstream f(benchJsonPath);
-            if (!f)
-                fatal("cannot write '%s'", benchJsonPath.c_str());
-            f << json;
-        }
+        writeReport(benchJsonPath, [&](std::ostream &os) {
+            writeOltpBenchJson(os, cfg, results);
+        });
         return 0;
     }
 

@@ -2,70 +2,25 @@
  * @file
  * snfsim — command-line front end to the simulator: run any bundled
  * workload under any persistence mode and print the full statistics,
- * optionally crashing mid-run and recovering.
- *
- * Usage:
- *   snfsim [options]
- *     --workload NAME    (default sps; see --list)
- *     --mode NAME        (default fwb: non-pers, unsafe-redo,
- *                         unsafe-undo, redo-clwb, undo-clwb,
- *                         hw-rlog, hw-ulog, hwl, fwb)
- *     --threads N        (default 2)
- *     --tx N             transactions per thread (default 1000)
- *     --footprint N      elements in the initial structure (>= 1)
- *     --warehouses N     oltp-tpcc warehouse count (>= 1)
- *     --zipf-theta X     oltp-ycsb Zipf skew, strictly in (0,1)
- *     --cc 2pl|tl2|none  concurrency control for shared-data
- *                        workloads (default none; oltp-tpcc needs one)
- *     --seed N           workload RNG seed
- *     --strings          string (multi-word) values
- *     --distributed-log  per-thread log partitions
- *     --paper            paper-sized caches (default: scaled)
- *     --crash-at TICK    crash, recover, verify
- *     --log-full P       log-full policy: reclaim (default), stall,
- *                        abort-retry
- *     --log-shards N     slice the log NVRAM across N shards with
- *                        the cross-shard commit protocol (default 1)
- *     --fault-bitflip P  faultlab: live NVRAM media faults on the
- *     --fault-multibit P accepted-write path, probability per
- *     --fault-drop P     64-byte line written (single/double bit
- *     --fault-torn P     flips, dropped writes, torn lines, stuck
- *     --fault-stuck P    rows)
- *     --fault-seed N     fault-model seed (default 1)
- *     --fault-preset X   light | heavy (canned fault mixes; must
- *                        precede explicit --fault-* rates, which may
- *                        then tune but not zero its fields)
- *     --scrub            lifelab: enable bad-line remapping and the
- *                        online log scrubber (prints the scrub
- *                        traffic stats)
- *     --dump-stats       dump every component counter
- *     --list             list workloads and exit
- *     --bench-json FILE  perf-bench mode: run the reference
- *                        workload×mode matrix with the current
- *                        --threads/--tx/--seed and write a
- *                        snf-bench-sim-v1 JSON report (simulated
- *                        tx/sec, events/sec, allocations/event, plus
- *                        the deterministic counters CI gates on);
- *                        "-" writes to stdout
- *     --bench-repeats N  repeat each bench cell N times: wall-clock
- *                        is the minimum, counters must be identical
- *                        across repeats (default 1)
- *
- * Every value flag also accepts --flag=value.
+ * optionally crashing mid-run and recovering. `--bench-json FILE`
+ * ("-" = stdout) instead runs the reference workload×mode matrix at
+ * the given --threads/--tx/--seed and writes the snf-bench-sim-v1
+ * report (BENCH_sim.json); `--bench-repeats N` keeps each cell's best
+ * wall time and aborts if any counter differs between repeats.
+ * `snfsim --help` lists every flag.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/fault_flags.hh"
+#include "core/flags.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "workloads/driver.hh"
 
@@ -75,46 +30,19 @@ using namespace snf::workloads;
 namespace
 {
 
-PersistMode
-parseMode(const char *name)
+/** The deterministic counters block of a bench cell, in report
+ *  order; every repeat must reproduce all of it. */
+std::vector<std::pair<const char *, std::uint64_t>>
+benchCounters(const RunStats &s)
 {
-    for (PersistMode m : kAllModes)
-        if (std::strcmp(persistModeName(m), name) == 0)
-            return m;
-    fatal("unknown mode '%s'", name);
-}
-
-void
-usage()
-{
-    std::printf("usage: snfsim [--workload W] [--mode M] "
-                "[--threads N] [--tx N] [--footprint N]\n"
-                "              [--warehouses N] [--zipf-theta X] "
-                "[--cc 2pl|tl2|none]\n"
-                "              [--seed N] [--strings] "
-                "[--distributed-log] [--paper]\n"
-                "              [--crash-at TICK] "
-                "[--log-full reclaim|stall|abort-retry]\n"
-                "              [--log-shards N]\n"
-                "              [--fault-bitflip P] [--fault-multibit "
-                "P] [--fault-drop P]\n"
-                "              [--fault-torn P] [--fault-stuck P] "
-                "[--fault-seed N]\n"
-                "              [--fault-preset light|heavy] "
-                "[--scrub] [--dump-stats] [--list]\n"
-                "              [--bench-json FILE] "
-                "[--bench-repeats N]\n");
-}
-
-LogFullPolicy
-parseLogFullPolicy(const char *name)
-{
-    for (LogFullPolicy p : {LogFullPolicy::Reclaim,
-                            LogFullPolicy::Stall,
-                            LogFullPolicy::AbortRetry})
-        if (std::strcmp(logFullPolicyName(p), name) == 0)
-            return p;
-    fatal("unknown log-full policy '%s'", name);
+    return {{"cycles", s.cycles},
+            {"committed_tx", s.committedTx},
+            {"instructions", s.instr.total},
+            {"events_scheduled", s.eventsScheduled},
+            {"events_executed", s.eventsExecuted},
+            {"event_heap_spills", s.eventHeapSpills},
+            {"callback_heap_allocs", s.callbackHeapAllocs},
+            {"journal_entries", s.journalEntries}};
 }
 
 /**
@@ -134,30 +62,28 @@ runBenchMatrix(const RunSpec &base, bool paper, std::uint64_t repeats,
         PersistMode::NonPers};
 
     std::ostringstream out;
-    out << "{\n";
-    out << "  \"schema\": \"snf-bench-sim-v1\",\n";
-    out << "  \"tool\": \"snfsim\",\n";
-    out << "  \"threads\": " << base.params.threads << ",\n";
-    out << "  \"tx_per_thread\": " << base.params.txPerThread << ",\n";
-    out << "  \"seed\": " << base.params.seed << ",\n";
-    out << "  \"cells\": [";
-    bool firstCell = true;
+    JsonWriter json(out);
+    json.beginObject();
+    json.field("schema", "snf-bench-sim-v1");
+    json.field("tool", "snfsim");
+    json.field("threads", base.params.threads);
+    json.field("tx_per_thread", base.params.txPerThread);
+    json.field("seed", base.params.seed);
+    json.key("cells").beginArray();
     for (const char *w : kWorkloads) {
         for (PersistMode m : kModes) {
             RunSpec spec = base;
             spec.workload = w;
             spec.mode = m;
-            // Journal NVRAM writes like a crash sweep would, so the
-            // journal-entries counter is live and gateable.
+            // The preset machine with the logging flags: no media
+            // faults, no scrubber. Journal NVRAM writes like a crash
+            // sweep would, so the journal-entries counter is live and
+            // gateable.
             spec.sys = paper
                            ? SystemConfig::paper(spec.params.threads)
                            : SystemConfig::scaled(spec.params.threads);
-            spec.sys.persist.distributedLogs =
-                base.sys.persist.distributedLogs;
-            spec.sys.persist.logFullPolicy =
-                base.sys.persist.logFullPolicy;
-            spec.sys.persist.logShards = base.sys.persist.logShards;
-            spec.sys.persist.ccMode = base.sys.persist.ccMode;
+            spec.sys.persist = base.sys.persist;
+            spec.sys.persist.scrub = false;
             spec.sys.persist.crashJournal = true;
 
             RunStats s;
@@ -175,12 +101,7 @@ runBenchMatrix(const RunSpec &base, bool paper, std::uint64_t repeats,
                     bestSec = sec;
                 } else {
                     bestSec = std::min(bestSec, sec);
-                    if (o.stats.cycles != s.cycles ||
-                        o.stats.eventsScheduled != s.eventsScheduled ||
-                        o.stats.eventsExecuted != s.eventsExecuted ||
-                        o.stats.callbackHeapAllocs !=
-                            s.callbackHeapAllocs ||
-                        o.stats.journalEntries != s.journalEntries)
+                    if (benchCounters(o.stats) != benchCounters(s))
                         fatal("bench cell %s/%s not deterministic "
                               "across repeats",
                               w, persistModeName(m));
@@ -195,59 +116,33 @@ runBenchMatrix(const RunSpec &base, bool paper, std::uint64_t repeats,
                     ? 0.0
                     : static_cast<double>(s.callbackHeapAllocs) /
                           static_cast<double>(s.eventsScheduled);
-            out << (firstCell ? "\n" : ",\n");
-            firstCell = false;
-            out << "    {\n";
-            out << "      \"workload\": \"" << w << "\",\n";
-            out << "      \"mode\": \"" << persistModeName(m)
-                << "\",\n";
-            out << "      \"counters\": {\n";
-            out << "        \"cycles\": " << s.cycles << ",\n";
-            out << "        \"committed_tx\": " << s.committedTx
-                << ",\n";
-            out << "        \"instructions\": " << s.instr.total
-                << ",\n";
-            out << "        \"events_scheduled\": "
-                << s.eventsScheduled << ",\n";
-            out << "        \"events_executed\": " << s.eventsExecuted
-                << ",\n";
-            out << "        \"event_heap_spills\": "
-                << s.eventHeapSpills << ",\n";
-            out << "        \"callback_heap_allocs\": "
-                << s.callbackHeapAllocs << ",\n";
-            out << "        \"journal_entries\": " << s.journalEntries
-                << "\n";
-            out << "      },\n";
-            out << "      \"perf\": {\n";
-            out << "        \"wall_sec\": " << bestSec << ",\n";
-            out << "        \"sim_tx_per_sec\": "
-                << (bestSec > 0.0
-                        ? static_cast<double>(s.committedTx) / bestSec
-                        : 0.0)
-                << ",\n";
-            out << "        \"events_per_sec\": "
-                << (bestSec > 0.0
-                        ? static_cast<double>(s.eventsExecuted) /
-                              bestSec
-                        : 0.0)
-                << ",\n";
-            out << "        \"allocs_per_event\": " << allocsPerEvent
-                << "\n";
-            out << "      }\n";
-            out << "    }";
+            json.beginObject();
+            json.field("workload", w);
+            json.field("mode", persistModeName(m));
+            json.key("counters").beginObject();
+            for (const auto &[name, value] : benchCounters(s))
+                json.field(name, value);
+            json.end();
+            json.key("perf").beginObject();
+            json.field("wall_sec", bestSec);
+            json.field("sim_tx_per_sec",
+                       bestSec > 0.0
+                           ? static_cast<double>(s.committedTx) / bestSec
+                           : 0.0);
+            json.field("events_per_sec",
+                       bestSec > 0.0
+                           ? static_cast<double>(s.eventsExecuted) /
+                                 bestSec
+                           : 0.0);
+            json.field("allocs_per_event", allocsPerEvent);
+            json.end();
+            json.end();
         }
     }
-    out << "\n  ]\n";
-    out << "}\n";
+    json.end();
+    json.end();
 
-    if (path == "-") {
-        std::cout << out.str();
-    } else {
-        std::ofstream f(path);
-        if (!f)
-            fatal("cannot write '%s'", path.c_str());
-        f << out.str();
-    }
+    writeReport(path, [&out](std::ostream &os) { os << out.str(); });
     return 0;
 }
 
@@ -263,139 +158,107 @@ main(int argc, char **argv)
     spec.params.txPerThread = 1000;
     bool dump = false;
     bool paper = false;
-    std::uint32_t threads = 2;
-    std::optional<Tick> crash_at;
-    bool distributed = false;
+    bool list = false;
+    Tick crashAt = 0;
+    PersistConfig persist; // the presets leave it at its defaults
     FaultModelConfig faults;
     faults.seed = 1;
-    LogFullPolicy logFull = LogFullPolicy::Reclaim;
-    std::uint32_t logShards = 1;
-    CcMode cc = CcMode::None;
-    bool scrub = false;
     std::string benchJsonPath;
     std::uint64_t benchRepeats = 1;
 
-    // The live-fault flag family shares its ordering rules (and the
-    // contradiction diagnostics) with snfcrash/snfsoak.
-    FaultFlagSet faultFlags;
-    faultFlags.addRate("--fault-bitflip", &faults.bitFlipProb);
-    faultFlags.addRate("--fault-multibit", &faults.multiBitProb);
-    faultFlags.addRate("--fault-drop", &faults.dropWriteProb);
-    faultFlags.addRate("--fault-torn", &faults.tornLineProb);
-    faultFlags.addRate("--fault-stuck", &faults.stuckRowProb);
-    faultFlags.addSeed("--fault-seed", &faults.seed);
-    faultFlags.setPresetFlag("--fault-preset");
-    faultFlags.addPreset("light", {{&faults.bitFlipProb, 1e-4}});
-    faultFlags.addPreset("heavy", {{&faults.bitFlipProb, 1e-3},
-                                   {&faults.multiBitProb, 2e-4},
-                                   {&faults.dropWriteProb, 2e-4},
-                                   {&faults.tornLineProb, 2e-4}});
+    FlagSet flags("snfsim");
+    flags.addChoice("--workload NAME", &spec.workload,
+                    nameChoices(allWorkloadNames()),
+                    "workload (default sps)");
+    flags.addChoice("--mode M", &spec.mode, persistModeChoices(),
+                    "persistence mode (default fwb)");
+    flags.addCount("--threads N", &spec.params.threads,
+                   "workload threads (default 2)", 1, 64);
+    flags.addCount("--tx N", &spec.params.txPerThread,
+                   "transactions per thread (default 1000)", 1);
+    flags.addCount("--footprint N", &spec.params.footprint,
+                   "elements in the initial structure", 1);
+    flags.addCount("--warehouses N", &spec.params.warehouses,
+                   "oltp-tpcc warehouse count", 1);
+    flags.addReal("--zipf-theta X", &spec.params.zipfTheta,
+                  "oltp-ycsb Zipf skew", 0.0, 1.0);
+    flags.addChoice("--cc 2pl|tl2|none", &persist.ccMode, ccModeChoices(),
+                    "concurrency control (oltp-tpcc needs one)");
+    flags.addCount("--seed N", &spec.params.seed, "workload RNG seed");
+    flags.addSwitch("--strings", &spec.params.stringValues,
+                    "string (multi-word) values");
+    flags.addSwitch("--distributed-log", &persist.distributedLogs,
+                    "per-thread log partitions");
+    flags.addSwitch("--paper", &paper, "paper-sized caches and log");
+    flags.addCount("--crash-at TICK", &crashAt,
+                   "crash at TICK, recover and verify");
+    flags.addChoice("--log-full P", &persist.logFullPolicy,
+                    logFullPolicyChoices(),
+                    "log-full policy (default reclaim)");
+    flags.addCount("--log-shards N", &persist.logShards,
+                   "log shards, cross-shard commit (default 1)", 1, 64);
+    // faultlab: live media faults on the accepted-write path, each a
+    // probability per 64-byte line written.
+    flags.addRate("--fault-bitflip P", &faults.bitFlipProb,
+                  "single-bit flips per line written");
+    flags.addRate("--fault-multibit P", &faults.multiBitProb,
+                  "double-bit flips per line written");
+    flags.addRate("--fault-drop P", &faults.dropWriteProb,
+                  "dropped writes per line written");
+    flags.addRate("--fault-torn P", &faults.tornLineProb,
+                  "torn lines per line written");
+    flags.addRate("--fault-stuck P", &faults.stuckRowProb,
+                  "stuck rows per line written");
+    flags.addCount("--fault-seed N", &faults.seed,
+                   "fault-model seed (default 1)");
+    FaultModelConfig light = FaultModelConfig::light(0);
+    FaultModelConfig heavy = FaultModelConfig::heavy(0);
+    flags.addPresetFlag("--fault-preset light|heavy",
+                        {{"light", {{&faults.bitFlipProb, light.bitFlipProb}}},
+                         {"heavy",
+                          {{&faults.bitFlipProb, heavy.bitFlipProb},
+                           {&faults.multiBitProb, heavy.multiBitProb},
+                           {&faults.dropWriteProb, heavy.dropWriteProb},
+                           {&faults.tornLineProb, heavy.tornLineProb}}}},
+                        "canned mix, before any --fault-* rate");
+    flags.addSwitch("--scrub", &persist.scrub,
+                    "lifelab: line remapping and the log scrubber");
+    flags.addSwitch("--dump-stats", &dump,
+                    "dump every component counter");
+    flags.addSwitch("--list", &list, "list workloads and exit");
+    flags.addString("--bench-json FILE", &benchJsonPath,
+                    "write the workload x mode bench matrix report");
+    flags.addCount("--bench-repeats N", &benchRepeats,
+                   "bench repeats per cell (default 1)", 1);
+    flags.parse(argc, argv);
 
-    std::vector<std::string> args(argv + 1, argv + argc);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::string err;
-        switch (faultFlags.consume(args, i, &err)) {
-          case FlagParse::Ok:
-            continue;
-          case FlagParse::Error:
-            fatal("%s", err.c_str());
-          case FlagParse::NotMine:
-            break;
-        }
-        auto arg = [&](const char *flag) -> const char * {
-            std::size_t n = std::strlen(flag);
-            if (std::strncmp(args[i].c_str(), flag, n) == 0 &&
-                args[i][n] == '=')
-                return args[i].c_str() + n + 1;
-            if (args[i] != flag)
-                return nullptr;
-            if (i + 1 >= args.size())
-                fatal("%s needs a value", flag);
-            return args[++i].c_str();
-        };
-        if (const char *v = arg("--workload")) {
-            spec.workload = v;
-        } else if (const char *v = arg("--mode")) {
-            spec.mode = parseMode(v);
-        } else if (const char *v = arg("--threads")) {
-            threads = static_cast<std::uint32_t>(
-                parsePositiveCountFlag("--threads", v));
-        } else if (const char *v = arg("--tx")) {
-            spec.params.txPerThread = parseCountFlag("--tx", v);
-        } else if (const char *v = arg("--footprint")) {
-            // Strictly positive: a 0 (e.g. from a typo'd value) used
-            // to fall through to each workload's built-in default,
-            // silently ignoring what the user asked for.
-            spec.params.footprint =
-                parsePositiveCountFlag("--footprint", v);
-        } else if (const char *v = arg("--warehouses")) {
-            spec.params.warehouses =
-                parsePositiveCountFlag("--warehouses", v);
-        } else if (const char *v = arg("--zipf-theta")) {
-            spec.params.zipfTheta =
-                parseOpenUnitFlag("--zipf-theta", v);
-        } else if (const char *v = arg("--cc")) {
-            cc = parseCcFlag("--cc", v);
-        } else if (const char *v = arg("--seed")) {
-            spec.params.seed = parseCountFlag("--seed", v);
-        } else if (const char *v = arg("--crash-at")) {
-            crash_at = static_cast<Tick>(
-                parseCountFlag("--crash-at", v));
-        } else if (const char *v = arg("--bench-json")) {
-            benchJsonPath = v;
-        } else if (const char *v = arg("--bench-repeats")) {
-            benchRepeats = parsePositiveCountFlag("--bench-repeats", v);
-        } else if (const char *v = arg("--log-full")) {
-            logFull = parseLogFullPolicy(v);
-        } else if (const char *v = arg("--log-shards")) {
-            logShards = parseLogShardsFlag("--log-shards", v);
-        } else if (args[i] == "--strings") {
-            spec.params.stringValues = true;
-        } else if (args[i] == "--distributed-log") {
-            distributed = true;
-        } else if (args[i] == "--paper") {
-            paper = true;
-        } else if (args[i] == "--scrub") {
-            scrub = true;
-        } else if (args[i] == "--dump-stats") {
-            dump = true;
-        } else if (args[i] == "--list") {
-            for (const auto &w : allWorkloadNames())
-                std::printf("%s\n", w.c_str());
-            return 0;
-        } else {
-            usage();
-            return args[i] == "--help" ? 0 : 1;
-        }
+    if (list) {
+        for (const auto &w : allWorkloadNames())
+            std::printf("%s\n", w.c_str());
+        return 0;
     }
 
-    if (threads == 0 || threads > 64)
-        fatal("bad thread count");
-    spec.params.threads = threads;
-    spec.sys = paper ? SystemConfig::paper(threads)
-                     : SystemConfig::scaled(threads);
-    spec.sys.persist.distributedLogs = distributed;
-    spec.sys.persist.logFullPolicy = logFull;
-    spec.sys.persist.logShards = logShards;
-    spec.sys.persist.ccMode = cc;
+    spec.sys = paper ? SystemConfig::paper(spec.params.threads)
+                     : SystemConfig::scaled(spec.params.threads);
+    spec.sys.persist = persist;
     spec.sys.nvram.faults = faults;
-    if (scrub) {
-        spec.sys.persist.scrub = true;
-        if (spec.sys.map.remapSize == 0) {
-            spec.sys.map.remapSize = 16 * 1024;
-            spec.sys.map.spareSize = 32 * 1024;
-        }
+    if (persist.scrub && spec.sys.map.remapSize == 0) {
+        spec.sys.map.remapSize = 16 * 1024;
+        spec.sys.map.spareSize = 32 * 1024;
     }
-    if (crash_at) {
+    if (flags.given("--crash-at")) {
         spec.sys.persist.crashJournal = true;
-        spec.crashAt = crash_at;
+        spec.crashAt = crashAt;
     }
 
     if (!benchJsonPath.empty())
         return runBenchMatrix(spec, paper, benchRepeats,
                               benchJsonPath);
 
-    auto o = runWorkload(spec);
+    // The dump is taken from this very run when the simulation stops
+    // and printed after the report.
+    std::ostringstream statsDump;
+    auto o = runWorkload(spec, dump ? &statsDump : nullptr);
     const RunStats &s = o.stats;
     std::printf("workload=%s mode=%s threads=%u tx/thread=%llu%s\n",
                 spec.workload.c_str(), persistModeName(spec.mode),
@@ -446,12 +309,12 @@ main(int argc, char **argv)
                         s.forcedWritebacks),
                     static_cast<unsigned long long>(
                         s.logFullEscalations),
-                    logFullPolicyName(logFull));
+                    logFullPolicyName(persist.logFullPolicy));
     if (s.faultsInjected != 0)
         std::printf("  media faults    %llu injected (seed %llu)\n",
                     static_cast<unsigned long long>(s.faultsInjected),
                     static_cast<unsigned long long>(faults.seed));
-    if (scrub) {
+    if (persist.scrub) {
         std::uint64_t traffic = s.nvramReadBytes + s.nvramWriteBytes;
         double overhead =
             traffic == 0
@@ -514,19 +377,8 @@ main(int argc, char **argv)
                 o.verifyMessage.c_str());
 
     if (dump) {
-        // Re-run the same spec with a live System so every component
-        // counter can be dumped (the driver tears its System down).
-        System sys(spec.sys, spec.mode);
-        auto wl = makeWorkload(spec.workload);
-        wl->setup(sys, spec.params);
-        for (CoreId c = 0; c < spec.params.threads; ++c) {
-            sys.spawn(c, [&](Thread &t) {
-                return wl->thread(sys, t, spec.params);
-            });
-        }
-        sys.run(spec.crashAt ? *spec.crashAt : kTickNever);
         std::printf("\n(component statistics)\n");
-        sys.dumpStats(std::cout);
+        std::cout << statsDump.str();
     }
     return o.verified ? 0 : 1;
 }

@@ -9,95 +9,24 @@
  * re-entrancy, recovered-durability (I9), remap-table validity and
  * superblock continuity.
  *
- * Usage:
- *   snfsoak [options]
- *     --workload W         (default sps; must be resumable)
- *     --mode M             persistence mode (default fwb)
- *     --threads N          workload threads (default 2)
- *     --tx N               transactions per thread per generation
- *                          (default 300)
- *     --footprint N        elements in the initial structure
- *     --seed N             base seed (workload + crash choice)
- *     --generations N      generations to run (default 5)
- *     --jobs N             worker threads for the re-entrancy budget
- *                          probes; 0 or omitted = one per hardware
- *                          thread (resolved count in the header)
- *     --log-shards N       slice the log NVRAM across N shards with
- *                          the cross-shard commit protocol (default
- *                          1 = classic single-region layout)
- *     --bench-json FILE    write the perf trajectory (phase timings
- *                          + snapshot-engine counters, same schema
- *                          as snfcrash) to FILE ("-" = stdout)
- *     --fault-bitflip P    faultlab image damage per generation
- *     --fault-multibit P   (per-slot probabilities; the resulting
- *     --fault-drop-slot P  bad lines persist across generations via
- *     --fault-torn-slot P  the remap table)
- *     --fault-seed N       seed of the deterministic damage
- *     --fault-preset X     light | heavy canned damage mixes (must
- *                          precede explicit --fault-* rates, which
- *                          may tune but not zero its fields)
- *     --sabotage-remap G   WILL_FAIL self-test: corrupt both remap
- *                          banks at generation G; the soak must
- *                          detect it and exit nonzero
- *     --no-reentrancy      skip the interrupted-recovery check
- *     --reentrancy-budgets N  interior write budgets probed (def. 4)
- *     --no-scrub           disable the online log scrubber
- *     --list               list workloads and modes, then exit
- *
- * Every value flag also accepts --flag=value. Exit status: 0 when
- * every generation passed every invariant, 1 otherwise (CI gates on
- * it).
+ * `snfsoak --help` lists every flag. Exit status: 0 when every
+ * generation passed every invariant, 1 otherwise (CI gates on it).
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "core/fault_flags.hh"
+#include "core/flags.hh"
 #include "crashlab/lifecycle.hh"
 #include "crashlab/report.hh"
-#include "sim/logging.hh"
+#include "sim/json.hh"
 #include "workloads/driver.hh"
 
 using namespace snf;
 using namespace snf::crashlab;
 using namespace snf::workloads;
-
-namespace
-{
-
-PersistMode
-parseMode(const char *name)
-{
-    for (PersistMode m : kAllModes)
-        if (std::strcmp(persistModeName(m), name) == 0)
-            return m;
-    fatal("unknown mode '%s'", name);
-}
-
-void
-usage()
-{
-    std::printf(
-        "usage: snfsoak [--workload W] [--mode M] [--threads N] "
-        "[--tx N]\n"
-        "               [--footprint N] [--seed N] [--generations N]\n"
-        "               [--jobs N] [--log-shards N] "
-        "[--bench-json FILE]\n"
-        "               [--fault-bitflip P] [--fault-multibit P]\n"
-        "               [--fault-drop-slot P] [--fault-torn-slot P] "
-        "[--fault-seed N]\n"
-        "               [--fault-preset light|heavy] "
-        "[--sabotage-remap G]\n"
-        "               [--no-reentrancy] [--reentrancy-budgets N] "
-        "[--no-scrub] [--list]\n");
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -107,115 +36,62 @@ main(int argc, char **argv)
     cfg.run.mode = PersistMode::Fwb;
     cfg.run.params.threads = 2;
     cfg.run.params.txPerThread = 300;
-    std::uint32_t threads = 2;
-    std::uint32_t logShards = 1;
-    bool scrub = true;
+    PersistConfig persist; // the presets leave it at its defaults
+    persist.scrub = true;
+    bool list = false;
     std::string benchJsonPath;
 
-    // The image-damage flag family shares its ordering rules (and the
-    // contradiction diagnostics) with snfsim/snfcrash.
-    FaultFlagSet faultFlags;
-    faultFlags.addRate("--fault-bitflip", &cfg.imageFaults.bitFlipProb);
-    faultFlags.addRate("--fault-multibit",
-                       &cfg.imageFaults.multiBitProb);
-    faultFlags.addRate("--fault-drop-slot",
-                       &cfg.imageFaults.dropSlotProb);
-    faultFlags.addRate("--fault-torn-slot",
-                       &cfg.imageFaults.tornSlotProb);
-    faultFlags.addSeed("--fault-seed", &cfg.imageFaults.seed);
-    faultFlags.setPresetFlag("--fault-preset");
-    faultFlags.addPreset("light",
-                         {{&cfg.imageFaults.bitFlipProb, 5e-3}});
-    faultFlags.addPreset("heavy",
-                         {{&cfg.imageFaults.bitFlipProb, 2e-2},
-                          {&cfg.imageFaults.multiBitProb, 5e-3},
-                          {&cfg.imageFaults.dropSlotProb, 5e-3},
-                          {&cfg.imageFaults.tornSlotProb, 5e-3}});
+    FlagSet flags("snfsoak");
+    flags.addChoice("--workload W", &cfg.run.workload,
+                    nameChoices(allWorkloadNames()),
+                    "resumable workload (default sps)");
+    flags.addChoice("--mode M", &cfg.run.mode, persistModeChoices(),
+                    "persistence mode (default fwb)");
+    flags.addCount("--threads N", &cfg.run.params.threads,
+                   "workload threads (default 2)", 1, 64);
+    flags.addCount("--tx N", &cfg.run.params.txPerThread,
+                   "transactions per thread per generation (300)", 1);
+    flags.addCount("--footprint N", &cfg.run.params.footprint,
+                   "elements in the initial structure", 1);
+    flags.addCount("--seed N", &cfg.seed,
+                   "base seed of the workload and the crash choice");
+    flags.addCount("--generations N", &cfg.generations,
+                   "generations to run (default 5)", 1);
+    flags.addCount("--jobs N", &cfg.jobs,
+                   "re-entrancy probe workers; 0 = one per hw thread");
+    flags.addCount("--log-shards N", &persist.logShards,
+                   "log shards, cross-shard commit (default 1)", 1, 64);
+    flags.addString("--bench-json FILE", &benchJsonPath,
+                    "write the perf trajectory (snfcrash's schema)");
+    // Image damage per generation; damaged lines persist across
+    // generations through the remap table.
+    addImageFaultFlags(flags, &cfg.imageFaults);
+    flags.addCount("--sabotage-remap G", &cfg.sabotageGeneration,
+                   "self-test: corrupt both remap banks at gen G");
+    flags.addSwitch("--no-reentrancy", &cfg.checkReentrancy,
+                    "skip the interrupted-recovery check", false);
+    flags.addCount("--reentrancy-budgets N", &cfg.reentrancyBudgets,
+                   "interior write budgets probed (default 4)");
+    flags.addSwitch("--no-scrub", &persist.scrub,
+                    "disable the online log scrubber", false);
+    flags.addSwitch("--list", &list, "list workloads and modes, exit");
+    flags.parse(argc, argv);
 
-    std::vector<std::string> args(argv + 1, argv + argc);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::string err;
-        switch (faultFlags.consume(args, i, &err)) {
-          case FlagParse::Ok:
-            continue;
-          case FlagParse::Error:
-            fatal("%s", err.c_str());
-          case FlagParse::NotMine:
-            break;
-        }
-        auto arg = [&](const char *flag) -> const char * {
-            std::size_t n = std::strlen(flag);
-            if (std::strncmp(args[i].c_str(), flag, n) == 0 &&
-                args[i][n] == '=')
-                return args[i].c_str() + n + 1;
-            if (args[i] != flag)
-                return nullptr;
-            if (i + 1 >= args.size())
-                fatal("%s needs a value", flag);
-            return args[++i].c_str();
-        };
-        if (const char *v = arg("--workload")) {
-            cfg.run.workload = v;
-        } else if (const char *v = arg("--mode")) {
-            cfg.run.mode = parseMode(v);
-        } else if (const char *v = arg("--jobs")) {
-            cfg.jobs =
-                static_cast<std::size_t>(parseCountFlag("--jobs", v));
-        } else if (const char *v = arg("--log-shards")) {
-            logShards = parseLogShardsFlag("--log-shards", v);
-        } else if (const char *v = arg("--bench-json")) {
-            benchJsonPath = v;
-        } else if (const char *v = arg("--threads")) {
-            threads = static_cast<std::uint32_t>(std::atoi(v));
-        } else if (const char *v = arg("--tx")) {
-            cfg.run.params.txPerThread =
-                std::strtoull(v, nullptr, 0);
-        } else if (const char *v = arg("--footprint")) {
-            // Strict and positive (see snfsim): a typo'd value used
-            // to silently become the workload's default size.
-            cfg.run.params.footprint =
-                parsePositiveCountFlag("--footprint", v);
-        } else if (const char *v = arg("--seed")) {
-            cfg.run.params.seed = std::strtoull(v, nullptr, 0);
-            cfg.seed = cfg.run.params.seed;
-        } else if (const char *v = arg("--generations")) {
-            cfg.generations =
-                static_cast<std::uint32_t>(std::atoi(v));
-        } else if (const char *v = arg("--sabotage-remap")) {
-            cfg.sabotageGeneration =
-                static_cast<std::uint32_t>(std::atoi(v));
-        } else if (const char *v = arg("--reentrancy-budgets")) {
-            cfg.reentrancyBudgets = std::strtoull(v, nullptr, 0);
-        } else if (args[i] == "--no-reentrancy") {
-            cfg.checkReentrancy = false;
-        } else if (args[i] == "--no-scrub") {
-            scrub = false;
-        } else if (args[i] == "--list") {
-            std::printf("workloads:");
-            for (const auto &w : allWorkloadNames())
-                std::printf(" %s", w.c_str());
-            std::printf("\nmodes:");
-            for (PersistMode m : kAllModes)
-                std::printf(" %s", persistModeName(m));
-            std::printf("\n");
-            return 0;
-        } else if (args[i] == "--help") {
-            usage();
-            return 0;
-        } else {
-            usage();
-            fatal("unknown argument '%s'", args[i].c_str());
-        }
+    if (list) {
+        std::printf("workloads:");
+        for (const auto &w : allWorkloadNames())
+            std::printf(" %s", w.c_str());
+        std::printf("\nmodes:");
+        for (PersistMode m : kAllModes)
+            std::printf(" %s", persistModeName(m));
+        std::printf("\n");
+        return 0;
     }
 
-    if (threads == 0 || threads > 64)
-        fatal("bad thread count");
-    if (cfg.generations == 0)
-        fatal("need at least one generation");
-    cfg.run.params.threads = threads;
+    std::uint32_t threads = cfg.run.params.threads;
+    cfg.run.params.seed = cfg.seed;
     cfg.run.sys = SystemConfig::scaled(threads);
-    cfg.run.sys.persist.scrub = scrub;
-    cfg.run.sys.persist.logShards = logShards;
+    cfg.run.sys.persist = persist;
 
     std::printf("snfsoak: workload=%s mode=%s threads=%u tx/gen=%llu "
                 "generations=%u jobs=%zu%s%s%s\n",
@@ -268,14 +144,9 @@ main(int argc, char **argv)
         std::vector<CellResult> cells;
         cells.push_back(std::move(cell));
         writePerfSummary(std::cout, cells.front());
-        if (benchJsonPath == "-") {
-            writeBenchJson(std::cout, "snfsoak", cells);
-        } else {
-            std::ofstream f(benchJsonPath);
-            if (!f)
-                fatal("cannot write '%s'", benchJsonPath.c_str());
-            writeBenchJson(f, "snfsoak", cells);
-        }
+        writeReport(benchJsonPath, [&cells](std::ostream &os) {
+            writeBenchJson(os, "snfsoak", cells);
+        });
     }
 
     std::printf("snfsoak: %zu generation(s), %llu violation(s)%s\n",
