@@ -11,72 +11,76 @@ BusMonitor::BusMonitor()
 {
 }
 
-void
+BusMonitor::Record
 BusMonitor::onLogAppend(Addr dataLine, Tick tick)
 {
-    pending[dataLine].push_back(PendingLog{tick, kTickNever});
+    Record r = freeList;
+    if (r != kNil) {
+        freeList = records[r].next;
+        records[r] = PendingLog{tick, kTickNever, kNil};
+    } else {
+        r = static_cast<Record>(records.size());
+        records.push_back(PendingLog{tick, kTickNever, kNil});
+    }
+    Line &l = lines[dataLine];
+    if (l.tail == kNil)
+        l.head = r;
+    else
+        records[l.tail].next = r;
+    l.tail = r;
+    return r;
 }
 
 void
-BusMonitor::onLogDrain(Addr dataLine, Tick appendTick, Tick drainTick)
+BusMonitor::onLogDrain(Record rec, Tick drainTick)
 {
-    auto it = pending.find(dataLine);
-    if (it == pending.end())
-        return;
-    for (auto &p : it->second) {
-        if (p.append == appendTick && p.drain == kTickNever) {
-            p.drain = drainTick;
-            return;
-        }
-    }
+    records[rec].drain = drainTick;
 }
 
 Tick
 BusMonitor::lastWritebackOf(Addr dataLine) const
 {
-    auto it = lastWb.find(dataLine);
-    return it == lastWb.end() ? 0 : it->second;
+    const Line *l = lines.find(dataLine);
+    return l ? l->lastWb : 0;
 }
 
 void
 BusMonitor::onDataWriteback(Addr dataLine, Tick startTick, Tick doneTick)
 {
-    lastWb[dataLine] = doneTick;
+    Line &l = lines[dataLine];
+    l.lastWb = doneTick;
     if (probe)
         probe(sim::ProbeEvent::DataWriteback, doneTick, dataLine);
-    auto it = pending.find(dataLine);
-    if (it == pending.end())
+    if (l.head == kNil)
         return;
     checkedWritebacks.inc();
-    auto &dq = it->second;
-    for (auto p = dq.begin(); p != dq.end();) {
+    Record prev = kNil;
+    for (Record r = l.head; r != kNil;) {
+        PendingLog &p = records[r];
+        Record next = p.next;
         // Records appended before this write-back started must have
         // drained by the time the data reaches NVRAM.
-        if (p->append <= startTick &&
-            (p->drain == kTickNever || p->drain > doneTick)) {
+        if (p.append <= startTick &&
+            (p.drain == kTickNever || p.drain > doneTick)) {
             orderViol.inc();
         }
-        if (p->drain != kTickNever && p->drain <= doneTick)
-            p = dq.erase(p);
-        else
-            ++p;
+        if (p.drain != kTickNever && p.drain <= doneTick) {
+            (prev == kNil ? l.head : records[prev].next) = next;
+            if (l.tail == r)
+                l.tail = prev;
+            p.next = freeList;
+            freeList = r;
+        } else {
+            prev = r;
+        }
+        r = next;
     }
-    if (dq.empty())
-        pending.erase(it);
 }
 
 void
 BusMonitor::onLogOverwriteHazard()
 {
     overwrite.inc();
-}
-
-void
-BusMonitor::reset()
-{
-    pending.clear();
-    lastWb.clear();
-    statGroup.resetAll();
 }
 
 } // namespace snf::mem

@@ -10,9 +10,10 @@
 #ifndef SNF_MEM_BUS_MONITOR_HH
 #define SNF_MEM_BUS_MONITOR_HH
 
-#include <deque>
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
+#include "sim/line_table.hh"
 #include "sim/probe.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -29,13 +30,20 @@ namespace snf::mem
 class BusMonitor
 {
   public:
+    /**
+     * Names one pending log record, from its append until the
+     * write-back that drops it after its drain. The log buffer keeps
+     * the handles of its open group's records and drains by them.
+     */
+    using Record = std::uint32_t;
+
     BusMonitor();
 
     /** A log record covering @p dataLine was appended at @p tick. */
-    void onLogAppend(Addr dataLine, Tick tick);
+    Record onLogAppend(Addr dataLine, Tick tick);
 
-    /** That record's NVRAM write completes at @p drainTick. */
-    void onLogDrain(Addr dataLine, Tick appendTick, Tick drainTick);
+    /** Record @p rec's NVRAM write completes at @p drainTick. */
+    void onLogDrain(Record rec, Tick drainTick);
 
     /** A dirty data line was written back to NVRAM. */
     void onDataWriteback(Addr dataLine, Tick startTick, Tick doneTick);
@@ -48,8 +56,6 @@ class BusMonitor
      * @p dataLine; 0 if it was never written back.
      */
     Tick lastWritebackOf(Addr dataLine) const;
-
-    void reset();
 
     /**
      * Crash-tooling probe: emits DataWriteback at every NVRAM
@@ -64,18 +70,33 @@ class BusMonitor
     std::uint64_t overwriteHazards() const { return overwrite.value(); }
 
   private:
+    static constexpr Record kNil = ~Record{0};
+
+    /** One pending log record: a node of its line's list. */
     struct PendingLog
     {
         Tick append;
         Tick drain;
+        Record next; ///< next record of the line, append order
+    };
+
+    /** Per-line state: last write-back and pending-record list. */
+    struct Line
+    {
+        Tick lastWb = 0;
+        Record head = kNil;
+        Record tail = kNil;
     };
 
     sim::StatGroup statGroup;
     sim::Counter &orderViol;
     sim::Counter &overwrite;
     sim::Counter &checkedWritebacks;
-    std::unordered_map<Addr, std::deque<PendingLog>> pending;
-    std::unordered_map<Addr, Tick> lastWb;
+    sim::LineTable<Line> lines;
+    /** Node pool of every line's pending records; freed nodes are
+     *  chained through `next` from freeList. */
+    std::vector<PendingLog> records;
+    Record freeList = kNil;
     sim::ProbeFn probe;
 };
 

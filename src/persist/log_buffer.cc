@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "mem/bus_monitor.hh"
 #include "mem/mem_device.hh"
 #include "sim/logging.hh"
 
@@ -66,8 +65,8 @@ LogBuffer::flushGroup(Tick now)
     groupsDrained.inc();
     bytesDrained.inc(open.bytes.size());
     if (monitor) {
-        for (auto &[dataLine, appendTick] : open.covered)
-            monitor->onLogDrain(dataLine, appendTick, done);
+        for (mem::BusMonitor::Record r : open.covered)
+            monitor->onLogDrain(r, done);
     }
     if (probe) {
         probe(sim::ProbeEvent::LogDrain, done, open.records);
@@ -120,10 +119,8 @@ LogBuffer::append(const LogRecord &rec, Tick now)
     // Commit and prepare records guard no data line; feeding their
     // zero address to the bus monitor would poison its coverage map.
     Addr data_line = rec.addr & ~static_cast<Addr>(lineBytes - 1);
-    if (monitor && !rec.isCommit && !rec.isPrepare) {
-        monitor->onLogAppend(data_line, now);
-        open.covered.emplace_back(data_line, now);
-    }
+    if (monitor && !rec.isCommit && !rec.isPrepare)
+        open.covered.push_back(monitor->onLogAppend(data_line, now));
     if (rec.isCommit)
         open.commits.push_back(rec.tx);
 

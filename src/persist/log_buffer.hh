@@ -17,6 +17,7 @@
 #include <deque>
 #include <vector>
 
+#include "mem/bus_monitor.hh"
 #include "persist/log_record.hh"
 #include "persist/log_region.hh"
 #include "sim/probe.hh"
@@ -26,7 +27,6 @@
 namespace snf::mem
 {
 class MemDevice;
-class BusMonitor;
 } // namespace snf::mem
 
 namespace snf::persist
@@ -81,8 +81,8 @@ class LogBuffer
         Addr lineAddr; ///< NVRAM line the group's slots fall in
         Addr base;     ///< first byte address of the group
         std::vector<std::uint8_t> bytes;
-        /** Data lines covered, for bus-monitor bookkeeping. */
-        std::vector<std::pair<Addr, Tick>> covered;
+        /** Bus-monitor handles of the group's update records. */
+        std::vector<mem::BusMonitor::Record> covered;
         /** Commit records in the group (txids), for the probe. */
         std::vector<TxId> commits;
         std::uint32_t records = 0;

@@ -20,6 +20,7 @@ LogRegion::LogRegion(Addr base, std::uint64_t size,
       logFullStalls(statGroup.counter("logfull_stalls")),
       logFullStallCycles(statGroup.counter("logfull_stall_cycles")),
       forcedWritebacks(statGroup.counter("forced_writebacks")),
+      reclaimWaitCycles(statGroup.counter("reclaim_wait_cycles")),
       regionBase(base),
       regionSize(size),
       nvram(dev),
@@ -146,8 +147,11 @@ LogRegion::reserve(const LogRecord &rec, Tick now)
                 // truncation rule. Only when no write-back path is
                 // wired does the overwrite become a counted hazard.
                 if (forceWriteback) {
-                    ready = std::max(ready,
-                                     forceWriteback(m.addr, ready));
+                    Tick acked = forceWriteback(m.addr, ready);
+                    if (acked > ready) {
+                        reclaimWaitCycles.inc(acked - ready);
+                        ready = acked;
+                    }
                     forcedWritebacks.inc();
                 }
                 hazard =

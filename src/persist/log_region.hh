@@ -191,6 +191,10 @@ class LogRegion
     sim::Counter &logFullStalls;
     sim::Counter &logFullStallCycles;
     sim::Counter &forcedWritebacks;
+    /** Cycles appends waited, while reclaiming the oldest slot, for
+     *  the forced write-back of its guarded line to complete (the
+     *  only log-full wait under the default Reclaim policy). */
+    sim::Counter &reclaimWaitCycles;
 
   private:
     /** Zero-fill the slot array's written markers in NVRAM. */

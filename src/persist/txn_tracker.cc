@@ -23,99 +23,120 @@ std::uint64_t
 TxnTracker::begin(CoreId thread)
 {
     std::uint64_t seq = nextSeq++;
-    Txn t;
+    std::uint32_t slot;
+    if (freeSlots.empty()) {
+        slot = static_cast<std::uint32_t>(slots.size());
+        slots.emplace_back();
+    } else {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+    }
+    Txn &t = slots[slot];
+    t.seq = seq;
     t.thread = thread;
-    active.emplace(seq, std::move(t));
+    slotOfSeq[seq] = slot;
     begun.inc();
     return seq;
+}
+
+TxnTracker::Txn *
+TxnTracker::find(std::uint64_t seq)
+{
+    const std::uint32_t *slot = slotOfSeq.find(seq);
+    return slot ? &slots[*slot] : nullptr;
+}
+
+const TxnTracker::Txn *
+TxnTracker::find(std::uint64_t seq) const
+{
+    const std::uint32_t *slot = slotOfSeq.find(seq);
+    return slot ? &slots[*slot] : nullptr;
 }
 
 void
 TxnTracker::commit(std::uint64_t seq)
 {
-    auto it = active.find(seq);
-    SNF_ASSERT(it != active.end(), "commit of unknown txn %llu",
+    const std::uint32_t *slot = slotOfSeq.find(seq);
+    SNF_ASSERT(slot, "commit of unknown txn %llu",
                static_cast<unsigned long long>(seq));
     // A successful commit proves the thread is making progress:
     // reset its victim streak.
-    victimStreaks.erase(it->second.thread);
-    releaseCc(it->second, seq, true);
-    active.erase(it);
+    victimStreaks.erase(slots[*slot].thread);
+    release(*slot, true);
     committed.inc();
 }
 
 void
 TxnTracker::abort(std::uint64_t seq)
 {
-    auto it = active.find(seq);
-    if (it == active.end())
+    const std::uint32_t *slot = slotOfSeq.find(seq);
+    if (!slot)
         return;
-    if (it->second.abortRequested)
-        ++victimStreaks[it->second.thread];
-    releaseCc(it->second, seq, false);
-    active.erase(it);
+    const Txn &t = slots[*slot];
+    if (t.abortRequested)
+        ++victimStreaks[t.thread];
+    release(*slot, false);
     aborted.inc();
 }
 
 void
 TxnTracker::noteLogRecord(std::uint64_t seq)
 {
-    auto it = active.find(seq);
-    if (it != active.end())
-        ++it->second.logRecords;
+    if (Txn *t = find(seq))
+        ++t->logRecords;
 }
 
 std::uint32_t
 TxnTracker::logRecordCount(std::uint64_t seq) const
 {
-    auto it = active.find(seq);
-    return it == active.end() ? 0 : it->second.logRecords;
+    const Txn *t = find(seq);
+    return t ? t->logRecords : 0;
 }
 
 void
 TxnTracker::noteShardRecord(std::uint64_t seq, std::uint32_t shard)
 {
-    auto it = active.find(seq);
-    if (it == active.end())
+    Txn *t = find(seq);
+    if (!t)
         return;
-    it->second.shardMask |= 1ULL << shard;
-    if (it->second.shardRecords.size() <= shard)
-        it->second.shardRecords.resize(shard + 1, 0);
-    ++it->second.shardRecords[shard];
+    t->shardMask |= 1ULL << shard;
+    if (t->shardRecords.size() <= shard)
+        t->shardRecords.resize(shard + 1, 0);
+    ++t->shardRecords[shard];
 }
 
 std::uint64_t
 TxnTracker::shardMaskOf(std::uint64_t seq) const
 {
-    auto it = active.find(seq);
-    return it == active.end() ? 0 : it->second.shardMask;
+    const Txn *t = find(seq);
+    return t ? t->shardMask : 0;
 }
 
 std::uint32_t
 TxnTracker::shardRecordCount(std::uint64_t seq,
                              std::uint32_t shard) const
 {
-    auto it = active.find(seq);
-    if (it == active.end() || it->second.shardRecords.size() <= shard)
+    const Txn *t = find(seq);
+    if (!t || t->shardRecords.size() <= shard)
         return 0;
-    return it->second.shardRecords[shard];
+    return t->shardRecords[shard];
 }
 
 bool
 TxnTracker::requestAbort(std::uint64_t seq)
 {
-    auto it = active.find(seq);
-    if (it == active.end())
+    Txn *t = find(seq);
+    if (!t)
         return true; // already gone; nothing blocks the caller
-    if (it->second.abortRequested)
+    if (t->abortRequested)
         return true; // duplicate request, already granted
-    auto vs = victimStreaks.find(it->second.thread);
+    auto vs = victimStreaks.find(t->thread);
     if (abortRetryCap != 0 && vs != victimStreaks.end() &&
         vs->second >= abortRetryCap) {
         abortEscalations.inc();
         return false;
     }
-    it->second.abortRequested = true;
+    t->abortRequested = true;
     abortRequests.inc();
     return true;
 }
@@ -130,31 +151,31 @@ TxnTracker::victimStreak(CoreId thread) const
 bool
 TxnTracker::abortRequested(std::uint64_t seq) const
 {
-    auto it = active.find(seq);
-    return it != active.end() && it->second.abortRequested;
+    const Txn *t = find(seq);
+    return t && t->abortRequested;
 }
 
 bool
 TxnTracker::isActive(std::uint64_t seq) const
 {
-    return active.count(seq) != 0;
+    return slotOfSeq.contains(seq);
 }
 
 void
 TxnTracker::recordWrite(std::uint64_t seq, Addr lineAddr)
 {
-    auto it = active.find(seq);
-    SNF_ASSERT(it != active.end(), "write in unknown txn %llu",
+    Txn *t = find(seq);
+    SNF_ASSERT(t, "write in unknown txn %llu",
                static_cast<unsigned long long>(seq));
-    if (it->second.seen.insert(lineAddr).second)
-        it->second.writeLines.push_back(lineAddr);
+    if (t->seen.insert(lineAddr))
+        t->writeLines.push_back(lineAddr);
 }
 
 const std::vector<Addr> &
 TxnTracker::writeSet(std::uint64_t seq) const
 {
-    auto it = active.find(seq);
-    return it == active.end() ? emptySet : it->second.writeLines;
+    const Txn *t = find(seq);
+    return t ? t->writeLines : emptySet;
 }
 
 CcDecision
@@ -162,55 +183,59 @@ TxnTracker::acquireLine(std::uint64_t seq, Addr line, bool forWrite)
 {
     SNF_ASSERT(ccModeV != CcMode::None,
                "CC acquire with concurrency control disabled");
-    auto it = active.find(seq);
-    SNF_ASSERT(it != active.end(), "CC acquire in unknown txn %llu",
+    Txn *txn = find(seq);
+    SNF_ASSERT(txn, "CC acquire in unknown txn %llu",
                static_cast<unsigned long long>(seq));
-    Txn &txn = it->second;
-    if (txn.abortRequested)
+    if (txn->abortRequested)
         return CcDecision::Abort; // doomed already; don't queue up
 
-    auto own = lockOwner.find(line);
-    if (own != lockOwner.end() && own->second != seq) {
-        // Held by someone else. Park on the waits-for edge unless
-        // that would close a cycle.
-        waitsFor[seq] = own->second;
-        if (wouldDeadlock(seq)) {
-            waitsFor.erase(seq);
+    LineCc *cc = lineCc.find(line);
+    std::uint64_t owner = cc ? cc->owner : 0;
+    if (owner != 0 && owner != seq) {
+        // Held by someone else. Park behind the holder unless that
+        // would close a cycle.
+        txn->waitingOn = owner;
+        if (wouldDeadlock(*txn)) {
+            txn->waitingOn = 0;
             deadlockAborts.inc();
             return CcDecision::Abort;
         }
         lockWaits.inc();
         return CcDecision::Wait;
     }
-    waitsFor.erase(seq);
+    txn->waitingOn = 0;
 
     if (forWrite || ccModeV == CcMode::TwoPhase) {
-        if (own == lockOwner.end()) {
-            lockOwner.emplace(line, seq);
-            txn.locksHeld.push_back(line);
+        if (owner == 0) {
+            (cc ? *cc : lineCc[line]).owner = seq;
+            txn->locksHeld.push_back(line);
             lockAcquires.inc();
         }
     } else {
         // TL2 read of an unlocked (or self-locked) line: record the
         // version seen at first read for commit-time validation.
-        if (txn.readSeen.insert(line).second)
-            txn.readSet.emplace_back(line, lineVersion(line));
+        if (txn->readSeen.insert(line))
+            txn->readSet.emplace_back(line, cc ? cc->version : 0);
     }
     return CcDecision::Granted;
 }
 
 bool
-TxnTracker::wouldDeadlock(std::uint64_t seq) const
+TxnTracker::wouldDeadlock(const Txn &txn) const
 {
-    // Each transaction has at most one outgoing waits-for edge, so
-    // the reachable set is a chain; a cycle through the new edge must
-    // lead back to the requester.
-    auto it = waitsFor.find(seq);
+    // Each transaction waits for at most one holder, so the chain
+    // from txn is a path; a cycle through the new edge must lead back
+    // to txn. The chain ends at a holder that is not waiting or is no
+    // longer active (its edge went with it).
+    std::uint64_t holder = txn.waitingOn;
     std::size_t hops = 0;
-    while (it != waitsFor.end() && hops++ <= active.size()) {
-        if (it->second == seq)
+    while (holder != 0 && hops++ <= activeCount()) {
+        if (holder == txn.seq)
             return true;
-        it = waitsFor.find(it->second);
+        const Txn *h = find(holder);
+        if (!h)
+            return false;
+        holder = h->waitingOn;
     }
     return false;
 }
@@ -218,16 +243,16 @@ TxnTracker::wouldDeadlock(std::uint64_t seq) const
 bool
 TxnTracker::validateReads(std::uint64_t seq)
 {
-    auto it = active.find(seq);
-    if (it == active.end())
+    const Txn *t = find(seq);
+    if (!t)
         return true;
-    for (const auto &[line, version] : it->second.readSet) {
-        auto own = lockOwner.find(line);
-        if (own != lockOwner.end() && own->second != seq) {
+    for (const auto &[line, version] : t->readSet) {
+        const LineCc *cc = lineCc.find(line);
+        if (cc && cc->owner != 0 && cc->owner != seq) {
             validationFailures.inc();
             return false;
         }
-        if (lineVersion(line) != version) {
+        if ((cc ? cc->version : 0) != version) {
             validationFailures.inc();
             return false;
         }
@@ -238,40 +263,55 @@ TxnTracker::validateReads(std::uint64_t seq)
 std::size_t
 TxnTracker::readSetSize(std::uint64_t seq) const
 {
-    auto it = active.find(seq);
-    return it == active.end() ? 0 : it->second.readSet.size();
+    const Txn *t = find(seq);
+    return t ? t->readSet.size() : 0;
 }
 
 std::uint64_t
 TxnTracker::lineVersion(Addr line) const
 {
-    auto it = lineVersions.find(line);
-    return it == lineVersions.end() ? 0 : it->second;
+    const LineCc *cc = lineCc.find(line);
+    return cc ? cc->version : 0;
 }
 
 std::uint64_t
 TxnTracker::lockOwnerOf(Addr line) const
 {
-    auto it = lockOwner.find(line);
-    return it == lockOwner.end() ? 0 : it->second;
+    const LineCc *cc = lineCc.find(line);
+    return cc ? cc->owner : 0;
 }
 
 void
-TxnTracker::releaseCc(const Txn &txn, std::uint64_t seq,
-                      bool committing)
+TxnTracker::release(std::uint32_t slot, bool committing)
 {
+    Txn &t = slots[slot];
     if (committing && ccModeV != CcMode::None) {
         // Bump the written lines' versions so TL2 readers with older
         // versions fail validation.
-        for (Addr line : txn.writeLines)
-            lineVersions[line] = ++versionClock;
+        for (Addr line : t.writeLines)
+            lineCc[line].version = ++versionClock;
     }
-    for (Addr line : txn.locksHeld) {
-        auto it = lockOwner.find(line);
-        if (it != lockOwner.end() && it->second == seq)
-            lockOwner.erase(it);
+    for (Addr line : t.locksHeld) {
+        LineCc *cc = lineCc.find(line);
+        if (cc && cc->owner == t.seq)
+            cc->owner = 0;
     }
-    waitsFor.erase(seq);
+
+    for (Addr line : t.writeLines)
+        t.seen.erase(line);
+    for (const auto &read : t.readSet)
+        t.readSeen.erase(read.first);
+    t.writeLines.clear();
+    t.shardRecords.clear();
+    t.locksHeld.clear();
+    t.readSet.clear();
+    t.logRecords = 0;
+    t.shardMask = 0;
+    t.abortRequested = false;
+    t.waitingOn = 0;
+    slotOfSeq.erase(t.seq);
+    t.seq = 0;
+    freeSlots.push_back(slot);
 }
 
 } // namespace snf::persist

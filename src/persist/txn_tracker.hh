@@ -10,12 +10,13 @@
 #define SNF_PERSIST_TXN_TRACKER_HH
 
 #include <cstdint>
+#include <deque>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/system_config.hh"
+#include "sim/line_table.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -108,7 +109,7 @@ class TxnTracker
     /** Has an abort been requested for this transaction? */
     bool abortRequested(std::uint64_t seq) const;
 
-    std::size_t activeCount() const { return active.size(); }
+    std::size_t activeCount() const { return slotOfSeq.size(); }
 
     // ----- concurrency control (the CC layer) --------------------
 
@@ -148,11 +149,17 @@ class TxnTracker
     sim::StatGroup &stats() { return statGroup; }
 
   private:
+    /**
+     * One active transaction. Slots are reused across transactions:
+     * releasing one empties its containers (the dedup sets through
+     * their own key lists) but keeps their capacity.
+     */
     struct Txn
     {
+        std::uint64_t seq = 0;
         CoreId thread = 0;
         std::vector<Addr> writeLines;
-        std::unordered_set<Addr> seen;
+        sim::LineSet seen;
         std::uint32_t logRecords = 0;
         /** Bit s set = the tx appended update records in shard s. */
         std::uint64_t shardMask = 0;
@@ -163,28 +170,42 @@ class TxnTracker
         std::vector<Addr> locksHeld;
         /** TL2 read-set: (line, version at first read). */
         std::vector<std::pair<Addr, std::uint64_t>> readSet;
-        std::unordered_set<Addr> readSeen;
+        sim::LineSet readSeen;
+        /** The holder this transaction is parked behind (its one
+         *  waits-for edge); 0 = not waiting. */
+        std::uint64_t waitingOn = 0;
     };
 
-    /** Would parking @p seq on its waitsFor edge close a cycle? */
-    bool wouldDeadlock(std::uint64_t seq) const;
+    /** CC state of one line. An entry appears when the line is first
+     *  locked or a write to it first commits. */
+    struct LineCc
+    {
+        std::uint64_t owner = 0;   ///< lock holder's sequence, 0 = free
+        std::uint64_t version = 0; ///< 0 = never committed-to
+    };
 
-    /** Drop locks, the waits-for edge and (on commit) bump the
-     *  versions of the written lines. */
-    void releaseCc(const Txn &txn, std::uint64_t seq, bool committing);
+    Txn *find(std::uint64_t seq);
+    const Txn *find(std::uint64_t seq) const;
+
+    /** Would parking @p txn behind its holder close a cycle? */
+    bool wouldDeadlock(const Txn &txn) const;
+
+    /** Drop the locks, bump (on commit) the versions of the written
+     *  lines, and return the slot to the free list. */
+    void release(std::uint32_t slot, bool committing);
 
     std::uint64_t nextSeq = 1;
-    std::unordered_map<std::uint64_t, Txn> active;
+    /** Transaction slots. A deque, so a slot never moves and a
+     *  writeSet() reference survives other transactions' begin. */
+    std::deque<Txn> slots;
+    std::vector<std::uint32_t> freeSlots;
+    /** Active transaction sequence -> its slot. */
+    sim::LineTable<std::uint32_t> slotOfSeq;
     std::vector<Addr> emptySet;
     std::uint32_t abortRetryCap = 0;
     std::unordered_map<CoreId, std::uint32_t> victimStreaks;
     CcMode ccModeV = CcMode::None;
-    /** Line -> holding transaction sequence. */
-    std::unordered_map<Addr, std::uint64_t> lockOwner;
-    /** Waiter seq -> holder seq (at most one outgoing edge each). */
-    std::unordered_map<std::uint64_t, std::uint64_t> waitsFor;
-    /** Line -> commit version (absent = never committed-to). */
-    std::unordered_map<Addr, std::uint64_t> lineVersions;
+    sim::LineTable<LineCc> lineCc;
     std::uint64_t versionClock = 0;
     sim::StatGroup statGroup; // must precede the counter references
 

@@ -1,11 +1,12 @@
 # Command-line contract checks, run by ctest as
 #   cmake -DTOOL=<binary> -DARGS="<args>" [-DEXPECT=<regex>]
-#         [-DARGS2="<args>"] -P cli_check.cmake
+#         [-DARGS2="<args>" [-DSAME_STDERR=1]] -P cli_check.cmake
 #
 # With EXPECT: the invocation must be rejected — exit status 1 and a
 # diagnostic on stderr matching EXPECT (the flag it names).
 # With ARGS2: both invocations must agree — same exit status, same
-# stdout (e.g. two orders of the same flags).
+# stdout (e.g. two orders of the same flags), and with SAME_STDERR
+# the same stderr too (e.g. a failure report).
 
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND ${TOOL} ${args}
@@ -30,5 +31,10 @@ if(DEFINED ARGS2)
         message(FATAL_ERROR "'${ARGS}' and '${ARGS2}' disagree: exit "
                             "${rc} vs ${rc2}\n--- first\n${out}\n"
                             "--- second\n${out2}")
+    endif()
+    if(SAME_STDERR AND NOT err STREQUAL err2)
+        message(FATAL_ERROR "'${ARGS}' and '${ARGS2}' disagree on "
+                            "stderr\n--- first\n${err}\n"
+                            "--- second\n${err2}")
     endif()
 endif()

@@ -3,10 +3,15 @@
  * Unit tests for the logging substrate: record serialization, the
  * circular log region (wrap, torn-bit passes, truncation, growth,
  * reclamation hazards), the log buffer (coalescing, capacity
- * back-pressure), and the write-combining buffer.
+ * back-pressure), the bus monitor's per-line pending records and
+ * drain handles, and the write-combining buffer.
  */
 
 #include <gtest/gtest.h>
+
+#include <deque>
+#include <unordered_map>
+#include <vector>
 
 #include "mem/bus_monitor.hh"
 #include "mem/mem_device.hh"
@@ -14,6 +19,7 @@
 #include "persist/log_buffer.hh"
 #include "persist/log_record.hh"
 #include "persist/log_region.hh"
+#include "sim/rng.hh"
 
 using namespace snf;
 using namespace snf::persist;
@@ -359,6 +365,260 @@ TEST(BusMonitor, TracksLastWriteback)
     EXPECT_EQ(monitor.lastWritebackOf(0x40), 0u);
     monitor.onDataWriteback(0x40, 10, 25);
     EXPECT_EQ(monitor.lastWritebackOf(0x40), 25u);
+}
+
+namespace
+{
+
+/** A log buffer reporting to a bus monitor, with its drain ticks. */
+struct MonitoredBuffer
+{
+    mem::MemDevice nv{"nv", nvCfg(), smallMap().nvramBase};
+    LogRegion region{smallMap(), nv};
+    mem::BusMonitor monitor;
+    LogBuffer buf{region, nv, &monitor, 16, 64};
+    /** Completion tick of every drained group, in drain order. */
+    std::vector<Tick> drains;
+
+    MonitoredBuffer()
+    {
+        region.create();
+        buf.setProbe([this](sim::ProbeEvent e, Tick t, std::uint64_t) {
+            if (e == sim::ProbeEvent::LogDrain)
+                drains.push_back(t);
+        });
+    }
+
+    std::uint64_t
+    checked()
+    {
+        return monitor.stats().counterValue("checked_writebacks");
+    }
+};
+
+} // namespace
+
+TEST(BusMonitor, CountsOneViolationPerLateRecord)
+{
+    mem::BusMonitor monitor;
+    Addr line = 0x1000;
+    monitor.onLogAppend(line, 1);
+    monitor.onLogAppend(line, 2);
+    monitor.onLogAppend(line, 3);
+    // None of the three records has drained: each one is late.
+    monitor.onDataWriteback(line, 10, 20);
+    EXPECT_EQ(monitor.orderViolations(), 3u);
+    // Undrained records stay pending and are late again.
+    monitor.onDataWriteback(line, 30, 40);
+    EXPECT_EQ(monitor.orderViolations(), 6u);
+    EXPECT_EQ(monitor.stats().counterValue("checked_writebacks"), 2u);
+    EXPECT_EQ(monitor.lastWritebackOf(line), 40u);
+    // A record appended after the write-back started is not late.
+    monitor.onLogAppend(0x2000, 50);
+    monitor.onDataWriteback(0x2000, 45, 60);
+    EXPECT_EQ(monitor.orderViolations(), 6u);
+}
+
+TEST(BusMonitor, PartialDrainLeavesTheUndrainedRecordPending)
+{
+    MonitoredBuffer mb;
+    Addr line = 0x140000000ULL;
+    // Two slots share a 64-byte log line: records 1 and 2 form one
+    // group, and record 3 flushes it and opens the next.
+    mb.buf.append(rec(1, line, 1, 2), 1);
+    mb.buf.append(rec(1, line + 8, 1, 2), 2);
+    mb.buf.append(rec(1, line + 16, 1, 2), 3);
+    ASSERT_EQ(mb.drains.size(), 1u);
+    Tick first = mb.drains[0];
+
+    // Records 1 and 2 drained by `first`; record 3 has not.
+    mb.monitor.onDataWriteback(line, first, first + 1);
+    EXPECT_EQ(mb.monitor.orderViolations(), 1u);
+    EXPECT_EQ(mb.checked(), 1u);
+
+    Tick second = mb.buf.drainAll(first + 1);
+    mb.monitor.onDataWriteback(line, second, second + 1);
+    EXPECT_EQ(mb.monitor.orderViolations(), 1u);
+    EXPECT_EQ(mb.checked(), 2u);
+
+    // Every record was dropped by the write-back after its drain, so
+    // the line has nothing pending left to check.
+    mb.monitor.onDataWriteback(line, 1, 2);
+    EXPECT_EQ(mb.monitor.orderViolations(), 1u);
+    EXPECT_EQ(mb.checked(), 2u);
+}
+
+TEST(BusMonitor, WritebackDropsOnlyRecordsDrainedByItsCompletion)
+{
+    MonitoredBuffer mb;
+    Addr line = 0x140000000ULL;
+    Addr other = 0x140001000ULL;
+    for (Tick t = 1; t <= 4; ++t)
+        mb.buf.append(rec(1, line + 8 * t, 1, 2), t);
+    // A fifth record, of another line, flushes the second group.
+    mb.buf.append(rec(1, other, 1, 2), 5);
+    ASSERT_EQ(mb.drains.size(), 2u);
+    Tick first = mb.drains[0];
+    Tick second = mb.drains[1];
+    ASSERT_LT(first, second);
+
+    // Completes between the two drains: records 1-2 are on time and
+    // dropped, records 3-4 are late and stay pending.
+    mb.monitor.onDataWriteback(line, 5, first);
+    EXPECT_EQ(mb.monitor.orderViolations(), 2u);
+
+    // A write-back completing before either drain finds only records
+    // 3-4: records 1-2 were dropped.
+    mb.monitor.onDataWriteback(line, 5, 6);
+    EXPECT_EQ(mb.monitor.orderViolations(), 4u);
+
+    mb.monitor.onDataWriteback(line, second, second);
+    EXPECT_EQ(mb.monitor.orderViolations(), 4u);
+    EXPECT_EQ(mb.checked(), 3u);
+    mb.monitor.onDataWriteback(line, 5, 6);
+    EXPECT_EQ(mb.monitor.orderViolations(), 4u);
+    EXPECT_EQ(mb.checked(), 3u);
+}
+
+TEST(BusMonitor, DrainMarksExactlyTheHandledRecord)
+{
+    // Two undrained records of one line appended in the same tick:
+    // the only case where draining by handle could differ from
+    // draining "the first undrained record with this append tick".
+    // Here the second drains first; the first stays late.
+    mem::BusMonitor monitor;
+    Addr line = 0x1000;
+    mem::BusMonitor::Record first = monitor.onLogAppend(line, 5);
+    mem::BusMonitor::Record second = monitor.onLogAppend(line, 5);
+    EXPECT_NE(first, second);
+    monitor.onLogDrain(second, 50);
+    monitor.onDataWriteback(line, 60, 70);
+    EXPECT_EQ(monitor.orderViolations(), 1u);
+
+    monitor.onLogDrain(first, 80);
+    monitor.onDataWriteback(line, 90, 100);
+    EXPECT_EQ(monitor.orderViolations(), 1u);
+    EXPECT_EQ(monitor.stats().counterValue("checked_writebacks"), 2u);
+    // Both records are gone, and their pool nodes are reused.
+    monitor.onDataWriteback(line, 110, 120);
+    EXPECT_EQ(monitor.stats().counterValue("checked_writebacks"), 2u);
+    mem::BusMonitor::Record again = monitor.onLogAppend(line, 130);
+    EXPECT_TRUE(again == first || again == second);
+}
+
+TEST(LogBuffer, SameTickRecordsOfOneLineDrainInAppendOrder)
+{
+    // Through the log buffer, one line's records drain in append
+    // order, so handle and append-tick draining agree: of two
+    // same-tick records split across groups, the earlier group's
+    // record is the one on time.
+    MonitoredBuffer mb;
+    Addr line = 0x140000000ULL;
+    mb.buf.append(rec(1, 0x140002000ULL, 1, 2), 5);
+    mb.buf.append(rec(1, line, 1, 2), 5);     // first group
+    mb.buf.append(rec(1, line + 8, 1, 2), 5); // flushes it
+    ASSERT_EQ(mb.drains.size(), 1u);
+    Tick first = mb.drains[0];
+    mb.monitor.onDataWriteback(line, first, first);
+    EXPECT_EQ(mb.monitor.orderViolations(), 1u);
+    Tick second = mb.buf.drainAll(first);
+    mb.monitor.onDataWriteback(line, second, second);
+    EXPECT_EQ(mb.monitor.orderViolations(), 1u);
+    mb.monitor.onDataWriteback(line, 5, 6);
+    EXPECT_EQ(mb.monitor.orderViolations(), 1u);
+}
+
+TEST(BusMonitor, CheckedWritebacksCountOnlyLinesWithPendingRecords)
+{
+    mem::BusMonitor monitor;
+    monitor.onDataWriteback(0x40, 1, 2);
+    monitor.onDataWriteback(0x80, 3, 4);
+    EXPECT_EQ(monitor.stats().counterValue("checked_writebacks"), 0u);
+    monitor.onLogAppend(0x40, 5);
+    monitor.onDataWriteback(0x80, 6, 7);
+    EXPECT_EQ(monitor.stats().counterValue("checked_writebacks"), 0u);
+    monitor.onDataWriteback(0x40, 6, 7);
+    EXPECT_EQ(monitor.stats().counterValue("checked_writebacks"), 1u);
+    EXPECT_EQ(monitor.lastWritebackOf(0x80), 7u);
+}
+
+TEST(BusMonitor, MatchesDrainByAppendTickReference)
+{
+    // Reference: each line's pending records in a deque, a drain
+    // marking the first undrained record with the drained record's
+    // append tick. Seeded appends (few ticks, so many same-tick
+    // records), drains in any order and write-backs must give the
+    // same violations, checked write-backs and last write-backs.
+    struct Ref
+    {
+        Tick append;
+        Tick drain;
+    };
+    std::unordered_map<Addr, std::deque<Ref>> ref;
+    std::unordered_map<Addr, Tick> refLastWb;
+    std::uint64_t refViol = 0, refChecked = 0;
+
+    mem::BusMonitor monitor;
+    struct Open
+    {
+        mem::BusMonitor::Record rec;
+        Addr line;
+        Tick append;
+    };
+    std::vector<Open> undrained;
+    sim::Rng rng(29);
+    Tick now = 0;
+    for (int step = 0; step < 20000; ++step) {
+        now += rng.below(3);
+        Addr line = rng.below(8) * 64;
+        switch (rng.below(3)) {
+          case 0:
+            undrained.push_back({monitor.onLogAppend(line, now), line, now});
+            ref[line].push_back({now, kTickNever});
+            break;
+          case 1: {
+            if (undrained.empty())
+                break;
+            std::size_t i = rng.below(undrained.size());
+            Open o = undrained[i];
+            undrained.erase(undrained.begin() +
+                            static_cast<std::ptrdiff_t>(i));
+            Tick done = now + rng.below(40);
+            monitor.onLogDrain(o.rec, done);
+            for (Ref &r : ref[o.line]) {
+                if (r.append == o.append && r.drain == kTickNever) {
+                    r.drain = done;
+                    break;
+                }
+            }
+            break;
+          }
+          default: {
+            Tick start = now, done = now + rng.below(40);
+            monitor.onDataWriteback(line, start, done);
+            refLastWb[line] = done;
+            auto &dq = ref[line];
+            if (!dq.empty())
+                ++refChecked;
+            for (auto r = dq.begin(); r != dq.end();) {
+                if (r->append <= start &&
+                    (r->drain == kTickNever || r->drain > done))
+                    ++refViol;
+                if (r->drain != kTickNever && r->drain <= done)
+                    r = dq.erase(r);
+                else
+                    ++r;
+            }
+          }
+        }
+        ASSERT_EQ(monitor.orderViolations(), refViol) << step;
+        ASSERT_EQ(monitor.stats().counterValue("checked_writebacks"),
+                  refChecked)
+            << step;
+    }
+    for (Addr line = 0; line < 8 * 64; line += 64)
+        EXPECT_EQ(monitor.lastWritebackOf(line), refLastWb[line]);
+    EXPECT_GT(refViol, 0u);
 }
 
 // ------------------------------ WCB -----------------------------

@@ -8,12 +8,14 @@
  * per-word reference, counter determinism across repeats and
  * across host --jobs, the no-steal empty-write-set abort being legal
  * under redo-only logging, the contended multi-shard crash sweep
- * (I1–I8), and the latency histogram's quantile contract.
+ * (I1–I8), the latency histogram's quantile contract, and the count
+ * of cycles log reclaims wait for forced write-backs.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <tuple>
 
@@ -501,4 +503,70 @@ TEST(YcsbScale, MillionKeyZipfRunVerifies)
     // YCSB has no user aborts: every transaction eventually commits.
     EXPECT_EQ(outcome.stats.committedTx,
               4u * spec.params.txPerThread);
+}
+
+// ------------------------------------------------------------------
+// Log-full reclaim wait: under the default Reclaim policy an append
+// that reclaims the oldest slot waits for the forced write-back of
+// the line that slot guards. log.reclaim_wait_cycles counts that
+// wait; the log-full policy counters stay zero.
+// ------------------------------------------------------------------
+
+namespace
+{
+
+/** The 8-core, 4-warehouse TPC-C fwb/2PL cell of snfsim, seed 11. */
+RunSpec
+reclaimCell(std::uint64_t logBytes)
+{
+    RunSpec spec;
+    spec.workload = "oltp-tpcc";
+    spec.mode = PersistMode::Fwb;
+    spec.params.threads = 8;
+    spec.params.txPerThread = 250;
+    spec.params.warehouses = 4;
+    spec.params.seed = 11;
+    spec.sys = SystemConfig::scaled(spec.params.threads);
+    spec.sys.persist = PersistConfig{};
+    spec.sys.persist.ccMode = CcMode::TwoPhase;
+    spec.sys.map.logSize = logBytes;
+    return spec;
+}
+
+/** Counter @p name from a System::dumpStats text. */
+std::uint64_t
+dumpedCounter(const std::string &dump, const std::string &name)
+{
+    std::string key = "\n" + name + " = ";
+    std::size_t at = ("\n" + dump).find(key);
+    EXPECT_NE(at, std::string::npos) << name;
+    if (at == std::string::npos)
+        return 0;
+    return std::stoull(dump.substr(at + key.size() - 1));
+}
+
+} // namespace
+
+TEST(LogFullReclaim, WaitForForcedWritebacksIsCounted)
+{
+    // The 256 KB scaled log wraps six times; the 1 262 forced
+    // write-backs keep reclaims waiting 105.6 M cycles in all.
+    std::ostringstream dump;
+    auto outcome = runWorkload(reclaimCell(256 * 1024), &dump);
+    EXPECT_TRUE(outcome.verified) << outcome.verifyMessage;
+    EXPECT_EQ(dumpedCounter(dump.str(), "log.wraps"), 6u);
+    EXPECT_EQ(dumpedCounter(dump.str(), "log.forced_writebacks"), 1262u);
+    EXPECT_EQ(dumpedCounter(dump.str(), "log.reclaim_wait_cycles"),
+              105639310u);
+    EXPECT_EQ(dumpedCounter(dump.str(), "log.logfull_stall_cycles"), 0u);
+}
+
+TEST(LogFullReclaim, LogThatNeverWrapsNeverWaits)
+{
+    std::ostringstream dump;
+    auto outcome = runWorkload(reclaimCell(4 * 1024 * 1024), &dump);
+    EXPECT_TRUE(outcome.verified) << outcome.verifyMessage;
+    EXPECT_EQ(dumpedCounter(dump.str(), "log.wraps"), 0u);
+    EXPECT_EQ(dumpedCounter(dump.str(), "log.reclaims"), 0u);
+    EXPECT_EQ(dumpedCounter(dump.str(), "log.reclaim_wait_cycles"), 0u);
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue, PRNG, CRC32,
- * stats, the coroutine task type and its frame pool, and the JSON
- * writer the tools' reports go through.
+ * stats, the coroutine task type and its frame pool, the JSON writer
+ * the tools' reports go through, and the flat per-line table.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <new>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "sim/crc32.hh"
 #include "sim/event_queue.hh"
 #include "sim/json.hh"
+#include "sim/line_table.hh"
 #include "sim/small_callback.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -821,4 +823,119 @@ TEST(JsonWriter, EscapesStrings)
     w.end();
     EXPECT_EQ(os.str(),
               "{\"k\\\"ey\": \"tab\\there\\r\\n\\\\ \\u001f\"}\n");
+}
+
+// ----------------------------- LineTable ------------------------
+
+TEST(LineTable, GrowthKeepsEveryEntry)
+{
+    LineTable<std::uint64_t> t;
+    std::size_t initial = t.capacity();
+    constexpr std::uint64_t kLines = 50000;
+    for (std::uint64_t i = 0; i < kLines; ++i)
+        t[0x100000000ULL + i * 64] = i + 1;
+    EXPECT_EQ(t.size(), kLines);
+    EXPECT_GT(t.capacity(), initial);
+    EXPECT_GE(3 * t.capacity(), 4 * kLines)
+        << "at most three-quarters full";
+    for (std::uint64_t i = 0; i < kLines; ++i) {
+        const std::uint64_t *v = t.find(0x100000000ULL + i * 64);
+        ASSERT_NE(v, nullptr) << i;
+        ASSERT_EQ(*v, i + 1);
+    }
+    // Re-inserting a present key keeps its value and the size.
+    EXPECT_FALSE(t.insert(0x100000000ULL));
+    EXPECT_EQ(t[0x100000000ULL], 1u);
+    EXPECT_EQ(t.size(), kLines);
+}
+
+TEST(LineTable, AbsentLookupsInsertNothing)
+{
+    LineTable<std::uint64_t> t;
+    const LineTable<std::uint64_t> &ct = t;
+    std::size_t cap = t.capacity();
+    for (Addr a = 0; a < 1000; ++a) {
+        EXPECT_EQ(t.find(a * 64), nullptr);
+        EXPECT_EQ(ct.find(a * 64), nullptr);
+        EXPECT_FALSE(t.contains(a * 64));
+    }
+    EXPECT_FALSE(t.erase(0x40));
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_EQ(t.capacity(), cap);
+
+    // Inserting one key makes only that key visible, with V{}.
+    EXPECT_EQ(t[0x40], 0u);
+    EXPECT_EQ(t.size(), 1u);
+    EXPECT_NE(t.find(0x40), nullptr);
+    EXPECT_EQ(t.find(0x80), nullptr);
+    EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(LineTable, AcceptsAddressesOutsideNvram)
+{
+    // The tables serve classes built without an address map, so any
+    // key but the free marker is legal: zero, unaligned values,
+    // DRAM-range lines and the top line.
+    LineTable<std::uint64_t> t;
+    const Addr keys[] = {0,      0x40,       0x1000,
+                         0x7,    0x80000000, ~Addr{0} - 63};
+    std::uint64_t v = 1;
+    for (Addr k : keys)
+        t[k] = v++;
+    EXPECT_EQ(t.size(), std::size(keys));
+    v = 1;
+    for (Addr k : keys) {
+        ASSERT_NE(t.find(k), nullptr) << std::hex << k;
+        EXPECT_EQ(*t.find(k), v++);
+    }
+    EXPECT_TRUE(t.erase(~Addr{0} - 63));
+    EXPECT_FALSE(t.contains(~Addr{0} - 63));
+    EXPECT_TRUE(t.erase(0));
+    EXPECT_FALSE(t.contains(0));
+    EXPECT_EQ(t.size(), std::size(keys) - 2);
+    EXPECT_EQ(*t.find(0x1000), 3u);
+}
+
+TEST(LineTable, EraseMatchesAReferenceMap)
+{
+    // Seeded inserts, overwrites and erases over a small key range
+    // (long probe runs, many backward shifts) against
+    // std::unordered_map; a set variant rides along.
+    LineTable<std::uint64_t> t;
+    LineSet set;
+    std::unordered_map<Addr, std::uint64_t> ref;
+    Rng rng(17);
+    for (int step = 0; step < 200000; ++step) {
+        Addr key = rng.below(512) * 64;
+        switch (rng.below(3)) {
+          case 0:
+            t[key] = static_cast<std::uint64_t>(step);
+            ref[key] = static_cast<std::uint64_t>(step);
+            set.insert(key);
+            break;
+          case 1:
+            ASSERT_EQ(t.erase(key), ref.erase(key) == 1);
+            set.erase(key);
+            break;
+          default: {
+            const std::uint64_t *v = t.find(key);
+            auto it = ref.find(key);
+            ASSERT_EQ(v != nullptr, it != ref.end()) << step;
+            if (v) {
+                ASSERT_EQ(*v, it->second);
+            }
+            ASSERT_EQ(set.contains(key), it != ref.end());
+          }
+        }
+        ASSERT_EQ(t.size(), ref.size());
+        ASSERT_EQ(set.size(), ref.size());
+    }
+    for (const auto &[key, value] : ref)
+        EXPECT_EQ(*t.find(key), value);
+    std::size_t cap = t.capacity();
+    t.clear();
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_EQ(t.capacity(), cap);
+    for (const auto &kv : ref)
+        EXPECT_FALSE(t.contains(kv.first));
 }

@@ -234,6 +234,121 @@ TEST(TxnTrackerCc, NoneModeSkipsTheLayerEntirely)
         << "no version clock churn with CC disabled";
 }
 
+// ------------- transaction state reused across transactions -------
+
+TEST(TxnTrackerCc, NextTxnOnACoreStartsClean)
+{
+    // Whatever the previous transaction on a core left behind (write
+    // set, read set, log-record counts, a waits-for edge), the next
+    // one begun there starts empty, after a commit and after an
+    // abort alike.
+    for (bool commitFirst : {true, false}) {
+        TxnTracker t;
+        t.setCcMode(CcMode::Tl2);
+        std::uint64_t holder = t.begin(1);
+        EXPECT_EQ(t.acquireLine(holder, 0x2000, true),
+                  CcDecision::Granted);
+
+        std::uint64_t old = t.begin(0);
+        EXPECT_EQ(t.acquireLine(old, 0x1000, true), CcDecision::Granted);
+        t.recordWrite(old, 0x1000);
+        EXPECT_EQ(t.acquireLine(old, 0x3000, false),
+                  CcDecision::Granted);
+        t.noteLogRecord(old);
+        t.noteShardRecord(old, 2);
+        // Parks `old` behind `holder`: a waits-for edge old -> holder.
+        EXPECT_EQ(t.acquireLine(old, 0x2000, true), CcDecision::Wait);
+        if (commitFirst)
+            t.commit(old);
+        else
+            t.abort(old);
+
+        std::uint64_t next = t.begin(0);
+        EXPECT_TRUE(t.writeSet(next).empty());
+        EXPECT_EQ(t.readSetSize(next), 0u);
+        EXPECT_EQ(t.logRecordCount(next), 0u);
+        EXPECT_EQ(t.shardMaskOf(next), 0u);
+        EXPECT_EQ(t.shardRecordCount(next, 2), 0u);
+        EXPECT_FALSE(t.abortRequested(next));
+
+        // The dedup sets start empty: lines the previous transaction
+        // wrote and read are recorded afresh.
+        t.recordWrite(next, 0x1000);
+        EXPECT_EQ(t.writeSet(next).size(), 1u);
+        EXPECT_EQ(t.acquireLine(next, 0x3000, false),
+                  CcDecision::Granted);
+        EXPECT_EQ(t.readSetSize(next), 1u);
+
+        // No stale edge: `holder` asking for a line `next` holds just
+        // waits. An edge next -> holder left over from `old` would
+        // close a cycle and abort it.
+        EXPECT_EQ(t.acquireLine(next, 0x4000, true),
+                  CcDecision::Granted);
+        EXPECT_EQ(t.acquireLine(holder, 0x4000, true), CcDecision::Wait);
+        EXPECT_EQ(t.deadlockAborts.value(), 0u);
+    }
+}
+
+TEST(TxnTrackerCc, WaitChainThroughCommittedHolderIsNoDeadlock)
+{
+    // b waits for a; a commits before b retries, and a new
+    // transaction d starts on a's core. d waiting for b extends the
+    // chain d -> b -> a, which ends at the committed a: no cycle.
+    TxnTracker t;
+    t.setCcMode(CcMode::TwoPhase);
+    std::uint64_t a = t.begin(0);
+    std::uint64_t b = t.begin(1);
+    EXPECT_EQ(t.acquireLine(a, 0x1000, true), CcDecision::Granted);
+    EXPECT_EQ(t.acquireLine(b, 0x2000, true), CcDecision::Granted);
+    EXPECT_EQ(t.acquireLine(b, 0x1000, true), CcDecision::Wait);
+    t.commit(a);
+
+    std::uint64_t d = t.begin(0);
+    EXPECT_EQ(t.acquireLine(d, 0x3000, true), CcDecision::Granted);
+    EXPECT_EQ(t.acquireLine(d, 0x2000, true), CcDecision::Wait);
+    EXPECT_EQ(t.deadlockAborts.value(), 0u);
+    // b's retry finds the line free, and d then gets b's line once
+    // b commits.
+    EXPECT_EQ(t.acquireLine(b, 0x1000, true), CcDecision::Granted);
+    t.commit(b);
+    EXPECT_EQ(t.acquireLine(d, 0x2000, true), CcDecision::Granted);
+}
+
+TEST(TxnTrackerCc, OwnersAndVersionsOfManyLinesSurviveGrowth)
+{
+    constexpr std::uint64_t kLines = 100000;
+    auto lineAt = [](std::uint64_t i) {
+        return 0x100000000ULL + i * 64;
+    };
+    TxnTracker t;
+    t.setCcMode(CcMode::TwoPhase);
+    std::uint64_t even = t.begin(0);
+    std::uint64_t odd = t.begin(1);
+    for (std::uint64_t i = 0; i < kLines; ++i) {
+        std::uint64_t seq = i % 2 ? odd : even;
+        ASSERT_EQ(t.acquireLine(seq, lineAt(i), true),
+                  CcDecision::Granted);
+        t.recordWrite(seq, lineAt(i));
+    }
+    for (std::uint64_t i = 0; i < kLines; ++i)
+        ASSERT_EQ(t.lockOwnerOf(lineAt(i)), i % 2 ? odd : even);
+    EXPECT_EQ(t.writeSet(even).size(), kLines / 2);
+
+    // Each commit stamps its write set in write order from one
+    // clock: the even lines get versions 1..N/2, the odd ones the
+    // rest.
+    t.commit(even);
+    t.commit(odd);
+    for (std::uint64_t i = 0; i < kLines; ++i) {
+        ASSERT_EQ(t.lockOwnerOf(lineAt(i)), 0u);
+        std::uint64_t want =
+            i % 2 ? kLines / 2 + i / 2 + 1 : i / 2 + 1;
+        ASSERT_EQ(t.lineVersion(lineAt(i)), want) << "line " << i;
+    }
+    EXPECT_EQ(t.lineVersion(lineAt(kLines)), 0u);
+    EXPECT_EQ(t.lockOwnerOf(lineAt(kLines)), 0u);
+}
+
 // ---------------------------- Recovery ---------------------------
 
 namespace

@@ -186,6 +186,10 @@ main(int argc, char **argv)
     std::atomic<std::size_t> crashPoints{0};
     std::atomic<std::size_t> committed{0};
     std::mutex failLock;
+    // The lowest failing index so far, and its failure. Workers
+    // finish every index below it and skip every index above it, so
+    // the reported failure is the one --jobs 1 reports.
+    std::size_t lowestFailing = work.size();
     std::optional<Failure> firstFailure;
 
     auto worker = [&] {
@@ -195,18 +199,19 @@ main(int argc, char **argv)
                 return;
             {
                 std::lock_guard<std::mutex> g(failLock);
-                if (firstFailure)
-                    return; // stop the fleet on first divergence
+                if (i > lowestFailing)
+                    return; // indices only grow from here
             }
             DiffResult r = runDiff(work[i].program, cfg);
             crashPoints += r.crashPointsChecked;
             committed += r.committedTx;
             if (!r.passed) {
                 std::lock_guard<std::mutex> g(failLock);
-                if (!firstFailure)
+                if (i < lowestFailing) {
+                    lowestFailing = i;
                     firstFailure =
                         Failure{work[i].program, r, work[i].source};
-                return;
+                }
             }
         }
     };
