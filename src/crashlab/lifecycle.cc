@@ -186,8 +186,7 @@ runLifecycle(const LifecycleConfig &cfg)
               workload->name().c_str());
 
     const bool liveFaults = sysCfg.nvram.faults.enabled();
-    const AddressMap &map = sysCfg.map;
-    const Addr nvEnd = map.nvramBase + map.nvramSize;
+    const Addr nvEnd = sysCfg.map.nvramBase + sysCfg.map.nvramSize;
 
     // The image the current generation adopted (the previous
     // generation's recovered image); empty for generation 0, whose
@@ -200,6 +199,9 @@ runLifecycle(const LifecycleConfig &cfg)
 
         Clock::time_point tRun = Clock::now();
         System sys(sysCfg, cfg.run.mode);
+        // System folds the log region count into its own copy of
+        // the map; recovery and the checkers must read that copy.
+        const AddressMap &map = sys.config().map;
         if (g == 0) {
             workload->setup(sys, cfg.run.params);
             sys.mem().nvram().updateSuperblock(sys.heap().allocated(),

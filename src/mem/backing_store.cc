@@ -201,7 +201,10 @@ BackingStore::pagePtrMut(std::uint64_t pageIdx)
         ref = std::make_shared<Page>(); // value-initialized: zeroed
     } else if (ref.use_count() > 1) {
         ref = std::make_shared<Page>(*ref);
-        statCloned.fetch_add(1, std::memory_order_relaxed);
+        // Mutation is exclusive, so a plain load and store count the
+        // clone; a locked add would also fence the 4 KB copy above.
+        statCloned.store(statCloned.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
     }
     return ref->bytes;
 }
@@ -248,16 +251,31 @@ BackingStore::rawWrite(Addr addr, std::uint64_t size, const void *in)
 {
     const auto *src = static_cast<const std::uint8_t *>(in);
     std::uint64_t off = addr - rangeBase;
+    // A write that changes no bytes is the identity on the image
+    // (absent pages read as zero), so it must not allocate or clone:
+    // zeroing absent pages (log truncation) keeps the store sparse for
+    // the sparse scans, and replaying values an image already holds
+    // (a second recovery pass) keeps its pages shared, so
+    // firstDifference skips them by pointer.
+    if (size == sizeof(std::uint64_t) &&
+        off % kPageBytes <= kPageBytes - sizeof(std::uint64_t)) {
+        // One word inside one page (replayed log values, word stores):
+        // compare and store as one 64-bit value, no library calls.
+        std::uint64_t v = 0;
+        std::uint64_t old = 0;
+        std::memcpy(&v, src, sizeof(v));
+        const std::uint64_t page = off / kPageBytes;
+        if (const Page *cur = pagePtr(page))
+            std::memcpy(&old, cur->bytes + off % kPageBytes, sizeof(old));
+        if (v != old)
+            std::memcpy(pagePtrMut(page) + off % kPageBytes, &v,
+                        sizeof(v));
+        return;
+    }
     while (size > 0) {
         std::uint64_t page = off / kPageBytes;
         std::uint64_t in_page = off % kPageBytes;
         std::uint64_t n = std::min(size, kPageBytes - in_page);
-        // A write that changes no bytes is the identity on the image
-        // (absent pages read as zero), so it must not allocate or
-        // clone: zeroing absent pages (log truncation) keeps the store
-        // sparse for the sparse scans, and replaying values an image
-        // already holds (a second recovery pass) keeps its pages
-        // shared, so firstDifference skips them by pointer.
         const Page *cur = pagePtr(page);
         if (std::memcmp(src, (cur ? cur : &kZeroPage)->bytes + in_page,
                         n) != 0)

@@ -228,15 +228,14 @@ classifySlot(const std::uint8_t in[LogRecord::kSlotBytes])
         info.cls = SlotClass::CrcFail;
         return info;
     }
-    // CRC the slot in place, feeding zeros for the CRC field [12, 16)
-    // itself (the value serialize() saw there).
-    static constexpr std::uint8_t kZeroField[4] = {};
+    // CRC a copy of the slot with the CRC field [12, 16) zeroed (the
+    // value serialize() saw there).
+    std::uint8_t img[LogRecord::kSlotBytes];
+    std::memcpy(img, in, sizeof(img));
     std::uint32_t stored = 0;
-    std::memcpy(&stored, in + 12, 4);
-    std::uint32_t crc = sim::crc32(in, 12);
-    crc = sim::crc32(kZeroField, 4, crc);
-    crc = sim::crc32(in + 16, rec->payloadBytes() - 16, crc);
-    if (crc != stored) {
+    std::memcpy(&stored, img + 12, 4);
+    std::memset(img + 12, 0, 4);
+    if (sim::crc32(img, rec->payloadBytes()) != stored) {
         info.cls = SlotClass::CrcFail;
         return info;
     }

@@ -10,6 +10,7 @@
 #include "mem/remap_table.hh"
 #include "persist/log_record.hh"
 #include "persist/log_region.hh"
+#include "sim/line_table.hh"
 #include "sim/logging.hh"
 
 namespace snf::persist
@@ -253,6 +254,142 @@ struct SlotMeta
 };
 constexpr std::uint32_t kNoRec = ~std::uint32_t{0};
 
+/**
+ * Classification of a run of consecutive slots: a pure function of
+ * their bytes and RecoveryOptions::faultIgnoreCrc, independent of
+ * where they sit. Record indices and the first damaged slot are
+ * relative to the run.
+ */
+struct SlotRun
+{
+    std::vector<SlotMeta> meta;  ///< rec indexes recs
+    std::vector<LogRecord> recs; ///< the Valid slots' records
+    std::uint64_t empty = 0;
+    std::uint64_t torn = 0;
+    std::uint64_t crcFail = 0;
+    std::uint32_t firstBad = kNoRec; ///< first Torn/CrcFail slot
+
+    void
+    classify(const std::uint8_t *img, std::uint64_t n, bool ignoreCrc)
+    {
+        static const std::uint8_t kZeroSlot[LogRecord::kSlotBytes] = {};
+        meta.assign(n, SlotMeta{SlotClass::Empty, false, kNoRec});
+        recs.clear();
+        empty = torn = crcFail = 0;
+        firstBad = kNoRec;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const std::uint8_t *slot = img + i * LogRecord::kSlotBytes;
+            if (std::memcmp(slot, kZeroSlot, LogRecord::kSlotBytes) ==
+                0) {
+                // All-zero slot: most of the region in a typical sweep.
+                ++empty;
+                continue;
+            }
+            SlotInfo si = classifySlot(slot);
+            if (ignoreCrc && si.cls == SlotClass::CrcFail) {
+                // Injected bug: the pre-faultlab scanner trusted any
+                // slot with a written marker.
+                bool t = false;
+                auto rec = LogRecord::deserialize(slot, t);
+                if (rec &&
+                    rec->payloadBytes() <= LogRecord::kSlotBytes) {
+                    si.cls = SlotClass::Valid;
+                    si.torn = t;
+                    si.rec = *rec;
+                }
+            }
+            meta[i].cls = si.cls;
+            meta[i].torn = si.torn;
+            switch (si.cls) {
+              case SlotClass::Empty:
+                ++empty;
+                break;
+              case SlotClass::Torn:
+                ++torn;
+                break;
+              case SlotClass::CrcFail:
+                ++crcFail;
+                break;
+              case SlotClass::Valid:
+                meta[i].rec = static_cast<std::uint32_t>(recs.size());
+                recs.push_back(si.rec);
+                break;
+            }
+            if ((si.cls == SlotClass::Torn ||
+                 si.cls == SlotClass::CrcFail) &&
+                firstBad == kNoRec)
+                firstBad = static_cast<std::uint32_t>(i);
+        }
+    }
+};
+
+/**
+ * Per-thread page memo of the direct slot scan. A crash sweep
+ * recovers several copies of each crash image, and consecutive crash
+ * points share most log pages, so the scan keeps, per chunk (the
+ * slots of one resident page within one shard), the bytes it last
+ * classified there and what it derived from them. A chunk whose bytes
+ * and faultIgnoreCrc match reuses that SlotRun; any other is
+ * classified afresh and replaces it. All-empty chunks are never
+ * stored, so re-recovering a truncated log keeps the pre-truncation
+ * pages the next crash point needs. One log area per thread: a call
+ * over another log base or size starts the memo over.
+ */
+struct ScanMemo
+{
+    struct Chunk
+    {
+        std::vector<std::uint8_t> bytes;
+        bool ignoreCrc = false;
+        SlotRun run;
+    };
+
+    Addr logBase = 0;
+    std::uint64_t logSize = 0;
+    sim::LineTable<std::size_t> byAddr; ///< chunk start -> chunks idx
+    std::vector<Chunk> chunks;
+    SlotRun fresh; ///< scratch for chunks not (yet) memoized
+
+    /** The classification of the @p n slots at @p img, which start at
+     *  @p a; valid until the next call. */
+    const SlotRun &
+    scan(Addr a, const std::uint8_t *img, std::uint64_t n,
+         bool ignoreCrc)
+    {
+        const std::uint64_t len = n * LogRecord::kSlotBytes;
+        const std::size_t *idx = byAddr.find(a);
+        if (idx) {
+            Chunk &c = chunks[*idx];
+            if (c.ignoreCrc == ignoreCrc && c.bytes.size() == len &&
+                std::memcmp(c.bytes.data(), img, len) == 0)
+                return c.run;
+        }
+        fresh.classify(img, n, ignoreCrc);
+        if (fresh.empty == n)
+            return fresh;
+        if (!idx) {
+            byAddr[a] = chunks.size();
+            chunks.emplace_back();
+        }
+        Chunk &c = idx ? chunks[*idx] : chunks.back();
+        c.bytes.assign(img, img + len);
+        c.ignoreCrc = ignoreCrc;
+        std::swap(c.run, fresh);
+        return c.run;
+    }
+
+    void
+    resetFor(const AddressMap &map)
+    {
+        if (map.logBase() == logBase && map.logSize == logSize)
+            return;
+        logBase = map.logBase();
+        logSize = map.logSize;
+        byAddr.clear();
+        chunks.clear();
+    }
+};
+
 /** Scan state of one shard's slice of the log region. */
 struct ShardScan
 {
@@ -267,7 +404,7 @@ struct ShardScan
     std::vector<std::size_t> genOf; ///< window idx -> gen idx
     std::vector<ShardGen> gens;
     /** Generations never closed by any record, by txid. */
-    std::map<std::uint16_t, std::size_t> openGen;
+    sim::LineTable<std::size_t> openGen;
     ShardSummary sum;
 };
 
@@ -380,8 +517,10 @@ recoverLog(ImageIO &io, const AddressMap &map,
     // place: a page never written reads as zero, so every slot inside
     // it is Empty without the bytes ever being copied or compared —
     // on a typical sweep only the written log prefix of the multi-MB
-    // region costs anything. Remapped images (lifelab) copy each slot
-    // array through the translating reader instead.
+    // region costs anything — and a resident page whose bytes this
+    // thread already classified reuses that result (ScanMemo).
+    // Remapped images (lifelab) copy each slot array through the
+    // translating reader instead.
     //
     // Scratch is thread_local and reused across calls: a sweep runs
     // recovery once per crash point × pass. Per-slot state is an
@@ -390,6 +529,8 @@ recoverLog(ImageIO &io, const AddressMap &map,
     thread_local std::vector<SlotMeta> meta;
     thread_local std::vector<LogRecord> parsed;
     thread_local std::vector<std::uint8_t> slotImg;
+    thread_local SlotRun single; // runs classified without the memo
+    thread_local ScanMemo memo;
     std::uint64_t total_slots = 0;
     for (ShardScan &sh : sc) {
         sh.meta0 = total_slots;
@@ -397,59 +538,32 @@ recoverLog(ImageIO &io, const AddressMap &map,
     }
     meta.assign(total_slots, SlotMeta{SlotClass::Empty, false, kNoRec});
     parsed.clear();
-    static const std::uint8_t kZeroSlot[LogRecord::kSlotBytes] = {};
+    if (io.directScan())
+        memo.resetFor(map);
 
     for (std::uint32_t s = 0; s < nShards; ++s) {
         ShardScan &sh = sc[s];
         if (sh.dead)
             continue;
         SlotMeta *m = meta.data() + sh.meta0;
-        auto scanOne = [&](std::uint64_t i, const std::uint8_t *img) {
-            ++report.slotsScanned;
-            ++sh.sum.slotsScanned;
-            if (std::memcmp(img, kZeroSlot, LogRecord::kSlotBytes) ==
-                0) {
-                // All-zero slot: the default meta already says Empty,
-                // and most of the region is empty in a typical sweep.
-                ++report.emptySlots;
-                return;
+        // Account the run classified for slots [i, i + run size).
+        auto add = [&](std::uint64_t i, const SlotRun &run) {
+            const std::uint64_t n = run.meta.size();
+            const auto rec0 = static_cast<std::uint32_t>(parsed.size());
+            report.slotsScanned += n;
+            sh.sum.slotsScanned += n;
+            report.emptySlots += run.empty;
+            report.tornSlots += run.torn;
+            report.crcFailSlots += run.crcFail;
+            for (std::uint64_t k = 0; k < n; ++k) {
+                m[i + k] = run.meta[k];
+                if (run.meta[k].rec != kNoRec)
+                    m[i + k].rec += rec0;
             }
-            SlotInfo si = classifySlot(img);
-            if (opts.faultIgnoreCrc && si.cls == SlotClass::CrcFail) {
-                // Injected bug: the pre-faultlab scanner trusted any
-                // slot with a written marker.
-                bool torn = false;
-                auto rec = LogRecord::deserialize(img, torn);
-                if (rec &&
-                    rec->payloadBytes() <= LogRecord::kSlotBytes) {
-                    si.cls = SlotClass::Valid;
-                    si.torn = torn;
-                    si.rec = *rec;
-                }
-            }
-            m[i].cls = si.cls;
-            m[i].torn = si.torn;
-            switch (si.cls) {
-              case SlotClass::Empty:
-                ++report.emptySlots;
-                break;
-              case SlotClass::Torn:
-                ++report.tornSlots;
-                break;
-              case SlotClass::CrcFail:
-                ++report.crcFailSlots;
-                break;
-              case SlotClass::Valid:
-                m[i].rec = static_cast<std::uint32_t>(parsed.size());
-                parsed.push_back(si.rec);
-                break;
-            }
-            if ((si.cls == SlotClass::Torn ||
-                 si.cls == SlotClass::CrcFail) &&
-                report.firstBadSlotAddr == 0) {
+            parsed.insert(parsed.end(), run.recs.begin(), run.recs.end());
+            if (run.firstBad != kNoRec && report.firstBadSlotAddr == 0)
                 report.firstBadSlotAddr =
-                    sh.slot0 + i * LogRecord::kSlotBytes;
-            }
+                    sh.slot0 + (i + run.firstBad) * LogRecord::kSlotBytes;
         };
         if (io.directScan()) {
             std::uint64_t i = 0;
@@ -463,7 +577,8 @@ recoverLog(ImageIO &io, const AddressMap &map,
                     // Slot straddles a page boundary: assemble it.
                     std::uint8_t buf[LogRecord::kSlotBytes];
                     io.read(a, LogRecord::kSlotBytes, buf);
-                    scanOne(i, buf);
+                    single.classify(buf, 1, opts.faultIgnoreCrc);
+                    add(i, single);
                     ++i;
                     continue;
                 }
@@ -473,17 +588,15 @@ recoverLog(ImageIO &io, const AddressMap &map,
                     report.slotsScanned += whole;
                     sh.sum.slotsScanned += whole;
                 } else {
-                    for (std::uint64_t k = 0; k < whole; ++k)
-                        scanOne(i + k,
-                                p + k * LogRecord::kSlotBytes);
+                    add(i, memo.scan(a, p, whole, opts.faultIgnoreCrc));
                 }
                 i += whole;
             }
         } else {
             slotImg.resize(sh.slots * LogRecord::kSlotBytes);
             io.read(sh.slot0, slotImg.size(), slotImg.data());
-            for (std::uint64_t i = 0; i < sh.slots; ++i)
-                scanOne(i, slotImg.data() + i * LogRecord::kSlotBytes);
+            single.classify(slotImg.data(), sh.slots, opts.faultIgnoreCrc);
+            add(0, single);
         }
 
         // Locate the live window. The torn (pass-parity) bit of the
@@ -532,32 +645,34 @@ recoverLog(ImageIO &io, const AddressMap &map,
         sh.genOf.assign(sh.ordered.size(), SIZE_MAX);
         for (std::size_t i = 0; i < sh.ordered.size(); ++i) {
             const LogRecord &rec = parsed[sh.ordered[i]];
-            auto it = sh.openGen.find(rec.tx);
-            if (it == sh.openGen.end()) {
+            std::size_t gi;
+            if (const std::size_t *open = sh.openGen.find(rec.tx)) {
+                gi = *open;
+            } else {
+                gi = sh.gens.size();
                 sh.gens.push_back({});
                 sh.gens.back().tx = rec.tx;
-                it = sh.openGen.emplace(rec.tx, sh.gens.size() - 1)
-                         .first;
+                sh.openGen[rec.tx] = gi;
             }
-            ShardGen &gen = sh.gens[it->second];
+            ShardGen &gen = sh.gens[gi];
             if (rec.isPrepare) {
                 gen.close = ShardGen::Close::Prepare;
                 gen.nUpdates = rec.nUpdates;
                 gen.commitSeq = rec.commitSeq;
-                sh.openGen.erase(it);
+                sh.openGen.erase(rec.tx);
             } else if (rec.isCommit && rec.hasShardMask) {
                 gen.close = ShardGen::Close::Masked;
                 gen.nUpdates = rec.nUpdates;
                 gen.commitSeq = rec.commitSeq;
                 gen.shardMask = rec.shardMask;
-                sh.openGen.erase(it);
+                sh.openGen.erase(rec.tx);
             } else if (rec.isCommit) {
                 gen.close = ShardGen::Close::Plain;
                 gen.nUpdates = rec.nUpdates;
-                sh.openGen.erase(it);
+                sh.openGen.erase(rec.tx);
             } else {
                 ++gen.found;
-                sh.genOf[i] = it->second;
+                sh.genOf[i] = gi;
             }
         }
     }
@@ -673,10 +788,9 @@ recoverLog(ImageIO &io, const AddressMap &map,
             // same txid there is the slice with its prepare record
             // lost: quarantine the whole transaction and pin the
             // generation so rollback does not touch it either.
-            auto oit = sc[s].openGen.find(own.tx);
-            if (oit != sc[s].openGen.end()) {
+            if (const std::size_t *open = sc[s].openGen.find(own.tx)) {
                 ok = false;
-                attachedOpen.push_back({s, oit->second});
+                attachedOpen.push_back({s, *open});
             } else if (!sc[s].wrapped) {
                 ok = false;
             }

@@ -17,10 +17,9 @@ namespace snf::sim
 /**
  * CRC32 of @p n bytes at @p data, continuing from @p crc (the CRC of
  * the bytes before them; 0 to start). Chaining is exact:
- * crc32(b, nb, crc32(a, na)) == crc32(a ++ b, na + nb), which lets a
- * caller substitute bytes (e.g. a zeroed CRC field) without copying
- * the buffer. Slice-by-8: eight bytes per step through eight
- * 256-entry tables, bytewise for the tail; no alignment required.
+ * crc32(b, nb, crc32(a, na)) == crc32(a ++ b, na + nb). Slice-by-8:
+ * eight bytes per step through eight 256-entry tables, bytewise for
+ * the tail; no alignment required.
  */
 std::uint32_t crc32(const void *data, std::uint64_t n,
                     std::uint32_t crc = 0);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Flat per-line bookkeeping: a hash table from a 64-bit key (a cache
- * line address, or a transaction sequence) to a small value, with no
- * allocation per entry.
+ * line address, a transaction sequence or ID, or a log slot address)
+ * to a small value, with no allocation per entry.
  *
  * The simulator keeps several facts per line on its hottest paths:
  * the bus monitor's last write-back tick and pending log records, the
@@ -13,8 +13,8 @@
  * allocation of its own and a probe reads consecutive words. It grows
  * by doubling once three-quarters full.
  *
- * Any key but kFree (all ones, which no line address or sequence
- * number reaches) is legal, including 0 and line addresses outside
+ * Any key but kFree (all ones, which no address, sequence number or
+ * ID reaches) is legal, including 0 and line addresses outside
  * NVRAM.
  */
 

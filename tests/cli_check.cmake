@@ -1,9 +1,14 @@
 # Command-line contract checks, run by ctest as
 #   cmake -DTOOL=<binary> -DARGS="<args>" [-DEXPECT=<regex>]
-#         [-DARGS2="<args>" [-DSAME_STDERR=1]] -P cli_check.cmake
+#         [-DEXPECT_OUT=<regex>] [-DARGS2="<args>" [-DSAME_STDERR=1]]
+#         -P cli_check.cmake
 #
 # With EXPECT: the invocation must be rejected — exit status 1 and a
-# diagnostic on stderr matching EXPECT (the flag it names).
+# diagnostic on stderr matching EXPECT (the flag it names, or the
+# failure a catch gate exists to find).
+# With EXPECT_OUT: exit status 1 and stdout matching EXPECT_OUT (the
+# violation a catch gate exists to find), so a crash, an assertion or
+# a sanitizer report does not pass for a catch.
 # With ARGS2: both invocations must agree — same exit status, same
 # stdout (e.g. two orders of the same flags), and with SAME_STDERR
 # the same stderr too (e.g. a failure report).
@@ -12,15 +17,19 @@ separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND ${TOOL} ${args}
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 
-if(DEFINED EXPECT)
+if(DEFINED EXPECT OR DEFINED EXPECT_OUT)
     if(NOT rc EQUAL 1)
         message(FATAL_ERROR "'${ARGS}': exit status ${rc}, want 1\n"
                             "stdout: ${out}\nstderr: ${err}")
     endif()
-    if(NOT err MATCHES "${EXPECT}")
-        message(FATAL_ERROR "'${ARGS}': stderr does not match "
-                            "'${EXPECT}'\nstderr: ${err}")
-    endif()
+endif()
+if(DEFINED EXPECT AND NOT err MATCHES "${EXPECT}")
+    message(FATAL_ERROR "'${ARGS}': stderr does not match "
+                        "'${EXPECT}'\nstderr: ${err}")
+endif()
+if(DEFINED EXPECT_OUT AND NOT out MATCHES "${EXPECT_OUT}")
+    message(FATAL_ERROR "'${ARGS}': stdout does not match "
+                        "'${EXPECT_OUT}'\nstdout: ${out}\nstderr: ${err}")
 endif()
 
 if(DEFINED ARGS2)

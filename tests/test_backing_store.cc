@@ -260,6 +260,9 @@ TEST(BackingStore, IdenticalWriteToSharedPageClonesNothing)
 {
     BackingStore parent(0, 1 << 22);
     parent.write64(64, 0xabcULL);
+    // Words either side of the page 1 / page 2 boundary.
+    parent.write64(2 * kPage - 8, 0x1122334455667788ULL);
+    parent.write64(2 * kPage, 0x99aabbccddeeff00ULL);
     BackingStore child = parent;
     const std::uint64_t cloned = child.pagesCloned();
 
@@ -268,9 +271,15 @@ TEST(BackingStore, IdenticalWriteToSharedPageClonesNothing)
     std::uint8_t run[16];
     child.read(56, sizeof(run), run); // write bytes 56..71 back as-is
     child.write(56, sizeof(run), run);
+    // An 8-byte write straddling the boundary, both halves unchanged.
+    std::uint8_t word[8];
+    child.read(2 * kPage - 4, sizeof(word), word);
+    child.write(2 * kPage - 4, sizeof(word), word);
     EXPECT_EQ(child.pagesCloned(), cloned);
     std::uint64_t ac = 0, ap = 0;
     EXPECT_EQ(child.pageAt(64, &ac), parent.pageAt(64, &ap));
+    EXPECT_EQ(child.pageAt(kPage, &ac), parent.pageAt(kPage, &ap));
+    EXPECT_EQ(child.pageAt(2 * kPage, &ac), parent.pageAt(2 * kPage, &ap));
     EXPECT_EQ(child.pageAt(5 * kPage, &ac), nullptr);
 
     // One changed byte clones the page, and only in the child.
@@ -279,6 +288,16 @@ TEST(BackingStore, IdenticalWriteToSharedPageClonesNothing)
     EXPECT_NE(child.pageAt(64, &ac), parent.pageAt(64, &ap));
     EXPECT_EQ(parent.read64(64), 0xabcULL);
     EXPECT_EQ(child.read64(64), 0xabdULL);
+
+    // Changing only the straddling write's page-2 half clones page 2
+    // alone; page 1 stays shared.
+    word[6] ^= 0xff;
+    child.write(2 * kPage - 4, sizeof(word), word);
+    EXPECT_EQ(child.pagesCloned(), cloned + 2);
+    EXPECT_EQ(child.pageAt(kPage, &ac), parent.pageAt(kPage, &ap));
+    EXPECT_NE(child.pageAt(2 * kPage, &ac), parent.pageAt(2 * kPage, &ap));
+    EXPECT_EQ(parent.read64(2 * kPage), 0x99aabbccddeeff00ULL);
+    EXPECT_EQ(child.read64(2 * kPage), 0x99aabbccddeeff00ULL ^ 0xff0000ULL);
 }
 
 TEST(BackingStore, WriteIntoSharedLeafLeavesParentByteIdentical)

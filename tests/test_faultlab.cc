@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/system.hh"
@@ -667,6 +669,169 @@ TEST(Salvage, FaultedCheckerPassesOnHonestRecovery)
     // Quarantine can only hit transactions the plan damaged (a
     // damaged txn may instead surface as uncommitted, so <=).
     EXPECT_LE(rep.quarantinedTxns, plan.damagedTxIds.size());
+}
+
+// ------------------ recovery scan page memo ----------------------
+
+namespace
+{
+
+sim::Co<void>
+spanningWorkerBody(Thread &t, Addr base, int iters)
+{
+    // Four consecutive lines per transaction: one per shard of a
+    // 4-shard log, so a sharded run writes prepares and masked commits.
+    Addr mine = base + t.id() * 256;
+    for (int i = 0; i < iters; ++i) {
+        co_await t.txBegin();
+        for (int l = 0; l < 4; ++l)
+            co_await t.store64(mine + l * 64, i + 1);
+        co_await t.txCommit();
+    }
+}
+
+void
+expectSameShard(const ShardSummary &a, const ShardSummary &b)
+{
+    EXPECT_EQ(a.shard, b.shard);
+    EXPECT_EQ(a.headerValid, b.headerValid);
+    EXPECT_EQ(a.dead, b.dead);
+    EXPECT_EQ(a.wrapped, b.wrapped);
+    EXPECT_EQ(a.slotsScanned, b.slotsScanned);
+    EXPECT_EQ(a.validRecords, b.validRecords);
+    EXPECT_EQ(a.salvagedTxns, b.salvagedTxns);
+    EXPECT_EQ(a.quarantinedTxns, b.quarantinedTxns);
+    EXPECT_EQ(a.abortedDeadShard, b.abortedDeadShard);
+}
+
+void
+expectSameReport(const RecoveryReport &a, const RecoveryReport &b)
+{
+    EXPECT_EQ(a.headerValid, b.headerValid);
+    EXPECT_EQ(a.slotsScanned, b.slotsScanned);
+    EXPECT_EQ(a.validRecords, b.validRecords);
+    EXPECT_EQ(a.committedTxns, b.committedTxns);
+    EXPECT_EQ(a.uncommittedTxns, b.uncommittedTxns);
+    EXPECT_EQ(a.redoApplied, b.redoApplied);
+    EXPECT_EQ(a.undoApplied, b.undoApplied);
+    EXPECT_EQ(a.salvagedTxns, b.salvagedTxns);
+    EXPECT_EQ(a.quarantinedTxns, b.quarantinedTxns);
+    EXPECT_EQ(a.emptySlots, b.emptySlots);
+    EXPECT_EQ(a.tornSlots, b.tornSlots);
+    EXPECT_EQ(a.crcFailSlots, b.crcFailSlots);
+    EXPECT_EQ(a.stalePassSlots, b.stalePassSlots);
+    EXPECT_EQ(a.firstBadSlotAddr, b.firstBadSlotAddr);
+    EXPECT_EQ(a.quarantinedTxIds, b.quarantinedTxIds);
+    EXPECT_EQ(a.writesIssued, b.writesIssued);
+    EXPECT_EQ(a.writesApplied, b.writesApplied);
+    EXPECT_EQ(a.interrupted, b.interrupted);
+    EXPECT_EQ(a.promotedLines, b.promotedLines);
+    EXPECT_EQ(a.remapCorrupt, b.remapCorrupt);
+    EXPECT_EQ(a.touchedLines, b.touchedLines);
+    ASSERT_EQ(a.shards.size(), b.shards.size());
+    for (std::size_t s = 0; s < a.shards.size(); ++s)
+        expectSameShard(a.shards[s], b.shards[s]);
+    EXPECT_EQ(a.deadShardAborted, b.deadShardAborted);
+    EXPECT_EQ(a.deadShardAbortTxIds, b.deadShardAbortTxIds);
+}
+
+/**
+ * Recover a copy of @p image on this thread, whose scan memo carries
+ * over from every earlier call, and another copy on a fresh thread,
+ * whose memo is cold. Both reports and both recovered images must
+ * agree; returns the recovered image and its report.
+ */
+std::pair<mem::BackingStore, RecoveryReport>
+recoverWarmAndCold(const mem::BackingStore &image, const AddressMap &map,
+                   const RecoveryOptions &opts)
+{
+    mem::BackingStore warm = image;
+    RecoveryReport rw = Recovery::run(warm, map, opts);
+    mem::BackingStore cold = image;
+    RecoveryReport rc;
+    std::thread([&] { rc = Recovery::run(cold, map, opts); }).join();
+    expectSameReport(rw, rc);
+    EXPECT_EQ(warm.firstDifference(cold, warm.base(), warm.size()),
+              std::nullopt);
+    return {std::move(warm), rw};
+}
+
+} // namespace
+
+TEST(RecoveryMemo, WarmScanMatchesColdScan)
+{
+    RecoveryOptions replay;
+    replay.truncateLog = false;
+    RecoveryOptions canon;
+    canon.collectWrites = true;
+
+    // Ascending crash snapshots of one journaled run, each replayed
+    // without truncation, recovered, and its truncated result
+    // recovered again before the next (untruncated) snapshot.
+    SystemConfig cfg = SystemConfig::scaled(2);
+    cfg.persist.crashJournal = true;
+    System sys(cfg, PersistMode::Fwb);
+    const AddressMap &map = sys.config().map;
+    Addr base = sys.heap().alloc(512, 64);
+    for (CoreId c = 0; c < 2; ++c) {
+        sys.spawn(c, [base](Thread &t) {
+            return spanningWorkerBody(t, base, 60);
+        });
+    }
+    Tick end = sys.run();
+    constexpr int kPoints = 6;
+    for (int k = 1; k <= kPoints; ++k) {
+        SCOPED_TRACE(k);
+        mem::BackingStore image = sys.crashSnapshot(end * k / kPoints);
+        recoverWarmAndCold(image, map, replay);
+        auto [truncated, rep] = recoverWarmAndCold(image, map, canon);
+        EXPECT_GT(rep.validRecords, 0u);
+        recoverWarmAndCold(truncated, map, canon);
+    }
+
+    // One bit flipped in the first (valid) slot, a page the memo
+    // holds from the last snapshot above: the damage must be seen,
+    // then trusted with faultIgnoreCrc on, then seen again.
+    mem::BackingStore damaged = sys.crashSnapshot(end);
+    const Addr slot = map.logBase() + LogRegion::kHeaderBytes;
+    std::uint8_t img[LogRecord::kSlotBytes];
+    damaged.read(slot, sizeof(img), img);
+    ASSERT_EQ(classifySlot(img).cls, SlotClass::Valid);
+    flipBit(img, 2 * 8); // the transaction ID's low bit
+    damaged.write(slot, sizeof(img), img);
+    RecoveryOptions ignoreCrc = canon;
+    ignoreCrc.faultIgnoreCrc = true;
+    EXPECT_EQ(recoverWarmAndCold(damaged, map, canon).second.crcFailSlots,
+              1u);
+    EXPECT_EQ(
+        recoverWarmAndCold(damaged, map, ignoreCrc).second.crcFailSlots,
+        0u);
+    EXPECT_EQ(recoverWarmAndCold(damaged, map, canon).second.crcFailSlots,
+              1u);
+
+    // A 4-shard log over the same log area: the same chunk addresses
+    // now hold other shards' headers and records.
+    SystemConfig scfg = cfg;
+    scfg.persist.logShards = 4;
+    System ssys(scfg, PersistMode::Fwb);
+    const AddressMap &smap = ssys.config().map;
+    ASSERT_EQ(smap.logShards, 4u);
+    Addr sbase = ssys.heap().alloc(512, 64);
+    for (CoreId c = 0; c < 2; ++c) {
+        ssys.spawn(c, [sbase](Thread &t) {
+            return spanningWorkerBody(t, sbase, 60);
+        });
+    }
+    Tick send = ssys.run();
+    for (int k = 1; k <= kPoints; ++k) {
+        SCOPED_TRACE(100 + k);
+        mem::BackingStore image =
+            ssys.crashSnapshot(send * k / kPoints);
+        recoverWarmAndCold(image, smap, replay);
+        auto [truncated, rep] = recoverWarmAndCold(image, smap, canon);
+        EXPECT_EQ(rep.shards.size(), 4u);
+        recoverWarmAndCold(truncated, smap, canon);
+    }
 }
 
 // -------------------------- tx_abort -----------------------------
