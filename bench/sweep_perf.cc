@@ -4,9 +4,11 @@
  * sweeps: naive full-replay vs. checkpointed snapshotAt over a
  * journaled store (the benchmark argument is the checkpoint interval,
  * 0 = naive), repeated snapshotAt vs. the monotone Cursor along an
- * ascending tick walk, and a small end-to-end runCrashSweep cell at
- * both settings. CI runs this with --benchmark_min_time=0.05s as the
- * bench-smoke job; locally, plain `sweep_perf` gives stable numbers.
+ * ascending tick walk, a small end-to-end runCrashSweep cell at
+ * both settings, and the TPC-C consistency oracle every oltp-tpcc
+ * crash point ends with. CI runs this with
+ * --benchmark_min_time=0.05s as the bench-smoke job; locally, plain
+ * `sweep_perf` gives stable numbers.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,8 +16,10 @@
 #include <memory>
 #include <vector>
 
+#include "core/system.hh"
 #include "crashlab/sweep.hh"
 #include "mem/backing_store.hh"
+#include "oltp/tpcc.hh"
 #include "sim/rng.hh"
 
 using namespace snf;
@@ -151,6 +155,54 @@ BENCHMARK(BM_CrashSweepEndToEnd)
     ->Arg(0)
     ->Arg(1024)
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * checkTpccConsistency over the recovered crash image of a TPC-C cell
+ * (fwb/2PL, 4 threads, 4 warehouses, 256 customers per district, 130
+ * tx per thread, crashed at tick 1 000 000 of ~2 019 000): 10 240
+ * customer and 33 792 stock rows, the tables a crash-tpcc point's
+ * oracle walks. The image is built once, outside the timed loop.
+ */
+void
+BM_TpccOracle(benchmark::State &state)
+{
+    struct Recovered
+    {
+        mem::BackingStore image;
+        oltp::TpccLayout layout;
+    };
+    static const Recovered cell = [] {
+        workloads::WorkloadParams params;
+        params.threads = 4;
+        params.txPerThread = 130;
+        params.footprint = 256;
+        params.warehouses = 4;
+        params.seed = 1;
+        SystemConfig cfg = SystemConfig::scaled(params.threads);
+        cfg.persist.ccMode = CcMode::TwoPhase;
+        cfg.persist.crashJournal = true;
+        System sys(cfg, PersistMode::Fwb);
+        oltp::TpccEngine eng;
+        eng.setup(sys, params);
+        for (CoreId c = 0; c < params.threads; ++c)
+            sys.spawn(c, [&](Thread &t) -> sim::Co<void> {
+                return eng.thread(sys, t, params);
+            });
+        const Tick at = 1000000;
+        sys.run(at);
+        mem::BackingStore image = sys.crashSnapshot(at);
+        persist::Recovery::run(image, sys.config().map);
+        return Recovered{std::move(image), eng.layout()};
+    }();
+    for (auto _ : state) {
+        std::string why;
+        bool ok = oltp::checkTpccConsistency(cell.image, cell.layout, &why);
+        if (!ok)
+            state.SkipWithError(why.c_str());
+        benchmark::DoNotOptimize(ok);
+    }
+}
+BENCHMARK(BM_TpccOracle)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

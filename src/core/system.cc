@@ -325,6 +325,7 @@ System::collectStats(Tick cycles) const
     for (const auto &region : logRegions) {
         s.logFullStalls += region->logFullStalls.value();
         s.forcedWritebacks += region->forcedWritebacks.value();
+        s.reclaimWaitCycles += region->reclaimWaitCycles.value();
     }
     s.logFullEscalations = txnTracker.abortEscalations.value();
     s.ccLockWaits = txnTracker.lockWaits.value();

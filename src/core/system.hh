@@ -79,9 +79,15 @@ struct RunStats
     std::uint64_t orderViolations = 0;
     std::uint64_t overwriteHazards = 0;
 
-    // Log-full policy activity (zero under the legacy Reclaim policy).
+    // Log-full activity. The stalls count only the Stall and
+    // AbortRetry policies' backoff; forced write-backs and the
+    // reclaim wait also accrue under the default Reclaim policy.
     std::uint64_t logFullStalls = 0;
     std::uint64_t forcedWritebacks = 0;
+    /** Cycles appends waited, reclaiming the oldest slot, for the
+     *  forced write-back of its guarded line (log.reclaim_wait_cycles
+     *  summed over every region). */
+    std::uint64_t reclaimWaitCycles = 0;
     /** Abort requests denied by the livelock guard (escalated to
      *  stall-style waiting). */
     std::uint64_t logFullEscalations = 0;

@@ -1,6 +1,7 @@
 #include "crashlab/invariants.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdarg>
 #include <cstdio>
 
@@ -31,7 +32,21 @@ fail(std::vector<Violation> &out, const char *invariant,
     out.push_back(Violation{invariant, std::move(detail)});
 }
 
+/** Active per-thread sink of VerifyTimerScope (null = off). */
+thread_local std::uint64_t *verifyTimerSink = nullptr;
+
 } // namespace
+
+VerifyTimerScope::VerifyTimerScope(std::uint64_t *sinkNs)
+    : prev(verifyTimerSink)
+{
+    verifyTimerSink = sinkNs;
+}
+
+VerifyTimerScope::~VerifyTimerScope()
+{
+    verifyTimerSink = prev;
+}
 
 bool
 guaranteesFailureAtomicity(PersistMode mode)
@@ -117,8 +132,15 @@ checkCrashPoint(const mem::BackingStore &image, const AddressMap &map,
     // recovered image. Only failure-atomic modes promise this; the
     // unsafe/partial baselines lose data by design.
     if (guaranteesFailureAtomicity(facts.mode)) {
+        auto start = std::chrono::steady_clock::now();
         std::string why;
-        if (!wl.verify(recovered, &why))
+        bool verified = wl.verify(recovered, &why);
+        if (verifyTimerSink)
+            *verifyTimerSink += static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - start)
+                    .count());
+        if (!verified)
             fail(out, "verify", why);
     }
 

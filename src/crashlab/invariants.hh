@@ -59,6 +59,27 @@ struct CrashFacts
     PersistMode mode = PersistMode::NonPers;
 };
 
+/**
+ * Installs a thread-local nanosecond accumulator that every
+ * checkCrashPoint on this thread adds the wall-clock of its workload
+ * oracle (Workload::verify) to while the scope is alive, as
+ * persist::RecoveryTimerScope does for Recovery::run. The crash sweep
+ * uses it to report how much of its check time the oracle takes.
+ * Scopes nest; a null sink means timing is off, the default.
+ */
+class VerifyTimerScope
+{
+  public:
+    explicit VerifyTimerScope(std::uint64_t *sinkNs);
+    ~VerifyTimerScope();
+
+    VerifyTimerScope(const VerifyTimerScope &) = delete;
+    VerifyTimerScope &operator=(const VerifyTimerScope &) = delete;
+
+  private:
+    std::uint64_t *prev;
+};
+
 /** True when @p mode promises full failure atomicity on recovery. */
 bool guaranteesFailureAtomicity(PersistMode mode);
 

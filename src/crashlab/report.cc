@@ -81,8 +81,8 @@ writePerfSummary(std::ostream &os, const CellResult &cell)
     os << line;
     std::snprintf(line, sizeof(line),
                   "  perf: eval worker-sec: snapshot %.3f, recover "
-                  "%.3f, check %.3f; minimize %.3fs\n",
-                  p.snapshotSec, p.recoverSec, p.checkSec,
+                  "%.3f, check %.3f (verify %.3f); minimize %.3fs\n",
+                  p.snapshotSec, p.recoverSec, p.checkSec, p.verifySec,
                   p.minimizeSec);
     os << line;
     std::snprintf(
@@ -109,6 +109,7 @@ writePerfJson(JsonWriter &w, const SweepPerf &p)
     w.key("snapshot_sec").fixed(p.snapshotSec, 6);
     w.key("recover_sec").fixed(p.recoverSec, 6);
     w.key("check_sec").fixed(p.checkSec, 6);
+    w.key("verify_sec").fixed(p.verifySec, 6);
     w.key("minimize_sec").fixed(p.minimizeSec, 6);
     w.key("total_sec").fixed(p.totalSec, 6);
     w.field("journal_entries", p.journalEntries);

@@ -198,6 +198,7 @@ runCrashSweep(const SweepConfig &cfg)
         std::uint64_t snapshotNs = 0;
         std::uint64_t evalNs = 0;
         std::uint64_t recoverNs = 0;
+        std::uint64_t verifyNs = 0;
         std::uint64_t reorderImages = 0;
         std::uint64_t reorderPointsWithPending = 0;
         std::uint64_t reorderMaxPending = 0;
@@ -213,6 +214,7 @@ runCrashSweep(const SweepConfig &cfg)
             return;
         WorkerPerf &perf = workerPerf[w];
         persist::RecoveryTimerScope recoveryTimer(&perf.recoverNs);
+        VerifyTimerScope verifyTimer(&perf.verifyNs);
         mem::BackingStore::Cursor cursor(store);
         // Worker-local pending-set cursor (reorderlab): one journal
         // scan per worker, advanced monotonically with the points.
@@ -289,6 +291,7 @@ runCrashSweep(const SweepConfig &cfg)
         res.perf.checkSec +=
             (perf.evalNs - std::min(perf.evalNs, perf.recoverNs)) *
             1e-9;
+        res.perf.verifySec += perf.verifyNs * 1e-9;
         res.reorderImagesTested += perf.reorderImages;
         res.reorderPointsWithPending += perf.reorderPointsWithPending;
         res.reorderMaxPending = std::max(res.reorderMaxPending,

@@ -106,6 +106,7 @@ struct SweepPerf
     double snapshotSec = 0; ///< crash-image reconstruction (workers)
     double recoverSec = 0;  ///< recovery passes inside checkers
     double checkSec = 0;    ///< checker work minus recovery
+    double verifySec = 0;   ///< the workload oracle, part of checkSec
     double minimizeSec = 0; ///< bisection of the earliest failure
     double totalSec = 0;    ///< whole runCrashSweep call
     /** Journaled NVRAM writes of the reference run. */

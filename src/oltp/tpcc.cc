@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 
 #include "mem/backing_store.hh"
 #include "sim/logging.hh"
@@ -33,6 +34,50 @@ fail(std::string *why, const char *fmt, ...)
     }
     return false;
 }
+
+/**
+ * Ascending reader for the oracle's table scans. A row's leading
+ * words come from the page span the last lookup returned, so a scan
+ * pays one BackingStore::pageAt per 4 KB page instead of one
+ * page-table walk per word. An absent page reads as zeros, as read64
+ * does; a read that would run past the current span (a row that
+ * straddles a page end) falls back to read64, word by word.
+ */
+class RowReader
+{
+  public:
+    explicit RowReader(const mem::BackingStore &nvram) : nvram(nvram) {}
+
+    /** The @p N words at @p addr. */
+    template <std::size_t N>
+    void
+    read(Addr addr, std::uint64_t (&out)[N])
+    {
+        constexpr std::uint64_t bytes = sizeof(out);
+        if (addr < spanBase || addr + bytes > spanEnd) {
+            std::uint64_t avail = 0;
+            span = nvram.pageAt(addr, &avail);
+            spanBase = addr;
+            spanEnd = addr + avail;
+            if (bytes > avail) {
+                for (std::size_t k = 0; k < N; ++k)
+                    out[k] = nvram.read64(addr + k * sizeof(out[0]));
+                return;
+            }
+        }
+        if (span)
+            std::memcpy(out, span + (addr - spanBase), bytes);
+        else
+            std::fill_n(out, N, 0);
+    }
+
+  private:
+    const mem::BackingStore &nvram;
+    /** Bytes of [spanBase, spanEnd), or nullptr if they read as 0. */
+    const std::uint8_t *span = nullptr;
+    Addr spanBase = 0;
+    Addr spanEnd = 0;
+};
 
 } // namespace
 
@@ -346,10 +391,13 @@ bool
 checkTpccConsistency(const mem::BackingStore &nvram,
                      const TpccLayout &lay, std::string *why)
 {
-    const std::uint64_t nstock = lay.warehouses * lay.items;
-    std::vector<std::uint64_t> wantCnt(nstock, 0);
-    std::vector<std::uint64_t> wantQty(nstock, 0);
-    std::vector<std::uint64_t> wantRemote(nstock, 0);
+    // Per stock row, what the committed order lines say it must hold.
+    struct StockWant
+    {
+        std::uint64_t cnt = 0, qty = 0, remote = 0;
+    };
+    std::vector<StockWant> want(lay.warehouses * lay.items);
+    RowReader rows(nvram);
 
     std::uint64_t allDistrictYtd = 0;
 
@@ -367,16 +415,15 @@ checkTpccConsistency(const mem::BackingStore &nvram,
 
             for (std::uint64_t o = 0; o < next; ++o) {
                 Addr order = lay.orderAddr(w, d, o);
-                std::uint64_t stamp = nvram.read64(order + 0);
+                std::uint64_t hdr[4];
+                rows.read(order, hdr);
+                const auto [stamp, cid, nlines, total] = hdr;
                 if (stamp != o + 1)
                     return fail(why,
                                 "order (%" PRIu64 ",%" PRIu64
                                 ",%" PRIu64 "): stamp %" PRIu64
                                 " != %" PRIu64 " (lost or torn order)",
                                 w, d, o, stamp, o + 1);
-                std::uint64_t cid = nvram.read64(order + 8);
-                std::uint64_t nlines = nvram.read64(order + 16);
-                std::uint64_t total = nvram.read64(order + 24);
                 if (cid >= lay.customers)
                     return fail(why,
                                 "order (%" PRIu64 ",%" PRIu64
@@ -393,8 +440,9 @@ checkTpccConsistency(const mem::BackingStore &nvram,
                 for (std::uint64_t l = 0; l < nlines; ++l) {
                     Addr line = order + TpccLayout::kOrderHeaderBytes +
                                 l * TpccLayout::kOrderLineBytes;
-                    std::uint64_t w0 = nvram.read64(line + 0);
-                    std::uint64_t w1 = nvram.read64(line + 8);
+                    std::uint64_t words[2];
+                    rows.read(line, words);
+                    const auto [w0, w1] = words;
                     std::uint64_t item = w0 & 0xffffffffu;
                     std::uint64_t supply = w0 >> 32;
                     std::uint64_t qty = w1 & 0xffffffffu;
@@ -422,11 +470,11 @@ checkTpccConsistency(const mem::BackingStore &nvram,
                                     " != qty * price",
                                     w, d, o, l, amount);
                     sum += amount;
-                    std::uint64_t s = supply * lay.items + item;
-                    ++wantCnt[s];
-                    wantQty[s] += qty;
+                    StockWant &s = want[supply * lay.items + item];
+                    ++s.cnt;
+                    s.qty += qty;
                     if (supply != w)
-                        ++wantRemote[s];
+                        ++s.remote;
                 }
                 if (sum != total)
                     return fail(why,
@@ -456,10 +504,9 @@ checkTpccConsistency(const mem::BackingStore &nvram,
     for (std::uint64_t w = 0; w < lay.warehouses; ++w)
         for (std::uint64_t d = 0; d < lay.districts; ++d)
             for (std::uint64_t c = 0; c < lay.customers; ++c) {
-                Addr cust = lay.customerAddr(w, d, c);
-                std::uint64_t bal = nvram.read64(cust + 0);
-                std::uint64_t ytd = nvram.read64(cust + 8);
-                std::uint64_t cnt = nvram.read64(cust + 16);
+                std::uint64_t row[3];
+                rows.read(lay.customerAddr(w, d, c), row);
+                const auto [bal, ytd, cnt] = row;
                 if (bal + ytd != 0)
                     return fail(why,
                                 "customer (%" PRIu64 ",%" PRIu64
@@ -482,21 +529,18 @@ checkTpccConsistency(const mem::BackingStore &nvram,
 
     for (std::uint64_t w = 0; w < lay.warehouses; ++w)
         for (std::uint64_t i = 0; i < lay.items; ++i) {
-            Addr stock = lay.stockAddr(w, i);
-            std::uint64_t qty = nvram.read64(stock + 0);
-            std::uint64_t ytd = nvram.read64(stock + 8);
-            std::uint64_t cnt = nvram.read64(stock + 16);
-            std::uint64_t rem = nvram.read64(stock + 24);
-            std::uint64_t s = w * lay.items + i;
-            if (cnt != wantCnt[s] || ytd != wantQty[s] ||
-                rem != wantRemote[s])
+            std::uint64_t row[4];
+            rows.read(lay.stockAddr(w, i), row);
+            const auto [qty, ytd, cnt, rem] = row;
+            const StockWant &s = want[w * lay.items + i];
+            if (cnt != s.cnt || ytd != s.qty || rem != s.remote)
                 return fail(why,
                             "stock (%" PRIu64 ",%" PRIu64
                             "): cnt/ytd/remote %" PRIu64 "/%" PRIu64
                             "/%" PRIu64 " != recomputed %" PRIu64
                             "/%" PRIu64 "/%" PRIu64,
-                            w, i, cnt, ytd, rem, wantCnt[s],
-                            wantQty[s], wantRemote[s]);
+                            w, i, cnt, ytd, rem, s.cnt, s.qty,
+                            s.remote);
             if (cnt == 0) {
                 if (qty != TpccLayout::kInitQuantity || ytd != 0)
                     return fail(why,

@@ -187,7 +187,8 @@ class LogRegion
     sim::Counter &reclaims;
     sim::Counter &hazards;
     sim::Counter &truncates;
-    // Log-full policy activity (zero under the legacy Reclaim policy).
+    // Log-full activity: the stalls are the Stall and AbortRetry
+    // policies' backoff; forced write-backs also accrue under Reclaim.
     sim::Counter &logFullStalls;
     sim::Counter &logFullStallCycles;
     sim::Counter &forcedWritebacks;

@@ -4,20 +4,26 @@
  * consistency oracle after clean runs AND after crash-point recovery
  * under every guaranteed mode × CC scheme, the oracle's own teeth (a
  * corrupted image must be rejected), YCSB torn-update detection at a
- * large Zipf-skewed keyspace and the page-wise YCSB verify against a
- * per-word reference, counter determinism across repeats and
- * across host --jobs, the no-steal empty-write-set abort being legal
- * under redo-only logging, the contended multi-shard crash sweep
- * (I1–I8), the latency histogram's quantile contract, and the count
- * of cycles log reclaims wait for forced write-backs.
+ * large Zipf-skewed keyspace, the page-wise YCSB and TPC-C oracles
+ * against their per-word references, counter determinism across
+ * repeats and across host --jobs, the no-steal empty-write-set abort
+ * being legal under redo-only logging, the contended multi-shard
+ * crash sweep (I1–I8), the latency histogram's quantile contract, and
+ * the count of cycles log reclaims wait for forced write-backs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdarg>
+#include <cstdio>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "crashlab/sweep.hh"
 #include "oltp/bench.hh"
@@ -175,21 +181,21 @@ TEST(TpccOracleTeeth, CorruptedImageIsRejected)
 namespace
 {
 
-/** A small contended oltp-ycsb cell, kept live for its NVRAM image. */
-class YcsbCell
+/**
+ * A small contended OLTP cell of @p Engine, kept live for its NVRAM
+ * image (the crash journal is on, so it can also crash and recover).
+ */
+template <class Engine>
+class OltpCell
 {
   public:
-    explicit YcsbCell(CcMode cc)
+    OltpCell(const WorkloadParams &p, CcMode cc, PersistMode mode)
+        : params(p)
     {
-        params.threads = 4;
-        params.txPerThread = 120;
-        params.footprint = 65536; // 4 MB of records, mostly untouched
-        params.zipfTheta = 0.9;
-        params.seed = 5;
         SystemConfig cfg = SystemConfig::scaled(params.threads);
         cfg.persist.ccMode = cc;
         cfg.persist.crashJournal = true;
-        sys = std::make_unique<System>(cfg, PersistMode::UndoClwb);
+        sys = std::make_unique<System>(cfg, mode);
         eng.setup(*sys, params);
         for (CoreId c = 0; c < params.threads; ++c)
             sys->spawn(c, [this](Thread &t) -> sim::Co<void> {
@@ -198,8 +204,8 @@ class YcsbCell
     }
 
     // The spawned threads hold `this`.
-    YcsbCell(const YcsbCell &) = delete;
-    YcsbCell &operator=(const YcsbCell &) = delete;
+    OltpCell(const OltpCell &) = delete;
+    OltpCell &operator=(const OltpCell &) = delete;
 
     /** Run to completion and flush: the final image. */
     mem::BackingStore
@@ -221,7 +227,28 @@ class YcsbCell
 
     WorkloadParams params;
     std::unique_ptr<System> sys;
-    YcsbEngine eng;
+    Engine eng;
+};
+
+WorkloadParams
+ycsbCellParams()
+{
+    WorkloadParams params;
+    params.threads = 4;
+    params.txPerThread = 120;
+    params.footprint = 65536; // 4 MB of records, mostly untouched
+    params.zipfTheta = 0.9;
+    params.seed = 5;
+    return params;
+}
+
+/** A small contended oltp-ycsb cell under undo-clwb. */
+struct YcsbCell : OltpCell<YcsbEngine>
+{
+    explicit YcsbCell(CcMode cc)
+        : OltpCell(ycsbCellParams(), cc, PersistMode::UndoClwb)
+    {
+    }
 };
 
 /** The per-word check verify() replaced: a read64 per word. */
@@ -355,6 +382,482 @@ TEST(YcsbVerify, PartitionedCellVerifiesWithSharedZipf)
         EXPECT_TRUE(updated) << "no update in thread " << id
                              << "'s partition";
     }
+}
+
+// ------------------------------------------------------------------
+// The TPC-C oracle reads its rows a page span at a time, falling back
+// to read64 for a row that straddles a page end. It must agree, result
+// and diagnostic byte for byte, with the word-at-a-time oracle it
+// replaced: on clean and recovered images, on one targeted mutation
+// per diagnostic, on an image with a never-written stock page, and on
+// tables moved 8 bytes off their 64-byte alignment.
+// ------------------------------------------------------------------
+
+namespace
+{
+
+bool
+referenceFail(std::string *why, const char *fmt, ...)
+{
+    if (why) {
+        char buf[256];
+        va_list ap;
+        va_start(ap, fmt);
+        std::vsnprintf(buf, sizeof(buf), fmt, ap);
+        va_end(ap);
+        *why = buf;
+    }
+    return false;
+}
+
+/** The word-wise oracle the page walk replaced: a read64 per word. */
+bool
+referenceTpccCheck(const mem::BackingStore &nvram,
+                   const TpccLayout &lay, std::string *why)
+{
+    const std::uint64_t nstock = lay.warehouses * lay.items;
+    std::vector<std::uint64_t> wantCnt(nstock, 0);
+    std::vector<std::uint64_t> wantQty(nstock, 0);
+    std::vector<std::uint64_t> wantRemote(nstock, 0);
+
+    std::uint64_t allDistrictYtd = 0;
+
+    for (std::uint64_t w = 0; w < lay.warehouses; ++w) {
+        std::uint64_t districtYtd = 0;
+        for (std::uint64_t d = 0; d < lay.districts; ++d) {
+            Addr dist = lay.districtAddr(w, d);
+            std::uint64_t next = nvram.read64(dist + 0);
+            districtYtd += nvram.read64(dist + 8);
+            if (next > lay.maxOrders)
+                return referenceFail(
+                    why,
+                    "district (%" PRIu64 ",%" PRIu64
+                    "): next_o_id %" PRIu64 " beyond capacity",
+                    w, d, next);
+
+            for (std::uint64_t o = 0; o < next; ++o) {
+                Addr order = lay.orderAddr(w, d, o);
+                std::uint64_t stamp = nvram.read64(order + 0);
+                if (stamp != o + 1)
+                    return referenceFail(
+                        why,
+                        "order (%" PRIu64 ",%" PRIu64 ",%" PRIu64
+                        "): stamp %" PRIu64 " != %" PRIu64
+                        " (lost or torn order)",
+                        w, d, o, stamp, o + 1);
+                std::uint64_t cid = nvram.read64(order + 8);
+                std::uint64_t nlines = nvram.read64(order + 16);
+                std::uint64_t total = nvram.read64(order + 24);
+                if (cid >= lay.customers)
+                    return referenceFail(
+                        why,
+                        "order (%" PRIu64 ",%" PRIu64 ",%" PRIu64
+                        "): customer %" PRIu64 " out of range",
+                        w, d, o, cid);
+                if (nlines < TpccLayout::kMinLines ||
+                    nlines > TpccLayout::kMaxLines)
+                    return referenceFail(
+                        why,
+                        "order (%" PRIu64 ",%" PRIu64 ",%" PRIu64
+                        "): line count %" PRIu64,
+                        w, d, o, nlines);
+                std::uint64_t sum = 0;
+                for (std::uint64_t l = 0; l < nlines; ++l) {
+                    Addr line = order + TpccLayout::kOrderHeaderBytes +
+                                l * TpccLayout::kOrderLineBytes;
+                    std::uint64_t w0 = nvram.read64(line + 0);
+                    std::uint64_t w1 = nvram.read64(line + 8);
+                    std::uint64_t item = w0 & 0xffffffffu;
+                    std::uint64_t supply = w0 >> 32;
+                    std::uint64_t qty = w1 & 0xffffffffu;
+                    std::uint64_t amount = w1 >> 32;
+                    if (item >= lay.items || supply >= lay.warehouses)
+                        return referenceFail(
+                            why,
+                            "order (%" PRIu64 ",%" PRIu64 ",%" PRIu64
+                            ") line %" PRIu64 ": item %" PRIu64
+                            " / supplier %" PRIu64 " out of range",
+                            w, d, o, l, item, supply);
+                    if (qty < 1 || qty > 10)
+                        return referenceFail(
+                            why,
+                            "order (%" PRIu64 ",%" PRIu64 ",%" PRIu64
+                            ") line %" PRIu64 ": quantity %" PRIu64,
+                            w, d, o, l, qty);
+                    if (amount != qty * TpccLayout::itemPrice(item))
+                        return referenceFail(
+                            why,
+                            "order (%" PRIu64 ",%" PRIu64 ",%" PRIu64
+                            ") line %" PRIu64 ": amount %" PRIu64
+                            " != qty * price",
+                            w, d, o, l, amount);
+                    sum += amount;
+                    std::uint64_t s = supply * lay.items + item;
+                    ++wantCnt[s];
+                    wantQty[s] += qty;
+                    if (supply != w)
+                        ++wantRemote[s];
+                }
+                if (sum != total)
+                    return referenceFail(
+                        why,
+                        "order (%" PRIu64 ",%" PRIu64 ",%" PRIu64
+                        "): line sum %" PRIu64 " != total %" PRIu64,
+                        w, d, o, sum, total);
+            }
+            if (next < lay.maxOrders &&
+                nvram.read64(lay.orderAddr(w, d, next)) != 0)
+                return referenceFail(why,
+                                     "district (%" PRIu64 ",%" PRIu64
+                                     "): phantom order at %" PRIu64,
+                                     w, d, next);
+        }
+        std::uint64_t wytd = nvram.read64(lay.warehouseAddr(w));
+        if (wytd != districtYtd)
+            return referenceFail(why,
+                                 "warehouse %" PRIu64 ": w_ytd %" PRIu64
+                                 " != sum of district ytd %" PRIu64,
+                                 w, wytd, districtYtd);
+        allDistrictYtd += districtYtd;
+    }
+
+    std::uint64_t allCustomerYtd = 0;
+    for (std::uint64_t w = 0; w < lay.warehouses; ++w)
+        for (std::uint64_t d = 0; d < lay.districts; ++d)
+            for (std::uint64_t c = 0; c < lay.customers; ++c) {
+                Addr cust = lay.customerAddr(w, d, c);
+                std::uint64_t bal = nvram.read64(cust + 0);
+                std::uint64_t ytd = nvram.read64(cust + 8);
+                std::uint64_t cnt = nvram.read64(cust + 16);
+                if (bal + ytd != 0)
+                    return referenceFail(
+                        why,
+                        "customer (%" PRIu64 ",%" PRIu64 ",%" PRIu64
+                        "): balance %" PRIu64 " + ytd_payment %" PRIu64
+                        " != 0",
+                        w, d, c, bal, ytd);
+                if (cnt > ytd || (cnt == 0) != (ytd == 0))
+                    return referenceFail(
+                        why,
+                        "customer (%" PRIu64 ",%" PRIu64 ",%" PRIu64
+                        "): payment_cnt %" PRIu64
+                        " inconsistent with ytd %" PRIu64,
+                        w, d, c, cnt, ytd);
+                allCustomerYtd += ytd;
+            }
+    if (allDistrictYtd != allCustomerYtd)
+        return referenceFail(why,
+                             "global: sum d_ytd %" PRIu64
+                             " != sum c_ytd_payment %" PRIu64,
+                             allDistrictYtd, allCustomerYtd);
+
+    for (std::uint64_t w = 0; w < lay.warehouses; ++w)
+        for (std::uint64_t i = 0; i < lay.items; ++i) {
+            Addr stock = lay.stockAddr(w, i);
+            std::uint64_t qty = nvram.read64(stock + 0);
+            std::uint64_t ytd = nvram.read64(stock + 8);
+            std::uint64_t cnt = nvram.read64(stock + 16);
+            std::uint64_t rem = nvram.read64(stock + 24);
+            std::uint64_t s = w * lay.items + i;
+            if (cnt != wantCnt[s] || ytd != wantQty[s] ||
+                rem != wantRemote[s])
+                return referenceFail(
+                    why,
+                    "stock (%" PRIu64 ",%" PRIu64
+                    "): cnt/ytd/remote %" PRIu64 "/%" PRIu64
+                    "/%" PRIu64 " != recomputed %" PRIu64 "/%" PRIu64
+                    "/%" PRIu64,
+                    w, i, cnt, ytd, rem, wantCnt[s], wantQty[s],
+                    wantRemote[s]);
+            if (cnt == 0) {
+                if (qty != TpccLayout::kInitQuantity || ytd != 0)
+                    return referenceFail(why,
+                                         "stock (%" PRIu64 ",%" PRIu64
+                                         "): untouched row mutated",
+                                         w, i);
+                continue;
+            }
+            if (qty < 10 || qty > 100)
+                return referenceFail(why,
+                                     "stock (%" PRIu64 ",%" PRIu64
+                                     "): quantity %" PRIu64
+                                     " out of range",
+                                     w, i, qty);
+            if ((qty + ytd) % 91 != TpccLayout::kInitQuantity % 91)
+                return referenceFail(
+                    why,
+                    "stock (%" PRIu64 ",%" PRIu64 "): quantity %" PRIu64
+                    " violates replenishment rule (ytd %" PRIu64 ")",
+                    w, i, qty, ytd);
+        }
+
+    return true;
+}
+
+/**
+ * Require the page walk and the reference to agree on @p image: the
+ * same verdict and a byte-identical diagnostic. Returns the
+ * diagnostic ("" if the image passed).
+ */
+std::string
+expectAgree(const mem::BackingStore &image, const TpccLayout &lay,
+            const std::string &what)
+{
+    std::string why, refWhy;
+    bool ok = checkTpccConsistency(image, lay, &why);
+    EXPECT_EQ(ok, referenceTpccCheck(image, lay, &refWhy)) << what;
+    EXPECT_EQ(why, refWhy) << what;
+    return why;
+}
+
+WorkloadParams
+tpccCellParams(std::uint64_t warehouses)
+{
+    WorkloadParams params;
+    params.threads = 4;
+    params.txPerThread = 120;
+    params.footprint = 64;
+    params.warehouses = warehouses;
+    params.seed = 5;
+    return params;
+}
+
+/** A small contended oltp-tpcc cell under fwb. */
+struct TpccCell : OltpCell<TpccEngine>
+{
+    TpccCell(std::uint64_t warehouses, CcMode cc)
+        : OltpCell(tpccCellParams(warehouses), cc, PersistMode::Fwb)
+    {
+    }
+};
+
+constexpr Addr kNoPage = ~Addr(0);
+
+/**
+ * Copy @p lay's five tables from @p src into a fresh store of the same
+ * range, moved by @p shift bytes, and return the layout of the copy.
+ * The 4 KB page of the copy at @p hole is never written, so it reads
+ * as zeros.
+ */
+TpccLayout
+copyTables(const mem::BackingStore &src, const TpccLayout &lay,
+           std::int64_t shift, Addr hole, mem::BackingStore &dst)
+{
+    constexpr std::uint64_t kPage = 4096;
+    TpccLayout moved = lay;
+    auto copy = [&](Addr from, std::uint64_t len, Addr &base) {
+        base = from + shift;
+        std::vector<std::uint8_t> bytes(len);
+        src.read(from, len, bytes.data());
+        for (std::uint64_t off = 0; off < len;) {
+            Addr at = base + off;
+            std::uint64_t inPage = (at - dst.base()) % kPage;
+            std::uint64_t n = std::min(len - off, kPage - inPage);
+            if (at - inPage != hole)
+                dst.write(at, n, bytes.data() + off);
+            off += n;
+        }
+    };
+    const std::uint64_t districtRows = lay.warehouses * lay.districts;
+    copy(lay.warehouseBase, lay.warehouses * TpccLayout::kRowBytes,
+         moved.warehouseBase);
+    copy(lay.districtBase, districtRows * TpccLayout::kRowBytes,
+         moved.districtBase);
+    copy(lay.customerBase,
+         districtRows * lay.customers * TpccLayout::kRowBytes,
+         moved.customerBase);
+    copy(lay.stockBase,
+         lay.warehouses * lay.items * TpccLayout::kRowBytes,
+         moved.stockBase);
+    copy(lay.orderBase,
+         districtRows * lay.maxOrders * TpccLayout::kOrderBytes,
+         moved.orderBase);
+    return moved;
+}
+
+} // namespace
+
+TEST(TpccVerify, PageWalkAgreesWithPerWordReference)
+{
+    // Final images: 2 warehouses under 2PL, 4 under TL2.
+    for (auto [warehouses, cc] :
+         {std::pair{2u, CcMode::TwoPhase}, std::pair{4u, CcMode::Tl2}}) {
+        TpccCell cell(warehouses, cc);
+        mem::BackingStore image = cell.finalImage();
+        EXPECT_EQ(expectAgree(image, cell.eng.layout(), "final"), "");
+    }
+
+    // Recovered crash images. The cell ends near tick 1.83 M, so
+    // every crash lands mid-run.
+    for (Tick at : {Tick(60000), Tick(600000), Tick(1200000)}) {
+        TpccCell cell(2, CcMode::TwoPhase);
+        mem::BackingStore image = cell.recoveredImage(at);
+        const TpccLayout &lay = cell.eng.layout();
+        std::string where = "@" + std::to_string(at);
+        EXPECT_EQ(expectAgree(image, lay, where), "");
+
+        // And they agree on a recovered image with a torn stock row.
+        Addr stock = lay.stockAddr(1, lay.items - 1);
+        image.write64(stock + 8, image.read64(stock + 8) + 1);
+        EXPECT_NE(expectAgree(image, lay, where + " torn"), "");
+    }
+}
+
+TEST(TpccVerify, EveryDiagnosticMatchesTheReference)
+{
+    TpccCell cell(2, CcMode::TwoPhase);
+    const mem::BackingStore clean = cell.finalImage();
+    const TpccLayout &lay = cell.eng.layout();
+    ASSERT_EQ(expectAgree(clean, lay, "clean"), "");
+
+    // The rows the mutations target: a district of warehouse 0 with
+    // orders, its first order and line, a customer that has paid, and
+    // a stock row some order line touched and one none did.
+    std::uint64_t d = 0;
+    while (d < lay.districts && clean.read64(lay.districtAddr(0, d)) == 0)
+        ++d;
+    ASSERT_LT(d, lay.districts);
+    const Addr dist = lay.districtAddr(0, d);
+    const std::uint64_t next = clean.read64(dist);
+    ASSERT_LT(next, lay.maxOrders);
+    const Addr order = lay.orderAddr(0, d, 0);
+    const Addr line = order + TpccLayout::kOrderHeaderBytes;
+
+    Addr cust = lay.customerAddr(0, 0, 0);
+    while (clean.read64(cust + 8) == 0)
+        cust += TpccLayout::kRowBytes;
+    ASSERT_LT(cust, lay.customerAddr(lay.warehouses, 0, 0));
+    Addr touched = lay.stockAddr(0, 0);
+    while (clean.read64(touched + 16) == 0)
+        touched += TpccLayout::kRowBytes;
+    Addr untouched = lay.stockAddr(0, 0);
+    while (clean.read64(untouched + 16) != 0)
+        untouched += TpccLayout::kRowBytes;
+    ASSERT_LT(std::max(touched, untouched),
+              lay.stockAddr(lay.warehouses, 0));
+    const std::uint64_t qty = clean.read64(touched);
+
+    // Add @p delta to the word at @p a.
+    auto bump = [](mem::BackingStore &img, Addr a, std::uint64_t delta) {
+        img.write64(a, img.read64(a) + delta);
+    };
+    struct Mutation
+    {
+        const char *expect; ///< a substring only its diagnostic has
+        std::function<void(mem::BackingStore &)> apply;
+    };
+    const std::vector<Mutation> mutations = {
+        {"beyond capacity",
+         [&](auto &img) { img.write64(dist, lay.maxOrders + 1); }},
+        {"(lost or torn order)",
+         [&](auto &img) { img.write64(order, 0); }},
+        {": customer ",
+         [&](auto &img) { img.write64(order + 8, lay.customers); }},
+        {": line count ",
+         [&](auto &img) {
+             img.write64(order + 16, TpccLayout::kMaxLines + 1);
+         }},
+        {" / supplier ",
+         [&](auto &img) {
+             img.write64(line, (img.read64(line) >> 32 << 32) |
+                                   lay.items);
+         }},
+        {"line 0: quantity ",
+         [&](auto &img) {
+             img.write64(line + 8, img.read64(line + 8) >> 32 << 32);
+         }},
+        {" != qty * price",
+         [&](auto &img) { bump(img, line + 8, 1ULL << 32); }},
+        {": line sum ", [&](auto &img) { bump(img, order + 24, 1); }},
+        {": phantom order at ",
+         [&](auto &img) {
+             img.write64(lay.orderAddr(0, d, next), next + 1);
+         }},
+        {": w_ytd ",
+         [&](auto &img) { bump(img, lay.warehouseAddr(0), 1); }},
+        {" + ytd_payment ", [&](auto &img) { bump(img, cust, 1); }},
+        {": payment_cnt ",
+         [&](auto &img) {
+             img.write64(cust + 16, img.read64(cust + 8) + 1);
+         }},
+        {"global: sum d_ytd ",
+         [&](auto &img) {
+             // Balance and ytd move together: the row stays
+             // consistent, the global sums do not.
+             bump(img, cust, ~std::uint64_t(0));
+             bump(img, cust + 8, 1);
+         }},
+        {": cnt/ytd/remote ",
+         [&](auto &img) { bump(img, touched + 16, 1); }},
+        {": untouched row mutated",
+         [&](auto &img) { img.write64(untouched, 99); }},
+        {"): quantity 5 out of range",
+         [&](auto &img) { img.write64(touched, 5); }},
+        {" violates replenishment rule",
+         [&](auto &img) {
+             img.write64(touched, qty < 100 ? qty + 1 : qty - 1);
+         }},
+    };
+    ASSERT_EQ(mutations.size(), 17u);
+    for (const Mutation &m : mutations) {
+        mem::BackingStore image = clean;
+        m.apply(image);
+        std::string why = expectAgree(image, lay, m.expect);
+        EXPECT_NE(why.find(m.expect), std::string::npos)
+            << m.expect << " not in: " << why;
+    }
+}
+
+TEST(TpccVerify, AbsentStockPageReadsAsZeros)
+{
+    TpccCell cell(2, CcMode::TwoPhase);
+    const mem::BackingStore clean = cell.finalImage();
+    const TpccLayout &lay = cell.eng.layout();
+
+    // Leave out the stock page holding the middle row of warehouse 1.
+    Addr mid = lay.stockAddr(1, lay.items / 2);
+    Addr hole = mid - (mid - clean.base()) % 4096;
+    mem::BackingStore image(clean.base(), clean.size());
+    TpccLayout copy = copyTables(clean, lay, 0, hole, image);
+    std::uint64_t avail = 0;
+    ASSERT_EQ(image.pageAt(hole, &avail), nullptr);
+
+    // The first row of the hole fails, whether or not an order line
+    // touched it: its counts and its quantity read as zero.
+    std::string why = expectAgree(image, copy, "absent page");
+    std::uint64_t first = (hole - lay.stockBase) / TpccLayout::kRowBytes;
+    EXPECT_EQ(why.rfind("stock (1," +
+                            std::to_string(first % lay.items) + "): ",
+                        0),
+              0u)
+        << why;
+}
+
+TEST(TpccVerify, RowsStraddlingPagesFallBackToWordReads)
+{
+    TpccCell cell(4, CcMode::Tl2);
+    const mem::BackingStore clean = cell.finalImage();
+
+    // Every table 8 bytes below its 64-byte boundary: one stock or
+    // customer row in 64 and some order lines cross a page end.
+    mem::BackingStore image(clean.base(), clean.size());
+    const TpccLayout lay =
+        copyTables(clean, cell.eng.layout(), -8, kNoPage, image);
+    ASSERT_EQ(lay.stockBase % 64, 56u);
+    EXPECT_EQ(expectAgree(image, lay, "shifted"), "");
+
+    // A count word on the far side of a page end is still checked.
+    std::uint64_t i = 0;
+    while ((lay.stockAddr(0, i) - image.base()) % 4096 <= 4096 - 32)
+        ++i;
+    ASSERT_LT(i, lay.items);
+    Addr cnt = lay.stockAddr(0, i) + 16;
+    ASSERT_EQ((cnt - image.base()) % 4096, 8u);
+    image.write64(cnt, image.read64(cnt) + 1);
+    EXPECT_EQ(expectAgree(image, lay, "shifted, torn").rfind(
+                  "stock (0," + std::to_string(i) + "): cnt/ytd/remote",
+                  0),
+              0u);
 }
 
 // ------------------------------------------------------------------
@@ -509,7 +1012,7 @@ TEST(YcsbScale, MillionKeyZipfRunVerifies)
 // Log-full reclaim wait: under the default Reclaim policy an append
 // that reclaims the oldest slot waits for the forced write-back of
 // the line that slot guards. log.reclaim_wait_cycles counts that
-// wait; the log-full policy counters stay zero.
+// wait and RunStats carries it; the log-full stall counters stay zero.
 // ------------------------------------------------------------------
 
 namespace
@@ -559,6 +1062,9 @@ TEST(LogFullReclaim, WaitForForcedWritebacksIsCounted)
     EXPECT_EQ(dumpedCounter(dump.str(), "log.reclaim_wait_cycles"),
               105639310u);
     EXPECT_EQ(dumpedCounter(dump.str(), "log.logfull_stall_cycles"), 0u);
+    // RunStats carries the dumped wait and forced write-backs.
+    EXPECT_EQ(outcome.stats.reclaimWaitCycles, 105639310u);
+    EXPECT_EQ(outcome.stats.forcedWritebacks, 1262u);
 }
 
 TEST(LogFullReclaim, LogThatNeverWrapsNeverWaits)

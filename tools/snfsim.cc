@@ -303,10 +303,13 @@ main(int argc, char **argv)
     if (s.logFullStalls != 0 || s.forcedWritebacks != 0 ||
         s.logFullEscalations != 0)
         std::printf("  log-full        %llu stalls, %llu forced "
-                    "write-backs, %llu abort escalations (%s)\n",
+                    "write-backs, %llu reclaim-wait cycles, %llu "
+                    "abort escalations (%s)\n",
                     static_cast<unsigned long long>(s.logFullStalls),
                     static_cast<unsigned long long>(
                         s.forcedWritebacks),
+                    static_cast<unsigned long long>(
+                        s.reclaimWaitCycles),
                     static_cast<unsigned long long>(
                         s.logFullEscalations),
                     logFullPolicyName(persist.logFullPolicy));
