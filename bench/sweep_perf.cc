@@ -5,8 +5,9 @@
  * journaled store (the benchmark argument is the checkpoint interval,
  * 0 = naive), repeated snapshotAt vs. the monotone Cursor along an
  * ascending tick walk, a small end-to-end runCrashSweep cell at
- * both settings, and the TPC-C consistency oracle every oltp-tpcc
- * crash point ends with. CI runs this with
+ * both settings, and, on one TPC-C crash image, the consistency
+ * oracle every oltp-tpcc crash point ends with and the whole
+ * per-point check around it. CI runs this with
  * --benchmark_min_time=0.05s as the bench-smoke job; locally, plain
  * `sweep_perf` gives stable numbers.
  */
@@ -14,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/system.hh"
@@ -157,21 +159,25 @@ BENCHMARK(BM_CrashSweepEndToEnd)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * checkTpccConsistency over the recovered crash image of a TPC-C cell
- * (fwb/2PL, 4 threads, 4 warehouses, 256 customers per district, 130
- * tx per thread, crashed at tick 1 000 000 of ~2 019 000): 10 240
- * customer and 33 792 stock rows, the tables a crash-tpcc point's
- * oracle walks. The image is built once, outside the timed loop.
+ * The crash image of a TPC-C cell (fwb/2PL, 4 threads, 4 warehouses,
+ * 256 customers per district, 130 tx per thread, crashed at tick
+ * 1 000 000 of ~2 019 000: 10 240 customer and 33 792 stock rows, the
+ * tables a crash-tpcc point's oracle walks), with the reference
+ * trace's facts at the crash, as a sweep derives them, and the engine
+ * whose oracle checks it. Built once, outside every timed loop.
  */
-void
-BM_TpccOracle(benchmark::State &state)
+struct TpccCrash
 {
-    struct Recovered
-    {
-        mem::BackingStore image;
-        oltp::TpccLayout layout;
-    };
-    static const Recovered cell = [] {
+    mem::BackingStore image;
+    AddressMap map;
+    crashlab::CrashFacts facts;
+    std::unique_ptr<oltp::TpccEngine> eng;
+};
+
+const TpccCrash &
+tpccCrash()
+{
+    static const TpccCrash cell = [] {
         workloads::WorkloadParams params;
         params.threads = 4;
         params.txPerThread = 130;
@@ -182,27 +188,72 @@ BM_TpccOracle(benchmark::State &state)
         cfg.persist.ccMode = CcMode::TwoPhase;
         cfg.persist.crashJournal = true;
         System sys(cfg, PersistMode::Fwb);
-        oltp::TpccEngine eng;
-        eng.setup(sys, params);
+        auto eng = std::make_unique<oltp::TpccEngine>();
+        eng->setup(sys, params);
+        crashlab::CrashTrace trace;
+        sys.setProbe(trace.collector());
         for (CoreId c = 0; c < params.threads; ++c)
             sys.spawn(c, [&](Thread &t) -> sim::Co<void> {
-                return eng.thread(sys, t, params);
+                return eng->thread(sys, t, params);
             });
         const Tick at = 1000000;
         sys.run(at);
-        mem::BackingStore image = sys.crashSnapshot(at);
-        persist::Recovery::run(image, sys.config().map);
-        return Recovered{std::move(image), eng.layout()};
+        sys.setProbe({});
+        trace.finalize();
+        crashlab::CrashFacts facts;
+        facts.tick = at;
+        facts.txBegun = trace.begunBy(at);
+        facts.txCommitted = trace.committedBy(at) + trace.abortedBy(at);
+        facts.txDurableCommits = trace.durableBy(at);
+        facts.threads = params.threads;
+        facts.logWraps = sys.collectStats(at).logWraps;
+        facts.mode = PersistMode::Fwb;
+        return TpccCrash{sys.crashSnapshot(at), sys.config().map, facts,
+                         std::move(eng)};
     }();
+    return cell;
+}
+
+/** checkTpccConsistency over the recovered TpccCrash image. */
+void
+BM_TpccOracle(benchmark::State &state)
+{
+    static const mem::BackingStore recovered = [] {
+        mem::BackingStore image = tpccCrash().image;
+        persist::Recovery::run(image, tpccCrash().map);
+        return image;
+    }();
+    const oltp::TpccLayout &layout = tpccCrash().eng->layout();
     for (auto _ : state) {
         std::string why;
-        bool ok = oltp::checkTpccConsistency(cell.image, cell.layout, &why);
+        bool ok = oltp::checkTpccConsistency(recovered, layout, &why);
         if (!ok)
             state.SkipWithError(why.c_str());
         benchmark::DoNotOptimize(ok);
     }
 }
 BENCHMARK(BM_TpccOracle)->Unit(benchmark::kMicrosecond);
+
+/**
+ * Every check of one crash point, as a crash-tpcc sweep runs them on
+ * the TpccCrash image: recovery passes, idempotence diffs and the
+ * TPC-C oracle.
+ */
+void
+BM_CrashPointCheck(benchmark::State &state)
+{
+    const TpccCrash &cell = tpccCrash();
+    for (auto _ : state) {
+        std::vector<crashlab::Violation> v = crashlab::checkCrashPoint(
+            cell.image, cell.map, *cell.eng, cell.facts,
+            persist::RecoveryOptions{});
+        if (!v.empty())
+            state.SkipWithError(
+                (v.front().invariant + ": " + v.front().detail).c_str());
+        benchmark::DoNotOptimize(v.data());
+    }
+}
+BENCHMARK(BM_CrashPointCheck)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -286,12 +286,22 @@ checkFaultedCrashPoint(const mem::BackingStore &image,
     if (planOut)
         *planOut = plan;
 
-    // salvage-idempotent (I8): two non-truncating salvage passes over
-    // the same damaged image must agree byte for byte.
+    // Canonical faulted recovery: salvage, quarantine, truncate. The
+    // pass also hands back its image just before truncation, which is
+    // the damaged image salvaged once.
+    persist::RecoveryOptions canonOpts = recOpts;
+    canonOpts.truncateLog = true;
+    mem::BackingStore recovered = faulted;
+    mem::BackingStore once(faulted.base(), faulted.size());
+    persist::RecoveryReport rep =
+        persist::Recovery::run(recovered, map, canonOpts, &once);
+    if (reportOut)
+        *reportOut = rep;
+
+    // salvage-idempotent (I8): a second, non-truncating salvage pass
+    // over the salvaged image must change no byte.
     persist::RecoveryOptions replayOpts = recOpts;
     replayOpts.truncateLog = false;
-    mem::BackingStore once = faulted;
-    persist::Recovery::run(once, map, replayOpts);
     mem::BackingStore twice = once;
     persist::Recovery::run(twice, map, replayOpts);
     if (auto diff = once.firstDifference(twice, once.base(),
@@ -301,15 +311,6 @@ checkFaultedCrashPoint(const mem::BackingStore &image,
                     "difference at 0x%llx",
                     static_cast<unsigned long long>(*diff)));
     }
-
-    // Canonical faulted recovery: salvage, quarantine, truncate.
-    persist::RecoveryOptions canonOpts = recOpts;
-    canonOpts.truncateLog = true;
-    mem::BackingStore recovered = faulted;
-    persist::RecoveryReport rep =
-        persist::Recovery::run(recovered, map, canonOpts);
-    if (reportOut)
-        *reportOut = rep;
 
     // header-valid: injection never touches the log header.
     if (facts.mode != PersistMode::NonPers && !rep.headerValid) {

@@ -15,8 +15,9 @@
  *
  *  - header-valid      faults never touch the log header, so recovery
  *                      must still accept it
- *  - salvage-idempotent (I8) two non-truncating salvage passes over
- *                      the same damaged image agree byte for byte
+ *  - salvage-idempotent (I8) salvaging again, without truncation,
+ *                      the image the canonical pass leaves just
+ *                      before it truncates changes no byte
  *  - committed-upper   damage can only destroy commit records, never
  *                      forge them (CRC), so the recovered committed
  *                      count keeps its trace upper bound

@@ -75,13 +75,23 @@ checkCrashPoint(const mem::BackingStore &image, const AddressMap &map,
 {
     std::vector<Violation> out;
 
-    // replay-idempotent (I6): two non-truncating replays of the same
-    // crash image must agree byte for byte — redo/undo values are
+    // Canonical recovery: replay and truncate, as a real restart
+    // would. The pass also hands back its image just before
+    // truncation, which is the crash image replayed once.
+    persist::RecoveryOptions canonOpts = recOpts;
+    canonOpts.truncateLog = true;
+    mem::BackingStore recovered = image;
+    mem::BackingStore once(image.base(), image.size());
+    persist::RecoveryReport rep =
+        persist::Recovery::run(recovered, map, canonOpts, &once);
+    if (reportOut)
+        *reportOut = rep;
+
+    // replay-idempotent (I6): replaying the replayed image again
+    // without truncation must change no byte — redo/undo values are
     // absolute, so applying them twice is a no-op.
     persist::RecoveryOptions replayOpts = recOpts;
     replayOpts.truncateLog = false;
-    mem::BackingStore once = image;
-    persist::Recovery::run(once, map, replayOpts);
     mem::BackingStore twice = once;
     persist::Recovery::run(twice, map, replayOpts);
     if (auto diff = once.firstDifference(twice, once.base(),
@@ -91,16 +101,6 @@ checkCrashPoint(const mem::BackingStore &image, const AddressMap &map,
                     "difference at 0x%llx",
                     static_cast<unsigned long long>(*diff)));
     }
-
-    // Canonical recovery: replay and truncate, as a real restart
-    // would.
-    persist::RecoveryOptions canonOpts = recOpts;
-    canonOpts.truncateLog = true;
-    mem::BackingStore recovered = image;
-    persist::RecoveryReport rep =
-        persist::Recovery::run(recovered, map, canonOpts);
-    if (reportOut)
-        *reportOut = rep;
 
     // header-valid: the header is persisted before the workload runs
     // and is never overwritten, so no crash instant may lose it.

@@ -6,8 +6,9 @@
  * probe trace:
  *
  *  - header-valid        the log header survives every crash instant
- *  - replay-idempotent   replaying the log twice (no truncation)
- *                        yields a byte-identical image (I6)
+ *  - replay-idempotent   replaying again, without truncation, the
+ *                        image the canonical pass leaves just before
+ *                        it truncates changes no byte (I6)
  *  - truncate-idempotent recovering the already-recovered image finds
  *                        an empty log and changes nothing (I6)
  *  - verify              the workload's own structural check passes

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_set>
@@ -119,14 +120,18 @@ checkRecoveryReentrancy(const mem::BackingStore &image,
         }
     } else {
         std::atomic<std::size_t> next{0};
-        std::atomic<std::uint64_t> poolRecoverNs{0};
+        std::mutex poolMutex;
+        persist::RecoveryTally pooled;
         auto drain = [&] {
-            std::uint64_t ns = 0;
-            persist::RecoveryTimerScope scope(&ns);
-            for (std::size_t i = next.fetch_add(1);
-                 i < budgets.size(); i = next.fetch_add(1))
-                probeAt(i);
-            poolRecoverNs.fetch_add(ns);
+            persist::RecoveryTally mine;
+            {
+                persist::RecoveryTimerScope scope(&mine);
+                for (std::size_t i = next.fetch_add(1);
+                     i < budgets.size(); i = next.fetch_add(1))
+                    probeAt(i);
+            }
+            std::lock_guard<std::mutex> lock(poolMutex);
+            pooled += mine;
         };
         std::vector<std::thread> pool;
         pool.reserve(jobs);
@@ -134,10 +139,12 @@ checkRecoveryReentrancy(const mem::BackingStore &image,
             pool.emplace_back(drain);
         for (auto &t : pool)
             t.join();
-        // Credit the probes' recovery time to the caller's timer (the
-        // thread-local scope does not span the pool threads).
-        if (std::uint64_t *sink = persist::activeRecoveryTimerSink())
-            *sink += poolRecoverNs.load();
+        // Credit the probes' recovery time and calls to the caller's
+        // tally (the thread-local scope does not span the pool
+        // threads).
+        if (persist::RecoveryTally *sink =
+                persist::activeRecoveryTimerSink())
+            *sink += pooled;
     }
     for (auto &out : probeOut)
         if (!out.empty())
@@ -161,10 +168,11 @@ runLifecycle(const LifecycleConfig &cfg)
 
     // Every Recovery::run under this frame (checkers, canonical pass,
     // re-entrancy probes — including pooled ones, which credit back)
-    // accumulates here; checkSec below is checker wall minus this.
-    std::uint64_t recoverNs = 0;
+    // adds its time and one call here; checkSec below is checker wall
+    // minus that time.
+    persist::RecoveryTally recover;
     std::uint64_t checkWallNs = 0;
-    persist::RecoveryTimerScope recoveryTimer(&recoverNs);
+    persist::RecoveryTimerScope recoveryTimer(&recover);
 
     SystemConfig sysCfg = cfg.run.sys;
     sysCfg.persist.crashJournal = true; // snapshots depend on it
@@ -403,9 +411,10 @@ runLifecycle(const LifecycleConfig &cfg)
         adopted.emplace(std::move(image));
     }
 
-    res.perf.recoverSec = recoverNs * 1e-9;
+    res.perf.recoverSec = recover.ns * 1e-9;
+    res.perf.recoverCalls = recover.calls;
     res.perf.checkSec =
-        (checkWallNs - std::min(checkWallNs, recoverNs)) * 1e-9;
+        (checkWallNs - std::min(checkWallNs, recover.ns)) * 1e-9;
     res.perf.totalSec = secondsSince(tTotal);
     return res;
 }

@@ -81,9 +81,11 @@ writePerfSummary(std::ostream &os, const CellResult &cell)
     os << line;
     std::snprintf(line, sizeof(line),
                   "  perf: eval worker-sec: snapshot %.3f, recover "
-                  "%.3f, check %.3f (verify %.3f); minimize %.3fs\n",
-                  p.snapshotSec, p.recoverSec, p.checkSec, p.verifySec,
-                  p.minimizeSec);
+                  "%.3f (%llu passes), check %.3f (verify %.3f); "
+                  "minimize %.3fs\n",
+                  p.snapshotSec, p.recoverSec,
+                  static_cast<unsigned long long>(p.recoverCalls),
+                  p.checkSec, p.verifySec, p.minimizeSec);
     os << line;
     std::snprintf(
         line, sizeof(line),
@@ -108,6 +110,7 @@ writePerfJson(JsonWriter &w, const SweepPerf &p)
     w.key("index_sec").fixed(p.indexSec, 6);
     w.key("snapshot_sec").fixed(p.snapshotSec, 6);
     w.key("recover_sec").fixed(p.recoverSec, 6);
+    w.field("recover_calls", p.recoverCalls);
     w.key("check_sec").fixed(p.checkSec, 6);
     w.key("verify_sec").fixed(p.verifySec, 6);
     w.key("minimize_sec").fixed(p.minimizeSec, 6);

@@ -197,7 +197,7 @@ runCrashSweep(const SweepConfig &cfg)
     {
         std::uint64_t snapshotNs = 0;
         std::uint64_t evalNs = 0;
-        std::uint64_t recoverNs = 0;
+        persist::RecoveryTally recover;
         std::uint64_t verifyNs = 0;
         std::uint64_t reorderImages = 0;
         std::uint64_t reorderPointsWithPending = 0;
@@ -213,7 +213,7 @@ runCrashSweep(const SweepConfig &cfg)
         if (begin >= end)
             return;
         WorkerPerf &perf = workerPerf[w];
-        persist::RecoveryTimerScope recoveryTimer(&perf.recoverNs);
+        persist::RecoveryTimerScope recoveryTimer(&perf.recover);
         VerifyTimerScope verifyTimer(&perf.verifyNs);
         mem::BackingStore::Cursor cursor(store);
         // Worker-local pending-set cursor (reorderlab): one journal
@@ -287,9 +287,10 @@ runCrashSweep(const SweepConfig &cfg)
     res.reorderEnabled = cfg.reorder.enabled;
     for (const WorkerPerf &perf : workerPerf) {
         res.perf.snapshotSec += perf.snapshotNs * 1e-9;
-        res.perf.recoverSec += perf.recoverNs * 1e-9;
+        res.perf.recoverSec += perf.recover.ns * 1e-9;
+        res.perf.recoverCalls += perf.recover.calls;
         res.perf.checkSec +=
-            (perf.evalNs - std::min(perf.evalNs, perf.recoverNs)) *
+            (perf.evalNs - std::min(perf.evalNs, perf.recover.ns)) *
             1e-9;
         res.perf.verifySec += perf.verifyNs * 1e-9;
         res.reorderImagesTested += perf.reorderImages;

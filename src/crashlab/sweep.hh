@@ -105,6 +105,9 @@ struct SweepPerf
     double indexSec = 0;    ///< journal sort + checkpoint build
     double snapshotSec = 0; ///< crash-image reconstruction (workers)
     double recoverSec = 0;  ///< recovery passes inside checkers
+    /** Recovery::run calls behind recoverSec (workers, and the
+     *  re-entrancy probes' pool threads). */
+    std::uint64_t recoverCalls = 0;
     double checkSec = 0;    ///< checker work minus recovery
     double verifySec = 0;   ///< the workload oracle, part of checkSec
     double minimizeSec = 0; ///< bisection of the earliest failure

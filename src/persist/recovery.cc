@@ -145,17 +145,18 @@ struct ImageIO
 
 RecoveryReport recoverLog(ImageIO &io, const AddressMap &map,
                           const RecoveryOptions &opts,
-                          mem::RemapTable *promoteInto);
+                          mem::RemapTable *promoteInto,
+                          mem::BackingStore *replayed);
 
 /** Active per-thread sink of RecoveryTimerScope (null = off). */
-thread_local std::uint64_t *recoveryTimerSink = nullptr;
+thread_local RecoveryTally *recoveryTimerSink = nullptr;
 
 } // namespace
 
-RecoveryTimerScope::RecoveryTimerScope(std::uint64_t *sinkNs)
+RecoveryTimerScope::RecoveryTimerScope(RecoveryTally *sink)
     : prev(recoveryTimerSink)
 {
-    recoveryTimerSink = sinkNs;
+    recoveryTimerSink = sink;
 }
 
 RecoveryTimerScope::~RecoveryTimerScope()
@@ -163,7 +164,7 @@ RecoveryTimerScope::~RecoveryTimerScope()
     recoveryTimerSink = prev;
 }
 
-std::uint64_t *
+RecoveryTally *
 activeRecoveryTimerSink()
 {
     return recoveryTimerSink;
@@ -180,7 +181,7 @@ Recovery::run(mem::BackingStore &image, const AddressMap &map,
 
 RecoveryReport
 Recovery::run(mem::BackingStore &image, const AddressMap &map,
-              const RecoveryOptions &opts)
+              const RecoveryOptions &opts, mem::BackingStore *replayed)
 {
     struct TimeGuard
     {
@@ -189,10 +190,11 @@ Recovery::run(mem::BackingStore &image, const AddressMap &map,
         ~TimeGuard()
         {
             if (recoveryTimerSink) {
-                *recoveryTimerSink += static_cast<std::uint64_t>(
+                recoveryTimerSink->ns += static_cast<std::uint64_t>(
                     std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - start)
                         .count());
+                ++recoveryTimerSink->calls;
             }
         }
     } timeGuard;
@@ -212,7 +214,7 @@ Recovery::run(mem::BackingStore &image, const AddressMap &map,
 
     RecoveryReport r = recoverLog(
         io, map, opts,
-        have_remap && opts.promoteBadLines ? &remap : nullptr);
+        have_remap && opts.promoteBadLines ? &remap : nullptr, replayed);
     r.remapCorrupt = remap_corrupt;
     r.writesIssued = io.issued;
     r.writesApplied = io.applied;
@@ -436,7 +438,8 @@ struct ShardScan
  */
 RecoveryReport
 recoverLog(ImageIO &io, const AddressMap &map,
-           const RecoveryOptions &opts, mem::RemapTable *promoteInto)
+           const RecoveryOptions &opts, mem::RemapTable *promoteInto,
+           mem::BackingStore *replayed)
 {
     RecoveryReport report;
     const std::uint32_t nShards = std::max(map.logShards, 1u);
@@ -500,11 +503,14 @@ recoverLog(ImageIO &io, const AddressMap &map,
     // Any live shard's flag proves the previous pass finished replay
     // everywhere (all flags are raised before any slot is zeroed, and
     // raised only after replay and promotion), so the resumed pass
-    // just finishes zeroing every live shard.
+    // just finishes zeroing every live shard, whatever
+    // opts.truncateLog says, so the replayed image is the zeroed one.
     if (anyTruncFlag) {
         for (auto &sh : sc)
             if (!sh.dead)
                 zeroShard(sh);
+        if (replayed)
+            *replayed = io.img;
         return finish();
     }
 
@@ -512,7 +518,7 @@ recoverLog(ImageIO &io, const AddressMap &map,
     // generation grouping. classifySlot separates damage (torn partial
     // writes, CRC failures) from parseable records; damaged slots
     // never contribute replay values. The scan is by far the hottest
-    // loop of a crash sweep (4+ passes per evaluated point), so with
+    // loop of a crash sweep (3+ passes per evaluated point), so with
     // no remapping active it walks the image's resident pages in
     // place: a page never written reads as zero, so every slot inside
     // it is Empty without the bytes ever being copied or compared —
@@ -936,6 +942,11 @@ recoverLog(ImageIO &io, const AddressMap &map,
             }
         }
     }
+
+    // Everything above ran the same whatever opts.truncateLog says: the
+    // image here is what a non-truncating pass leaves.
+    if (replayed)
+        *replayed = io.img;
 
     // Step 7: truncate: raise every live shard's flag, then zero every
     // live shard's slot array, damaged slots too (each zeroShard

@@ -37,7 +37,10 @@ struct RecoveryOptions
 {
     /**
      * Clear the log window after replay (paper Step 4); disable to
-     * test idempotence of the replay itself.
+     * test idempotence of the replay itself. The crash checkers take
+     * their first replay from a truncating pass (Recovery::run's
+     * @p replayed) but still replay that image again with this off:
+     * truncating there too would clone and zero the log once more.
      */
     bool truncateLog = true;
     /**
@@ -170,35 +173,52 @@ struct RecoveryReport
     }
 };
 
+/** What a RecoveryTimerScope accumulates. */
+struct RecoveryTally
+{
+    std::uint64_t ns = 0;    ///< wall-clock of the passes
+    std::uint64_t calls = 0; ///< Recovery::run calls
+
+    RecoveryTally &
+    operator+=(const RecoveryTally &o)
+    {
+        ns += o.ns;
+        calls += o.calls;
+        return *this;
+    }
+};
+
 /**
- * Installs a thread-local nanosecond accumulator that every
+ * Installs a thread-local accumulator that every
  * Recovery::run(image, map, ...) on this thread adds its wall-clock
- * to while the scope is alive. The crash sweep uses this to split
- * its per-point evaluation time into recover vs. check without
- * threading timers through every checker. Scopes nest (the previous
- * sink is restored on destruction); a null previous sink means
- * timing is off, which is the default.
+ * and one call to while the scope is alive. The crash sweep uses
+ * this to split its per-point evaluation time into recover vs. check
+ * and to count its recovery passes without threading timers through
+ * every checker. Scopes nest (the previous sink is restored on
+ * destruction); a null previous sink means timing is off, which is
+ * the default.
  */
 class RecoveryTimerScope
 {
   public:
-    explicit RecoveryTimerScope(std::uint64_t *sinkNs);
+    explicit RecoveryTimerScope(RecoveryTally *sink);
     ~RecoveryTimerScope();
 
     RecoveryTimerScope(const RecoveryTimerScope &) = delete;
     RecoveryTimerScope &operator=(const RecoveryTimerScope &) = delete;
 
   private:
-    std::uint64_t *prev;
+    RecoveryTally *prev;
 };
 
 /**
  * The accumulator the innermost RecoveryTimerScope of this thread
  * installed, or null. Lets code that fans recovery work out to a
- * thread pool credit the workers' recovery time back to the caller's
- * timer (the thread-local scope does not span other threads).
+ * thread pool credit the workers' recovery time and calls back to
+ * the caller's tally (the thread-local scope does not span other
+ * threads).
  */
-std::uint64_t *activeRecoveryTimerSink();
+RecoveryTally *activeRecoveryTimerSink();
 
 /** See file comment. */
 class Recovery
@@ -218,10 +238,21 @@ class Recovery
                               const AddressMap &map,
                               bool truncateLog = true);
 
-    /** As above with full options (fault injection for crashlab). */
+    /**
+     * As above with full options (fault injection for crashlab).
+     * @param replayed if non-null (and not @p image), receives a
+     *        copy-on-write copy of the image as this pass leaves it
+     *        just before truncation, after replay and bad-line
+     *        promotion; on the interrupted-truncation resume path,
+     *        the image after the resumed zeroing. Either way it is
+     *        byte for byte the image a pass with truncateLog off and
+     *        otherwise the same options leaves, so a checker gets its
+     *        first replay and its canonical pass from one call.
+     */
     static RecoveryReport run(mem::BackingStore &image,
                               const AddressMap &map,
-                              const RecoveryOptions &opts);
+                              const RecoveryOptions &opts,
+                              mem::BackingStore *replayed = nullptr);
 };
 
 } // namespace snf::persist

@@ -3,13 +3,17 @@
  * Tests for faultlab: log record format v2 (CRC + version), the
  * deterministic NVRAM media-fault injector, snapshot-image faulting,
  * the salvaging recovery scanner (quarantine soundness, salvage
- * idempotence), transaction abort with in-log undo rollback, and the
+ * idempotence), the pre-truncation image the crash checkers replay
+ * again, transaction abort with in-log undo rollback, and the
  * log-full policies (stall, abort-retry).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -832,6 +836,282 @@ TEST(RecoveryMemo, WarmScanMatchesColdScan)
         EXPECT_EQ(rep.shards.size(), 4u);
         recoverWarmAndCold(truncated, smap, canon);
     }
+}
+
+// ------------ the canonical pass's pre-truncation image ----------
+
+namespace
+{
+
+/** One journaled run of a named workload, kept for crash snapshots. */
+class JournaledRun
+{
+  public:
+    JournaledRun(const std::string &workload, SystemConfig cfg,
+                 PersistMode mode, const workloads::WorkloadParams &p)
+        : params(p), wl(workloads::makeWorkload(workload))
+    {
+        cfg.persist.crashJournal = true;
+        sys = std::make_unique<System>(cfg, mode);
+        wl->setup(*sys, params);
+        for (CoreId c = 0; c < params.threads; ++c)
+            sys->spawn(c, [this](Thread &t) {
+                return wl->thread(*sys, t, params);
+            });
+        end = sys->run();
+    }
+
+    // The spawned threads hold `this`.
+    JournaledRun(const JournaledRun &) = delete;
+    JournaledRun &operator=(const JournaledRun &) = delete;
+
+    /** Crash image @p k / @p n of the way through the run. */
+    mem::BackingStore
+    snapshot(int k, int n) const
+    {
+        return sys->crashSnapshot(end * k / n);
+    }
+
+    const AddressMap &map() const { return sys->config().map; }
+
+    workloads::WorkloadParams params;
+    std::unique_ptr<workloads::Workload> wl;
+    std::unique_ptr<System> sys;
+    Tick end = 0;
+};
+
+workloads::WorkloadParams
+smallParams(std::uint32_t threads, std::uint64_t tx)
+{
+    workloads::WorkloadParams p;
+    p.threads = threads;
+    p.txPerThread = tx;
+    p.seed = 5;
+    return p;
+}
+
+/**
+ * The identity the crash checkers rest on: the image Recovery::run
+ * hands back through its `replayed` parameter is byte for byte what
+ * the same pass with truncation off leaves, and asking for it changes
+ * neither the report nor the recovered image. Returns the report.
+ */
+RecoveryReport
+expectReplayedIsNonTruncatingPass(const mem::BackingStore &image,
+                                  const AddressMap &map,
+                                  const RecoveryOptions &opts)
+{
+    mem::BackingStore recovered = image;
+    mem::BackingStore replayed(image.base(), image.size());
+    RecoveryReport rep = Recovery::run(recovered, map, opts, &replayed);
+
+    RecoveryOptions noTrunc = opts;
+    noTrunc.truncateLog = false;
+    mem::BackingStore reference = image;
+    Recovery::run(reference, map, noTrunc);
+    EXPECT_EQ(replayed.firstDifference(reference, image.base(),
+                                       image.size()),
+              std::nullopt);
+
+    mem::BackingStore plain = image;
+    expectSameReport(rep, Recovery::run(plain, map, opts));
+    EXPECT_EQ(recovered.firstDifference(plain, image.base(),
+                                        image.size()),
+              std::nullopt);
+    return rep;
+}
+
+/**
+ * Every image a canonical pass over @p image leaves when it is cut
+ * inside its truncation, i.e. with a truncation flag raised: the
+ * budgets from the first flag write to the last write but one, every
+ * @p stride-th of them (1 = all).
+ */
+std::vector<mem::BackingStore>
+cutInsideTruncation(const mem::BackingStore &image, const AddressMap &map,
+                    const RecoveryOptions &opts, std::uint64_t stride)
+{
+    RecoveryOptions noTrunc = opts;
+    noTrunc.truncateLog = false;
+    mem::BackingStore probe = image;
+    const std::uint64_t before =
+        Recovery::run(probe, map, noTrunc).writesIssued;
+    probe = image;
+    const std::uint64_t total = Recovery::run(probe, map, opts).writesIssued;
+
+    std::vector<mem::BackingStore> cut;
+    for (std::uint64_t b = before + 1; b < total; b += stride) {
+        RecoveryOptions budget = opts;
+        budget.crashAfterWrites = b;
+        mem::BackingStore img = image;
+        EXPECT_TRUE(Recovery::run(img, map, budget).interrupted);
+        bool raised = false;
+        for (std::uint32_t s = 0; s < map.logShards; ++s)
+            raised |= img.read64(map.logBase() +
+                                 s * (map.logSize / map.logShards) +
+                                 LogRegion::kTruncFlagOffset) != 0;
+        EXPECT_TRUE(raised) << "budget " << b;
+        cut.push_back(std::move(img));
+    }
+    return cut;
+}
+
+} // namespace
+
+TEST(Recovery, ReplayedImageIsTheNonTruncatingPass)
+{
+    RecoveryOptions canon;
+
+    // Ascending crash snapshots of one journaled sps run and of one
+    // small TPC-C cell.
+    constexpr int kPoints = 6;
+    JournaledRun sps("sps", SystemConfig::scaled(2), PersistMode::Fwb,
+                     smallParams(2, 40));
+    SystemConfig tcfg = SystemConfig::scaled(2);
+    tcfg.persist.ccMode = CcMode::TwoPhase;
+    workloads::WorkloadParams tparams = smallParams(2, 20);
+    tparams.footprint = 64;
+    tparams.warehouses = 2;
+    JournaledRun tpcc("oltp-tpcc", tcfg, PersistMode::Fwb, tparams);
+    for (const JournaledRun *run : {&sps, &tpcc}) {
+        for (int k = 1; k <= kPoints; ++k) {
+            SCOPED_TRACE(run->wl->name() + " point " + std::to_string(k));
+            RecoveryReport rep = expectReplayedIsNonTruncatingPass(
+                run->snapshot(k, kPoints), run->map(), canon);
+            EXPECT_GT(rep.redoApplied + rep.undoApplied, 0u);
+        }
+    }
+
+    // Faultlab damage, light and heavy, with the CRC check off and
+    // on, and with either replay phase skipped.
+    RecoveryOptions ignoreCrc = canon;
+    ignoreCrc.faultIgnoreCrc = true;
+    RecoveryOptions skipRedo = canon;
+    skipRedo.faultSkipRedo = true;
+    RecoveryOptions skipUndo = canon;
+    skipUndo.faultSkipUndo = true;
+    std::uint64_t faulted = 0;
+    for (int k = 2; k <= kPoints; k += 2) {
+        for (const crashlab::ImageFaultConfig &faults :
+             {crashlab::ImageFaultConfig::light(3),
+              crashlab::ImageFaultConfig::heavy(3)}) {
+            SCOPED_TRACE(std::to_string(k) + " heavy " +
+                         std::to_string(faults.multiBitProb > 0));
+            mem::BackingStore image = sps.snapshot(k, kPoints);
+            faulted += crashlab::applyImageFaults(image, sps.map(), faults,
+                                                  sps.end * k / kPoints)
+                           .slotsFaulted;
+            for (const RecoveryOptions &opts :
+                 {canon, ignoreCrc, skipRedo, skipUndo})
+                expectReplayedIsNonTruncatingPass(image, sps.map(), opts);
+        }
+    }
+    EXPECT_GT(faulted, 0u);
+
+    // A 4-shard log, clean and with shard 1's header wiped.
+    SystemConfig scfg = SystemConfig::scaled(2);
+    scfg.persist.logShards = 4;
+    JournaledRun sharded("sps", scfg, PersistMode::Fwb,
+                         smallParams(2, 40));
+    ASSERT_EQ(sharded.map().logShards, 4u);
+    crashlab::ImageFaultConfig kill;
+    kill.killShard = 1;
+    for (int k = 1; k <= kPoints; ++k) {
+        SCOPED_TRACE("4 shards, point " + std::to_string(k));
+        mem::BackingStore image = sharded.snapshot(k, kPoints);
+        EXPECT_EQ(
+            expectReplayedIsNonTruncatingPass(image, sharded.map(), canon)
+                .shards.size(),
+            4u);
+        crashlab::applyImageFaults(image, sharded.map(), kill,
+                                   sharded.end * k / kPoints);
+        EXPECT_TRUE(
+            expectReplayedIsNonTruncatingPass(image, sharded.map(), canon)
+                .shards[1]
+                .dead);
+    }
+
+    // A remapped image recovered with promoteBadLines: promotion
+    // writes land before truncation. The log is small enough to cut
+    // at every budget of its truncation below.
+    SystemConfig rcfg = SystemConfig::scaled(2);
+    rcfg.map.logSize = 8 * 1024;
+    rcfg.map.remapSize = 16 * 1024;
+    rcfg.map.spareSize = 32 * 1024;
+    JournaledRun remapped("sps", rcfg, PersistMode::Fwb,
+                          smallParams(2, 40));
+    RecoveryOptions promote = canon;
+    promote.promoteBadLines = true;
+    mem::BackingStore damaged = remapped.snapshot(kPoints, kPoints);
+    crashlab::applyImageFaults(damaged, remapped.map(),
+                               crashlab::ImageFaultConfig::heavy(3),
+                               remapped.end);
+    EXPECT_GT(
+        expectReplayedIsNonTruncatingPass(damaged, remapped.map(), promote)
+            .promotedLines,
+        0u);
+
+    // Raised truncation flags (the resume path): the pass above, and
+    // a clean 4-shard one, cut at budgets inside their truncation —
+    // every budget of the remapped one.
+    std::size_t resumed = 0;
+    for (const mem::BackingStore &img :
+         cutInsideTruncation(damaged, remapped.map(), promote, 1)) {
+        SCOPED_TRACE("remapped resume " + std::to_string(resumed));
+        expectReplayedIsNonTruncatingPass(img, remapped.map(), promote);
+        ++resumed;
+    }
+    for (const mem::BackingStore &img : cutInsideTruncation(
+             sharded.snapshot(kPoints, kPoints), sharded.map(), canon,
+             97)) {
+        SCOPED_TRACE("sharded resume " + std::to_string(resumed));
+        expectReplayedIsNonTruncatingPass(img, sharded.map(), canon);
+        ++resumed;
+    }
+    EXPECT_GT(resumed, 0u);
+}
+
+TEST(CrashPoint, IdempotenceChecksCatchALogThatRewritesItself)
+{
+    // A log that rewrites itself: tx 2 updates a data word and
+    // commits, then committed tx 1 redoes a zero over tx 2's commit
+    // record. The first replay applies tx 2 and then erases its
+    // commit record, so a second replay finds tx 2 uncommitted and
+    // rolls it back.
+    Fixture f;
+    const Addr victim = f.data(1);
+    f.image.write64(victim, 7);
+    f.log.append(LogRecord::update(0, 2, victim, 8, 7, 99));
+    const Addr commit2 = f.log.append(LogRecord::commit(0, 2, 1));
+    f.log.append(LogRecord::update(0, 1, commit2, 8, std::nullopt, 0));
+    f.log.append(LogRecord::commit(0, 1, 1));
+
+    crashlab::CrashFacts facts;
+    facts.txBegun = 2;
+    facts.txCommitted = 2;
+    facts.txDurableCommits = 2;
+    facts.threads = 1;
+    facts.mode = PersistMode::NonPers; // no workload oracle runs
+    char where[64];
+    std::snprintf(where, sizeof(where), "first difference at 0x%llx",
+                  static_cast<unsigned long long>(victim));
+
+    auto wl = workloads::makeWorkload("sps");
+    auto clean = crashlab::checkCrashPoint(f.image, f.map, *wl, facts,
+                                           RecoveryOptions{});
+    ASSERT_EQ(clean.size(), 1u);
+    EXPECT_EQ(clean[0].invariant, "replay-idempotent");
+    EXPECT_EQ(clean[0].detail,
+              std::string("second replay changed the image, ") + where);
+
+    auto faulted = crashlab::checkFaultedCrashPoint(
+        f.image, f.map, crashlab::ImageFaultConfig{}, facts,
+        RecoveryOptions{});
+    ASSERT_EQ(faulted.size(), 1u);
+    EXPECT_EQ(faulted[0].invariant, "salvage-idempotent");
+    EXPECT_EQ(faulted[0].detail,
+              std::string("second salvage pass changed the image, ") +
+                  where);
 }
 
 // -------------------------- tx_abort -----------------------------
