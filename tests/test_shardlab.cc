@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/system.hh"
@@ -17,6 +18,7 @@
 #include "persist/log_record.hh"
 #include "persist/log_region.hh"
 #include "persist/recovery.hh"
+#include "sim/logging.hh"
 
 using namespace snf;
 using namespace snf::persist;
@@ -187,6 +189,141 @@ TEST(ShardProtocol, SingleShardTxUsesPlainCommit)
     EXPECT_EQ(sys.hwl()->commitRecords.value(), 6u);
     EXPECT_EQ(sys.hwl()->crossShardCommits.value(), 0u);
     EXPECT_EQ(sys.hwl()->prepareRecords.value(), 0u);
+}
+
+// ------------------ golden values per log layout -----------------
+
+namespace
+{
+
+enum class GoldenLayout
+{
+    Central, ///< one central log
+    Shards4, ///< four address shards
+    PerCore, ///< one region per core (software modes: one region)
+};
+
+const char *
+goldenLayoutName(GoldenLayout l)
+{
+    switch (l) {
+      case GoldenLayout::Central: return "central";
+      case GoldenLayout::Shards4: return "shards4";
+      case GoldenLayout::PerCore: return "per-core";
+    }
+    return "?";
+}
+
+void
+applyGoldenLayout(SystemConfig &cfg, GoldenLayout l)
+{
+    if (l == GoldenLayout::Shards4)
+        cfg.persist.logShards = 4;
+    else if (l == GoldenLayout::PerCore)
+        cfg.persist.distributedLogs = true;
+}
+
+/** Each thread owns 16 consecutive heap lines and runs transactions
+ *  over 1-3 of them, so address shards see both single-shard and
+ *  cross-shard commits; every fourth transaction is read-only and
+ *  commits with no update record. */
+sim::Co<void>
+goldenThread(Thread &t, Addr base, int txs)
+{
+    Addr mine = base + t.id() * 16 * 64;
+    for (int i = 0; i < txs; ++i) {
+        co_await t.txBegin();
+        for (int l = 0; l < 1 + i % 3; ++l) {
+            Addr a = mine + ((i + l) % 16) * 64;
+            std::uint64_t v = co_await t.load64(a);
+            if (i % 4 != 3)
+                co_await t.store64(a, v + 1);
+        }
+        co_await t.txCommit();
+    }
+}
+
+struct Golden
+{
+    PersistMode mode;
+    GoldenLayout layout;
+    Tick end;
+    std::vector<std::uint64_t> appends; ///< per log region
+    std::uint64_t commits;
+    std::uint64_t prepares;
+    std::uint64_t crossShard;
+};
+
+std::string
+describe(const Golden &g)
+{
+    std::string s = strfmt("%s/%s end=%llu appends=",
+                           persistModeName(g.mode),
+                           goldenLayoutName(g.layout),
+                           static_cast<unsigned long long>(g.end));
+    for (std::uint64_t a : g.appends)
+        s += strfmt("%llu,", static_cast<unsigned long long>(a));
+    return s + strfmt(" commits=%llu prepares=%llu cross=%llu",
+                      static_cast<unsigned long long>(g.commits),
+                      static_cast<unsigned long long>(g.prepares),
+                      static_cast<unsigned long long>(g.crossShard));
+}
+
+Golden
+observeGolden(PersistMode mode, GoldenLayout layout)
+{
+    SystemConfig cfg = SystemConfig::scaled(4);
+    applyGoldenLayout(cfg, layout);
+    System sys(cfg, mode);
+    Addr base = sys.heap().alloc(4 * 16 * 64, 64);
+    for (CoreId c = 0; c < 4; ++c)
+        sys.spawn(c, [&](Thread &t) { return goldenThread(t, base, 40); });
+    Golden g{mode, layout, sys.run(), {}, 0, 0, 0};
+    for (std::size_t i = 0; i < sys.logPartitionCount(); ++i)
+        g.appends.push_back(sys.logPartition(i).appends.value());
+    if (sys.hwl()) {
+        g.commits = sys.hwl()->commitRecords.value();
+        g.prepares = sys.hwl()->prepareRecords.value();
+        g.crossShard = sys.hwl()->crossShardCommits.value();
+    } else {
+        g.commits = sys.swlog()->commitRecords.value();
+        g.prepares = sys.swlog()->prepareRecords.value();
+        g.crossShard = sys.swlog()->crossShardCommits.value();
+    }
+    return g;
+}
+
+} // namespace
+
+TEST(ShardGolden, EveryLayoutKeepsItsTimingAndRecords)
+{
+    // Captured before the two logging engines shared one router: the
+    // end tick, appends per region and commit-protocol counters of
+    // every backend under every log layout. Any drift means the
+    // routing, the commit plan or an engine's write order changed.
+    // Under address shards the hardware engine files a read-only
+    // transaction's commit in the committing core's region and the
+    // software runtime in region 0, hence their different appends.
+    using M = PersistMode;
+    using L = GoldenLayout;
+    const Golden kGolden[] = {
+        {M::Fwb, L::Central, 8091, {400}, 160, 0, 0},
+        {M::Fwb, L::Shards4, 10334, {122, 138, 170, 90}, 160, 120, 80},
+        {M::Fwb, L::PerCore, 8064, {100, 100, 100, 100}, 160, 0, 0},
+        {M::Hwl, L::Central, 18071, {400}, 160, 0, 0},
+        {M::Hwl, L::Shards4, 18589, {122, 138, 170, 90}, 160, 120, 80},
+        {M::Hwl, L::PerCore, 18291, {100, 100, 100, 100}, 160, 0, 0},
+        {M::UndoClwb, L::Central, 20792, {400}, 160, 0, 0},
+        {M::UndoClwb, L::Shards4, 24441, {152, 128, 160, 80}, 160, 120, 80},
+        {M::UndoClwb, L::PerCore, 20792, {400}, 160, 0, 0},
+        {M::RedoClwb, L::Central, 18391, {400}, 160, 0, 0},
+        {M::RedoClwb, L::Shards4, 18121, {152, 128, 160, 80}, 160, 120, 80},
+        {M::RedoClwb, L::PerCore, 18391, {400}, 160, 0, 0},
+    };
+    for (const Golden &want : kGolden) {
+        Golden got = observeGolden(want.mode, want.layout);
+        EXPECT_EQ(describe(got), describe(want));
+    }
 }
 
 // ------------------ end-to-end crash recovery --------------------
