@@ -29,7 +29,8 @@ run(const std::string &wl, std::uint32_t threads, bool distributed)
         spec.params.txPerThread = 1;
     spec.params.footprint = 65536;
     spec.sys = benchConfig(threads);
-    spec.sys.persist.distributedLogs = distributed;
+    if (distributed)
+        spec.sys.persist.logShards = PersistConfig::kPerCoreLogs;
     spec.verifyAtEnd = false;
     return workloads::runWorkload(spec);
 }

@@ -30,27 +30,19 @@ System::System(const SystemConfig &config, PersistMode m)
     pheap = std::make_unique<PersistentHeap>(cfg.map, memory->nvram());
     dheap = std::make_unique<BumpAllocator>(cfg.map.dramBase,
                                             cfg.map.dramSize);
-    // Split the log area into AddressMap::logShards circular regions:
-    // one per core for distributed per-thread logs (Section III-F,
-    // hardware modes only), else one per address-interleaved shard
-    // (shardlab; 1 = centralized). validate() keeps the two exclusive;
-    // recovery treats both alike, the engines route by core or by
-    // address.
-    std::uint32_t shards = cfg.persist.logShards;
-    cfg.map.logShards =
-        (cfg.persist.distributedLogs && isHardwareLogging(persistMode))
-            ? cfg.numCores
-            : shards;
-    std::uint32_t region_count = cfg.map.logShards;
-    std::uint64_t part_bytes = cfg.map.logSize / region_count;
-    for (std::uint32_t p = 0; p < region_count; ++p) {
+    // Resolve the log layout: AddressMap::logShards circular regions
+    // (what recovery reads) and the routing the engine's LogRouter
+    // applies.
+    persist::LogLayout layout = persist::resolveLogLayout(cfg, persistMode);
+    cfg.map.logShards = layout.regions;
+    for (std::uint32_t p = 0; p < layout.regions; ++p) {
         logRegions.push_back(std::make_unique<persist::LogRegion>(
-            cfg.map.logBase() + p * part_bytes, part_bytes,
+            cfg.map.logRegionBase(p), cfg.map.logRegionBytes(),
             memory->nvram(),
-            region_count == 1 ? "log" : strfmt("log.%u", p)));
+            layout.regions == 1 ? "log" : strfmt("log.%u", p)));
         logRegions.back()->create();
     }
-    memory->nvram().setLogShards(region_count);
+    memory->nvram().setLogShards(layout.regions);
 
     // Wire reclamation-hazard predicates (invariant I4).
     for (auto &region : logRegions) {
@@ -102,21 +94,19 @@ System::System(const SystemConfig &config, PersistMode m)
     txnTracker.setAbortRetryCap(cfg.persist.abortRetryCap);
     txnTracker.setCcMode(cfg.persist.ccMode);
 
+    persist::LogRouter router(persistMode, layout, txnTracker,
+                              cfg.persist.injectSkipShardMask);
     if (isHardwareLogging(persistMode)) {
         std::vector<persist::LogBuffer *> buf_ptrs;
-        std::vector<persist::LogRegion *> region_ptrs;
         for (auto &region : logRegions) {
             logBufs.push_back(std::make_unique<persist::LogBuffer>(
                 *region, memory->nvram(), &memory->monitor(),
                 cfg.persist.logBufferEntries, cfg.l1.lineBytes,
                 cfg.persist.crashJournal /* torn-test drains */));
             buf_ptrs.push_back(logBufs.back().get());
-            region_ptrs.push_back(region.get());
         }
         hwlEngine = std::make_unique<persist::HwlEngine>(
-            persistMode, std::move(buf_ptrs),
-            std::move(region_ptrs), txnTracker, shards,
-            cfg.persist.injectSkipShardMask);
+            std::move(buf_ptrs), std::move(router));
         memory->setStoreHook(hwlEngine.get());
         // The memory controller issues log-buffer entries to the
         // NVRAM bus ahead of data write-backs (FIFO order at the
@@ -134,8 +124,7 @@ System::System(const SystemConfig &config, PersistMode m)
         for (auto &region : logRegions)
             region_ptrs.push_back(region.get());
         swLogging = std::make_unique<persist::SwLogging>(
-            persistMode, *memory, std::move(region_ptrs), txnTracker,
-            shards, cfg.persist.injectSkipShardMask);
+            *memory, std::move(region_ptrs), std::move(router));
         // The WCB sits in the memory controller ahead of the data
         // write queue: uncacheable log stores issued before a data
         // write-back drain first (same FIFO argument as the hardware
@@ -147,7 +136,7 @@ System::System(const SystemConfig &config, PersistMode m)
 
     if (persistMode == PersistMode::Fwb) {
         fwbEngine = std::make_unique<persist::FwbEngine>(
-            *memory, eventQueue, cfg.persist);
+            *memory, eventQueue, cfg.persist, layout);
         fwbEngine->start(0);
     }
 
@@ -161,8 +150,9 @@ System::System(const SystemConfig &config, PersistMode m)
             fwbEngine->setScanHook(
                 [this](Tick now) { scrubber->step(now); });
         } else {
-            scrubber->start(eventQueue,
-                            persist::FwbEngine::derivePeriod(cfg), 0);
+            scrubber->start(
+                eventQueue,
+                persist::FwbEngine::derivePeriod(cfg, layout), 0);
         }
     }
 

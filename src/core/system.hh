@@ -37,6 +37,7 @@
 #include "persist/hwl_engine.hh"
 #include "persist/log_buffer.hh"
 #include "persist/log_region.hh"
+#include "persist/log_router.hh"
 #include "persist/log_scrubber.hh"
 #include "persist/recovery.hh"
 #include "persist/sw_logging.hh"
@@ -149,11 +150,9 @@ class System
 
     BumpAllocator &dramHeap() { return *dheap; }
 
-    persist::LogRegion &log() { return *logRegions[0]; }
-
-    /** Log regions: AddressMap::logShards of config().map (1 unless
-     *  PersistConfig::distributedLogs splits per core or
-     *  PersistConfig::logShards splits per address). */
+    /** Log regions: AddressMap::logShards of config().map, as
+     *  resolved from PersistConfig::logShards for this mode (1 unless
+     *  the log is split per core or per address). */
     std::size_t logPartitionCount() const { return logRegions.size(); }
 
     persist::LogRegion &logPartition(std::size_t i)

@@ -176,15 +176,11 @@ SystemConfig::validate() const
     }
     if (map.logSize >= map.nvramSize)
         fatal("log does not fit in NVRAM");
-    if (persist.logShards == 0 || persist.logShards > 64)
+    // Range only: persist::resolveLogLayout() applies the per-mode
+    // rules and the divisibility of the log into its regions.
+    if ((persist.logShards == 0 || persist.logShards > 64) &&
+        persist.logShards != PersistConfig::kPerCoreLogs)
         fatal("logShards %u out of range [1,64]", persist.logShards);
-    if (persist.logShards > 1 && persist.distributedLogs)
-        fatal("logShards and distributedLogs are mutually exclusive "
-              "(per-address vs per-core log splitting)");
-    if (map.logSize % persist.logShards != 0)
-        fatal("log size %llu not divisible into %u shards",
-              static_cast<unsigned long long>(map.logSize),
-              persist.logShards);
     if (persist.wcbEntries == 0)
         fatal("WCB needs at least one entry");
     if (map.remapSize != 0) {

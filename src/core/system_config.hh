@@ -168,14 +168,6 @@ struct CoreConfig
 {
     std::uint32_t issueWidth = 4;      ///< non-mem ops retired per cycle
     std::uint32_t storeBufferEntries = 32;
-    std::uint32_t l1HitLat = 4;        ///< 1.6 ns at 2.5 GHz
-};
-
-/** Memory-controller queue model. */
-struct McConfig
-{
-    std::uint32_t readQueue = 64;
-    std::uint32_t writeQueue = 64;
 };
 
 /**
@@ -266,21 +258,6 @@ struct PersistConfig
      */
     std::size_t snapshotCheckpointK = 1024;
     /**
-     * Distributed per-thread logs (paper Section III-F): the log
-     * area is partitioned into one circular region per core, each
-     * with its own log buffer. Only meaningful for hardware-logging
-     * modes; software baselines stay centralized.
-     *
-     * The regions are AddressMap::logShards shards routed by core,
-     * recovered by the one merged pass. Constraint: persistent data
-     * written by transactions must be thread-private (the paper's
-     * one-transaction-stream-per-thread model, Figure 4); committed
-     * writes to shared addresses from different regions have no
-     * recovery-time order without a global LSN. runWorkload enforces
-     * it through Workload::threadPrivate().
-     */
-    bool distributedLogs = false;
-    /**
      * Ablation only: drop the memory controller's FIFO ordering of
      * log writes ahead of data write-backs. Violates the inherent
      * log-before-data guarantee (bench/ablation_ordering).
@@ -299,20 +276,35 @@ struct PersistConfig
      */
     bool injectSkipWbBarrier = false;
     /**
-     * Multi-controller log sharding (shardlab): the log area is split
-     * into logShards equal circular regions, each modeling one memory
-     * controller's slice of the line-address space. Every update
-     * record for a data line lands in the shard owning that line
-     * (shard = (line >> 6) mod logShards), so per-address record
-     * order is preserved within one shard. A transaction touching
-     * more than one shard commits through a two-phase protocol:
-     * prepare records in every participant shard, then one commit
-     * record in the owner shard carrying the participation mask.
-     * 1 (the default) keeps the single centralized log byte-identical
-     * to the pre-shard layout. Mutually exclusive with
-     * distributedLogs (which partitions per core, not per address).
+     * The log layout (shardlab; paper Section III-F): the log area is
+     * split into equal circular regions, and a record picks its region
+     * by data-line address or by core. persist::resolveLogLayout()
+     * turns this value and the persistence mode into the region count
+     * (AddressMap::logShards) and the routing; nothing else reads it.
+     *
+     * 1 (the default) is the single central log, byte-identical to
+     * the pre-shard layout. 2-64 are address shards, each modeling
+     * one memory controller's slice of the line-address space: every
+     * update record for a data line lands in the shard owning that
+     * line (shard = (line >> 6) mod logShards), so per-address record
+     * order is preserved within one shard, and a transaction touching
+     * more than one shard commits through a two-phase protocol
+     * (prepare records in every other participant shard, then one
+     * commit record in the lowest carrying the participation mask).
+     *
+     * kPerCoreLogs is the distributed per-thread logs: one region per
+     * core, each with its own log buffer, records routed by core.
+     * Only hardware-logging modes split the log that way; the
+     * software baselines keep one central log. Persistent data
+     * written by transactions must then be thread-private (the
+     * paper's one-transaction-stream-per-thread model, Figure 4):
+     * committed writes to shared addresses from different regions
+     * have no recovery-time order without a global LSN. runWorkload
+     * enforces it through Workload::threadPrivate().
      */
     std::uint32_t logShards = 1;
+    /** logShards value selecting one log region per core. */
+    static constexpr std::uint32_t kPerCoreLogs = 0xffffffffu;
     /**
      * Crash-tooling self-test only: the owner-shard commit record of
      * a cross-shard transaction is written with a participation mask
@@ -374,10 +366,9 @@ struct AddressMap
     std::uint64_t logSize = 4ULL << 20;
     /**
      * Number of equal circular log regions the log area is split into
-     * (1 = centralized). System sets it at construction: numCores
-     * when PersistConfig::distributedLogs applies (per-core regions,
-     * hardware modes only), else PersistConfig::logShards (address
-     * shards). Recovery, faultlab and the invariant checkers iterate
+     * (1 = centralized). System sets it at construction from
+     * persist::resolveLogLayout(): per-core regions or address
+     * shards. Recovery, faultlab and the invariant checkers iterate
      * regions through it and treat both layouts alike.
      */
     std::uint32_t logShards = 1;
@@ -404,6 +395,20 @@ struct AddressMap
 
     Addr logBase() const { return nvramBase; }
 
+    /** Bytes of each of the logShards log regions. */
+    std::uint64_t
+    logRegionBytes() const
+    {
+        return logSize / (logShards > 0 ? logShards : 1);
+    }
+
+    /** First byte of log region @p s (its header). */
+    Addr
+    logRegionBase(std::uint32_t s) const
+    {
+        return logBase() + s * logRegionBytes();
+    }
+
     /** Remap-table region: NVRAM after the log. */
     Addr remapBase() const { return nvramBase + logSize; }
 
@@ -424,7 +429,6 @@ struct SystemConfig
     CoreConfig core;
     CacheConfig l1;
     CacheConfig l2;
-    McConfig mc;
     MemDeviceConfig nvram;
     MemDeviceConfig dram;
     PersistConfig persist;

@@ -110,15 +110,14 @@ applyImageFaults(mem::BackingStore &image, const AddressMap &map,
     };
     SlotView view(image, map);
 
-    std::uint64_t shard_bytes = map.logSize / map.logShards;
     for (std::uint32_t s = 0; s < map.logShards; ++s) {
-        Addr base = map.logBase() + s * shard_bytes;
+        Addr base = map.logRegionBase(s);
         if (image.read64(view.translate(base)) !=
             persist::LogRegion::kMagic)
             continue;
         std::uint64_t slots = image.read64(view.translate(base + 8));
         std::uint64_t max_slots =
-            (shard_bytes - persist::LogRegion::kHeaderBytes) /
+            (map.logRegionBytes() - persist::LogRegion::kHeaderBytes) /
             persist::LogRecord::kSlotBytes;
         if (slots > max_slots)
             continue;
@@ -218,9 +217,8 @@ coveredRanges(const mem::BackingStore &image, const AddressMap &map,
 
     std::vector<std::pair<Addr, Addr>> ranges;
     SlotView view(image, map);
-    std::uint64_t shard_bytes = map.logSize / map.logShards;
     for (std::uint32_t s = 0; s < map.logShards; ++s) {
-        Addr base = map.logBase() + s * shard_bytes;
+        Addr base = map.logRegionBase(s);
         if (image.read64(view.translate(base)) !=
             persist::LogRegion::kMagic)
             continue;

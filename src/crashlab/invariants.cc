@@ -195,9 +195,8 @@ std::string
 describeLogWindow(const mem::BackingStore &image, const AddressMap &map)
 {
     std::string out;
-    std::uint64_t shard_bytes = map.logSize / map.logShards;
     for (std::uint32_t s = 0; s < map.logShards; ++s) {
-        Addr base = map.logBase() + s * shard_bytes;
+        Addr base = map.logRegionBase(s);
         std::uint64_t magic = image.read64(base);
         std::uint64_t slots = image.read64(base + 8);
         out += format("log[%u] @0x%llx magic=%s slots=%llu\n", s,
@@ -206,7 +205,8 @@ describeLogWindow(const mem::BackingStore &image, const AddressMap &map)
                                                           : "BAD",
                       static_cast<unsigned long long>(slots));
         if (magic != persist::LogRegion::kMagic ||
-            slots > (shard_bytes - persist::LogRegion::kHeaderBytes) /
+            slots > (map.logRegionBytes() -
+                     persist::LogRegion::kHeaderBytes) /
                         persist::LogRecord::kSlotBytes)
             continue;
         Addr slot0 = base + persist::LogRegion::kHeaderBytes;

@@ -7,13 +7,13 @@ namespace snf::persist
 {
 
 FwbEngine::FwbEngine(mem::MemorySystem &memory, sim::EventQueue &evq,
-                     const PersistConfig &config)
+                     const PersistConfig &config, const LogLayout &layout)
     : mem(memory),
       events(evq),
       cfg(config),
       scanPeriod(config.fwbPeriod != 0
                      ? config.fwbPeriod
-                     : derivePeriod(memory.config())),
+                     : derivePeriod(memory.config(), layout)),
       statGroup("fwb"),
       scans(statGroup.counter("scans")),
       flagged(statGroup.counter("flagged")),
@@ -22,15 +22,13 @@ FwbEngine::FwbEngine(mem::MemorySystem &memory, sim::EventQueue &evq,
 }
 
 Tick
-FwbEngine::derivePeriod(const SystemConfig &config)
+FwbEngine::derivePeriod(const SystemConfig &config,
+                        const LogLayout &layout)
 {
-    // With distributed logs a single hot thread can wrap its own
-    // (smaller) partition at full bandwidth, so derive from the
-    // partition size.
-    std::uint32_t partitions =
-        config.persist.distributedLogs ? config.numCores : 1;
-    std::uint64_t slots = (config.map.logSize / partitions - 64) /
-                          LogRecord::kSlotBytes;
+    std::uint64_t wrap_bytes = layout.byCore
+                                   ? config.map.logSize / layout.regions
+                                   : config.map.logSize;
+    std::uint64_t slots = (wrap_bytes - 64) / LogRecord::kSlotBytes;
     // Sequential log-entry write service time at full NVRAM write
     // bandwidth; two slots coalesce per 64-byte line.
     mem::MemDevice probe("probe", config.nvram, config.map.nvramBase);

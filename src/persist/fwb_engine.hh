@@ -12,6 +12,7 @@
 
 #include "core/system_config.hh"
 #include "mem/memory_system.hh"
+#include "persist/log_router.hh"
 #include "sim/event_queue.hh"
 #include "sim/probe.hh"
 #include "sim/stats.hh"
@@ -23,8 +24,10 @@ namespace snf::persist
 class FwbEngine
 {
   public:
+    /** @param layout the resolved log layout, which sets the derived
+     *  scan period (see derivePeriod). */
     FwbEngine(mem::MemorySystem &memory, sim::EventQueue &events,
-              const PersistConfig &config);
+              const PersistConfig &config, const LogLayout &layout);
 
     /** Begin periodic scanning (first scan after one period). */
     void start(Tick now);
@@ -41,8 +44,12 @@ class FwbEngine
      * and a dirty line needs at most two scans per level across two
      * levels (4 periods) to reach NVRAM, so with a 2x safety margin
      *     period = T_wrap / 8.
+     * Per-core regions take the slots of one region: a single hot
+     * thread can wrap its own region at full bandwidth. One central
+     * log and address shards take the slots of the whole log.
      */
-    static Tick derivePeriod(const SystemConfig &config);
+    static Tick derivePeriod(const SystemConfig &config,
+                             const LogLayout &layout = {});
 
     /**
      * Crash-tooling probe: emits FwbScan at each pass boundary (the

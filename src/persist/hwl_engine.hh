@@ -7,7 +7,9 @@
  * in-flight store — and appends an undo and/or redo record to the log
  * buffer, with zero instructions executed in the pipeline. Commits
  * get a "free ride": a single commit record is appended, with no
- * flushes or barriers (Section III-D).
+ * flushes or barriers (Section III-D). The LogRouter decides which
+ * region each record goes to and how a transaction spanning address
+ * shards commits; this engine appends to the log buffers.
  */
 
 #ifndef SNF_PERSIST_HWL_ENGINE_HH
@@ -18,7 +20,7 @@
 #include "core/system_config.hh"
 #include "mem/memory_system.hh"
 #include "persist/log_buffer.hh"
-#include "persist/txn_tracker.hh"
+#include "persist/log_router.hh"
 #include "sim/stats.hh"
 
 namespace snf::persist
@@ -29,24 +31,11 @@ class HwlEngine : public mem::PersistentStoreHook
 {
   public:
     /**
-     * @param buffers one (log buffer, region) pair per log
-     *        partition; with centralized logging the vectors have
-     *        one element, with distributed logs one per core
-     *        (records route by core id, Section III-F), with
-     *        address-interleaved sharding one per shard (records
-     *        route by data-line address, shardlab).
-     * @param logShards >1 selects address-interleaved shard routing
-     *        (buffers.size() must equal logShards) and the
-     *        cross-shard two-phase commit protocol.
-     * @param injectSkipShardMask self-test: cross-shard commit
-     *        records carry an owner-only participation mask (timing
-     *        unchanged); the sharded crash sweep must catch the
-     *        resulting half-committed recoveries.
+     * @param buffers one log buffer per log region of the router's
+     *        layout: one for the central log, one per core for
+     *        per-core regions, one per shard for address shards.
      */
-    HwlEngine(PersistMode mode, std::vector<LogBuffer *> buffers,
-              std::vector<LogRegion *> regions, TxnTracker &txns,
-              std::uint32_t logShards = 1,
-              bool injectSkipShardMask = false);
+    HwlEngine(std::vector<LogBuffer *> buffers, LogRouter router);
 
     /**
      * Cache-triggered logging of one persistent store. Returns the
@@ -56,40 +45,27 @@ class HwlEngine : public mem::PersistentStoreHook
                            std::uint32_t size, std::uint64_t oldVal,
                            std::uint64_t newVal, Tick now) override;
 
-    /** Append the commit record for @p txSeq. */
+    /** Append the commit record(s) the router plans for @p txSeq. */
     Tick onCommit(CoreId core, std::uint64_t txSeq, Tick now);
 
     sim::StatGroup &stats() { return statGroup; }
 
-    /** Shard owning a data-line address (identity when unsharded). */
-    std::uint32_t
-    shardOf(Addr addr) const
-    {
-        return shards > 1
-                   ? static_cast<std::uint32_t>((addr >> 6) % shards)
-                   : 0;
-    }
-
   private:
-    /** Buffer/region index for one record: by shard when sharded,
-     *  by core under distributed per-core partitions. */
-    std::uint32_t indexFor(CoreId core, Addr addr) const;
+    /** Append @p rec to region @p r's buffer and bind its slot. */
+    Tick append(std::uint32_t r, const LogRecord &rec,
+                std::uint64_t txSeq, Tick now);
 
-    PersistMode mode;
     std::vector<LogBuffer *> buffers;
-    std::vector<LogRegion *> regions;
-    TxnTracker &txns;
-    std::uint32_t shards;
-    bool skipShardMask;
+    LogRouter router;
     /**
-     * Sharded mode only: durable tick of the most recent commit
+     * Address shards only: durable tick of the most recent commit
      * record (any shard, any core). The next commit's drain is
      * issued no earlier than this, so commit records reach NVRAM in
      * commit-initiation order even though they live in independent
      * per-shard FIFOs — without it, tx N+1's commit in a fast shard
      * could become durable before tx N's in a slow one, and a crash
-     * between the two would recover a non-prefix state. Unsharded
-     * logs get this ordering for free from the single FIFO.
+     * between the two would recover a non-prefix state. One FIFO
+     * gives this ordering for free.
      */
     Tick commitFence = 0;
     sim::StatGroup statGroup;

@@ -57,6 +57,9 @@ class LogBuffer
     /** Reservation slot of the most recent append (for tx binding). */
     std::uint64_t lastSlot() const { return lastReservedSlot; }
 
+    /** The region this buffer drains into. */
+    LogRegion &logRegion() { return region; }
+
     /** Flush everything; returns the last drain-completion tick. */
     Tick drainAll(Tick now);
 

@@ -443,7 +443,6 @@ recoverLog(ImageIO &io, const AddressMap &map,
 {
     RecoveryReport report;
     const std::uint32_t nShards = std::max(map.logShards, 1u);
-    const std::uint64_t shard_bytes = map.logSize / nShards;
 
     std::vector<ShardScan> sc(nShards);
     std::uint64_t deadMask = 0;
@@ -460,13 +459,13 @@ recoverLog(ImageIO &io, const AddressMap &map,
     // write — the merged resume decision needs the global flag view.
     for (std::uint32_t s = 0; s < nShards; ++s) {
         ShardScan &sh = sc[s];
-        sh.base = map.logBase() + s * shard_bytes;
+        sh.base = map.logRegionBase(s);
         sh.slot0 = sh.base + LogRegion::kHeaderBytes;
         sh.sum.shard = s;
         std::uint64_t magic = io.read64(sh.base);
         std::uint64_t slots = io.read64(sh.base + 8);
         if (magic != LogRegion::kMagic || slots == 0 ||
-            slots > (shard_bytes - LogRegion::kHeaderBytes) /
+            slots > (map.logRegionBytes() - LogRegion::kHeaderBytes) /
                         LogRecord::kSlotBytes) {
             warn("recovery: shard %u header invalid, degraded mode", s);
             sh.sum.dead = true;

@@ -12,10 +12,10 @@
  *
  * One pass serves every log layout: the log area is
  * AddressMap::logShards circular regions (1 = centralized), whether
- * they are address-interleaved shards or per-core regions
- * (PersistConfig::distributedLogs). Each region is scanned on its own;
- * commit decisions join records across regions, and truncation is
- * re-entrant across all of them.
+ * the LogRouter filled them by address (shards) or by core (per-core
+ * regions); the pass never needs to know which. Each region is
+ * scanned on its own; commit decisions join records across regions,
+ * and truncation is re-entrant across all of them.
  */
 
 #ifndef SNF_PERSIST_RECOVERY_HH

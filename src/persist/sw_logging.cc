@@ -1,22 +1,18 @@
 #include "persist/sw_logging.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
 namespace snf::persist
 {
 
-SwLogging::SwLogging(PersistMode m, mem::MemorySystem &memory,
-                     std::vector<LogRegion *> logRegions,
-                     TxnTracker &tracker, std::uint32_t logShards,
-                     bool injectSkipShardMask)
-    : mode(m),
-      mem(memory),
+SwLogging::SwLogging(mem::MemorySystem &memory,
+                     std::vector<LogRegion *> logRegions, LogRouter r)
+    : mem(memory),
       regions(std::move(logRegions)),
-      txns(tracker),
-      shards(logShards > 0 ? logShards : 1),
-      skipShardMask(injectSkipShardMask),
+      router(std::move(r)),
       statGroup("sw_log"),
       updateRecords(statGroup.counter("update_records")),
       commitRecords(statGroup.counter("commit_records")),
@@ -24,12 +20,10 @@ SwLogging::SwLogging(PersistMode m, mem::MemorySystem &memory,
       crossShardCommits(statGroup.counter("cross_shard_commits")),
       prepareRecords(statGroup.counter("prepare_records"))
 {
-    SNF_ASSERT(isSoftwareLogging(m), "SW logging with mode %s",
-               persistModeName(m));
-    SNF_ASSERT(!regions.empty() &&
-                   (shards == 1 || regions.size() == shards),
-               "SW logging: %zu regions for %u shards",
-               regions.size(), shards);
+    SNF_ASSERT(isSoftwareLogging(router.mode()) &&
+                   regions.size() == router.layout().regions,
+               "SW logging with mode %s over %zu regions",
+               persistModeName(router.mode()), regions.size());
 }
 
 void
@@ -74,7 +68,7 @@ SwLogging::logStore(CoreId core, std::uint64_t txSeq, Addr addr,
     res.instructions += kLogMgmtInstrPerStore;
 
     std::uint64_t old_val = 0;
-    if (wantsUndo()) {
+    if (router.logsUndo()) {
         // The undo value must be read from the cache hierarchy
         // explicitly (extra load instruction and memory traffic).
         auto lr = mem.load(core, addr, size, &old_val, res.done);
@@ -83,21 +77,12 @@ SwLogging::logStore(CoreId core, std::uint64_t txSeq, Addr addr,
         res.logLoads += 1;
     }
 
-    LogRecord rec = LogRecord::update(
-        static_cast<std::uint8_t>(core), TxnTracker::txIdOf(txSeq),
-        addr, static_cast<std::uint8_t>(size),
-        wantsUndo() ? std::optional<std::uint64_t>(old_val)
-                    : std::nullopt,
-        wantsRedo() ? std::optional<std::uint64_t>(newVal)
-                    : std::nullopt);
-    std::uint32_t idx = shardOf(addr);
-    writeRecordViaWcb(*regions[idx], rec, txSeq, res, now);
-    txns.noteLogRecord(txSeq);
-    if (shards > 1)
-        txns.noteShardRecord(txSeq, idx);
+    LogRouter::Routed r =
+        router.route(core, txSeq, addr, size, old_val, newVal);
+    writeRecordViaWcb(*regions[r.region], r.rec, txSeq, res, now);
     updateRecords.inc();
 
-    if (needsPreStoreBarrier()) {
+    if (router.mode() == PersistMode::RedoClwb) {
         // Redo logging: the log entry must be durable before the
         // in-place data write may proceed (Figure 1(b) dashed line).
         res.done = std::max(res.done, mem.drainWcb(res.done));
@@ -116,70 +101,34 @@ SwLogging::logCommit(CoreId core, std::uint64_t txSeq, Tick now)
     res.done = now + kLogMgmtInstrPerCommit / 4;
     res.instructions += kLogMgmtInstrPerCommit;
 
-    std::uint64_t mask = shards > 1 ? txns.shardMaskOf(txSeq) : 0;
-    bool multi = mask != 0 && (mask & (mask - 1)) != 0;
-    if (!multi) {
-        std::uint32_t idx = 0;
-        if (mask != 0)
-            while (!(mask & (1ULL << idx)))
-                ++idx;
-        LogRecord rec = LogRecord::commit(
-            static_cast<std::uint8_t>(core), TxnTracker::txIdOf(txSeq),
-            txns.logRecordCount(txSeq));
-        writeRecordViaWcb(*regions[idx], rec, txSeq, res, now);
-        commitRecords.inc();
-        if (shards > 1) {
-            // Commit-ordering interlock (see commitFence). The
-            // fence drain folds into res.done: the caller's commit
-            // fence assumes the record is durable by then, exactly
-            // like the unsharded fence-at-commit sequence.
-            commitFence =
-                mem.drainWcb(std::max(res.done, commitFence));
-            res.done = std::max(res.done, commitFence);
-            res.instructions += 1;
-            res.fences += 1;
+    LogRouter::CommitPlan plan = router.planCommit(core, txSeq);
+    if (plan.crossShard()) {
+        // Phase 1 of a cross-shard commit: every prepare goes through
+        // the WCB, and one drain makes them durable before the masked
+        // commit record is written.
+        for (std::uint64_t m = plan.prepares; m != 0; m &= m - 1) {
+            auto s = static_cast<std::uint32_t>(std::countr_zero(m));
+            writeRecordViaWcb(*regions[s], router.prepare(core, txSeq, s),
+                              txSeq, res, now);
+            prepareRecords.inc();
         }
-        injectedInstructions.inc(res.instructions);
-        return res;
+        res.done = std::max(res.done, mem.drainWcb(res.done));
+        res.instructions += 1;
+        res.fences += 1;
+        crossShardCommits.inc();
     }
-
-    // Cross-shard two-phase commit, same wire protocol as the HWL
-    // engine: prepares close every non-owner participant shard, a
-    // WCB drain makes them durable, and only then does the masked
-    // commit record reach the owner shard — the atomic commit point
-    // is never concurrently pending with a prepare.
-    std::uint32_t owner = 0;
-    while (!(mask & (1ULL << owner)))
-        ++owner;
-    TxId txid = TxnTracker::txIdOf(txSeq);
-    for (std::uint32_t s = 0; s < shards; ++s) {
-        if (s == owner || !(mask & (1ULL << s)))
-            continue;
-        LogRecord prep = LogRecord::prepare(
-            static_cast<std::uint8_t>(core), txid,
-            txns.shardRecordCount(txSeq, s), txSeq);
-        writeRecordViaWcb(*regions[s], prep, txSeq, res, now);
-        prepareRecords.inc();
-    }
-    res.done = std::max(res.done, mem.drainWcb(res.done));
-    res.instructions += 1;
-    res.fences += 1;
-
-    std::uint64_t commitMask = skipShardMask ? (1ULL << owner) : mask;
-    LogRecord rec = LogRecord::commitMasked(
-        static_cast<std::uint8_t>(core), txid,
-        txns.shardRecordCount(txSeq, owner), txSeq, commitMask);
-    writeRecordViaWcb(*regions[owner], rec, txSeq, res, now);
+    writeRecordViaWcb(*regions[plan.owner], plan.commit, txSeq, res, now);
     commitRecords.inc();
-    crossShardCommits.inc();
-    // Commit-ordering interlock (see commitFence): the masked commit
-    // drains eagerly, issued after every earlier commit's durable
-    // tick, and res.done covers the drain so the caller's commit
-    // fence semantics (durable by res.done) still hold.
-    commitFence = mem.drainWcb(std::max(res.done, commitFence));
-    res.done = std::max(res.done, commitFence);
-    res.instructions += 1;
-    res.fences += 1;
+    if (plan.fenced) {
+        // Commit-ordering interlock (see commitFence). The fence
+        // drain folds into res.done: the caller's commit fence
+        // assumes the record is durable by then, exactly like the
+        // fence-at-commit sequence of one region.
+        commitFence = mem.drainWcb(std::max(res.done, commitFence));
+        res.done = std::max(res.done, commitFence);
+        res.instructions += 1;
+        res.fences += 1;
+    }
     injectedInstructions.inc(res.instructions);
     return res;
 }

@@ -5,7 +5,9 @@
  * into the instruction stream, uncacheable log stores through the
  * write-combining buffer, old-value loads for undo logging, and the
  * memory barrier redo logging needs between the log write and the
- * in-place data write.
+ * in-place data write. The LogRouter decides which region each record
+ * goes to and how a transaction spanning address shards commits; this
+ * runtime writes the records through the WCB.
  */
 
 #ifndef SNF_PERSIST_SW_LOGGING_HH
@@ -16,7 +18,7 @@
 #include "core/system_config.hh"
 #include "mem/memory_system.hh"
 #include "persist/log_region.hh"
-#include "persist/txn_tracker.hh"
+#include "persist/log_router.hh"
 #include "sim/stats.hh"
 
 namespace snf::persist
@@ -37,17 +39,12 @@ class SwLogging
     };
 
     /**
-     * @param regions one circular region per log shard (a single
-     *        element keeps the pre-shard centralized behavior).
-     * @param logShards >1 routes records by data-line address and
-     *        commits cross-shard transactions through the prepare /
-     *        masked-commit protocol (same wire format as the HWL
-     *        engine, so recovery is backend-agnostic).
+     * @param regions one circular region per log region of the
+     *        router's layout (one, or one per address shard: software
+     *        logging never has per-core regions).
      */
-    SwLogging(PersistMode mode, mem::MemorySystem &memory,
-              std::vector<LogRegion *> regions, TxnTracker &txns,
-              std::uint32_t logShards = 1,
-              bool injectSkipShardMask = false);
+    SwLogging(mem::MemorySystem &memory,
+              std::vector<LogRegion *> regions, LogRouter router);
 
     /**
      * Log one persistent store about to be performed (must be called
@@ -59,37 +56,7 @@ class SwLogging
     /** Write the commit record (no flushes; the caller orders them). */
     Result logCommit(CoreId core, std::uint64_t txSeq, Tick now);
 
-    bool
-    wantsUndo() const
-    {
-        return mode == PersistMode::UnsafeUndo ||
-               mode == PersistMode::UndoClwb;
-    }
-
-    bool
-    wantsRedo() const
-    {
-        return mode == PersistMode::UnsafeRedo ||
-               mode == PersistMode::RedoClwb;
-    }
-
-    /** Redo logging needs a barrier before the in-place data write. */
-    bool
-    needsPreStoreBarrier() const
-    {
-        return mode == PersistMode::RedoClwb;
-    }
-
     sim::StatGroup &stats() { return statGroup; }
-
-    /** Shard owning a data-line address (identity when unsharded). */
-    std::uint32_t
-    shardOf(Addr addr) const
-    {
-        return shards > 1
-                   ? static_cast<std::uint32_t>((addr >> 6) % shards)
-                   : 0;
-    }
 
   private:
     /**
@@ -100,21 +67,18 @@ class SwLogging
     void writeRecordViaWcb(LogRegion &region, const LogRecord &rec,
                            std::uint64_t txSeq, Result &res, Tick now);
 
-    PersistMode mode;
     mem::MemorySystem &mem;
     std::vector<LogRegion *> regions;
-    TxnTracker &txns;
-    std::uint32_t shards;
-    bool skipShardMask;
+    LogRouter router;
     /**
-     * Sharded mode only: durable tick of the most recent commit
+     * Address shards only: durable tick of the most recent commit
      * record. Each sharded commit drains the WCB, issued no earlier
      * than this fence, so commit records reach NVRAM in
      * commit-initiation order even when they coalesce onto log lines
-     * of different shard regions queued out of order. Unsharded logs
-     * get the ordering for free: region slots (and hence WCB line
+     * of different shard regions queued out of order. One region
+     * gets the ordering for free: its slots (and hence WCB line
      * entries) are claimed in commit order. The drain folds into
-     * res.done, matching the unsharded fence-at-commit semantics
+     * res.done, matching the fence-at-commit semantics of one region
      * (CommitDurable is emitted at the caller's post-fence time).
      */
     Tick commitFence = 0;

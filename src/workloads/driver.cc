@@ -1,5 +1,6 @@
 #include "workloads/driver.hh"
 
+#include "persist/log_router.hh"
 #include "sim/logging.hh"
 
 namespace snf::workloads
@@ -18,7 +19,7 @@ runWorkload(const RunSpec &spec, std::ostream *statsDump)
         fatal("crash runs need PersistConfig::crashJournal");
 
     auto workload = makeWorkload(spec.workload);
-    if (cfg.persist.distributedLogs && isHardwareLogging(spec.mode) &&
+    if (persist::resolveLogLayout(cfg, spec.mode).byCore &&
         !workload->threadPrivate())
         fatal("--distributed-log needs thread-private persistent data, "
               "but workload '%s' shares it between threads",

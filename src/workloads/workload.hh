@@ -86,8 +86,9 @@ class Workload
      * Does every thread write only persistent data of its own (split
      * by Thread::id())? Distributed per-core logs need it: writes to
      * a shared address from different log regions have no
-     * recovery-time order, so runWorkload rejects
-     * PersistConfig::distributedLogs on any other workload.
+     * recovery-time order, so runWorkload rejects any other workload
+     * whose log layout resolves to per-core regions
+     * (PersistConfig::kPerCoreLogs under a hardware-logging mode).
      */
     virtual bool threadPrivate() const { return false; }
 };

@@ -24,7 +24,7 @@ SystemConfig
 distCfg(std::uint32_t cores, bool journal = false)
 {
     SystemConfig cfg = SystemConfig::scaled(cores);
-    cfg.persist.distributedLogs = true;
+    cfg.persist.logShards = PersistConfig::kPerCoreLogs;
     cfg.persist.crashJournal = journal;
     return cfg;
 }
@@ -57,8 +57,49 @@ TEST(DistributedLogs, CentralizedByDefault)
 
 TEST(DistributedLogs, SoftwareModesStayCentralized)
 {
-    System sys(distCfg(4), PersistMode::UndoClwb);
-    EXPECT_EQ(sys.logPartitionCount(), 1u);
+    // Only hardware logging splits the log per core, so a software
+    // or non-logging mode keeps one region at any core count, even
+    // where per-core regions could not divide the log.
+    for (std::uint32_t cores : {1u, 3u, 4u, 5u, 8u}) {
+        for (PersistMode m : {PersistMode::UndoClwb,
+                              PersistMode::RedoClwb,
+                              PersistMode::NonPers}) {
+            System sys(distCfg(cores), m);
+            EXPECT_EQ(sys.logPartitionCount(), 1u)
+                << cores << " cores, " << persistModeName(m);
+            EXPECT_EQ(sys.config().map.logShards, 1u);
+        }
+    }
+}
+
+TEST(DistributedLogs, FwbPeriodFollowsTheResolvedLayout)
+{
+    // One hot thread wraps its own per-core region four times sooner
+    // than the whole log, so the scan period shrinks with the region.
+    // Address shards fill in parallel and keep the whole log's period.
+    System central(SystemConfig::scaled(4), PersistMode::Fwb);
+    System perCore(distCfg(4), PersistMode::Fwb);
+    SystemConfig shardCfg = SystemConfig::scaled(4);
+    shardCfg.persist.logShards = 4;
+    System sharded(shardCfg, PersistMode::Fwb);
+    EXPECT_EQ(sharded.fwb()->period(), central.fwb()->period());
+    EXPECT_NEAR(static_cast<double>(central.fwb()->period()) /
+                    static_cast<double>(perCore.fwb()->period()),
+                4.0, 0.1);
+}
+
+TEST(DistributedLogsDeathTest, RejectsRegionsThatDoNotDivideTheLog)
+{
+    // Three per-core regions of a 256 KB log would start 21 and 42
+    // bytes into a line, so headers and slots would straddle lines.
+    // Per-core regions obey the rule address shards do.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT({ System sys(distCfg(3), PersistMode::Fwb); },
+                ::testing::ExitedWithCode(1), "not divisible into 3");
+    SystemConfig shards = SystemConfig::scaled(3);
+    shards.persist.logShards = 3;
+    EXPECT_EXIT({ System sys(shards, PersistMode::Fwb); },
+                ::testing::ExitedWithCode(1), "not divisible into 3");
 }
 
 TEST(DistributedLogs, RecordsRouteByCore)

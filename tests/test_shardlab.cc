@@ -3,9 +3,10 @@
  * shardlab unit/integration tests: prepare and masked-commit record
  * round-trips, the config validation rules for sharded logs, the
  * cross-shard two-phase commit protocol on both logging backends,
- * end-to-end crash recovery of a transaction spanning shards,
- * degraded-mode recovery with a dead shard, and the merged
- * re-entrant truncation resume.
+ * golden timing and record counts per log layout, the log router's
+ * routing and commit plan, end-to-end crash recovery of a
+ * transaction spanning shards, degraded-mode recovery with a dead
+ * shard, and the merged re-entrant truncation resume.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,9 @@
 #include "mem/backing_store.hh"
 #include "persist/log_record.hh"
 #include "persist/log_region.hh"
+#include "persist/log_router.hh"
 #include "persist/recovery.hh"
+#include "persist/txn_tracker.hh"
 #include "sim/logging.hh"
 
 using namespace snf;
@@ -106,14 +109,34 @@ TEST(ShardConfigDeathTest, RejectsBadShardCounts)
                     "logShards");
     }
     {
-        // Shards and per-core partitions slice the same log area —
-        // they are mutually exclusive.
-        SystemConfig cfg = SystemConfig::scaled(2);
-        cfg.persist.logShards = 2;
-        cfg.persist.distributedLogs = true;
-        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                    "mutually exclusive");
+        // runWorkload resolves the layout before any System validates
+        // the config: a count of 0 must be refused there too, by
+        // name, before it divides the log.
+        SystemConfig cfg = SystemConfig::scaled(1);
+        cfg.persist.logShards = 0;
+        EXPECT_EXIT(resolveLogLayout(cfg, PersistMode::Fwb),
+                    ::testing::ExitedWithCode(1), "logShards");
     }
+}
+
+TEST(LogLayout, OneSettingResolvesPerMode)
+{
+    SystemConfig cfg = SystemConfig::scaled(4);
+    auto check = [&](PersistMode m, std::uint32_t regions, bool byCore) {
+        LogLayout l = resolveLogLayout(cfg, m);
+        EXPECT_EQ(l.regions, regions) << persistModeName(m);
+        EXPECT_EQ(l.byCore, byCore) << persistModeName(m);
+    };
+    check(PersistMode::Fwb, 1, false);
+    cfg.persist.logShards = 4;
+    check(PersistMode::Fwb, 4, false);
+    check(PersistMode::UndoClwb, 4, false);
+    check(PersistMode::NonPers, 4, false);
+    cfg.persist.logShards = PersistConfig::kPerCoreLogs;
+    check(PersistMode::Fwb, 4, true);
+    check(PersistMode::HwRlog, 4, true);
+    check(PersistMode::UndoClwb, 1, false);
+    check(PersistMode::NonPers, 1, false);
 }
 
 // ------------------- two-phase commit protocol -------------------
@@ -220,7 +243,7 @@ applyGoldenLayout(SystemConfig &cfg, GoldenLayout l)
     if (l == GoldenLayout::Shards4)
         cfg.persist.logShards = 4;
     else if (l == GoldenLayout::PerCore)
-        cfg.persist.distributedLogs = true;
+        cfg.persist.logShards = PersistConfig::kPerCoreLogs;
 }
 
 /** Each thread owns 16 consecutive heap lines and runs transactions
@@ -324,6 +347,147 @@ TEST(ShardGolden, EveryLayoutKeepsItsTimingAndRecords)
         Golden got = observeGolden(want.mode, want.layout);
         EXPECT_EQ(describe(got), describe(want));
     }
+}
+
+// ------------------------- log router ----------------------------
+
+namespace
+{
+
+/** Data line @p k of the heap: with N address shards it lands in
+ *  shard k mod N (the NVRAM base is a multiple of 64 lines). */
+Addr
+lineAt(std::uint32_t k)
+{
+    return AddressMap{}.nvramBase + k * 64;
+}
+
+} // namespace
+
+TEST(LogRouter, RoutesByAddressOrByCore)
+{
+    TxnTracker txns;
+    std::uint64_t seq = txns.begin(3);
+    LogRouter central(PersistMode::Fwb, {1, false}, txns, false);
+    LogRouter shards(PersistMode::Fwb, {4, false}, txns, false);
+    LogRouter perCore(PersistMode::Fwb, {4, true}, txns, false);
+    for (std::uint32_t k = 0; k < 8; ++k) {
+        EXPECT_EQ(central.route(3, seq, lineAt(k), 8, 0, 1).region, 0u);
+        EXPECT_EQ(shards.route(3, seq, lineAt(k), 8, 0, 1).region,
+                  k % 4);
+        EXPECT_EQ(perCore.route(3, seq, lineAt(k), 8, 0, 1).region, 3u);
+    }
+    // Every routed update counts for the transaction's commit; only
+    // address shards track which shards it touched.
+    EXPECT_EQ(txns.logRecordCount(seq), 24u);
+    EXPECT_EQ(txns.shardMaskOf(seq), 0b1111u);
+    EXPECT_EQ(txns.shardRecordCount(seq, 1), 2u);
+}
+
+TEST(LogRouter, LogsTheValuesTheModeNeeds)
+{
+    for (PersistMode m : kAllModes) {
+        if (!isHardwareLogging(m) && !isSoftwareLogging(m))
+            continue;
+        TxnTracker txns;
+        std::uint64_t seq = txns.begin(0);
+        LogRouter r(m, {}, txns, false);
+        LogRecord rec = r.route(0, seq, lineAt(1), 8, 11, 22).rec;
+        bool undoOnly = m == PersistMode::HwUlog ||
+                        m == PersistMode::UnsafeUndo ||
+                        m == PersistMode::UndoClwb;
+        EXPECT_EQ(rec.hasUndo, supportsAbort(m)) << persistModeName(m);
+        EXPECT_EQ(r.logsUndo(), supportsAbort(m)) << persistModeName(m);
+        EXPECT_EQ(rec.hasRedo, !undoOnly) << persistModeName(m);
+        EXPECT_EQ(rec.undo, rec.hasUndo ? 11u : 0u);
+        EXPECT_EQ(rec.redo, rec.hasRedo ? 22u : 0u);
+    }
+}
+
+TEST(LogRouter, CommitPlanFollowsTheShardMask)
+{
+    TxnTracker txns;
+    LogRouter hw(PersistMode::Fwb, {4, false}, txns, false);
+    LogRouter sw(PersistMode::UndoClwb, {4, false}, txns, false);
+
+    // Mask 0 (read-only): a plain commit, in the core's region under
+    // hardware logging and in region 0 under software logging.
+    std::uint64_t ro = txns.begin(2);
+    LogRouter::CommitPlan p = hw.planCommit(2, ro);
+    EXPECT_FALSE(p.crossShard());
+    EXPECT_TRUE(p.fenced);
+    EXPECT_EQ(p.owner, 2u);
+    EXPECT_TRUE(p.commit.isCommit);
+    EXPECT_FALSE(p.commit.hasShardMask);
+    EXPECT_EQ(p.commit.nUpdates, 0u);
+    EXPECT_EQ(sw.planCommit(2, ro).owner, 0u);
+
+    // One bit: a plain commit behind the updates in their shard.
+    std::uint64_t one = txns.begin(1);
+    hw.route(1, one, lineAt(3), 8, 0, 1);
+    hw.route(1, one, lineAt(7), 8, 0, 1);
+    p = hw.planCommit(1, one);
+    EXPECT_FALSE(p.crossShard());
+    EXPECT_EQ(p.owner, 3u);
+    EXPECT_FALSE(p.commit.hasShardMask);
+    EXPECT_EQ(p.commit.nUpdates, 2u);
+    EXPECT_EQ(sw.planCommit(1, one).owner, 3u);
+
+    // Several bits: prepares in shards 2 and 3, the masked commit in
+    // the lowest participant, each carrying its own shard's count.
+    std::uint64_t many = txns.begin(0);
+    for (std::uint32_t k : {1u, 2u, 3u, 7u})
+        hw.route(0, many, lineAt(k), 8, 0, 1);
+    p = hw.planCommit(0, many);
+    EXPECT_TRUE(p.crossShard());
+    EXPECT_TRUE(p.fenced);
+    EXPECT_EQ(p.owner, 1u);
+    EXPECT_EQ(p.prepares, 0b1100u);
+    EXPECT_TRUE(p.commit.hasShardMask);
+    EXPECT_EQ(p.commit.shardMask, 0b1110u);
+    EXPECT_EQ(p.commit.commitSeq, many);
+    EXPECT_EQ(p.commit.nUpdates, 1u);
+    LogRecord prep = hw.prepare(0, many, 3);
+    EXPECT_TRUE(prep.isPrepare);
+    EXPECT_EQ(prep.nUpdates, 2u);
+    EXPECT_EQ(prep.commitSeq, many);
+    EXPECT_EQ(prep.tx, TxnTracker::txIdOf(many));
+}
+
+TEST(LogRouter, SkipMaskSelfTestNamesOnlyTheOwner)
+{
+    for (bool skip : {false, true}) {
+        TxnTracker txns;
+        LogRouter r(PersistMode::Fwb, {4, false}, txns, skip);
+        std::uint64_t seq = txns.begin(0);
+        r.route(0, seq, lineAt(1), 8, 0, 1);
+        r.route(0, seq, lineAt(2), 8, 0, 1);
+        LogRouter::CommitPlan p = r.planCommit(0, seq);
+        // The prepares, and so the timing, stay; only the mask the
+        // commit record carries changes.
+        EXPECT_EQ(p.prepares, 0b0100u) << skip;
+        EXPECT_EQ(p.owner, 1u) << skip;
+        EXPECT_EQ(p.commit.shardMask, skip ? 0b0010u : 0b0110u) << skip;
+    }
+}
+
+TEST(LogRouter, CentralAndPerCoreCommitsArePlainAndUnfenced)
+{
+    TxnTracker txns;
+    LogRouter central(PersistMode::Hwl, {1, false}, txns, false);
+    LogRouter perCore(PersistMode::Hwl, {4, true}, txns, false);
+    std::uint64_t seq = txns.begin(2);
+    for (std::uint32_t k = 0; k < 4; ++k)
+        perCore.route(2, seq, lineAt(k), 8, 0, 1);
+    for (const LogRouter *r : {&central, &perCore}) {
+        LogRouter::CommitPlan p = r->planCommit(2, seq);
+        EXPECT_FALSE(p.crossShard());
+        EXPECT_FALSE(p.fenced);
+        EXPECT_FALSE(p.commit.hasShardMask);
+        EXPECT_EQ(p.commit.nUpdates, 4u);
+    }
+    EXPECT_EQ(central.planCommit(2, seq).owner, 0u);
+    EXPECT_EQ(perCore.planCommit(2, seq).owner, 2u);
 }
 
 // ------------------ end-to-end crash recovery --------------------

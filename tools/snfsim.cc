@@ -158,6 +158,7 @@ main(int argc, char **argv)
     spec.params.txPerThread = 1000;
     bool dump = false;
     bool paper = false;
+    bool perCoreLogs = false;
     bool list = false;
     Tick crashAt = 0;
     PersistConfig persist; // the presets leave it at its defaults
@@ -187,7 +188,7 @@ main(int argc, char **argv)
     flags.addCount("--seed N", &spec.params.seed, "workload RNG seed");
     flags.addSwitch("--strings", &spec.params.stringValues,
                     "string (multi-word) values");
-    flags.addSwitch("--distributed-log", &persist.distributedLogs,
+    flags.addSwitch("--distributed-log", &perCoreLogs,
                     "per-thread log partitions");
     flags.addSwitch("--paper", &paper, "paper-sized caches and log");
     flags.addCount("--crash-at TICK", &crashAt,
@@ -236,6 +237,15 @@ main(int argc, char **argv)
         for (const auto &w : allWorkloadNames())
             std::printf("%s\n", w.c_str());
         return 0;
+    }
+    if (perCoreLogs) {
+        // Per-core regions and address shards are two values of one
+        // layout setting, so the pair cannot both apply.
+        if (persist.logShards > 1)
+            fatal("--distributed-log and --log-shards %u are mutually "
+                  "exclusive (per-core vs per-address log regions)",
+                  persist.logShards);
+        persist.logShards = PersistConfig::kPerCoreLogs;
     }
 
     spec.sys = paper ? SystemConfig::paper(spec.params.threads)
