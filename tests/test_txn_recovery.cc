@@ -8,11 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
+#include "core/system.hh"
 #include "mem/backing_store.hh"
+#include "oltp/tpcc.hh"
 #include "persist/log_record.hh"
 #include "persist/log_region.hh"
 #include "persist/recovery.hh"
 #include "persist/txn_tracker.hh"
+#include "sim/rng.hh"
 
 using namespace snf;
 using namespace snf::persist;
@@ -917,4 +923,182 @@ TEST(ShardedRecovery, TornPrepareQuarantinesInsteadOfMixing)
     // keeps whatever the crash left (here: the stolen new values).
     EXPECT_EQ(f.image.read64(l0), 0xBBu);
     EXPECT_EQ(f.image.read64(l1), 0xDDu);
+}
+
+// ------------- recovery outputs on a wrapping TPC-C log ----------
+
+namespace
+{
+
+/**
+ * Content hash of a whole image in which an absent page and a
+ * resident all-zero page read alike: only pages holding a nonzero
+ * byte contribute, each keyed by its offset.
+ */
+std::uint64_t
+contentHash(const mem::BackingStore &img)
+{
+    std::uint64_t h = 0;
+    auto mix = [&h](std::uint64_t v) {
+        h = (h ^ v) * 0x9E3779B97F4A7C15ULL;
+        h ^= h >> 29;
+    };
+    for (std::uint64_t off = 0; off < img.size();) {
+        std::uint64_t avail = 0;
+        const std::uint8_t *p = img.pageAt(img.base() + off, &avail);
+        if (p && std::any_of(p, p + avail,
+                             [](std::uint8_t b) { return b != 0; })) {
+            mix(off);
+            for (std::uint64_t i = 0; i < avail; i += 8) {
+                std::uint64_t w = 0;
+                std::memcpy(&w, p + i, std::min<std::uint64_t>(
+                                           8, avail - i));
+                mix(w);
+            }
+        }
+        off += avail;
+    }
+    return h;
+}
+
+/** Report fields summed over every pass, and the images' hashes. */
+struct RecoverySums
+{
+    std::uint64_t slotsScanned = 0;
+    std::uint64_t emptySlots = 0;
+    std::uint64_t validRecords = 0;
+    std::uint64_t committedTxns = 0;
+    std::uint64_t uncommittedTxns = 0;
+    std::uint64_t redoApplied = 0;
+    std::uint64_t undoApplied = 0;
+    std::uint64_t writesIssued = 0;
+    std::uint64_t writesApplied = 0;
+    std::uint64_t imageHash = 0;
+
+    void
+    add(const RecoveryReport &r, const mem::BackingStore &img)
+    {
+        slotsScanned += r.slotsScanned;
+        emptySlots += r.emptySlots;
+        validRecords += r.validRecords;
+        committedTxns += r.committedTxns;
+        uncommittedTxns += r.uncommittedTxns;
+        redoApplied += r.redoApplied;
+        undoApplied += r.undoApplied;
+        writesIssued += r.writesIssued;
+        writesApplied += r.writesApplied;
+        imageHash = (imageHash ^ contentHash(img)) * 0xFF51AFD7ED558CCDULL;
+    }
+};
+
+/**
+ * The TPC-C crash cell of sweep_perf's BM_CrashPointCheck (fwb/2PL, 4
+ * threads, 4 warehouses, 256 customers per district, 130 tx per
+ * thread; its 256 KB log wraps) on @p logShards log regions, crashed
+ * at 8 seeded ticks. Each crash image is recovered by a canonical
+ * pass, a non-truncating pass, and three passes cut short by
+ * crashAfterWrites: inside replay, inside truncation, and one line
+ * write before the end.
+ */
+RecoverySums
+tpccRecoverySums(std::uint32_t logShards)
+{
+    workloads::WorkloadParams params;
+    params.threads = 4;
+    params.txPerThread = 130;
+    params.footprint = 256;
+    params.warehouses = 4;
+    params.seed = 1;
+    SystemConfig cfg = SystemConfig::scaled(params.threads);
+    cfg.persist.ccMode = CcMode::TwoPhase;
+    cfg.persist.crashJournal = true;
+    cfg.persist.logShards = logShards;
+    System sys(cfg, PersistMode::Fwb);
+    oltp::TpccEngine eng;
+    eng.setup(sys, params);
+    for (CoreId c = 0; c < params.threads; ++c)
+        sys.spawn(c, [&](Thread &t) -> sim::Co<void> {
+            return eng.thread(sys, t, params);
+        });
+    const Tick end = sys.run();
+    const AddressMap &map = sys.config().map;
+
+    RecoverySums sums;
+    sim::Rng rng(31);
+    for (int k = 0; k < 8; ++k) {
+        const mem::BackingStore crash =
+            sys.crashSnapshot(rng.below(end) + 1);
+        auto pass = [&](const RecoveryOptions &opts) {
+            mem::BackingStore img = crash;
+            RecoveryReport r = Recovery::run(img, map, opts);
+            sums.add(r, img);
+            return r;
+        };
+        const RecoveryReport canon = pass(RecoveryOptions{});
+        RecoveryOptions keep;
+        keep.truncateLog = false;
+        const std::uint64_t replay = pass(keep).writesIssued;
+        EXPECT_GT(replay, 1u) << "tick " << k << " replays nothing";
+        EXPECT_GT(canon.writesIssued, replay + 2);
+        for (std::uint64_t budget :
+             {replay / 2, replay + (canon.writesIssued - replay) / 2,
+              canon.writesIssued - 1}) {
+            RecoveryOptions cut;
+            cut.crashAfterWrites = budget;
+            EXPECT_TRUE(pass(cut).interrupted);
+        }
+    }
+    return sums;
+}
+
+void
+expectSums(const RecoverySums &s, const RecoverySums &want)
+{
+    EXPECT_EQ(s.slotsScanned, want.slotsScanned);
+    EXPECT_EQ(s.emptySlots, want.emptySlots);
+    EXPECT_EQ(s.validRecords, want.validRecords);
+    EXPECT_EQ(s.committedTxns, want.committedTxns);
+    EXPECT_EQ(s.uncommittedTxns, want.uncommittedTxns);
+    EXPECT_EQ(s.redoApplied, want.redoApplied);
+    EXPECT_EQ(s.undoApplied, want.undoApplied);
+    EXPECT_EQ(s.writesIssued, want.writesIssued);
+    EXPECT_EQ(s.writesApplied, want.writesApplied);
+    EXPECT_EQ(s.imageHash, want.imageHash)
+        << std::hex << "0x" << s.imageHash;
+}
+
+} // namespace
+
+// Pins what recovery writes and reports on a wrapping TPC-C log, at
+// one and at four log regions, so a change to how a pass reads or
+// writes the image cannot move a byte or a count unnoticed. The
+// constants were captured before recovery batched its replay and
+// truncation writes.
+TEST(RecoveryGolden, WrappingTpccLogKeepsItsCountsAndImages)
+{
+    RecoverySums one;
+    one.slotsScanned = 327600;
+    one.emptySlots = 0;
+    one.validRecords = 327595;
+    one.committedTxns = 11940;
+    one.uncommittedTxns = 140;
+    one.redoApplied = 312885;
+    one.undoApplied = 2770;
+    one.writesIssued = 446759;
+    one.writesApplied = 366016;
+    one.imageHash = 6570695323115588735ULL;
+    expectSums(tpccRecoverySums(1), one);
+
+    RecoverySums four;
+    four.slotsScanned = 327360;
+    four.emptySlots = 6455;
+    four.validRecords = 320900;
+    four.committedTxns = 11085;
+    four.uncommittedTxns = 355;
+    four.redoApplied = 281030;
+    four.undoApplied = 7545;
+    four.writesIssued = 419775;
+    four.writesApplied = 341707;
+    four.imageHash = 4135793719944148180ULL;
+    expectSums(tpccRecoverySums(4), four);
 }
