@@ -5,9 +5,9 @@
  * journaled store (the benchmark argument is the checkpoint interval,
  * 0 = naive), repeated snapshotAt vs. the monotone Cursor along an
  * ascending tick walk, a small end-to-end runCrashSweep cell at
- * both settings, and, on one TPC-C crash image, the consistency
- * oracle every oltp-tpcc crash point ends with and the whole
- * per-point check around it. CI runs this with
+ * both settings, and, on one TPC-C crash image, one recovery pass,
+ * the consistency oracle every oltp-tpcc crash point ends with and
+ * the whole per-point check around them. CI runs this with
  * --benchmark_min_time=0.05s as the bench-smoke job; locally, plain
  * `sweep_perf` gives stable numbers.
  */
@@ -233,6 +233,42 @@ BM_TpccOracle(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TpccOracle)->Unit(benchmark::kMicrosecond);
+
+/**
+ * One recovery pass over the TpccCrash image, each on a fresh
+ * copy-on-write copy, as a crash point's checks run it: a canonical
+ * pass (replay, then truncation) and a non-truncating one. The
+ * counters are the pages each pass unshares from the crash image
+ * (the pagesCloned() delta of its copy), which the sweep's
+ * pages_cloned, counting the reference store's clones, never sees.
+ */
+void
+BM_RecoveryPass(benchmark::State &state)
+{
+    const TpccCrash &cell = tpccCrash();
+    persist::RecoveryOptions keep;
+    keep.truncateLog = false;
+    std::uint64_t clonedCanonical = 0;
+    std::uint64_t clonedReplay = 0;
+    for (auto _ : state) {
+        for (bool truncate : {true, false}) {
+            mem::BackingStore img = cell.image;
+            const std::uint64_t before = img.pagesCloned();
+            persist::Recovery::run(img, cell.map,
+                                   truncate ? persist::RecoveryOptions{}
+                                            : keep);
+            (truncate ? clonedCanonical : clonedReplay) +=
+                img.pagesCloned() - before;
+            benchmark::DoNotOptimize(img.read64(img.base()));
+        }
+    }
+    const auto iterations = static_cast<double>(state.iterations());
+    state.counters["clones_canonical"] =
+        static_cast<double>(clonedCanonical) / iterations;
+    state.counters["clones_replay"] =
+        static_cast<double>(clonedReplay) / iterations;
+}
+BENCHMARK(BM_RecoveryPass)->Unit(benchmark::kMicrosecond);
 
 /**
  * Every check of one crash point, as a crash-tpcc sweep runs them on

@@ -186,17 +186,17 @@ FlagSet::addPresetFlag(const std::string &spec,
                        "rates; put the preset first and tune after it";
                 return false;
             }
-            for (const Preset &p : presets)
+            std::vector<std::string> names;
+            for (const Preset &p : presets) {
                 if (p.name == v) {
                     for (const auto &[field, value] : p.values)
                         *field = value;
                     preset = &p;
                     return true;
                 }
-            *err = "unknown preset '" + v + "' (expected";
-            for (const Preset &p : presets)
-                *err += " " + p.name;
-            *err += ")";
+                names.push_back(p.name);
+            }
+            *err = badChoice(flag, v, names);
             return false;
         });
     presetFlag = flags.back().name;

@@ -173,7 +173,8 @@ planReorderImages(const std::vector<PendingPersist> &pending,
         plans.push_back(std::move(img));
     };
 
-    if (n <= cfg.exhaustiveBound && n < 20) {
+    if (n <= cfg.exhaustiveBound &&
+        n <= ReorderConfig::kMaxExhaustiveBound) {
         // Every non-empty order ideal, by bitmask: downward-closed
         // iff each member's predecessors are all members.
         std::vector<std::uint32_t> predMask(n, 0);

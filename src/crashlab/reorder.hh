@@ -66,6 +66,12 @@ struct PendingPersist
 struct ReorderConfig
 {
     bool enabled = false;
+    /**
+     * Largest exhaustiveBound that enumerates: the ideals of n pending
+     * persists are walked as 32-bit masks, 2^n of them, so a larger
+     * bound samples instead.
+     */
+    static constexpr std::size_t kMaxExhaustiveBound = 19;
     /** Enumerate every order ideal when pending <= this bound. */
     std::size_t exhaustiveBound = 6;
     /** Sampled linearization cuts above the bound. */

@@ -328,6 +328,98 @@ BackingStore::write64(Addr addr, std::uint64_t v, Tick doneTick)
     write(addr, sizeof(v), &v, doneTick);
 }
 
+void
+BackingStore::writeWords(std::span<const Word> words)
+{
+    if (journalOn) {
+        for (const Word &w : words)
+            write(w.addr, w.size, &w.value);
+        return;
+    }
+    // The run cursor: the page the previous word hit, read in place
+    // until a word changes one of its bytes, then its private copy.
+    // Nothing else touches the page table while a run lasts, so the
+    // pointers stay valid until the run ends; they never outlive
+    // this call (a copied store shares these pages).
+    std::uint64_t runPage = ~0ULL;
+    const std::uint8_t *cur = nullptr; ///< null: absent, reads as zero
+    std::uint8_t *mut = nullptr;
+    for (const Word &w : words) {
+        SNF_ASSERT(w.size >= 1 && w.size <= sizeof(w.value) &&
+                       contains(w.addr, w.size),
+                   "word write [%llx,+%u) outside store range",
+                   static_cast<unsigned long long>(w.addr), w.size);
+        const std::uint64_t off = w.addr - rangeBase;
+        const std::uint64_t inPage = off % kPageBytes;
+        if (inPage + w.size > kPageBytes) {
+            // Straddles two pages: the generic path, which may
+            // unshare the run's page too.
+            rawWrite(w.addr, w.size, &w.value);
+            runPage = ~0ULL;
+            continue;
+        }
+        const std::uint64_t page = off / kPageBytes;
+        if (page != runPage) {
+            const Page *p = pagePtr(page);
+            runPage = page;
+            cur = p ? p->bytes : nullptr;
+            mut = nullptr;
+        }
+        // A full word compares as one value, like rawWrite's fast
+        // path; a shorter one against the bytes it would replace.
+        if (w.size == sizeof(std::uint64_t)) {
+            std::uint64_t old = 0;
+            if (cur)
+                std::memcpy(&old, cur + inPage, sizeof(old));
+            if (old == w.value)
+                continue;
+        } else if (std::memcmp(&w.value,
+                               (cur ? cur : kZeroPage.bytes) + inPage,
+                               w.size) == 0) {
+            continue;
+        }
+        if (!mut)
+            cur = mut = pagePtrMut(page);
+        std::memcpy(mut + inPage, &w.value, w.size);
+    }
+}
+
+void
+BackingStore::zeroRange(Addr addr, std::uint64_t size)
+{
+    SNF_ASSERT(contains(addr, size),
+               "zero [%llx,+%llu) outside store range",
+               static_cast<unsigned long long>(addr),
+               static_cast<unsigned long long>(size));
+    if (journalOn) {
+        const std::vector<std::uint8_t> zeros(size);
+        write(addr, size, zeros.data());
+        return;
+    }
+    std::uint64_t off = addr - rangeBase;
+    while (size > 0) {
+        const std::uint64_t page = off / kPageBytes;
+        const std::uint64_t inPage = off % kPageBytes;
+        const std::uint64_t n = std::min(size, kPageBytes - inPage);
+        if (n == kPageBytes) {
+            // A whole page: drop its ref. A leaf shared with a sibling
+            // image is unshared first, so the sibling keeps the page.
+            if (pagePtr(page)) {
+                LeafRef &lref = pages[page / kLeafPages];
+                if (lref.use_count() > 1)
+                    lref = std::make_shared<Leaf>(*lref);
+                lref->page[page % kLeafPages].reset();
+            }
+        } else if (const Page *cur = pagePtr(page);
+                   cur && std::memcmp(cur->bytes + inPage,
+                                      kZeroPage.bytes, n) != 0) {
+            std::memset(pagePtrMut(page) + inPage, 0, n);
+        }
+        off += n;
+        size -= n;
+    }
+}
+
 // --- journal / snapshot index ----------------------------------------
 
 void

@@ -31,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sim/types.hh"
@@ -83,6 +84,33 @@ class BackingStore
     /** Convenience 64-bit accessors. */
     std::uint64_t read64(Addr addr) const;
     void write64(Addr addr, std::uint64_t v, Tick doneTick = 0);
+
+    /** One word of a batch: the low @p size (1..8) bytes of @p value. */
+    struct Word
+    {
+        Addr addr;
+        std::uint64_t value;
+        std::uint32_t size;
+    };
+
+    /**
+     * Apply @p words in order, leaving the bytes a loop of
+     * write(w.addr, w.size, &w.value) leaves. The page is looked up
+     * once per run of same-page words and unshared at the first word
+     * of the run that changes a byte. A journaled store writes word
+     * by word, so its journal matches that loop too.
+     */
+    void writeWords(std::span<const Word> words);
+
+    /**
+     * Zero [addr, addr+size), leaving the bytes write() of zeros
+     * leaves. Pages the range covers whole are released (an absent
+     * page reads as zero), so a page shared with a sibling image is
+     * dropped instead of cloned; a partial page is zeroed in place
+     * only if it holds a nonzero byte. A journaled store journals one
+     * write() of zeros and releases nothing.
+     */
+    void zeroRange(Addr addr, std::uint64_t size);
 
     /**
      * Sparse read view: pointer to the resident bytes at @p addr, or

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "mem/remap_table.hh"
@@ -77,23 +79,37 @@ struct ImageIO
         return v;
     }
 
+    /** 64-byte lines [a, a+n) touches (n > 0). */
+    static std::uint64_t
+    linesOf(Addr a, std::uint64_t n)
+    {
+        return ((a + n - 1) / kLineBytes) - (a / kLineBytes) + 1;
+    }
+
+    /**
+     * Whether a write of @p lines lines may go to the store in one
+     * call: no per-line observer is active, no line is remapped, and
+     * all of them fit the write budget. If so, they are counted here,
+     * exactly as the per-line loop would count them.
+     */
+    bool
+    bulk(std::uint64_t lines)
+    {
+        if (collect || (probe && *probe) || !directScan() ||
+            applied + lines > budget)
+            return false;
+        issued += lines;
+        applied += lines;
+        return true;
+    }
+
     void
     write(Addr a, std::uint64_t n, const void *in)
     {
         const auto *src = static_cast<const std::uint8_t *>(in);
-        // Bulk fast path (log truncation writes whole KBs): when no
-        // per-line observer is active, no line is remapped, and every
-        // covered line fits the write budget, one store write counts
-        // exactly like the per-line loop would.
-        if (n > 0 && !collect && !(probe && *probe) && directScan()) {
-            std::uint64_t lines =
-                ((a + n - 1) / kLineBytes) - (a / kLineBytes) + 1;
-            if (applied + lines <= budget) {
-                img.write(a, n, src);
-                issued += lines;
-                applied += lines;
-                return;
-            }
+        if (n > 0 && bulk(linesOf(a, n))) {
+            img.write(a, n, src);
+            return;
         }
         while (n > 0) {
             Addr line_end = (a | (kLineBytes - 1)) + 1;
@@ -116,6 +132,46 @@ struct ImageIO
             a += seg;
             n -= seg;
         }
+    }
+
+    /**
+     * Apply @p words in order, as write(w.addr, w.size, &w.value) of
+     * each would: in one store call when the whole batch goes bulk,
+     * else word by word (the budget may cut it, observers see lines).
+     */
+    void
+    writeWords(std::span<const mem::BackingStore::Word> words)
+    {
+        std::uint64_t lines = 0;
+        for (const auto &w : words)
+            lines += linesOf(w.addr, w.size);
+        if (bulk(lines)) {
+            img.writeWords(words);
+            return;
+        }
+        for (const auto &w : words)
+            write(w.addr, w.size, &w.value);
+    }
+
+    /**
+     * Zero [a, a+n), counting lines as write() of 1 KB chunks from
+     * @p a would: in one store call, which drops whole pages, when
+     * every chunk would go bulk; else chunk by chunk.
+     */
+    void
+    zero(Addr a, std::uint64_t n)
+    {
+        constexpr std::uint64_t kChunk = 1024;
+        std::uint64_t lines = 0;
+        for (std::uint64_t off = 0; off < n; off += kChunk)
+            lines += linesOf(a + off, std::min(kChunk, n - off));
+        if (bulk(lines)) {
+            img.zeroRange(a, n);
+            return;
+        }
+        static constexpr std::uint8_t kZeros[kChunk] = {};
+        for (std::uint64_t off = 0; off < n; off += kChunk)
+            write(a + off, std::min(kChunk, n - off), kZeros);
     }
 
     bool contains(Addr a, std::uint64_t n) const
@@ -345,6 +401,11 @@ struct ScanMemo
         bool ignoreCrc = false;
         SlotRun run;
     };
+    // A pass points at the records of the runs scan() returns. A
+    // chunk's run changes only when that chunk is scanned again, and
+    // growing `chunks` moves each run's record buffer, never copies
+    // it, so the pointers hold for the rest of the pass.
+    static_assert(std::is_nothrow_move_constructible_v<Chunk>);
 
     Addr logBase = 0;
     std::uint64_t logSize = 0;
@@ -368,7 +429,7 @@ struct ScanMemo
         }
         fresh.classify(img, n, ignoreCrc);
         if (fresh.empty == n)
-            return fresh;
+            return fresh; // no records to point at
         if (!idx) {
             byAddr[a] = chunks.size();
             chunks.emplace_back();
@@ -405,7 +466,7 @@ struct ShardScan
     std::vector<std::uint32_t> ordered;
     std::vector<std::size_t> genOf; ///< window idx -> gen idx
     std::vector<ShardGen> gens;
-    /** Generations never closed by any record, by txid. */
+    /** Generations still open at the window's end, by txid. */
     sim::LineTable<std::size_t> openGen;
     ShardSummary sum;
 };
@@ -481,15 +542,7 @@ recoverLog(ImageIO &io, const AddressMap &map,
     }
 
     auto zeroShard = [&](ShardScan &sh) {
-        // Chunked into whole lines so the write budget sees the same
-        // units as every other recovery write.
-        constexpr std::uint64_t kChunk = 1024;
-        std::uint8_t zeros[kChunk] = {};
-        std::uint64_t area = sh.slots * LogRecord::kSlotBytes;
-        for (std::uint64_t off = 0; off < area; off += kChunk)
-            io.write(sh.slot0 + off,
-                     std::min<std::uint64_t>(kChunk, area - off),
-                     zeros);
+        io.zero(sh.slot0, sh.slots * LogRecord::kSlotBytes);
         std::uint64_t cleared = 0;
         io.write(sh.base + LogRegion::kTruncFlagOffset,
                  sizeof(cleared), &cleared);
@@ -529,13 +582,21 @@ recoverLog(ImageIO &io, const AddressMap &map,
     //
     // Scratch is thread_local and reused across calls: a sweep runs
     // recovery once per crash point × pass. Per-slot state is an
-    // 8-byte SlotMeta; parsed records are stored once, densely, only
-    // for Valid slots.
+    // 8-byte SlotMeta; the Valid slots' records are read where the
+    // classification keeps them, through one pointer each. Only the
+    // runs classified without the memo (`single`, reclassified on
+    // every use) are copied, into `owned`, whose capacity for every
+    // slot keeps them in place while the pass points at them.
+    // `txGen` maps a 16-bit txid to its open generation + 1 while a
+    // shard is grouped, and is all zero between shards.
     thread_local std::vector<SlotMeta> meta;
-    thread_local std::vector<LogRecord> parsed;
+    thread_local std::vector<const LogRecord *> parsed;
+    thread_local std::vector<LogRecord> owned;
     thread_local std::vector<std::uint8_t> slotImg;
     thread_local SlotRun single; // runs classified without the memo
     thread_local ScanMemo memo;
+    thread_local std::vector<std::uint32_t> txGen(
+        std::size_t{1} << (8 * sizeof(LogRecord::tx)), 0);
     std::uint64_t total_slots = 0;
     for (ShardScan &sh : sc) {
         sh.meta0 = total_slots;
@@ -543,6 +604,7 @@ recoverLog(ImageIO &io, const AddressMap &map,
     }
     meta.assign(total_slots, SlotMeta{SlotClass::Empty, false, kNoRec});
     parsed.clear();
+    owned.clear();
     if (io.directScan())
         memo.resetFor(map);
 
@@ -565,7 +627,19 @@ recoverLog(ImageIO &io, const AddressMap &map,
                 if (run.meta[k].rec != kNoRec)
                     m[i + k].rec += rec0;
             }
-            parsed.insert(parsed.end(), run.recs.begin(), run.recs.end());
+            const LogRecord *recs = run.recs.data();
+            if (&run == &single && !run.recs.empty()) {
+                if (owned.empty())
+                    owned.reserve(total_slots); // no pointer into it yet
+                SNF_ASSERT(owned.size() + run.recs.size() <=
+                               owned.capacity(),
+                           "more records than slots");
+                recs = owned.data() + owned.size();
+                owned.insert(owned.end(), run.recs.begin(),
+                             run.recs.end());
+            }
+            for (std::size_t r = 0; r < run.recs.size(); ++r)
+                parsed.push_back(recs + r);
             if (run.firstBad != kNoRec && report.firstBadSlotAddr == 0)
                 report.firstBadSlotAddr =
                     sh.slot0 + (i + run.firstBad) * LogRecord::kSlotBytes;
@@ -649,36 +723,42 @@ recoverLog(ImageIO &io, const AddressMap &map,
         // txid starts a new generation.
         sh.genOf.assign(sh.ordered.size(), SIZE_MAX);
         for (std::size_t i = 0; i < sh.ordered.size(); ++i) {
-            const LogRecord &rec = parsed[sh.ordered[i]];
-            std::size_t gi;
-            if (const std::size_t *open = sh.openGen.find(rec.tx)) {
-                gi = *open;
-            } else {
-                gi = sh.gens.size();
+            const LogRecord &rec = *parsed[sh.ordered[i]];
+            std::uint32_t &open = txGen[rec.tx];
+            if (open == 0) {
                 sh.gens.push_back({});
                 sh.gens.back().tx = rec.tx;
-                sh.openGen[rec.tx] = gi;
+                open = static_cast<std::uint32_t>(sh.gens.size());
             }
+            const std::size_t gi = open - 1;
             ShardGen &gen = sh.gens[gi];
             if (rec.isPrepare) {
                 gen.close = ShardGen::Close::Prepare;
                 gen.nUpdates = rec.nUpdates;
                 gen.commitSeq = rec.commitSeq;
-                sh.openGen.erase(rec.tx);
+                open = 0;
             } else if (rec.isCommit && rec.hasShardMask) {
                 gen.close = ShardGen::Close::Masked;
                 gen.nUpdates = rec.nUpdates;
                 gen.commitSeq = rec.commitSeq;
                 gen.shardMask = rec.shardMask;
-                sh.openGen.erase(rec.tx);
+                open = 0;
             } else if (rec.isCommit) {
                 gen.close = ShardGen::Close::Plain;
                 gen.nUpdates = rec.nUpdates;
-                sh.openGen.erase(rec.tx);
+                open = 0;
             } else {
                 ++gen.found;
                 sh.genOf[i] = gi;
             }
+        }
+        // Hand the generations left open to the cross-shard join and
+        // leave txGen all zero for the next shard.
+        for (std::size_t g = 0; g < sh.gens.size(); ++g) {
+            if (sh.gens[g].close != ShardGen::Close::Open)
+                continue;
+            sh.openGen[sh.gens[g].tx] = g;
+            txGen[sh.gens[g].tx] = 0;
         }
     }
 
@@ -858,7 +938,10 @@ recoverLog(ImageIO &io, const AddressMap &map,
     // in one shard (the shard is a function of the address, and
     // per-core regions need thread-private data), so per-shard log
     // order is the only order that matters: redo in shard order, undo
-    // in reverse shard order, shards independent.
+    // in reverse shard order, shards independent. The words go to
+    // the image as one batch, in that order.
+    thread_local std::vector<mem::BackingStore::Word> words;
+    words.clear();
     if (!opts.faultSkipRedo) {
         for (std::uint32_t s = 0; s < nShards; ++s) {
             ShardScan &sh = sc[s];
@@ -867,10 +950,10 @@ recoverLog(ImageIO &io, const AddressMap &map,
                 if (gi == SIZE_MAX ||
                     sh.gens[gi].action != ShardGen::Action::Redo)
                     continue;
-                const LogRecord &rec = parsed[sh.ordered[i]];
+                const LogRecord &rec = *parsed[sh.ordered[i]];
                 if (rec.hasRedo && rec.size >= 1 && rec.size <= 8 &&
                     io.contains(rec.addr, rec.size)) {
-                    io.write(rec.addr, rec.size, &rec.redo);
+                    words.push_back({rec.addr, rec.redo, rec.size});
                     ++report.redoApplied;
                 }
             }
@@ -884,15 +967,16 @@ recoverLog(ImageIO &io, const AddressMap &map,
                 if (gi == SIZE_MAX ||
                     sh.gens[gi].action != ShardGen::Action::Undo)
                     continue;
-                const LogRecord &rec = parsed[sh.ordered[i]];
+                const LogRecord &rec = *parsed[sh.ordered[i]];
                 if (rec.hasUndo && rec.size >= 1 && rec.size <= 8 &&
                     io.contains(rec.addr, rec.size)) {
-                    io.write(rec.addr, rec.size, &rec.undo);
+                    words.push_back({rec.addr, rec.undo, rec.size});
                     ++report.undoApplied;
                 }
             }
         }
     }
+    io.writeWords(words);
 
     // Step 6b (lifelab): promote the lines of damaged slots into the
     // persistent remap table so the next generation's log traffic

@@ -40,7 +40,7 @@ struct RecoveryOptions
      * test idempotence of the replay itself. The crash checkers take
      * their first replay from a truncating pass (Recovery::run's
      * @p replayed) but still replay that image again with this off:
-     * truncating there too would clone and zero the log once more.
+     * truncating there too would only zero the log once more.
      */
     bool truncateLog = true;
     /**

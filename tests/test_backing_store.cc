@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <tuple>
 #include <vector>
 
 #include "mem/backing_store.hh"
+#include "sim/rng.hh"
 
 using namespace snf;
 using namespace snf::mem;
@@ -351,4 +354,234 @@ TEST(BackingStore, NvramSizedStoreLastPageSurvivesWriteAndCopy)
     copy.write64(last, 1);
     EXPECT_EQ(bs.read64(last), 0x1122334455667788ULL);
     EXPECT_EQ(copy.firstDifference(bs, base, size), last);
+}
+
+// --------------- batch operations against a loop of write() -----------
+
+namespace
+{
+
+/** The batch tests touch pages [kFirstPage, kFirstPage + kSpanPages),
+ *  which straddle the leaf 0 / leaf 1 boundary. */
+constexpr std::uint64_t kFirstPage = kLeafPages - 12;
+constexpr std::uint64_t kSpanPages = 24;
+constexpr std::uint64_t kStoreBytes = 2 * kLeafBytes;
+
+/**
+ * A seeded image over those pages: some absent, some resident and
+ * all zero, the rest random bytes. Two calls with one seed give equal
+ * stores that share no page.
+ */
+BackingStore
+seededImage(std::uint64_t seed)
+{
+    BackingStore bs(0, kStoreBytes);
+    sim::Rng rng(seed);
+    std::vector<std::uint8_t> bytes(kPage);
+    for (std::uint64_t p = kFirstPage; p < kFirstPage + kSpanPages; ++p) {
+        switch (rng.below(4)) {
+          case 0: // absent
+            break;
+          case 1: // resident, all zero
+            writeByte(bs, p * kPage, 1);
+            writeByte(bs, p * kPage, 0);
+            break;
+          default:
+            for (auto &b : bytes)
+                b = rng.chance(0.5) ? 0
+                                    : static_cast<std::uint8_t>(rng.next());
+            bs.write(p * kPage, kPage, bytes.data());
+            break;
+        }
+    }
+    return bs;
+}
+
+/**
+ * @p n words over the seeded pages: sizes 1 to 8, runs on one page,
+ * words straddling a page end (often as the first change of a run,
+ * followed by a word putting back the bytes it changed on its first
+ * page, which must compare against the straddle's result), repeated
+ * addresses, values the image already holds, zeros, and bytes above a
+ * word's size left random (write() ignores them, so the batch must
+ * too).
+ */
+std::vector<BackingStore::Word>
+seededWords(sim::Rng &rng, std::size_t n, const BackingStore &img)
+{
+    std::vector<BackingStore::Word> words;
+    std::uint64_t page = kFirstPage;
+    for (std::size_t i = 0; i < n; ++i) {
+        BackingStore::Word w{};
+        if (!words.empty() && rng.chance(0.15)) {
+            w = words[rng.below(words.size())];
+        } else {
+            w.size = static_cast<std::uint32_t>(1 + rng.below(8));
+            if (rng.chance(0.3))
+                page = kFirstPage + rng.below(kSpanPages);
+            std::uint64_t in = rng.below(kPage - w.size + 1);
+            if (w.size > 1 && rng.chance(0.1))
+                in = kPage - 1 - rng.below(w.size - 1); // straddles
+            w.addr = page * kPage + in;
+        }
+        w.value = rng.next();
+        if (rng.chance(0.2))
+            img.read(w.addr, w.size, &w.value); // likely a no-op
+        else if (rng.chance(0.1))
+            w.value = 0;
+        const bool bracket =
+            w.addr % kPage + w.size > kPage && rng.chance(0.5);
+        if (bracket) {
+            // Open the run with a word that likely changes nothing, so
+            // the straddle is the run's first change.
+            BackingStore::Word noop{w.addr - w.addr % kPage, 0, 8};
+            img.read(noop.addr, noop.size, &noop.value);
+            words.push_back(noop);
+        }
+        words.push_back(w);
+        if (bracket) {
+            // Put back the straddle's first-page bytes.
+            w.size = static_cast<std::uint32_t>(kPage - w.addr % kPage);
+            img.read(w.addr, w.size, &w.value);
+            words.push_back(w);
+        }
+    }
+    return words;
+}
+
+/** One journal record with its payload, comparable. */
+using JournalRow = std::tuple<Tick, Tick, Addr, std::uint32_t, int,
+                              std::uint32_t, std::vector<std::uint8_t>>;
+
+std::vector<JournalRow>
+journalRows(const BackingStore &bs)
+{
+    std::vector<JournalRow> rows;
+    bs.forEachJournalRecord([&rows](const BackingStore::JournalRecord &r) {
+        rows.emplace_back(r.issue, r.done, r.addr, r.size,
+                          static_cast<int>(r.origin), r.seq,
+                          std::vector<std::uint8_t>(r.data,
+                                                    r.data + r.size));
+    });
+    return rows;
+}
+
+} // namespace
+
+TEST(BackingStoreBatch, WriteWordsMatchesAWriteLoop)
+{
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        SCOPED_TRACE(seed);
+        sim::Rng rng(seed * 7919);
+        const BackingStore pristine = seededImage(seed);
+        const BackingStore parent = seededImage(seed);
+        const BackingStore sibling = parent; // shares every leaf and page
+        const std::size_t n =
+            seed % 3 == 0 ? rng.below(9) : 1 + rng.below(800);
+        const auto words = seededWords(rng, n, parent);
+
+        BackingStore batched = parent;
+        BackingStore looped = parent;
+        batched.writeWords(words);
+        for (const auto &w : words)
+            looped.write(w.addr, w.size, &w.value);
+
+        EXPECT_EQ(batched.firstDifference(looped, 0, kStoreBytes),
+                  std::nullopt);
+        // Each page unshared once, at its first changed byte.
+        EXPECT_EQ(batched.pagesCloned(), looped.pagesCloned());
+        EXPECT_EQ(sibling.firstDifference(pristine, 0, kStoreBytes),
+                  std::nullopt);
+        EXPECT_EQ(parent.firstDifference(pristine, 0, kStoreBytes),
+                  std::nullopt);
+    }
+}
+
+TEST(BackingStoreBatch, ZeroRangeMatchesWritingZerosAndDropsWholePages)
+{
+    const Addr spanLo = kFirstPage * kPage;
+    const Addr spanHi = (kFirstPage + kSpanPages) * kPage;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        SCOPED_TRACE(seed);
+        sim::Rng rng(seed * 104729);
+        const BackingStore pristine = seededImage(seed);
+        const BackingStore parent = seededImage(seed);
+        const BackingStore sibling = parent;
+        Addr lo = spanLo + rng.below(spanHi - spanLo);
+        Addr hi = lo + 1 + rng.below(spanHi - lo);
+        const bool wholePages = seed % 3 == 0;
+        if (wholePages) {
+            lo -= lo % kPage;
+            hi += (kPage - hi % kPage) % kPage;
+        }
+
+        BackingStore zeroed = parent;
+        BackingStore looped = parent;
+        zeroed.zeroRange(lo, hi - lo);
+        const std::vector<std::uint8_t> zeros(hi - lo);
+        looped.write(lo, hi - lo, zeros.data());
+
+        EXPECT_EQ(zeroed.firstDifference(looped, 0, kStoreBytes),
+                  std::nullopt);
+        EXPECT_LE(zeroed.pagesCloned(), looped.pagesCloned());
+        if (wholePages) {
+            EXPECT_EQ(zeroed.pagesCloned(), parent.pagesCloned());
+        }
+        for (Addr p = lo - lo % kPage; p < hi; p += kPage) {
+            std::uint64_t avail = 0;
+            const bool whole = p >= lo && p + kPage <= hi;
+            if (whole || parent.pageAt(p, &avail) == nullptr) {
+                EXPECT_EQ(zeroed.pageAt(p, &avail), nullptr)
+                    << "page at 0x" << std::hex << p;
+            }
+        }
+        // The sibling sharing the leaves keeps every page it had.
+        for (Addr p = spanLo; p < spanHi; p += kPage) {
+            std::uint64_t a = 0, b = 0;
+            EXPECT_EQ(sibling.pageAt(p, &a), parent.pageAt(p, &b));
+        }
+        EXPECT_EQ(sibling.firstDifference(pristine, 0, kStoreBytes),
+                  std::nullopt);
+        EXPECT_EQ(parent.firstDifference(pristine, 0, kStoreBytes),
+                  std::nullopt);
+    }
+}
+
+TEST(BackingStoreBatch, JournaledStoreJournalsWhatWriteJournals)
+{
+    BackingStore batched = seededImage(5);
+    BackingStore looped = seededImage(5);
+    batched.enableJournal();
+    looped.enableJournal();
+    sim::Rng rng(17);
+    const std::uint64_t v = 0x0123456789abcdefULL;
+    const Addr lo = (kFirstPage + 2) * kPage + 100;
+    const std::uint64_t n = 5 * kPage;
+    for (int round = 0; round < 3; ++round) {
+        for (BackingStore *bs : {&batched, &looped})
+            bs->write(lo + 8 * round, 8, &v, 10 + round, 5 + round,
+                      PersistOrigin::Data);
+        const auto words = seededWords(rng, 200, batched);
+        batched.writeWords(words);
+        for (const auto &w : words)
+            looped.write(w.addr, w.size, &w.value);
+        batched.zeroRange(lo + round * kPage, n);
+        const std::vector<std::uint8_t> zeros(n);
+        looped.write(lo + round * kPage, n, zeros.data());
+    }
+
+    EXPECT_EQ(journalRows(batched), journalRows(looped));
+    EXPECT_EQ(batched.firstDifference(looped, 0, kStoreBytes),
+              std::nullopt);
+    for (Tick t : {Tick{0}, Tick{10}, Tick{11}, Tick{100}})
+        EXPECT_EQ(batched.snapshotAt(t).firstDifference(
+                      looped.snapshotAt(t), 0, kStoreBytes),
+                  std::nullopt)
+            << "tick " << t;
+    // Nothing is released from a journaled store: the pages the zeroed
+    // ranges covered whole stay resident, as write() leaves them.
+    std::uint64_t a = 0, b = 0;
+    for (Addr p = lo - lo % kPage + kPage; p + kPage <= lo + n; p += kPage)
+        EXPECT_EQ(batched.pageAt(p, &a) != nullptr,
+                  looped.pageAt(p, &b) != nullptr);
 }

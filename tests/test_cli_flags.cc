@@ -179,7 +179,10 @@ TEST(FaultFlags, UnknownPresetIsAnError)
     std::string err;
     EXPECT_EQ(f.parse({"--fault-preset", "medium"}, &err),
               FlagParse::Error);
-    EXPECT_NE(err.find("unknown preset"), std::string::npos);
+    // Worded like every other rejected choice: the flag, the names
+    // it takes, and the value it got.
+    EXPECT_EQ(err.find("--fault-preset wants "), 0u) << err;
+    EXPECT_NE(err.find("got 'medium'"), std::string::npos) << err;
     EXPECT_NE(err.find("light"), std::string::npos);
     EXPECT_NE(err.find("heavy"), std::string::npos);
 }

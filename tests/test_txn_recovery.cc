@@ -13,6 +13,7 @@
 
 #include "core/system.hh"
 #include "mem/backing_store.hh"
+#include "mem/remap_table.hh"
 #include "oltp/tpcc.hh"
 #include "persist/log_record.hh"
 #include "persist/log_region.hh"
@@ -897,6 +898,46 @@ TEST(ShardedRecovery, TornMaskedCommitAbortsAllShards)
         EXPECT_EQ(report.committedTxns, 0u);
         for (std::uint32_t s = 0; s < shards; ++s)
             EXPECT_EQ(f.image.read64(lines[s]), 0xAA00 + s)
+                << "shards=" << shards << " shard=" << s;
+    }
+}
+
+TEST(ShardedRecovery, RemappedImageReplaysEveryShard)
+{
+    // With a line remapped, the scan reads each shard's slot array
+    // through the translating reader and classifies it in one scratch
+    // run that the next shard reuses: every shard's records must
+    // still replay, not the last shard's in their place.
+    for (std::uint32_t shards : {2u, 4u}) {
+        AddressMap map = ShardedFixture::makeMap(shards);
+        map.remapSize = 2048;
+        map.spareSize = 4096;
+        mem::BackingStore image(map.nvramBase, map.nvramSize);
+        ShardedImageLog log(image, map);
+        std::vector<Addr> lines;
+        for (Addr a = map.heapBase(); lines.size() < shards; a += 64)
+            if ((a >> 6) % shards == lines.size())
+                lines.push_back(a);
+        for (std::uint32_t s = 0; s < shards; ++s) {
+            const auto tx = static_cast<std::uint16_t>(s + 1);
+            log.append(s, LogRecord::update(0, tx, lines[s], 8, 0xA0 + s,
+                                            0xB0 + s));
+            log.append(s, LogRecord::commit(0, tx, 1));
+            image.write64(lines[s], 0xA0 + s);
+        }
+        mem::RemapTable remap(map.remapBase(), map.remapSize,
+                              map.spareBase(), map.spareSize);
+        ASSERT_TRUE(remap.add(map.heapBase() + 64 * 1024));
+        ASSERT_TRUE(remap.persist(
+            [&image](Addr a, std::uint64_t n, const void *d) {
+                image.write(a, n, d);
+            }));
+
+        auto report = Recovery::run(image, map);
+        EXPECT_FALSE(report.remapCorrupt);
+        EXPECT_EQ(report.redoApplied, shards);
+        for (std::uint32_t s = 0; s < shards; ++s)
+            EXPECT_EQ(image.read64(lines[s]), 0xB0 + s)
                 << "shards=" << shards << " shard=" << s;
     }
 }

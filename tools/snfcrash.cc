@@ -98,8 +98,12 @@ main(int argc, char **argv)
                     "also test legal orders of in-flight persists");
     flags.addCount("--reorder-samples N", &base.reorder.samples,
                    "sampled orders above the bound (default 32)");
-    flags.addCount("--reorder-bound N", &base.reorder.exhaustiveBound,
-                   "exhaustive up to N pending (default 6, max 19)");
+    flags.addCount(
+        "--reorder-bound N", &base.reorder.exhaustiveBound,
+        "exhaustive up to N pending (default 6, max " +
+            std::to_string(crashlab::ReorderConfig::kMaxExhaustiveBound) +
+            ")",
+        0, crashlab::ReorderConfig::kMaxExhaustiveBound);
     flags.addCount("--reorder-seed N", &base.reorder.seed,
                    "seed of the sampled orders");
     flags.addChoice("--torn-lines 0|1", &base.reorder.tornLines,
