@@ -260,6 +260,36 @@ TEST(ProgGen, SomeSeedsAbortAndInterleave)
 namespace
 {
 
+/** FNV-1a over the repro text of the programs of seeds 1..200. */
+std::uint64_t
+programsHash(const ProgGenConfig &gen)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        for (unsigned char c : emitProgram(generateProgram(seed, gen))) {
+            h ^= c;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+} // namespace
+
+// A seed names its program: snfdiff's runs, its failure reports and
+// the corpus are all reproduced from seeds. Pins the programs of 200
+// seeds, conflict-free and with a shared region.
+TEST(ProgGen, SeedsKeepTheirPrograms)
+{
+    EXPECT_EQ(programsHash(ProgGenConfig{}), 0x81e9701bec81083cULL);
+    ProgGenConfig conflicts;
+    conflicts.conflictRate = 0.5;
+    EXPECT_EQ(programsHash(conflicts), 0x4bf69dd653b851a0ULL);
+}
+
+namespace
+{
+
 /** Two txs contending on one shared slot; tx0 also reads it. */
 Program
 contendedProgram()

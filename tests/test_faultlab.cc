@@ -1382,3 +1382,77 @@ TEST(LogFullPolicy, AbortRequestDivertsNextCommit)
     EXPECT_EQ(sys.txns().aborted.value(), 1u);
     EXPECT_EQ(sys.txns().committed.value(), 1u);
 }
+
+namespace
+{
+
+/** What one log-full policy did over a wrapping run. */
+struct LogFullGolden
+{
+    LogFullPolicy policy;
+    Tick end;
+    std::uint64_t stalls;
+    std::uint64_t forcedWritebacks;
+    std::uint64_t reclaimWaitCycles;
+    std::uint64_t escalations;
+    std::uint64_t abortedTx;
+};
+
+/**
+ * TPC-C under fwb/2PL, 8 threads of 40 transactions over 4
+ * warehouses, on a 12 KB log: NewOrder's records wrap it 24 times,
+ * so appends keep finding live slots whose data or transaction is
+ * still in flight.
+ */
+LogFullGolden
+observeLogFull(LogFullPolicy policy)
+{
+    workloads::RunSpec spec;
+    spec.workload = "oltp-tpcc";
+    spec.mode = PersistMode::Fwb;
+    spec.params.threads = 8;
+    spec.params.txPerThread = 40;
+    spec.params.footprint = 256;
+    spec.params.warehouses = 4;
+    spec.sys = SystemConfig::scaled(8);
+    spec.sys.map.logSize = 12 * 1024;
+    spec.sys.persist.ccMode = CcMode::TwoPhase;
+    spec.sys.persist.logFullPolicy = policy;
+    spec.verifyAtEnd = false;
+    const workloads::RunOutcome o = workloads::runWorkload(spec);
+    const RunStats &s = o.stats;
+    return LogFullGolden{policy,
+                         o.endTick,
+                         s.logFullStalls,
+                         s.forcedWritebacks,
+                         s.reclaimWaitCycles,
+                         s.logFullEscalations,
+                         s.abortedTx};
+}
+
+} // namespace
+
+// Pins the retry count, backoff base and abort-victim cap of the
+// log-full policies through a whole System: each one moves the end
+// tick, the stall count or the escalations. This pins behaviour, not
+// correctness: a log this small loses live records (overwrite
+// hazards), and the TPC-C oracle rejects the reclaim and abort-retry
+// images.
+TEST(LogFullGolden, EveryPolicyKeepsItsStallsAndAborts)
+{
+    const LogFullGolden kGolden[] = {
+        {LogFullPolicy::Reclaim, 737761, 0, 5724, 41931672, 0, 2},
+        {LogFullPolicy::Stall, 728125, 8624, 5382, 0, 0, 2},
+        {LogFullPolicy::AbortRetry, 2949332, 43720, 11637, 0, 177, 202},
+    };
+    for (const LogFullGolden &want : kGolden) {
+        const LogFullGolden got = observeLogFull(want.policy);
+        const char *name = logFullPolicyName(want.policy);
+        EXPECT_EQ(got.end, want.end) << name;
+        EXPECT_EQ(got.stalls, want.stalls) << name;
+        EXPECT_EQ(got.forcedWritebacks, want.forcedWritebacks) << name;
+        EXPECT_EQ(got.reclaimWaitCycles, want.reclaimWaitCycles) << name;
+        EXPECT_EQ(got.escalations, want.escalations) << name;
+        EXPECT_EQ(got.abortedTx, want.abortedTx) << name;
+    }
+}

@@ -24,6 +24,7 @@
 #include "persist/log_scrubber.hh"
 #include "persist/recovery.hh"
 #include "persist/txn_tracker.hh"
+#include "workloads/driver.hh"
 
 using namespace snf;
 using namespace snf::persist;
@@ -500,6 +501,35 @@ TEST(LogScrubber, LeavesLiveUncorrectableSlotsForRecovery)
     std::uint8_t zeros[LogRecord::kSlotBytes] = {};
     s.f.dev.functionalRead(s.slot0, sizeof(now), now);
     EXPECT_EQ(std::memcmp(now, zeros, sizeof(now)), 0);
+}
+
+// Pins the scrubber's chunk size and promote threshold through a
+// whole System: sps under fwb on a 12 KB log (382 slots, so a step
+// scrubs slots/256 = 1 of them), with live bit flips dense enough
+// that a line is damaged on three scrub walks and promoted. This
+// pins behaviour, not correctness: faults this dense also corrupt
+// data that no log record covers.
+TEST(ScrubGolden, FaultedFwbCellKeepsItsScrubCounts)
+{
+    workloads::RunSpec spec;
+    spec.workload = "sps";
+    spec.mode = PersistMode::Fwb;
+    spec.params.threads = 2;
+    spec.params.txPerThread = 3000;
+    spec.params.footprint = 4096;
+    spec.sys = SystemConfig::scaled(2);
+    spec.sys.map.logSize = 12 * 1024;
+    spec.sys.map.remapSize = 16 * 1024;
+    spec.sys.map.spareSize = 32 * 1024;
+    spec.sys.persist.scrub = true;
+    spec.sys.nvram.faults.seed = 3;
+    spec.sys.nvram.faults.bitFlipProb = 1e-1;
+    spec.verifyAtEnd = false;
+    const workloads::RunOutcome o = workloads::runWorkload(spec);
+    EXPECT_EQ(o.endTick, 2008784u);
+    EXPECT_EQ(o.stats.scrubSlotsScanned, 2405u);
+    EXPECT_EQ(o.stats.scrubRepairs, 101u);
+    EXPECT_EQ(o.stats.scrubPromotions, 2u);
 }
 
 // ------------------------- livelock guard -------------------------
