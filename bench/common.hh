@@ -118,7 +118,7 @@ printTableII()
     SystemConfig c = benchConfig(4);
     std::printf("#   cores=%u @%.1fGHz, L1 %uKB/%uw, L2 %uKB/%uw, "
                 "line %uB\n",
-                c.numCores, c.clockGhz, c.l1.sizeBytes / 1024,
+                c.numCores, kClockGhz, c.l1.sizeBytes / 1024,
                 c.l1.ways, c.l2.sizeBytes / 1024, c.l2.ways,
                 c.l1.lineBytes);
     std::printf("#   NVRAM: row-hit %u cyc, read/write conflict "
@@ -128,7 +128,7 @@ printTableII()
     std::printf("#   log %lluKB, log buffer %u entries, WCB %u\n",
                 static_cast<unsigned long long>(
                     c.map.logSize / 1024),
-                c.persist.logBufferEntries, c.persist.wcbEntries);
+                c.persist.logBufferEntries, mem::MemorySystem::kWcbEntries);
     std::printf("#   SNF_BENCH_SCALE=%.2f\n\n", benchScale());
 }
 

@@ -45,7 +45,7 @@ report(const char *label, PersistMode mode)
     auto wear = sys.mem().nvram().wearReport();
     double days = wear.hottestRowLifetimeSeconds(
                       100000000 /* 1e8 endurance */, end,
-                      spec.sys.clockGhz) /
+                      kClockGhz) /
                   86400.0;
     std::printf("%-10s writes=%-8llu rows=%-6llu hottest=%-6llu "
                 "mean=%-8.1f lifetime=%.1e days\n",

@@ -23,6 +23,21 @@ enum Stream : std::uint64_t
     kOpKind = 6,  ///< load-vs-store pick per op
 };
 
+constexpr std::uint32_t kMaxThreads = 3;
+constexpr std::uint32_t kMinSlotsPerThread = 4;
+constexpr std::uint32_t kMaxSlotsPerThread = 24;
+constexpr std::uint32_t kMaxOpsPerTx = 6;
+/** Probability a transaction ends with tx_abort(). */
+constexpr double kAbortRate = 0.15;
+/** Probability the seed selects Zipf-skewed slot addressing (hot-slot
+ *  contention within the partition) instead of uniform. */
+constexpr double kSkewRate = 0.5;
+constexpr double kSkewTheta = 0.8;
+/** Max compute-jitter ticks before a transaction (interleaving). */
+constexpr std::uint32_t kMaxDelay = 40;
+constexpr std::uint32_t kMinSharedSlots = 2;
+constexpr std::uint32_t kMaxSharedSlots = 8;
+
 } // namespace
 
 Program
@@ -42,24 +57,21 @@ generateProgram(std::uint64_t seed, const ProgGenConfig &cfg)
     p.threads = cfg.threads != 0
                     ? cfg.threads
                     : static_cast<std::uint32_t>(
-                          shape.range(1, cfg.maxThreads));
+                          shape.range(1, kMaxThreads));
     p.slotsPerThread =
         cfg.slotsPerThread != 0
             ? cfg.slotsPerThread
-            : static_cast<std::uint32_t>(
-                  shape.range(4, cfg.maxSlotsPerThread));
+            : static_cast<std::uint32_t>(shape.range(
+                  kMinSlotsPerThread, kMaxSlotsPerThread));
 
     bool conflicts = cfg.conflictRate > 0.0;
     if (conflicts)
-        p.sharedSlots =
-            cfg.sharedSlots != 0
-                ? cfg.sharedSlots
-                : static_cast<std::uint32_t>(
-                      conflict.range(2, cfg.maxSharedSlots));
+        p.sharedSlots = static_cast<std::uint32_t>(
+            conflict.range(kMinSharedSlots, kMaxSharedSlots));
 
-    bool skewed = shape.chance(cfg.skewRate) && p.slotsPerThread > 1;
+    bool skewed = shape.chance(kSkewRate) && p.slotsPerThread > 1;
     sim::Zipf zipf(p.slotsPerThread,
-                   skewed ? cfg.skewTheta : 0.5 /* unused */);
+                   skewed ? kSkewTheta : 0.5 /* unused */);
 
     // Per-thread transaction counts, then an interleaved global
     // order: repeatedly pick a random thread that still has
@@ -83,13 +95,10 @@ generateProgram(std::uint64_t seed, const ProgGenConfig &cfg)
 
         ProgTx tx;
         tx.thread = t;
-        tx.aborts = shape.chance(cfg.abortRate);
-        tx.delay = cfg.maxDelay == 0
-                       ? 0
-                       : static_cast<std::uint32_t>(
-                             delay.below(cfg.maxDelay + 1));
-        std::uint32_t ops = static_cast<std::uint32_t>(
-            shape.range(1, cfg.maxStoresPerTx));
+        tx.aborts = shape.chance(kAbortRate);
+        tx.delay = static_cast<std::uint32_t>(delay.below(kMaxDelay + 1));
+        std::uint32_t ops =
+            static_cast<std::uint32_t>(shape.range(1, kMaxOpsPerTx));
         for (std::uint32_t s = 0; s < ops; ++s) {
             ProgOp op;
             bool shared =

@@ -18,30 +18,20 @@
 namespace snf::conformlab
 {
 
-/** Knobs of the program space to draw from. */
+/**
+ * Knobs of the program space to draw from. The rest of a program's
+ * shape (the ranges its thread, slot and op counts are drawn from,
+ * abort rate, skew, jitter, shared-region size) is fixed in
+ * proggen.cc.
+ */
 struct ProgGenConfig
 {
-    /** Fixed thread count; 0 = draw 1..maxThreads from the seed. */
+    /** Fixed thread count; 0 = draw it from the seed. */
     std::uint32_t threads = 0;
-    std::uint32_t maxThreads = 3;
-    /** Fixed partition size; 0 = draw 4..maxSlotsPerThread. */
+    /** Fixed partition size; 0 = draw it from the seed. */
     std::uint32_t slotsPerThread = 0;
-    std::uint32_t maxSlotsPerThread = 24;
     /** Mean transactions per thread (actual count drawn 1..2*mean). */
     std::uint32_t txPerThread = 6;
-    /** Stores per transaction drawn 1..maxStoresPerTx. */
-    std::uint32_t maxStoresPerTx = 6;
-    /** Probability a transaction ends with tx_abort(). */
-    double abortRate = 0.15;
-    /**
-     * Probability the seed selects Zipf-skewed slot addressing
-     * (hot-slot contention within the partition) instead of uniform.
-     */
-    double skewRate = 0.5;
-    /** Zipf theta used when skew is selected. */
-    double skewTheta = 0.8;
-    /** Max compute-jitter ticks before a transaction (interleaving). */
-    std::uint32_t maxDelay = 40;
     /**
      * Probability any one op targets the shared conflict region
      * instead of the thread's private partition. 0 keeps the program
@@ -50,10 +40,6 @@ struct ProgGenConfig
      * streams).
      */
     double conflictRate = 0.0;
-    /** Shared slot count; 0 = draw 2..maxSharedSlots when
-     *  conflictRate > 0. */
-    std::uint32_t sharedSlots = 0;
-    std::uint32_t maxSharedSlots = 8;
     /**
      * Probability an op is a load instead of a store. Only applied
      * when conflictRate > 0 — loads are what make read-validation

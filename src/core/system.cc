@@ -68,9 +68,7 @@ System::System(const SystemConfig &config, PersistMode m)
         // Log-full policy wiring: a Stall policy forces the guarded
         // line back to NVRAM; an AbortRetry policy asks the blocking
         // transaction's thread to roll back at its next commit.
-        region->setLogFullPolicy(cfg.persist.logFullPolicy,
-                                 cfg.persist.logFullRetries,
-                                 cfg.persist.logFullBackoffBase);
+        region->setLogFullPolicy(cfg.persist.logFullPolicy);
         region->setForceWriteback([this](Addr addr, Tick now) {
             Tick done = memory->clwb(0, addr, now);
             // If a write-back of the line is already in flight (the
@@ -91,7 +89,7 @@ System::System(const SystemConfig &config, PersistMode m)
             return txnTracker.requestAbort(seq);
         });
     }
-    txnTracker.setAbortRetryCap(cfg.persist.abortRetryCap);
+    txnTracker.setAbortRetryCap(persist::TxnTracker::kAbortRetryCap);
     txnTracker.setCcMode(cfg.persist.ccMode);
 
     persist::LogRouter router(persistMode, layout, txnTracker,
@@ -141,8 +139,8 @@ System::System(const SystemConfig &config, PersistMode m)
     }
 
     if (cfg.persist.scrub) {
-        scrubber = std::make_unique<persist::LogScrubber>(
-            memory->nvram(), cfg.persist);
+        scrubber =
+            std::make_unique<persist::LogScrubber>(memory->nvram());
         for (auto &region : logRegions)
             scrubber->addRegion(region.get());
         if (fwbEngine) {

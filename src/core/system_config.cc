@@ -108,9 +108,7 @@ SystemConfig
 SystemConfig::paper(std::uint32_t cores)
 {
     SystemConfig c;
-    c.name = "paper";
     c.numCores = cores;
-    c.clockGhz = 2.5;
 
     c.l1.sizeBytes = 32 * 1024;
     c.l1.ways = 8;
@@ -143,7 +141,6 @@ SystemConfig
 SystemConfig::scaled(std::uint32_t cores)
 {
     SystemConfig c = paper(cores);
-    c.name = "scaled";
     // L2 and log shrink 16x (L1 4x: an 8 KB L1 is the sensible
     // floor) so that test/bench footprints exceed the LLC the same
     // way the paper's 256 MB-1 GB footprints exceed its 8 MB LLC,
@@ -181,8 +178,6 @@ SystemConfig::validate() const
     if ((persist.logShards == 0 || persist.logShards > 64) &&
         persist.logShards != PersistConfig::kPerCoreLogs)
         fatal("logShards %u out of range [1,64]", persist.logShards);
-    if (persist.wcbEntries == 0)
-        fatal("WCB needs at least one entry");
     if (map.remapSize != 0) {
         if (map.remapSize % 128 != 0 || map.remapSize < 256)
             fatal("remap region size %llu not two >=128-byte banks",

@@ -3,19 +3,22 @@
  * System configuration structures and the paper's Table II presets.
  *
  * All timing is expressed in core clock cycles at 2.5 GHz (0.4 ns per
- * cycle), matching the paper's processor configuration.
+ * cycle, kClockGhz), matching the paper's processor configuration.
  */
 
 #ifndef SNF_CORE_SYSTEM_CONFIG_HH
 #define SNF_CORE_SYSTEM_CONFIG_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "sim/types.hh"
 
 namespace snf
 {
+
+/** Core clock of every simulated machine (paper Table II). */
+inline constexpr double kClockGhz = 2.5;
 
 /** The persistence scheme a run executes under (paper Section VI). */
 enum class PersistMode
@@ -92,9 +95,6 @@ struct FaultModelConfig
     /** Restrict injection to [regionBase, regionBase+regionSize). */
     Addr regionBase = 0;
     std::uint64_t regionSize = 0; ///< 0 = whole device
-    /** Restrict injection to ticks in [windowStart, windowEnd). */
-    Tick windowStart = 0;
-    Tick windowEnd = 0; ///< 0 = no upper bound
 
     bool
     enabled() const
@@ -161,13 +161,6 @@ struct MemDeviceConfig
     std::uint64_t remapSize = 0;
     Addr spareBase = 0;
     std::uint64_t spareSize = 0;
-};
-
-/** Simulated core (timing model) parameters. */
-struct CoreConfig
-{
-    std::uint32_t issueWidth = 4;      ///< non-mem ops retired per cycle
-    std::uint32_t storeBufferEntries = 32;
 };
 
 /**
@@ -238,14 +231,11 @@ const char *ccModeName(CcMode mode);
 struct PersistConfig
 {
     std::uint32_t logBufferEntries = 15;  ///< volatile FIFO in the MC
-    std::uint32_t wcbEntries = 6;         ///< write-combining buffer
     /**
      * FWB scan period in cycles; 0 selects the automatic derivation
      * from log size and NVRAM write bandwidth (Section IV-D).
      */
     Tick fwbPeriod = 0;
-    /** Cycles of cache-port busy time charged per scanned line. */
-    double fwbScanCostPerLine = 0.05;
     /** Record write journal in NVRAM for crash snapshots. */
     bool crashJournal = false;
     /**
@@ -317,25 +307,9 @@ struct PersistConfig
     bool injectSkipShardMask = false;
     /** Behavior when a log append finds no reclaimable slot. */
     LogFullPolicy logFullPolicy = LogFullPolicy::Reclaim;
-    /** Stall/AbortRetry: attempts before falling back to Reclaim. */
-    std::uint32_t logFullRetries = 8;
-    /** Stall/AbortRetry: base backoff in ticks (doubles per try). */
-    Tick logFullBackoffBase = 64;
-    /**
-     * AbortRetry livelock guard: once the same thread has been made
-     * the abort victim this many consecutive times without managing
-     * to commit, further abort requests against it are denied and the
-     * append escalates to the Stall policy for that slot (counted in
-     * TxnTracker's escalations stat). 0 disables the cap.
-     */
-    std::uint32_t abortRetryCap = 8;
 
     /** Concurrency control for the tx_load64/tx_store64 API. */
     CcMode ccMode = CcMode::None;
-    /** CC acquire-retry backoff in instructions (doubles per try). */
-    std::uint32_t ccBackoffBase = 8;
-    /** Cap on the CC acquire-retry backoff. */
-    std::uint32_t ccBackoffCap = 1024;
 
     /**
      * Online log scrubber (lifelab): piggybacks on the FWB cadence
@@ -345,13 +319,6 @@ struct PersistConfig
      * promoting repeat-offender lines into the bad-line remap table.
      */
     bool scrub = false;
-    /** Slots checked per scrub step; 0 = slots/256 (one full walk of
-     *  the log every 256 scan periods, bounding scrub reads to a
-     *  sub-percent slice of device bandwidth). */
-    std::uint64_t scrubChunkSlots = 0;
-    /** Error observations on one line before it is promoted into the
-     *  remap table. */
-    std::uint32_t scrubPromoteThreshold = 3;
 };
 
 /** Physical address map of the simulated machine. */
@@ -422,11 +389,8 @@ struct AddressMap
 /** Complete configuration of one simulated system. */
 struct SystemConfig
 {
-    std::string name = "paper";
     std::uint32_t numCores = 4;
-    double clockGhz = 2.5;
 
-    CoreConfig core;
     CacheConfig l1;
     CacheConfig l2;
     MemDeviceConfig nvram;

@@ -21,12 +21,22 @@ constexpr std::uint64_t kCcAcquireInstructions = 2;
 /** TL2 validation cost per read-set entry, in instructions. */
 constexpr std::uint64_t kCcValidateInstructions = 2;
 
+/** First CC acquire-retry backoff, in instructions; doubles per try. */
+constexpr std::uint32_t kCcBackoffBase = 8;
+
+/** Cap on the CC acquire-retry backoff, in instructions. */
+constexpr std::uint32_t kCcBackoffCap = 1024;
+
+/** Non-memory instructions a core retires per cycle. */
+constexpr std::uint32_t kIssueWidth = 4;
+
+/** Store-buffer entries per core. */
+constexpr std::uint32_t kStoreBufferEntries = 32;
+
 } // namespace
 
 Thread::Thread(CoreId id, System &system)
-    : ctx(id, system.config().core.issueWidth,
-          system.config().core.storeBufferEntries),
-      sys(system)
+    : ctx(id, kIssueWidth, kStoreBufferEntries), sys(system)
 {
 }
 
@@ -360,7 +370,7 @@ Thread::ccAcquire(Addr a, bool forWrite)
     if (sys.txns().ccMode() == CcMode::None || !inTx ||
         !sys.config().map.isNvram(a))
         co_return true;
-    std::uint32_t backoff = sys.config().persist.ccBackoffBase;
+    std::uint32_t backoff = kCcBackoffBase;
     for (;;) {
         persist::CcDecision d =
             co_await CcAcquireOp(this, a, forWrite);
@@ -371,8 +381,7 @@ Thread::ccAcquire(Addr a, bool forWrite)
         // Holder still running: back off (thread-salted so two
         // symmetric waiters don't reprobe in lockstep) and retry.
         co_await compute(backoff + ctx.id());
-        backoff = std::min<std::uint32_t>(
-            backoff * 2, sys.config().persist.ccBackoffCap);
+        backoff = std::min(backoff * 2, kCcBackoffCap);
     }
 }
 

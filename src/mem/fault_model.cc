@@ -45,18 +45,11 @@ FaultInjector::unit(std::uint64_t h)
 }
 
 bool
-FaultInjector::inScope(Addr lineAddr, Tick tick) const
+FaultInjector::inScope(Addr lineAddr) const
 {
-    if (cfg.regionSize != 0) {
-        if (lineAddr + kLineBytes <= cfg.regionBase ||
-            lineAddr >= cfg.regionBase + cfg.regionSize)
-            return false;
-    }
-    if (tick < cfg.windowStart)
-        return false;
-    if (cfg.windowEnd != 0 && tick >= cfg.windowEnd)
-        return false;
-    return true;
+    return cfg.regionSize == 0 ||
+           (lineAddr + kLineBytes > cfg.regionBase &&
+            lineAddr < cfg.regionBase + cfg.regionSize);
 }
 
 bool
@@ -95,7 +88,7 @@ FaultInjector::apply(Addr addr, std::uint64_t size, std::uint8_t *buf,
             std::min<std::uint64_t>(size, line + kLineBytes - addr);
         std::uint64_t span = hi - lo;
 
-        // Stuck rows wedge their word regardless of scope windows:
+        // Stuck rows wedge their word regardless of the scope region:
         // the cell is physically worn out, not transiently upset.
         std::uint64_t row = line / rowBytes * rowBytes;
         if (cfg.stuckRowProb > 0.0 && rowIsStuck(row / rowBytes)) {
@@ -113,7 +106,7 @@ FaultInjector::apply(Addr addr, std::uint64_t size, std::uint8_t *buf,
             }
         }
 
-        if (!inScope(line, tick))
+        if (!inScope(line))
             continue;
         counts.examinedBytes += span;
 

@@ -35,8 +35,8 @@ struct FaultCounters
     std::uint64_t droppedWrites = 0;
     std::uint64_t stuckWords = 0;
     /**
-     * Bytes apply() examined inside the configured scope (region +
-     * window), whether or not damage landed. A write path that
+     * Bytes apply() examined inside the configured scope region,
+     * whether or not damage landed. A write path that
      * bypasses the injector examines nothing, so parity tests can
      * assert coverage structurally instead of hoping a probabilistic
      * fault fires. Not part of total().
@@ -96,7 +96,7 @@ class FaultInjector
     FaultModelConfig cfg;
     std::uint32_t rowBytes;
 
-    bool inScope(Addr lineAddr, Tick tick) const;
+    bool inScope(Addr lineAddr) const;
     /** Map a hash to [0,1) for probability thresholds. */
     static double unit(std::uint64_t h);
 };

@@ -30,7 +30,7 @@ MemorySystem::MemorySystem(const SystemConfig &config)
       l2("l2", config.l2),
       nvramDev("nvram", config.nvram, config.map.nvramBase),
       dramDev("dram", config.dram, config.map.dramBase),
-      wcbuf(nvramDev, config.persist.wcbEntries, config.l1.lineBytes),
+      wcbuf(nvramDev, kWcbEntries, config.l1.lineBytes),
       coherenceInvalidations(statGroup.counter("coherence_invals")),
       cacheToCacheTransfers(statGroup.counter("cache_to_cache"))
 {
@@ -89,18 +89,37 @@ MemorySystem::evictL2Line(CacheLine *slot, Tick now)
         coherenceInvalidations.inc();
     });
     l2.evictions.inc();
-    if (slot->dirty()) {
-        MemDevice &dev = deviceFor(line);
-        Tick preBarrier = now;
-        now = barrierFor(line, now);
-        auto res = dev.access(true, line, l2.lineBytes(), slot->data(),
-                              nullptr, now, false, PersistOrigin::Data,
-                              wbIssueHint(preBarrier));
-        l2.writebacks.inc();
-        if (cfg.map.isNvram(line))
-            busMonitor.onDataWriteback(line, now, res.done);
-    }
+    if (slot->dirty())
+        writebackL2(*slot, now, now);
     l2.invalidate(slot);
+}
+
+Tick
+MemorySystem::writebackL2(CacheLine &line, Tick issue, Tick barrierAt,
+                          Tick checkFrom)
+{
+    const Addr addr = line.lineAddr;
+    const bool nvram = cfg.map.isNvram(addr);
+    Tick start = issue;
+    if (dataWbBarrier && nvram)
+        start = std::max(start, dataWbBarrier(barrierAt));
+    // The journaled issue tick is normally the access tick
+    // (kTickNever), but the injectSkipWbBarrier self-test reports the
+    // pre-barrier tick, making the write-back concurrently pending
+    // with the log drains the barrier waited on, without moving a
+    // single cycle.
+    const Tick journaledIssue =
+        cfg.persist.injectSkipWbBarrier ? issue : kTickNever;
+    auto res = deviceFor(addr).access(true, addr, l2.lineBytes(),
+                                      line.data(), nullptr, start, false,
+                                      PersistOrigin::Data,
+                                      journaledIssue);
+    l2.clearDirty(&line);
+    l2.writebacks.inc();
+    if (nvram)
+        busMonitor.onDataWriteback(
+            addr, checkFrom == kTickNever ? start : checkFrom, res.done);
+    return res.done;
 }
 
 MemorySystem::FillResult
@@ -293,19 +312,8 @@ MemorySystem::clwb(CoreId core, Addr addr, Tick now)
 
     // Step 2: a dirty L2 copy is written back to its device.
     if (l2line->dirty()) {
-        Tick start = std::max(t, l2.busyUntil) + l2.latency();
-        Tick preBarrier = start;
-        start = barrierFor(line, start);
-        MemDevice &dev = deviceFor(line);
-        auto res = dev.access(true, line, l2.lineBytes(),
-                              l2line->data(), nullptr, start, false,
-                              PersistOrigin::Data,
-                              wbIssueHint(preBarrier));
-        l2.clearDirty(l2line);
-        l2.writebacks.inc();
-        if (cfg.map.isNvram(line))
-            busMonitor.onDataWriteback(line, start, res.done);
-        return res.done;
+        Tick issue = std::max(t, l2.busyUntil) + l2.latency();
+        return writebackL2(*l2line, issue, issue);
     }
     return t + l2.latency();
 }
@@ -343,21 +351,10 @@ MemorySystem::fwbScanAll(Tick now, double costPerLine)
                 writebackL1ToL2(core, &line, l2ParentOf(core, &line));
                 cache.clearDirty(&line);
             } else {
-                MemDevice &dev = deviceFor(line.lineAddr);
                 wb_issue += wb_spacing;
-                Tick start = std::max(
-                    wb_issue, barrierFor(line.lineAddr, now));
-                auto res =
-                    dev.access(true, line.lineAddr, cache.lineBytes(),
-                               line.data(), nullptr, start, false,
-                               PersistOrigin::Data,
-                               wbIssueHint(wb_issue));
-                cache.clearDirty(&line);
-                cache.writebacks.inc();
-                busMonitor.onDataWriteback(line.lineAddr, start,
-                                           res.done);
                 out.lastWritebackDone =
-                    std::max(out.lastWritebackDone, res.done);
+                    std::max(out.lastWritebackDone,
+                             writebackL2(line, wb_issue, now));
             }
             ++out.linesWrittenBack;
         });
@@ -383,17 +380,10 @@ MemorySystem::flushAllDirty(Tick now)
             l1s[c]->clearDirty(&line);
         });
     }
+    // The bus monitor checks each write against the records appended
+    // up to the flush's own tick, not the write's post-barrier start.
     l2.forEachDirtyLine([&](CacheLine &line) {
-        MemDevice &dev = deviceFor(line.lineAddr);
-        Tick start = barrierFor(line.lineAddr, now);
-        auto res = dev.access(true, line.lineAddr, l2.lineBytes(),
-                              line.data(), nullptr, start, false,
-                              PersistOrigin::Data, wbIssueHint(now));
-        l2.clearDirty(&line);
-        l2.writebacks.inc();
-        if (cfg.map.isNvram(line.lineAddr))
-            busMonitor.onDataWriteback(line.lineAddr, now, res.done);
-        done = std::max(done, res.done);
+        done = std::max(done, writebackL2(line, now, now, now));
     });
     done = std::max(done, wcbuf.drainAll(now));
     return done;

@@ -79,6 +79,10 @@ struct FwbScanResult
 class MemorySystem
 {
   public:
+    /** Line entries of the write-combining buffer that software log
+     *  stores go through. */
+    static constexpr std::uint32_t kWcbEntries = 6;
+
     explicit MemorySystem(const SystemConfig &config);
 
     MemorySystem(const MemorySystem &) = delete;
@@ -219,6 +223,19 @@ class MemorySystem
                          CacheLine *parent);
 
     /**
+     * Write the dirty L2 @p line back to its device and mark it
+     * clean: the one data write-back path, shared by eviction, clwb,
+     * FWB and the shutdown flush. The write issues at @p issue and
+     * starts once the log-drain barrier, taken at @p barrierAt (no
+     * later than @p issue), lets it. The bus monitor checks it
+     * against the log records appended up to that start, or up to
+     * @p checkFrom when one is given.
+     * @return the write's completion tick.
+     */
+    Tick writebackL2(CacheLine &line, Tick issue, Tick barrierAt,
+                     Tick checkFrom = kTickNever);
+
+    /**
      * Get the line into core's L1 ready for a load or (exclusive)
      * store.
      */
@@ -235,29 +252,6 @@ class MemorySystem
     BusMonitor busMonitor;
     PersistentStoreHook *hook = nullptr;
     DataWbBarrier dataWbBarrier;
-
-    /** Apply the log-drain barrier for an NVRAM data write-back. */
-    Tick
-    barrierFor(Addr lineAddr, Tick now)
-    {
-        if (dataWbBarrier && cfg.map.isNvram(lineAddr))
-            return std::max(now, dataWbBarrier(now));
-        return now;
-    }
-
-    /**
-     * Journaled issue tick of a data write-back: normally the
-     * post-barrier access tick (kTickNever = "use the access tick"),
-     * but the injectSkipWbBarrier self-test reports the pre-barrier
-     * tick, making the write-back concurrently pending with the log
-     * drains the barrier waited on — without moving a single cycle.
-     */
-    Tick
-    wbIssueHint(Tick preBarrier) const
-    {
-        return cfg.persist.injectSkipWbBarrier ? preBarrier
-                                               : kTickNever;
-    }
 
     sim::Counter &coherenceInvalidations;
     sim::Counter &cacheToCacheTransfers;

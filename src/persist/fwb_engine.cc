@@ -10,7 +10,6 @@ FwbEngine::FwbEngine(mem::MemorySystem &memory, sim::EventQueue &evq,
                      const PersistConfig &config, const LogLayout &layout)
     : mem(memory),
       events(evq),
-      cfg(config),
       scanPeriod(config.fwbPeriod != 0
                      ? config.fwbPeriod
                      : derivePeriod(memory.config(), layout)),
@@ -60,7 +59,7 @@ FwbEngine::scheduleNext(Tick now)
 void
 FwbEngine::scan(Tick now)
 {
-    auto result = mem.fwbScanAll(now, cfg.fwbScanCostPerLine);
+    auto result = mem.fwbScanAll(now, kScanCostPerLine);
     scans.inc();
     flagged.inc(result.linesFlagged);
     forcedWritebacks.inc(result.linesWrittenBack);

@@ -24,6 +24,9 @@ namespace snf::persist
 class FwbEngine
 {
   public:
+    /** Cycles of cache-port busy time a scan charges per line. */
+    static constexpr double kScanCostPerLine = 0.05;
+
     /** @param layout the resolved log layout, which sets the derived
      *  scan period (see derivePeriod). */
     FwbEngine(mem::MemorySystem &memory, sim::EventQueue &events,
@@ -76,7 +79,6 @@ class FwbEngine
 
     mem::MemorySystem &mem;
     sim::EventQueue &events;
-    PersistConfig cfg;
     Tick scanPeriod;
     bool running = false;
     sim::ProbeFn probe;

@@ -49,6 +49,10 @@ class LogRegion
      * live system never sets it: persistHeader()/create() write zero.
      */
     static constexpr std::uint32_t kTruncFlagOffset = 32;
+    /** Stall/AbortRetry: attempts before falling back to Reclaim. */
+    static constexpr std::uint32_t kLogFullRetries = 8;
+    /** Stall/AbortRetry: base backoff in ticks (doubles per try). */
+    static constexpr Tick kLogFullBackoffBase = 64;
 
     struct Reservation
     {
@@ -148,8 +152,9 @@ class LogRegion
 
     /** Select the log-full policy (default: legacy Reclaim). */
     void
-    setLogFullPolicy(LogFullPolicy p, std::uint32_t retries,
-                     Tick backoffBase)
+    setLogFullPolicy(LogFullPolicy p,
+                     std::uint32_t retries = kLogFullRetries,
+                     Tick backoffBase = kLogFullBackoffBase)
     {
         policy = p;
         policyRetries = retries;
@@ -223,8 +228,8 @@ class LogRegion
     std::vector<SlotMeta> meta;
 
     LogFullPolicy policy = LogFullPolicy::Reclaim;
-    std::uint32_t policyRetries = 8;
-    Tick policyBackoffBase = 64;
+    std::uint32_t policyRetries = kLogFullRetries;
+    Tick policyBackoffBase = kLogFullBackoffBase;
 
     PersistedSincePred persistedSince;
     TxActivePred txActive;

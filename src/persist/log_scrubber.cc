@@ -11,10 +11,8 @@
 namespace snf::persist
 {
 
-LogScrubber::LogScrubber(mem::MemDevice &nvram,
-                         const PersistConfig &config)
+LogScrubber::LogScrubber(mem::MemDevice &nvram)
     : nvram(nvram),
-      cfg(config),
       statGroup("scrub"),
       steps(statGroup.counter("steps")),
       slotsScanned(statGroup.counter("slots_scanned")),
@@ -113,8 +111,7 @@ LogScrubber::scrubSlot(const SlotRef &ref, Tick now)
         uncorrectable.inc();
     }
 
-    if (cfg.scrubPromoteThreshold != 0 &&
-        streak >= cfg.scrubPromoteThreshold) {
+    if (streak >= kPromoteThreshold) {
         if (nvram.remapLine(line, now)) {
             promotions.inc();
             // remapLine's table persist is priority write traffic.
@@ -154,16 +151,10 @@ LogScrubber::step(Tick now)
     if (total == 0)
         return;
     steps.inc();
-    // Default chunk: one full walk of the log every 256 scan periods.
-    // The FWB period is T_wrap/8 (a full-bandwidth rewrite of the
-    // log takes 8 periods), so walking the log in 256 periods keeps
-    // scrub reads around a percent of device bandwidth — scanning
-    // total/8 per step would re-read the log as fast as it can be
-    // written and starve the workload behind scrub traffic.
-    std::uint64_t chunk = cfg.scrubChunkSlots != 0
-                              ? cfg.scrubChunkSlots
-                              : std::max<std::uint64_t>(1, total / 256);
-    chunk = std::min(chunk, total);
+    // Scanning total/8 per step would re-read the log as fast as it
+    // can be written and starve the workload behind scrub traffic.
+    const std::uint64_t chunk =
+        std::max<std::uint64_t>(1, total / kStepsPerWalk);
     for (std::uint64_t i = 0; i < chunk; ++i) {
         scrubSlot(slotRef(cursor), now);
         cursor = (cursor + 1) % total;

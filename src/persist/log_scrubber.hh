@@ -34,7 +34,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/system_config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -53,15 +52,27 @@ class LogRegion;
 class LogScrubber
 {
   public:
-    LogScrubber(mem::MemDevice &nvram, const PersistConfig &config);
+    /**
+     * Steps one full walk of the log takes: a step scrubs
+     * max(1, slots / kStepsPerWalk) slots. The FWB period is T_wrap/8
+     * (a full-bandwidth rewrite of the log takes 8 periods), so one
+     * walk every 256 periods keeps scrub reads to a sub-percent slice
+     * of device bandwidth.
+     */
+    static constexpr std::uint64_t kStepsPerWalk = 256;
+    /** Error observations on one line before it is promoted into the
+     *  remap table. */
+    static constexpr std::uint32_t kPromoteThreshold = 3;
+
+    explicit LogScrubber(mem::MemDevice &nvram);
 
     /** Register a log region (one per partition) to be walked. */
     void addRegion(LogRegion *region);
 
     /**
-     * Scrub the next chunk (scrubChunkSlots slots, default 1/256th
-     * of the total) and check remap-bank redundancy. Called from the
-     * FWB scan hook or the self-scheduled event.
+     * Scrub the next chunk (1/kStepsPerWalk of the slots) and check
+     * remap-bank redundancy. Called from the FWB scan hook or the
+     * self-scheduled event.
      */
     void step(Tick now);
 
@@ -96,7 +107,6 @@ class LogScrubber
     SlotRef slotRef(std::uint64_t globalIndex) const;
 
     mem::MemDevice &nvram;
-    PersistConfig cfg;
     std::vector<LogRegion *> regions;
     std::uint64_t cursor = 0;
     std::unordered_map<Addr, std::uint32_t> streaks;

@@ -99,7 +99,16 @@ class TxnTracker
      */
     bool requestAbort(std::uint64_t seq);
 
-    /** Set the consecutive-victim cap (0 disables the guard). */
+    /**
+     * The cap a System installs: a thread made the abort victim this
+     * many consecutive times without committing is denied further
+     * requests, and the append escalates to the Stall policy for that
+     * slot (counted in the escalations stat).
+     */
+    static constexpr std::uint32_t kAbortRetryCap = 8;
+
+    /** Set the consecutive-victim cap (0, the default, disables the
+     *  guard). */
     void setAbortRetryCap(std::uint32_t cap) { abortRetryCap = cap; }
 
     /** Consecutive times @p thread was aborted as a victim without

@@ -47,7 +47,7 @@ TEST(SystemConfig, PaperPresetMatchesTableII)
 {
     SystemConfig c = SystemConfig::paper();
     EXPECT_EQ(c.numCores, 4u);
-    EXPECT_DOUBLE_EQ(c.clockGhz, 2.5);
+    EXPECT_DOUBLE_EQ(kClockGhz, 2.5);
     EXPECT_EQ(c.l1.sizeBytes, 32u * 1024);
     EXPECT_EQ(c.l1.ways, 8u);
     EXPECT_EQ(c.l1.latency, 4u); // 1.6 ns

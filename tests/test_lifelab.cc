@@ -393,14 +393,11 @@ struct ScrubFixture
 {
     DeviceFixture f;
     LogRegion region;
-    PersistConfig pcfg;
     LogScrubber scrub;
     std::uint8_t original[LogRecord::kSlotBytes];
     Addr slot0;
 
-    ScrubFixture()
-        : region(0, 4096, f.dev, "slog"), pcfg(makePcfg()),
-          scrub(f.dev, pcfg)
+    ScrubFixture() : region(0, 4096, f.dev, "slog"), scrub(f.dev)
     {
         scrub.addRegion(&region);
         LogRecord rec =
@@ -408,15 +405,6 @@ struct ScrubFixture
         rec.serialize(original, false);
         slot0 = region.slotAddr(0);
         f.dev.store().write(slot0, sizeof(original), original);
-    }
-
-    static PersistConfig
-    makePcfg()
-    {
-        PersistConfig p;
-        p.scrub = true;
-        p.scrubPromoteThreshold = 3;
-        return p;
     }
 
     void
