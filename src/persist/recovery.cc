@@ -228,15 +228,6 @@ activeRecoveryTimerSink()
 
 RecoveryReport
 Recovery::run(mem::BackingStore &image, const AddressMap &map,
-              bool truncateLog)
-{
-    RecoveryOptions opts;
-    opts.truncateLog = truncateLog;
-    return run(image, map, opts);
-}
-
-RecoveryReport
-Recovery::run(mem::BackingStore &image, const AddressMap &map,
               const RecoveryOptions &opts, mem::BackingStore *replayed)
 {
     struct TimeGuard

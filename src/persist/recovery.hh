@@ -230,16 +230,8 @@ class Recovery
      * @param map     the system's address map (log location and
      *        region count — pass System::config().map, which carries
      *        the count chosen at construction)
-     * @param truncateLog clear the log window after replay (default),
-     *        matching the paper's Step 4; disable to test idempotence
-     *        of the replay itself.
-     */
-    static RecoveryReport run(mem::BackingStore &image,
-                              const AddressMap &map,
-                              bool truncateLog = true);
-
-    /**
-     * As above with full options (fault injection for crashlab).
+     * @param opts    truncation, fault injection for crashlab, and
+     *        lifelab's interruption and self-healing knobs
      * @param replayed if non-null (and not @p image), receives a
      *        copy-on-write copy of the image as this pass leaves it
      *        just before truncation, after replay and bad-line
@@ -251,7 +243,7 @@ class Recovery
      */
     static RecoveryReport run(mem::BackingStore &image,
                               const AddressMap &map,
-                              const RecoveryOptions &opts,
+                              const RecoveryOptions &opts = {},
                               mem::BackingStore *replayed = nullptr);
 };
 

@@ -643,10 +643,12 @@ TEST(Recovery, IdempotentWithoutTruncation)
     f.log.append(LogRecord::commit(0, 1));
     f.log.append(LogRecord::update(0, 2, f.data(1), 8, 2, 200));
 
-    Recovery::run(f.image, f.map, /*truncateLog=*/false);
+    RecoveryOptions keep;
+    keep.truncateLog = false;
+    Recovery::run(f.image, f.map, keep);
     std::uint64_t v0 = f.image.read64(f.data(0));
     std::uint64_t v1 = f.image.read64(f.data(1));
-    Recovery::run(f.image, f.map, /*truncateLog=*/false);
+    Recovery::run(f.image, f.map, keep);
     EXPECT_EQ(f.image.read64(f.data(0)), v0);
     EXPECT_EQ(f.image.read64(f.data(1)), v1);
     EXPECT_EQ(v0, 50u);
