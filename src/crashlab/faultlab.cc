@@ -1,8 +1,6 @@
 #include "crashlab/faultlab.hh"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
 
 #include <optional>
@@ -12,30 +10,13 @@
 #include "mem/remap_table.hh"
 #include "persist/log_record.hh"
 #include "persist/log_region.hh"
+#include "sim/logging.hh"
 
 namespace snf::crashlab
 {
 
 namespace
 {
-
-std::string
-format(const char *fmt, ...)
-{
-    char buf[512];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    return buf;
-}
-
-void
-fail(std::vector<Violation> &out, const char *invariant,
-     std::string detail)
-{
-    out.push_back(Violation{invariant, std::move(detail)});
-}
 
 double
 unit(std::uint64_t h)
@@ -304,28 +285,29 @@ checkFaultedCrashPoint(const mem::BackingStore &image,
     persist::Recovery::run(twice, map, replayOpts);
     if (auto diff = once.firstDifference(twice, once.base(),
                                          once.size())) {
-        fail(out, "salvage-idempotent",
-             format("second salvage pass changed the image, first "
-                    "difference at 0x%llx",
-                    static_cast<unsigned long long>(*diff)));
+        out.push_back({"salvage-idempotent",
+                       strfmt("second salvage pass changed the image, first "
+                              "difference at 0x%llx",
+                              static_cast<unsigned long long>(*diff))});
     }
 
     // header-valid: injection never touches the log header.
     if (facts.mode != PersistMode::NonPers && !rep.headerValid) {
-        fail(out, "header-valid",
-             "recovery rejected the log header under media faults");
+        out.push_back({"header-valid",
+                       "recovery rejected the log header under media faults"});
     }
 
     // committed-upper: damage can destroy commit records but never
     // forge one (the CRC rejects mutated slots), so the trace upper
     // bound survives injection.
     if (rep.committedTxns > facts.txCommitted) {
-        fail(out, "committed-upper",
-             format("recovered %llu committed txns under faults but "
+        out.push_back(
+            {"committed-upper",
+             strfmt("recovered %llu committed txns under faults but "
                     "only %llu commits had initiated by tick %llu",
                     static_cast<unsigned long long>(rep.committedTxns),
                     static_cast<unsigned long long>(facts.txCommitted),
-                    static_cast<unsigned long long>(facts.tick)));
+                    static_cast<unsigned long long>(facts.tick))});
     }
 
     // The soundness oracles need every record of the run still in the
@@ -337,10 +319,10 @@ checkFaultedCrashPoint(const mem::BackingStore &image,
     // transactions whose records the plan actually damaged.
     for (std::uint16_t tx : rep.quarantinedTxIds) {
         if (!plan.damaged(tx)) {
-            fail(out, "quarantine-sound",
-                 format("tx %u quarantined but none of its slots "
-                        "were damaged",
-                        tx));
+            out.push_back({"quarantine-sound",
+                           strfmt("tx %u quarantined but none of its slots "
+                                  "were damaged",
+                                  tx)});
         }
     }
 
@@ -367,11 +349,11 @@ checkFaultedCrashPoint(const mem::BackingStore &image,
             break;
         Addr cover = coveringEnd(ranges, *diff);
         if (cover == 0) {
-            fail(out, "undamaged-oracle",
-                 format("faulted recovery diverges from clean "
-                        "recovery at 0x%llx, outside every damaged "
-                        "or quarantined transaction's write set",
-                        static_cast<unsigned long long>(*diff)));
+            out.push_back({"undamaged-oracle",
+                           strfmt("faulted recovery diverges from clean "
+                                  "recovery at 0x%llx, outside every damaged "
+                                  "or quarantined transaction's write set",
+                                  static_cast<unsigned long long>(*diff))});
             break;
         }
         from = cover;

@@ -2,35 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdarg>
-#include <cstdio>
 
 #include "persist/log_record.hh"
 #include "persist/log_region.hh"
+#include "sim/logging.hh"
 
 namespace snf::crashlab
 {
 
 namespace
 {
-
-std::string
-format(const char *fmt, ...)
-{
-    char buf[512];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    return buf;
-}
-
-void
-fail(std::vector<Violation> &out, const char *invariant,
-     std::string detail)
-{
-    out.push_back(Violation{invariant, std::move(detail)});
-}
 
 /** Active per-thread sink of VerifyTimerScope (null = off). */
 thread_local std::uint64_t *verifyTimerSink = nullptr;
@@ -96,17 +77,17 @@ checkCrashPoint(const mem::BackingStore &image, const AddressMap &map,
     persist::Recovery::run(twice, map, replayOpts);
     if (auto diff = once.firstDifference(twice, once.base(),
                                          once.size())) {
-        fail(out, "replay-idempotent",
-             format("second replay changed the image, first "
-                    "difference at 0x%llx",
-                    static_cast<unsigned long long>(*diff)));
+        out.push_back({"replay-idempotent",
+                       strfmt("second replay changed the image, first "
+                              "difference at 0x%llx",
+                              static_cast<unsigned long long>(*diff))});
     }
 
     // header-valid: the header is persisted before the workload runs
     // and is never overwritten, so no crash instant may lose it.
     if (facts.mode != PersistMode::NonPers && !rep.headerValid) {
-        fail(out, "header-valid",
-             "recovery rejected the log header after the crash");
+        out.push_back({"header-valid",
+                       "recovery rejected the log header after the crash"});
     }
 
     // truncate-idempotent (I6): recovering the recovered image must
@@ -115,17 +96,17 @@ checkCrashPoint(const mem::BackingStore &image, const AddressMap &map,
     persist::RecoveryReport rep2 =
         persist::Recovery::run(again, map, canonOpts);
     if (rep2.validRecords != 0) {
-        fail(out, "truncate-idempotent",
-             format("%llu live records survived truncation",
-                    static_cast<unsigned long long>(
-                        rep2.validRecords)));
+        out.push_back({"truncate-idempotent",
+                       strfmt("%llu live records survived truncation",
+                              static_cast<unsigned long long>(
+                                  rep2.validRecords))});
     }
     if (auto diff = recovered.firstDifference(again, recovered.base(),
                                               recovered.size())) {
-        fail(out, "truncate-idempotent",
-             format("re-recovery changed the image, first difference "
-                    "at 0x%llx",
-                    static_cast<unsigned long long>(*diff)));
+        out.push_back({"truncate-idempotent",
+                       strfmt("re-recovery changed the image, first difference "
+                              "at 0x%llx",
+                              static_cast<unsigned long long>(*diff))});
     }
 
     // verify: the workload's structural consistency check over the
@@ -141,18 +122,19 @@ checkCrashPoint(const mem::BackingStore &image, const AddressMap &map,
                     std::chrono::steady_clock::now() - start)
                     .count());
         if (!verified)
-            fail(out, "verify", why);
+            out.push_back({"verify", why});
     }
 
     // Counting invariants against the probe trace. Upper bound first:
     // a commit record can only exist for a commit that initiated.
     if (rep.committedTxns > facts.txCommitted) {
-        fail(out, "committed-upper",
-             format("recovered %llu committed txns but only %llu "
+        out.push_back(
+            {"committed-upper",
+             strfmt("recovered %llu committed txns but only %llu "
                     "commits had initiated by tick %llu",
                     static_cast<unsigned long long>(rep.committedTxns),
                     static_cast<unsigned long long>(facts.txCommitted),
-                    static_cast<unsigned long long>(facts.tick)));
+                    static_cast<unsigned long long>(facts.tick))});
     }
 
     // The lower bound and the uncommitted bound need every record of
@@ -161,14 +143,14 @@ checkCrashPoint(const mem::BackingStore &image, const AddressMap &map,
     if (facts.logWraps == 0) {
         if (rep.headerValid &&
             rep.committedTxns < facts.txDurableCommits) {
-            fail(out, "committed-durable",
-                 format("%llu commit records were durable by tick "
-                        "%llu but recovery found only %llu",
-                        static_cast<unsigned long long>(
-                            facts.txDurableCommits),
-                        static_cast<unsigned long long>(facts.tick),
-                        static_cast<unsigned long long>(
-                            rep.committedTxns)));
+            out.push_back({"committed-durable",
+                           strfmt("%llu commit records were durable by tick "
+                                  "%llu but recovery found only %llu",
+                                  static_cast<unsigned long long>(
+                                      facts.txDurableCommits),
+                                  static_cast<unsigned long long>(facts.tick),
+                                  static_cast<unsigned long long>(
+                                      rep.committedTxns))});
         }
         // An uncommitted generation is either a transaction still
         // open at the crash (at most one per thread) or one whose
@@ -177,14 +159,15 @@ checkCrashPoint(const mem::BackingStore &image, const AddressMap &map,
             facts.threads +
             (facts.txCommitted - facts.txDurableCommits);
         if (rep.uncommittedTxns > bound) {
-            fail(out, "uncommitted-bound",
-                 format("recovery found %llu uncommitted txns; at "
+            out.push_back(
+                {"uncommitted-bound",
+                 strfmt("recovery found %llu uncommitted txns; at "
                         "most %llu (threads + in-flight commits) can "
                         "exist at tick %llu",
                         static_cast<unsigned long long>(
                             rep.uncommittedTxns),
                         static_cast<unsigned long long>(bound),
-                        static_cast<unsigned long long>(facts.tick)));
+                        static_cast<unsigned long long>(facts.tick))});
         }
     }
 
@@ -199,7 +182,7 @@ describeLogWindow(const mem::BackingStore &image, const AddressMap &map)
         Addr base = map.logRegionBase(s);
         std::uint64_t magic = image.read64(base);
         std::uint64_t slots = image.read64(base + 8);
-        out += format("log[%u] @0x%llx magic=%s slots=%llu\n", s,
+        out += strfmt("log[%u] @0x%llx magic=%s slots=%llu\n", s,
                       static_cast<unsigned long long>(base),
                       magic == persist::LogRegion::kMagic ? "ok"
                                                           : "BAD",
@@ -218,22 +201,22 @@ describeLogWindow(const mem::BackingStore &image, const AddressMap &map)
             auto rec = persist::LogRecord::deserialize(img, torn);
             if (!rec)
                 continue;
-            out += format("  slot %4llu torn=%d tx=%u %s",
+            out += strfmt("  slot %4llu torn=%d tx=%u %s",
                           static_cast<unsigned long long>(i),
                           torn ? 1 : 0, rec->tx,
                           rec->isPrepare ? "PREPARE"
                           : rec->isCommit ? "COMMIT"
                                           : "update");
             if (rec->isPrepare || rec->hasShardMask) {
-                out += format(" seq=%llu",
+                out += strfmt(" seq=%llu",
                               static_cast<unsigned long long>(
                                   rec->commitSeq));
                 if (rec->hasShardMask)
-                    out += format(" mask=0x%llx",
+                    out += strfmt(" mask=0x%llx",
                                   static_cast<unsigned long long>(
                                       rec->shardMask));
             } else if (!rec->isCommit) {
-                out += format(" addr=0x%llx size=%u%s%s",
+                out += strfmt(" addr=0x%llx size=%u%s%s",
                               static_cast<unsigned long long>(
                                   rec->addr),
                               rec->size, rec->hasUndo ? " undo" : "",

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdarg>
-#include <cstdio>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -29,24 +27,6 @@ constexpr std::uint64_t kLine = mem::RemapTable::kLineBytes;
 // backed by 32 KB of spare lines.
 constexpr std::uint64_t kDefaultRemapBytes = 16 * 1024;
 constexpr std::uint64_t kDefaultSpareBytes = 32 * 1024;
-
-std::string
-format(const char *fmt, ...)
-{
-    char buf[512];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    return buf;
-}
-
-void
-fail(std::vector<Violation> &out, const char *invariant,
-     std::string detail)
-{
-    out.push_back(Violation{invariant, std::move(detail)});
-}
 
 } // namespace
 
@@ -87,27 +67,28 @@ checkRecoveryReentrancy(const mem::BackingStore &image,
         persist::RecoveryReport r1 =
             persist::Recovery::run(probe, map, cut);
         if (r1.writesIssued != total) {
-            fail(out, "recovery-reentrant",
-                 format("pass interrupted at budget %llu planned %llu "
+            out.push_back(
+                {"recovery-reentrant",
+                 strfmt("pass interrupted at budget %llu planned %llu "
                         "line writes but the uninterrupted pass "
                         "planned %llu: recovery's write plan must "
                         "depend only on pre-write reads",
                         static_cast<unsigned long long>(budget),
                         static_cast<unsigned long long>(
                             r1.writesIssued),
-                        static_cast<unsigned long long>(total)));
+                        static_cast<unsigned long long>(total))});
             return;
         }
         persist::Recovery::run(probe, map, full);
         if (auto diff = probe.firstDifference(ref, probe.base(),
                                               probe.size())) {
-            fail(out, "recovery-reentrant",
-                 format("recovery interrupted after %llu/%llu line "
-                        "writes then re-run diverges from the "
-                        "uninterrupted pass at 0x%llx",
-                        static_cast<unsigned long long>(budget),
-                        static_cast<unsigned long long>(total),
-                        static_cast<unsigned long long>(*diff)));
+            out.push_back({"recovery-reentrant",
+                           strfmt("recovery interrupted after %llu/%llu line "
+                                  "writes then re-run diverges from the "
+                                  "uninterrupted pass at 0x%llx",
+                                  static_cast<unsigned long long>(budget),
+                                  static_cast<unsigned long long>(total),
+                                  static_cast<unsigned long long>(*diff))});
         }
     };
 
@@ -218,12 +199,13 @@ runLifecycle(const LifecycleConfig &cfg)
             sys.adoptNvramImage(*adopted);
             mem::RemapTable *table = sys.mem().nvram().remap();
             if (table->generation != g - 1) {
-                fail(gr.violations, "superblock-continuity",
-                     format("superblock carries generation %llu at "
+                gr.violations.push_back(
+                    {"superblock-continuity",
+                     strfmt("superblock carries generation %llu at "
                             "the start of generation %u",
                             static_cast<unsigned long long>(
                                 table->generation),
-                            g));
+                            g)});
             }
             sys.heap().resumeTo(table->heapCursor);
             sys.mem().nvram().updateSuperblock(table->heapCursor, g);
@@ -325,11 +307,12 @@ runLifecycle(const LifecycleConfig &cfg)
         gr.recovery = persist::Recovery::run(image, map, canon);
 
         if (gr.recovery.remapCorrupt) {
-            fail(gr.violations, "remap-table-valid",
-                 format("generation %u: both remap-table banks failed "
+            gr.violations.push_back(
+                {"remap-table-valid",
+                 strfmt("generation %u: both remap-table banks failed "
                         "their CRC over a nonzero region; the mapping "
                         "is lost and the image cannot be trusted",
-                        g));
+                        g)});
         }
 
         if (preRecovery && gr.recovery.writesIssued >= 2 &&
@@ -379,15 +362,16 @@ runLifecycle(const LifecycleConfig &cfg)
                     break;
                 Addr line = *diff & ~(kLine - 1);
                 if (!allowed.count(line)) {
-                    fail(gr.violations, "recovered-durable",
-                         format("generation %u lost recovered bytes "
+                    gr.violations.push_back(
+                        {"recovered-durable",
+                         strfmt("generation %u lost recovered bytes "
                                 "at 0x%llx: the line differs from the "
                                 "adopted image but was written "
                                 "neither by the generation's "
                                 "journaled writes nor by recovery",
                                 g,
                                 static_cast<unsigned long long>(
-                                    line)));
+                                    line))});
                     break;
                 }
                 from = line + kLine;
