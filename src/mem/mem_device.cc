@@ -27,6 +27,9 @@ MemDevice::MemDevice(std::string name, const MemDeviceConfig &config,
       rowConflicts(statGroup.counter("row_conflicts")),
       readEnergyPj(statGroup.scalar("read_energy_pj")),
       writeEnergyPj(statGroup.scalar("write_energy_pj")),
+      dataWrites(statGroup.counter("data_writes")),
+      dataQueueCycles(statGroup.counter("data_queue_cycles")),
+      dataQueueMax(statGroup.counter("data_queue_max")),
       faultBitFlips(statGroup.counter("fault_bit_flips")),
       faultMultiBit(statGroup.counter("fault_multi_bit")),
       faultTornLines(statGroup.counter("fault_torn_lines")),
@@ -224,6 +227,9 @@ MemDevice::access(bool write, Addr addr, std::uint64_t size,
                           bank.logWriteBusyUntil,
                           bank.readBusyUntil});
         lat = row_hit ? cfg.rowHitLat : cfg.writeConflictLat;
+        dataWrites.inc();
+        dataQueueCycles.inc(start - now);
+        dataQueueMax.raiseTo(start - now);
     }
     Tick service_end = start + lat + cfg.burstCycles;
     // Writes are persistent once accepted into the ADR-protected

@@ -232,6 +232,12 @@ class MemDevice
     sim::Counter &rowConflicts;
     sim::Scalar &readEnergyPj;
     sim::Scalar &writeEnergyPj;
+    /** Posted data writes, and the cycles they waited from issue to
+     *  service start. */
+    sim::Counter &dataWrites;
+    sim::Counter &dataQueueCycles;
+    /** Longest such wait of a single posted data write. */
+    sim::Counter &dataQueueMax;
     // Injected media faults (faultlab); all zero unless enabled.
     sim::Counter &faultBitFlips;
     sim::Counter &faultMultiBit;

@@ -28,6 +28,9 @@ class Counter
 
     void inc(std::uint64_t n = 1) { count += n; }
 
+    /** Keep the largest value seen (a high-water mark). */
+    void raiseTo(std::uint64_t v) { count = v > count ? v : count; }
+
     std::uint64_t value() const { return count; }
 
     void reset() { count = 0; }

@@ -101,6 +101,24 @@ TEST(MemDevice, BackToBackDataWritesSerializeOnBank)
     (void)w1;
 }
 
+TEST(MemDevice, DataQueueCountersSumAndMaxTheWait)
+{
+    MemDevice dev("d", pcm(), 0);
+    std::uint8_t buf[64] = {};
+    // Same bank at tick 0: the second write waits out the first's
+    // conflict write (750 + burst); reads and log writes never count.
+    dev.access(true, 0, 64, buf, nullptr, 0);
+    dev.access(true, 128, 64, buf, nullptr, 0);
+    dev.access(false, 4096, 64, nullptr, buf, 0);
+    dev.access(true, 6144, 64, buf, nullptr, 0, true,
+               PersistOrigin::LogDrain);
+    EXPECT_EQ(dev.dataWrites.value(), 2u);
+    EXPECT_EQ(dev.dataQueueCycles.value(), 758u);
+    EXPECT_EQ(dev.dataQueueMax.value(), 758u);
+    EXPECT_EQ(dev.stats().counterValue("data_queue_cycles"), 758u);
+    EXPECT_EQ(dev.stats().counterValue("data_queue_max"), 758u);
+}
+
 TEST(MemDevice, StreamingLogWritesAreFasterThanConflicts)
 {
     MemDevice dev("d", pcm(), 0);
