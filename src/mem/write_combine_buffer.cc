@@ -84,7 +84,9 @@ WriteCombineBuffer::append(Addr addr, std::uint32_t size,
 Tick
 WriteCombineBuffer::drainAll(Tick now)
 {
-    Tick done = now;
+    // A fence also waits for the flushes issued before it: an empty
+    // buffer may still have capacity flushes in flight.
+    Tick done = std::max(now, lastFlushDone);
     while (!entries.empty())
         done = std::max(done, flushOldest(now));
     return done;
