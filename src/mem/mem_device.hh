@@ -61,6 +61,20 @@ class MemDevice
                   PersistOrigin origin = PersistOrigin::Data,
                   Tick issueHint = kTickNever);
 
+    /**
+     * Land @p size bytes of a write that access() timed without data,
+     * completing at @p done and journaled with @p issue. Splitting one
+     * timed write into ordered pieces at distinct ticks inside its
+     * window lets a crash land between them without changing the
+     * write's timing or counters.
+     */
+    void
+    landPiece(Addr addr, std::uint64_t size, const void *data,
+              Tick done, Tick issue, PersistOrigin origin)
+    {
+        mediaWrite(addr, size, data, done, issue, origin);
+    }
+
     /** Functional, zero-time read (recovery / verification). */
     void functionalRead(Addr addr, std::uint64_t size, void *out) const;
 

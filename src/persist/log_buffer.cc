@@ -32,34 +32,35 @@ LogBuffer::flushGroup(Tick now)
 {
     SNF_ASSERT(hasOpen, "flush with no open group");
     Tick issue = std::max(now, lastDrainDone);
-    Tick done;
+    Tick done = nvram.access(true, open.base, open.bytes.size(),
+                             tornTest ? nullptr : open.bytes.data(),
+                             nullptr, issue, true,
+                             PersistOrigin::LogDrain)
+                    .done;
     if (tornTest) {
-        // Per-slot split drain with distinct completion ticks so a
-        // crash can land inside a record (torn-bit tests, I5). The
-        // payload bytes [8..32) are written before the header word
-        // [0..8) that carries the written marker and torn bit, so a
-        // partially-arrived record is never mistaken for a valid one.
-        done = issue;
+        // Torn-record test mode times the group like any other drain
+        // but lands it slot by slot at distinct ticks, the last at
+        // the drain's completion, so a crash can land inside a record
+        // (torn-bit tests, I5). The payload bytes [8..32) land before
+        // the header word [0..8) that carries the written marker and
+        // torn bit, so a partially-arrived record is never mistaken
+        // for a valid one.
         std::uint32_t slot_bytes = LogRecord::kSlotBytes;
-        for (std::size_t s = 0; s * slot_bytes < open.bytes.size();
-             ++s) {
-            Addr slot_base = open.base + s * slot_bytes;
-            const std::uint8_t *src =
-                open.bytes.data() + s * slot_bytes;
-            auto r1 = nvram.access(true, slot_base + 8,
-                                   slot_bytes - 8, src + 8, nullptr,
-                                   done, true,
-                                   PersistOrigin::LogDrain);
-            auto r2 = nvram.access(true, slot_base, 8, src, nullptr,
-                                   r1.done, true,
-                                   PersistOrigin::LogDrain);
-            done = r2.done;
+        Tick pieces = 2 * open.bytes.size() / slot_bytes;
+        SNF_ASSERT(done - issue >= pieces,
+                   "drain window of %llu cycles holds no %llu pieces",
+                   static_cast<unsigned long long>(done - issue),
+                   static_cast<unsigned long long>(pieces));
+        Tick at = done - pieces;
+        for (std::size_t off = 0; off < open.bytes.size();
+             off += slot_bytes) {
+            const std::uint8_t *src = open.bytes.data() + off;
+            nvram.landPiece(open.base + off + 8, slot_bytes - 8,
+                            src + 8, ++at, issue,
+                            PersistOrigin::LogDrain);
+            nvram.landPiece(open.base + off, 8, src, ++at, issue,
+                            PersistOrigin::LogDrain);
         }
-    } else {
-        auto res = nvram.access(true, open.base, open.bytes.size(),
-                                open.bytes.data(), nullptr, issue,
-                                true, PersistOrigin::LogDrain);
-        done = res.done;
     }
     lastDrainDone = done;
     groupsDrained.inc();

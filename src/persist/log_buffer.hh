@@ -40,8 +40,9 @@ class LogBuffer
      * @param entries FIFO capacity; 0 models "no log buffer": every
      *        record is forced onto the NVRAM bus immediately and the
      *        store stalls until the bus accepts it.
-     * @param tornTestMode drain records word-by-word with distinct
-     *        completion ticks so crash tests can observe torn records.
+     * @param tornTestMode land each drained record as payload, then
+     *        header, at distinct ticks inside the drain's window, so
+     *        crash tests can observe torn records; timing unchanged.
      */
     LogBuffer(LogRegion &region, mem::MemDevice &nvram,
               mem::BusMonitor *monitor, std::uint32_t entries,

@@ -9,10 +9,13 @@
  *  - Scheduler: run(stopAt) executes nothing at or past the stop
  *    tick, and a stopped run resumed to completion is
  *    indistinguishable from an uninterrupted one.
+ *  - Journaling: recording a run for crash tooling does not change
+ *    the run it records.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
 #include "crashlab/trace.hh"
@@ -222,4 +225,76 @@ TEST(CrashModel, SchedulerStopAtTickAndResume)
         cfg.map.nvramSize);
     EXPECT_FALSE(diff.has_value())
         << "resumed image differs at 0x" << std::hex << *diff;
+}
+
+namespace
+{
+
+/** Run @p spec with and without the crash journal; both runs must
+ *  end at the same tick with the same statistics. */
+void
+expectJournalingChangesNothing(RunSpec spec)
+{
+    spec.sys.persist.crashJournal = false;
+    std::ostringstream plainDump;
+    const RunOutcome plain = runWorkload(spec, &plainDump);
+    spec.sys.persist.crashJournal = true;
+    std::ostringstream journaledDump;
+    const RunOutcome journaled = runWorkload(spec, &journaledDump);
+
+    EXPECT_TRUE(plain.verified) << plain.verifyMessage;
+    EXPECT_TRUE(journaled.verified) << journaled.verifyMessage;
+    EXPECT_GT(journaled.stats.journalEntries, 0u);
+    EXPECT_EQ(journaled.endTick, plain.endTick);
+    EXPECT_EQ(journaledDump.str(), plainDump.str());
+    const RunStats &a = journaled.stats;
+    const RunStats &b = plain.stats;
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.committedTx, b.committedTx);
+    EXPECT_EQ(a.abortedTx, b.abortedTx);
+    EXPECT_EQ(a.instr.total, b.instr.total);
+    EXPECT_EQ(a.nvramWrites, b.nvramWrites);
+    EXPECT_EQ(a.nvramWriteBytes, b.nvramWriteBytes);
+    EXPECT_EQ(a.logRecords, b.logRecords);
+    EXPECT_EQ(a.logWraps, b.logWraps);
+    EXPECT_EQ(a.logBufferStalls, b.logBufferStalls);
+    EXPECT_EQ(a.forcedWritebacks, b.forcedWritebacks);
+    EXPECT_EQ(a.reclaimWaitCycles, b.reclaimWaitCycles);
+    EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
+    EXPECT_DOUBLE_EQ(a.energy.memoryDynamicPj(),
+                     b.energy.memoryDynamicPj());
+}
+
+} // namespace
+
+// The crash journal lands each drained log record as payload, then
+// header, inside the one drain access an unjournaled run makes, so a
+// journaled run (every crash sweep's reference run) has the timing
+// of the run it stands for.
+TEST(CrashModel, JournalingLeavesSpsRunUnchanged)
+{
+    RunSpec spec;
+    spec.workload = "sps";
+    spec.mode = PersistMode::Fwb;
+    spec.params.threads = 2;
+    spec.params.txPerThread = 50;
+    spec.sys = SystemConfig::scaled(2);
+    expectJournalingChangesNothing(spec);
+}
+
+TEST(CrashModel, JournalingLeavesWrappingTpccRunUnchanged)
+{
+    RunSpec spec;
+    spec.workload = "oltp-tpcc";
+    spec.mode = PersistMode::Fwb;
+    spec.params.threads = 4;
+    spec.params.txPerThread = 130;
+    spec.params.warehouses = 4;
+    spec.params.footprint = 256;
+    spec.sys = SystemConfig::scaled(4);
+    spec.sys.persist.ccMode = CcMode::TwoPhase;
+    spec.sys.map.logSize = 64 * 1024;
+    RunSpec probe = spec;
+    EXPECT_GT(runWorkload(probe).stats.logWraps, 0u);
+    expectJournalingChangesNothing(spec);
 }

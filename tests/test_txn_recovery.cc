@@ -1121,27 +1121,27 @@ TEST(RecoveryGolden, WrappingTpccLogKeepsItsCountsAndImages)
 {
     RecoverySums one;
     one.slotsScanned = 327600;
-    one.emptySlots = 0;
-    one.validRecords = 327595;
-    one.committedTxns = 11940;
-    one.uncommittedTxns = 140;
-    one.redoApplied = 312885;
-    one.undoApplied = 2770;
-    one.writesIssued = 446759;
-    one.writesApplied = 366016;
-    one.imageHash = 6570695323115588735ULL;
+    one.emptySlots = 29560;
+    one.validRecords = 298040;
+    one.committedTxns = 10775;
+    one.uncommittedTxns = 125;
+    one.redoApplied = 284230;
+    one.undoApplied = 3035;
+    one.writesIssued = 418369;
+    one.writesApplied = 340464;
+    one.imageHash = 15525808121267736401ULL;
     expectSums(tpccRecoverySums(1), one);
 
     RecoverySums four;
     four.slotsScanned = 327360;
-    four.emptySlots = 6455;
-    four.validRecords = 320900;
-    four.committedTxns = 11085;
-    four.uncommittedTxns = 355;
-    four.redoApplied = 281030;
-    four.undoApplied = 7545;
-    four.writesIssued = 419775;
-    four.writesApplied = 341707;
-    four.imageHash = 4135793719944148180ULL;
+    four.emptySlots = 220;
+    four.validRecords = 327140;
+    four.committedTxns = 10800;
+    four.uncommittedTxns = 515;
+    four.redoApplied = 286365;
+    four.undoApplied = 8785;
+    four.writesIssued = 426350;
+    four.writesApplied = 347625;
+    four.imageHash = 10390940318620214196ULL;
     expectSums(tpccRecoverySums(4), four);
 }
