@@ -221,9 +221,10 @@ MemDevice::access(bool write, Addr addr, std::uint64_t size,
         lat = sequentialWriteCycles(size) - cfg.burstCycles;
         row_hit = true;
     } else {
-        // Posted data write-backs drain behind everything else.
-        start = std::max({now, writeChannelBusy,
-                          bank.dataWriteBusyUntil,
+        // Posted data write-backs are served per bank: each waits for
+        // its own bank's earlier data writes, log writes and reads,
+        // never for another bank's queued writes.
+        start = std::max({now, bank.dataWriteBusyUntil,
                           bank.logWriteBusyUntil,
                           bank.readBusyUntil});
         lat = row_hit ? cfg.rowHitLat : cfg.writeConflictLat;
@@ -250,7 +251,6 @@ MemDevice::access(bool write, Addr addr, std::uint64_t size,
     } else {
         bank.openRow = static_cast<std::int64_t>(row);
         bank.dataWriteBusyUntil = service_end;
-        writeChannelBusy = start + cfg.burstCycles;
     }
 
     double bits = static_cast<double>(size) * 8.0;
@@ -371,23 +371,6 @@ MemDevice::updateSuperblock(std::uint64_t heapCursor,
             backing.write(a, n, d, 0);
         });
     SNF_ASSERT(ok, "uncapped superblock persist cannot fail");
-}
-
-Tick
-MemDevice::earliestDone(Addr addr, bool write, Tick now) const
-{
-    std::uint64_t row = rowOf(addr);
-    const Bank &bank = banks[bankOf(row)];
-    bool row_hit = bank.openRow == static_cast<std::int64_t>(row);
-    Tick start =
-        write ? std::max({now, writeChannelBusy,
-                          bank.dataWriteBusyUntil,
-                          bank.logWriteBusyUntil, bank.readBusyUntil})
-              : std::max({now, readChannelBusy, bank.readBusyUntil});
-    Tick lat = row_hit
-                   ? cfg.rowHitLat
-                   : (write ? cfg.writeConflictLat : cfg.readConflictLat);
-    return start + lat + cfg.burstCycles;
 }
 
 MemDevice::WearReport

@@ -24,9 +24,10 @@ namespace snf::mem
 {
 
 /**
- * One memory device on the processor-memory bus. Accesses reserve the
- * channel and a bank; row-buffer hits are cheap, conflicts pay the
- * full array latency. Writes also charge PCM array-write energy.
+ * One memory device on the processor-memory bus. Reads and log writes
+ * reserve their channel and a bank, posted data writes only their
+ * bank; row-buffer hits are cheap, conflicts pay the full array
+ * latency. Writes also charge PCM array-write energy.
  */
 class MemDevice
 {
@@ -152,9 +153,6 @@ class MemDevice
         logShardCount = shards > 0 ? shards : 1;
     }
 
-    /** Earliest tick a new access issued at @p now could complete. */
-    Tick earliestDone(Addr addr, bool write, Tick now) const;
-
     /**
      * Sustained write service time per access of @p size bytes,
      * assuming sequential (row-hit) traffic. Used to derive the FWB
@@ -192,11 +190,14 @@ class MemDevice
   private:
     /**
      * Read-priority bank model: demand reads never queue behind
-     * posted writes (evictions, log drains, forced write-backs),
-     * which drain through the controller's write queue; writes wait
-     * for both earlier writes and in-flight reads. This mirrors the
-     * read-priority scheduling of the 64/64-entry read/write queue
-     * controller in Table II.
+     * posted writes (evictions, log drains, forced write-backs).
+     * Reads share one channel burst after another, and so do log
+     * writes on their streaming lane. Posted data writes are served
+     * per bank: one waits for its bank's earlier data writes, log
+     * writes and reads only, so a write stuck on a busy bank holds
+     * back no other bank's writes, and data bursts are not
+     * serialized against each other. No controller queue depth is
+     * modelled (Table II's 64/64-entry read/write queues are not).
      */
     struct Bank
     {
@@ -227,7 +228,6 @@ class MemDevice
      *  and rebuildLineMap() — the only places either input changes. */
     bool fastMedia = true;
     Tick readChannelBusy = 0;
-    Tick writeChannelBusy = 0;
     Tick logChannelBusy = 0;
     /** Durable log region for the write-path parity assert; 0 = off. */
     Addr logRegionBase = 0;

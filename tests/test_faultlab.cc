@@ -1441,9 +1441,9 @@ observeLogFull(LogFullPolicy policy)
 TEST(LogFullGolden, EveryPolicyKeepsItsStallsAndAborts)
 {
     const LogFullGolden kGolden[] = {
-        {LogFullPolicy::Reclaim, 737761, 0, 5724, 41931672, 0, 2},
-        {LogFullPolicy::Stall, 728125, 8624, 5382, 0, 0, 2},
-        {LogFullPolicy::AbortRetry, 2949332, 43720, 11637, 0, 177, 202},
+        {LogFullPolicy::Reclaim, 365923, 0, 1873, 9799906, 0, 2},
+        {LogFullPolicy::Stall, 451115, 7272, 533, 0, 0, 2},
+        {LogFullPolicy::AbortRetry, 1843060, 34880, 7306, 0, 99, 174},
     };
     for (const LogFullGolden &want : kGolden) {
         const LogFullGolden got = observeLogFull(want.policy);

@@ -503,7 +503,7 @@ TEST(ScrubGolden, FaultedFwbCellKeepsItsScrubCounts)
     spec.workload = "sps";
     spec.mode = PersistMode::Fwb;
     spec.params.threads = 2;
-    spec.params.txPerThread = 3000;
+    spec.params.txPerThread = 12000;
     spec.params.footprint = 4096;
     spec.sys = SystemConfig::scaled(2);
     spec.sys.map.logSize = 12 * 1024;
@@ -514,10 +514,10 @@ TEST(ScrubGolden, FaultedFwbCellKeepsItsScrubCounts)
     spec.sys.nvram.faults.bitFlipProb = 1e-1;
     spec.verifyAtEnd = false;
     const workloads::RunOutcome o = workloads::runWorkload(spec);
-    EXPECT_EQ(o.endTick, 2008784u);
-    EXPECT_EQ(o.stats.scrubSlotsScanned, 2405u);
-    EXPECT_EQ(o.stats.scrubRepairs, 101u);
-    EXPECT_EQ(o.stats.scrubPromotions, 2u);
+    EXPECT_EQ(o.endTick, 2457567u);
+    EXPECT_EQ(o.stats.scrubSlotsScanned, 2942u);
+    EXPECT_EQ(o.stats.scrubRepairs, 117u);
+    EXPECT_EQ(o.stats.scrubPromotions, 3u);
 }
 
 // ------------------------- livelock guard -------------------------

@@ -101,6 +101,21 @@ TEST(MemDevice, BackToBackDataWritesSerializeOnBank)
     (void)w1;
 }
 
+TEST(MemDevice, DataWritesAreServedPerBank)
+{
+    MemDevice dev("d", pcm(), 0);
+    std::uint8_t buf[64] = {};
+    // Two writes on bank 0: the second queues until the first's
+    // conflict write ends (750 + burst).
+    dev.access(true, 0, 64, buf, nullptr, 0);
+    auto queued = dev.access(true, 128, 64, buf, nullptr, 0);
+    EXPECT_EQ(queued.done, 758u + 8);
+    // A write to bank 1 booked after them waits for neither.
+    auto other = dev.access(true, 2048, 64, buf, nullptr, 0);
+    EXPECT_EQ(other.done, 8u);
+    EXPECT_EQ(dev.dataQueueCycles.value(), 758u);
+}
+
 TEST(MemDevice, DataQueueCountersSumAndMaxTheWait)
 {
     MemDevice dev("d", pcm(), 0);

@@ -1052,19 +1052,19 @@ dumpedCounter(const std::string &dump, const std::string &name)
 
 TEST(LogFullReclaim, WaitForForcedWritebacksIsCounted)
 {
-    // The 256 KB scaled log wraps six times; the 1 262 forced
-    // write-backs keep reclaims waiting 105.6 M cycles in all.
+    // The 256 KB scaled log wraps six times; the 664 forced
+    // write-backs keep reclaims waiting 12.0 M cycles in all.
     std::ostringstream dump;
     auto outcome = runWorkload(reclaimCell(256 * 1024), &dump);
     EXPECT_TRUE(outcome.verified) << outcome.verifyMessage;
     EXPECT_EQ(dumpedCounter(dump.str(), "log.wraps"), 6u);
-    EXPECT_EQ(dumpedCounter(dump.str(), "log.forced_writebacks"), 1262u);
+    EXPECT_EQ(dumpedCounter(dump.str(), "log.forced_writebacks"), 664u);
     EXPECT_EQ(dumpedCounter(dump.str(), "log.reclaim_wait_cycles"),
-              105639310u);
+              11964453u);
     EXPECT_EQ(dumpedCounter(dump.str(), "log.logfull_stall_cycles"), 0u);
     // RunStats carries the dumped wait and forced write-backs.
-    EXPECT_EQ(outcome.stats.reclaimWaitCycles, 105639310u);
-    EXPECT_EQ(outcome.stats.forcedWritebacks, 1262u);
+    EXPECT_EQ(outcome.stats.reclaimWaitCycles, 11964453u);
+    EXPECT_EQ(outcome.stats.forcedWritebacks, 664u);
 }
 
 TEST(LogFullReclaim, LogThatNeverWrapsNeverWaits)

@@ -333,15 +333,15 @@ TEST(ShardGolden, EveryLayoutKeepsItsTimingAndRecords)
         {M::Fwb, L::Central, 8091, {400}, 160, 0, 0},
         {M::Fwb, L::Shards4, 10334, {122, 138, 170, 90}, 160, 120, 80},
         {M::Fwb, L::PerCore, 8064, {100, 100, 100, 100}, 160, 0, 0},
-        {M::Hwl, L::Central, 18071, {400}, 160, 0, 0},
-        {M::Hwl, L::Shards4, 18589, {122, 138, 170, 90}, 160, 120, 80},
-        {M::Hwl, L::PerCore, 18291, {100, 100, 100, 100}, 160, 0, 0},
+        {M::Hwl, L::Central, 13858, {400}, 160, 0, 0},
+        {M::Hwl, L::Shards4, 14164, {122, 138, 170, 90}, 160, 120, 80},
+        {M::Hwl, L::PerCore, 13991, {100, 100, 100, 100}, 160, 0, 0},
         {M::UndoClwb, L::Central, 20867, {400}, 160, 0, 0},
         {M::UndoClwb, L::Shards4, 24517, {152, 128, 160, 80}, 160, 120, 80},
         {M::UndoClwb, L::PerCore, 20867, {400}, 160, 0, 0},
-        {M::RedoClwb, L::Central, 18391, {400}, 160, 0, 0},
-        {M::RedoClwb, L::Shards4, 18121, {152, 128, 160, 80}, 160, 120, 80},
-        {M::RedoClwb, L::PerCore, 18391, {400}, 160, 0, 0},
+        {M::RedoClwb, L::Central, 14423, {400}, 160, 0, 0},
+        {M::RedoClwb, L::Shards4, 14841, {152, 128, 160, 80}, 160, 120, 80},
+        {M::RedoClwb, L::PerCore, 14423, {400}, 160, 0, 0},
     };
     for (const Golden &want : kGolden) {
         Golden got = observeGolden(want.mode, want.layout);

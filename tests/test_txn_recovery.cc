@@ -1121,27 +1121,27 @@ TEST(RecoveryGolden, WrappingTpccLogKeepsItsCountsAndImages)
 {
     RecoverySums one;
     one.slotsScanned = 327600;
-    one.emptySlots = 29560;
-    one.validRecords = 298040;
-    one.committedTxns = 10775;
-    one.uncommittedTxns = 125;
-    one.redoApplied = 284230;
-    one.undoApplied = 3035;
-    one.writesIssued = 418369;
-    one.writesApplied = 340464;
-    one.imageHash = 15525808121267736401ULL;
+    one.emptySlots = 30290;
+    one.validRecords = 297310;
+    one.committedTxns = 10870;
+    one.uncommittedTxns = 140;
+    one.redoApplied = 281825;
+    one.undoApplied = 4615;
+    one.writesIssued = 417544;
+    one.writesApplied = 339722;
+    one.imageHash = 12442818090069356722ULL;
     expectSums(tpccRecoverySums(1), one);
 
     RecoverySums four;
     four.slotsScanned = 327360;
-    four.emptySlots = 220;
-    four.validRecords = 327140;
-    four.committedTxns = 10800;
-    four.uncommittedTxns = 515;
-    four.redoApplied = 286365;
-    four.undoApplied = 8785;
-    four.writesIssued = 426350;
-    four.writesApplied = 347625;
-    four.imageHash = 10390940318620214196ULL;
+    four.emptySlots = 49860;
+    four.validRecords = 277495;
+    four.committedTxns = 9480;
+    four.uncommittedTxns = 300;
+    four.redoApplied = 244940;
+    four.undoApplied = 5065;
+    four.writesIssued = 381205;
+    four.writesApplied = 306994;
+    four.imageHash = 12904122536165671976ULL;
     expectSums(tpccRecoverySums(4), four);
 }
