@@ -85,9 +85,9 @@ struct RunStats
     // reclaim wait also accrue under the default Reclaim policy.
     std::uint64_t logFullStalls = 0;
     std::uint64_t forcedWritebacks = 0;
-    /** Cycles appends waited, reclaiming the oldest slot, for the
-     *  forced write-back of its guarded line (log.reclaim_wait_cycles
-     *  summed over every region). */
+    /** Cycles appends waited for the forced write-back of the
+     *  oldest slot's guarded line, under every log-full policy
+     *  (log.reclaim_wait_cycles summed over every region). */
     std::uint64_t reclaimWaitCycles = 0;
     /** Abort requests denied by the livelock guard (escalated to
      *  stall-style waiting). */

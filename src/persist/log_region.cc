@@ -108,8 +108,11 @@ LogRegion::reserve(const LogRecord &rec, Tick now)
             } else if (persistedSince &&
                        !persistedSince(m.addr, m.appendTick, ready)) {
                 if (forceWriteback) {
-                    ready = std::max(
-                        ready, forceWriteback(m.addr, ready));
+                    Tick acked = forceWriteback(m.addr, ready);
+                    if (acked > ready) {
+                        reclaimWaitCycles.inc(acked - ready);
+                        ready = acked;
+                    }
                     forcedWritebacks.inc();
                 }
                 blocked =

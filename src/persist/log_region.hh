@@ -197,9 +197,11 @@ class LogRegion
     sim::Counter &logFullStalls;
     sim::Counter &logFullStallCycles;
     sim::Counter &forcedWritebacks;
-    /** Cycles appends waited, while reclaiming the oldest slot, for
-     *  the forced write-back of its guarded line to complete (the
-     *  only log-full wait under the default Reclaim policy). */
+    /** Cycles appends waited for the forced write-back of the
+     *  oldest slot's guarded line to complete, under every log-full
+     *  policy (the only log-full wait under the default Reclaim
+     *  policy; Stall and AbortRetry add their backoff to
+     *  logFullStallCycles). */
     sim::Counter &reclaimWaitCycles;
 
   private:

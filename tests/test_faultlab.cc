@@ -1442,8 +1442,8 @@ TEST(LogFullGolden, EveryPolicyKeepsItsStallsAndAborts)
 {
     const LogFullGolden kGolden[] = {
         {LogFullPolicy::Reclaim, 365923, 0, 1873, 9799906, 0, 2},
-        {LogFullPolicy::Stall, 451115, 7272, 533, 0, 0, 2},
-        {LogFullPolicy::AbortRetry, 1843060, 34880, 7306, 0, 99, 174},
+        {LogFullPolicy::Stall, 451115, 7272, 533, 2077408, 0, 2},
+        {LogFullPolicy::AbortRetry, 1843060, 34880, 7306, 71093059, 99, 174},
     };
     for (const LogFullGolden &want : kGolden) {
         const LogFullGolden got = observeLogFull(want.policy);
@@ -1454,5 +1454,20 @@ TEST(LogFullGolden, EveryPolicyKeepsItsStallsAndAborts)
         EXPECT_EQ(got.reclaimWaitCycles, want.reclaimWaitCycles) << name;
         EXPECT_EQ(got.escalations, want.escalations) << name;
         EXPECT_EQ(got.abortedTx, want.abortedTx) << name;
+    }
+}
+
+// Every policy that forces a write-back and then waits for its ACK
+// counts that wait in log.reclaim_wait_cycles, not only Reclaim.
+TEST(LogFullGolden, ForcedWritebackWaitIsCountedUnderEveryPolicy)
+{
+    for (LogFullPolicy policy :
+         {LogFullPolicy::Reclaim, LogFullPolicy::Stall,
+          LogFullPolicy::AbortRetry}) {
+        const LogFullGolden got = observeLogFull(policy);
+        ASSERT_GT(got.forcedWritebacks, 0u)
+            << logFullPolicyName(policy);
+        EXPECT_GT(got.reclaimWaitCycles, 0u)
+            << logFullPolicyName(policy);
     }
 }
