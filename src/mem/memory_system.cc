@@ -22,6 +22,13 @@ forEachSharer(std::uint64_t sharers, Fn &&fn)
         fn(static_cast<CoreId>(std::countr_zero(sharers)));
 }
 
+/** Port busy time an FWB scan charges a cache of @p lines lines. */
+Tick
+scanCharge(std::uint32_t lines, double costPerLine)
+{
+    return static_cast<Tick>(static_cast<double>(lines) * costPerLine);
+}
+
 } // namespace
 
 MemorySystem::MemorySystem(const SystemConfig &config)
@@ -359,15 +366,21 @@ MemorySystem::fwbScanAll(Tick now, double costPerLine)
             ++out.linesWrittenBack;
         });
         out.linesScanned += cache.numLines();
-        Tick busy = static_cast<Tick>(
-            static_cast<double>(cache.numLines()) * costPerLine);
-        cache.busyUntil = std::max(cache.busyUntil, now) + busy;
+        cache.busyUntil = std::max(cache.busyUntil, now) +
+                          scanCharge(cache.numLines(), costPerLine);
     };
 
     for (CoreId c = 0; c < cfg.numCores; ++c)
         scan_cache(*l1s[c], true, c);
     scan_cache(l2, false, 0);
     return out;
+}
+
+Tick
+MemorySystem::fwbScanCharge(double costPerLine) const
+{
+    return scanCharge(std::max(cfg.l1.numLines(), cfg.l2.numLines()),
+                      costPerLine);
 }
 
 Tick

@@ -143,6 +143,9 @@ class MemorySystem
      */
     FwbScanResult fwbScanAll(Tick now, double costPerLine);
 
+    /** Port busy time one fwbScanAll charges its largest cache. */
+    Tick fwbScanCharge(double costPerLine) const;
+
     /** Write back every dirty line (graceful shutdown). */
     Tick flushAllDirty(Tick now);
 

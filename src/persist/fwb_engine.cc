@@ -18,6 +18,15 @@ FwbEngine::FwbEngine(mem::MemorySystem &memory, sim::EventQueue &evq,
       flagged(statGroup.counter("flagged")),
       forcedWritebacks(statGroup.counter("forced_writebacks"))
 {
+    // Each scan keeps every cache port busy for its tag walk; a period
+    // no longer than that lets the ports' busy time outrun the clock.
+    Tick charge = mem.fwbScanCharge(kScanCostPerLine);
+    if (scanPeriod <= charge)
+        fatal("FWB scan period of %llu cycles (%llu-byte log) does not "
+              "exceed the %llu cycles each scan charges a cache port",
+              static_cast<unsigned long long>(scanPeriod),
+              static_cast<unsigned long long>(memory.config().map.logSize),
+              static_cast<unsigned long long>(charge));
 }
 
 Tick

@@ -110,6 +110,28 @@ TEST(FwbEngine, PeriodScalesLinearlyWithLogSize)
                 4.0, 0.1);
 }
 
+// A scan keeps the scaled 512 KB L2's port busy for 8 192 lines x
+// kScanCostPerLine = 409 cycles; a 4 KB log derives a 275-cycle
+// period, so the ports would fall ever further behind the clock. The
+// engine refuses it, and an 8 KB log (555 cycles) is accepted.
+TEST(FwbEngineDeathTest, PeriodShorterThanOneScanIsRejected)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SystemConfig c = SystemConfig::scaled(2);
+    c.map.logSize = 4 * 1024;
+    mem::MemorySystem ms(c);
+    sim::EventQueue events;
+    EXPECT_EXIT(persist::FwbEngine(ms, events, c.persist, {}),
+                ::testing::ExitedWithCode(1),
+                "FWB scan period of 275 cycles \\(4096-byte log\\) does "
+                "not exceed the 409 cycles");
+
+    c.map.logSize = 8 * 1024;
+    mem::MemorySystem wide(c);
+    persist::FwbEngine ok(wide, events, c.persist, {});
+    EXPECT_EQ(ok.period(), 555u);
+}
+
 TEST(EnergyModel, SumsDeviceAndCoreEnergy)
 {
     mem::MemorySystem ms(SystemConfig::scaled(1));
