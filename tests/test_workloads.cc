@@ -154,3 +154,47 @@ INSTANTIATE_TEST_SUITE_P(
                         std::get<1>(info.param)) +
                "_at" + std::to_string(std::get<2>(info.param));
     });
+
+// ------------------------------------------------------------------
+// Figure 6's shape: FWB needs no clwb and no per-store log write, so
+// it is the fastest persistent mode. Two rows of fig6_throughput, at
+// its configuration (400 tx per thread, 131 072 elements, scaled
+// preset): fwb's tx/Mcycle is at least the better clwb scheme's.
+// ------------------------------------------------------------------
+
+namespace
+{
+
+double
+fig6TxPerMcycle(const std::string &wl, PersistMode mode,
+                std::uint32_t threads)
+{
+    RunSpec spec = baseSpec(wl, mode, threads);
+    spec.params.txPerThread = 400;
+    spec.params.footprint = 131072;
+    spec.verifyAtEnd = false;
+    return runWorkload(spec).stats.txPerMcycle;
+}
+
+void
+expectFwbLeadsClwb(const std::string &wl, std::uint32_t threads)
+{
+    double fwb = fig6TxPerMcycle(wl, PersistMode::Fwb, threads);
+    double redo = fig6TxPerMcycle(wl, PersistMode::RedoClwb, threads);
+    double undo = fig6TxPerMcycle(wl, PersistMode::UndoClwb, threads);
+    EXPECT_GE(fwb, std::max(redo, undo))
+        << wl << "-" << threads << "t: fwb " << fwb << ", redo-clwb "
+        << redo << ", undo-clwb " << undo << " tx/Mcycle";
+}
+
+} // namespace
+
+TEST(Fig6Shape, FwbLeadsClwbOnSps8Threads)
+{
+    expectFwbLeadsClwb("sps", 8);
+}
+
+TEST(Fig6Shape, FwbLeadsClwbOnRbtree4Threads)
+{
+    expectFwbLeadsClwb("rbtree", 4);
+}
