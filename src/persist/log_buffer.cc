@@ -48,7 +48,7 @@ LogBuffer::flushGroup(Tick now)
         std::uint32_t slot_bytes = LogRecord::kSlotBytes;
         Tick pieces = 2 * open.bytes.size() / slot_bytes;
         SNF_ASSERT(done - issue >= pieces,
-                   "drain window of %llu cycles holds no %llu pieces",
+                   "drain window of %llu cycles is too short for %llu pieces",
                    static_cast<unsigned long long>(done - issue),
                    static_cast<unsigned long long>(pieces));
         Tick at = done - pieces;
