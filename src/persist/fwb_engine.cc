@@ -25,7 +25,7 @@ FwbEngine::FwbEngine(mem::MemorySystem &memory, sim::EventQueue &evq,
         fatal("FWB scan period of %llu cycles (%llu-byte log) does not "
               "exceed the %llu cycles each scan charges a cache port",
               static_cast<unsigned long long>(scanPeriod),
-              static_cast<unsigned long long>(memory.config().map.logSize),
+              static_cast<unsigned long long>(mem.config().map.logSize),
               static_cast<unsigned long long>(charge));
 }
 
