@@ -365,16 +365,6 @@ ccModeChoices()
     return choices;
 }
 
-FlagSet::Choices<LogFullPolicy>
-logFullPolicyChoices()
-{
-    FlagSet::Choices<LogFullPolicy> choices;
-    for (LogFullPolicy p : {LogFullPolicy::Reclaim, LogFullPolicy::Stall,
-                            LogFullPolicy::AbortRetry})
-        choices.emplace_back(logFullPolicyName(p), p);
-    return choices;
-}
-
 FlagSet::Choices<std::string>
 nameChoices(const std::vector<std::string> &names)
 {

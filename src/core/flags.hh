@@ -244,9 +244,6 @@ FlagSet::Choices<PersistMode> persistModeChoices();
 /** The --cc spellings: 2pl, tl2, none. */
 FlagSet::Choices<CcMode> ccModeChoices();
 
-/** The --log-full spellings: reclaim, stall, abort-retry. */
-FlagSet::Choices<LogFullPolicy> logFullPolicyChoices();
-
 /** Choices that are their own names (e.g. allWorkloadNames()). */
 FlagSet::Choices<std::string>
 nameChoices(const std::vector<std::string> &names);

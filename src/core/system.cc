@@ -65,10 +65,8 @@ System::System(const SystemConfig &config, PersistMode m)
             });
         region->setHazardSink(
             [this]() { memory->monitor().onLogOverwriteHazard(); });
-        // Log-full policy wiring: a Stall policy forces the guarded
-        // line back to NVRAM; an AbortRetry policy asks the blocking
-        // transaction's thread to roll back at its next commit.
-        region->setLogFullPolicy(cfg.persist.logFullPolicy);
+        // Reclaiming a slot whose guarded line is still volatile
+        // forces that line back to NVRAM first.
         region->setForceWriteback([this](Addr addr, Tick now) {
             Tick done = memory->clwb(0, addr, now);
             // If a write-back of the line is already in flight (the
@@ -79,17 +77,7 @@ System::System(const SystemConfig &config, PersistMode m)
                 done, memory->monitor().lastWritebackOf(
                           memory->lineOf(addr)));
         });
-        region->setAbortRequestSink([this](std::uint64_t seq) {
-            // Rollback needs in-log undo values: under redo-only
-            // modes a victim could never honor the request (tx_abort
-            // asserts), so deny it and let the append fall back to
-            // the stall path.
-            if (!supportsAbort(persistMode))
-                return false;
-            return txnTracker.requestAbort(seq);
-        });
     }
-    txnTracker.setAbortRetryCap(persist::TxnTracker::kAbortRetryCap);
     txnTracker.setCcMode(cfg.persist.ccMode);
 
     persist::LogRouter router(persistMode, layout, txnTracker,
@@ -311,11 +299,9 @@ System::collectStats(Tick cycles) const
     }
 
     for (const auto &region : logRegions) {
-        s.logFullStalls += region->logFullStalls.value();
         s.forcedWritebacks += region->forcedWritebacks.value();
         s.reclaimWaitCycles += region->reclaimWaitCycles.value();
     }
-    s.logFullEscalations = txnTracker.abortEscalations.value();
     s.ccLockWaits = txnTracker.lockWaits.value();
     s.ccDeadlockAborts = txnTracker.deadlockAborts.value();
     s.ccValidationFailures = txnTracker.validationFailures.value();

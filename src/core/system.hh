@@ -80,17 +80,15 @@ struct RunStats
     std::uint64_t orderViolations = 0;
     std::uint64_t overwriteHazards = 0;
 
-    // Log-full activity. The stalls count only the Stall and
-    // AbortRetry policies' backoff; forced write-backs and the
-    // reclaim wait also accrue under the default Reclaim policy.
-    std::uint64_t logFullStalls = 0;
+    // Log-full activity: reclaims that forced the oldest slot's
+    // guarded line back to NVRAM.
     std::uint64_t forcedWritebacks = 0;
-    /** Cycles appends waited for the forced write-back of the
-     *  oldest slot's guarded line, under every log-full policy
+    /** Cycles appends waited for those forced write-backs
      *  (log.reclaim_wait_cycles summed over every region). */
     std::uint64_t reclaimWaitCycles = 0;
-    /** Abort requests denied by the livelock guard (escalated to
-     *  stall-style waiting). */
+    /** Always 0: kept only for snfbench/, until ROADMAP item 7. */
+    std::uint64_t logFullStalls = 0;
+    /** Always 0: kept only for snfbench/, until ROADMAP item 7. */
     std::uint64_t logFullEscalations = 0;
 
     // Concurrency-control layer (zero unless PersistConfig::ccMode).

@@ -23,17 +23,6 @@ persistModeName(PersistMode mode)
 }
 
 const char *
-logFullPolicyName(LogFullPolicy policy)
-{
-    switch (policy) {
-      case LogFullPolicy::Reclaim:    return "reclaim";
-      case LogFullPolicy::Stall:      return "stall";
-      case LogFullPolicy::AbortRetry: return "abort-retry";
-    }
-    return "?";
-}
-
-const char *
 ccModeName(CcMode mode)
 {
     switch (mode) {

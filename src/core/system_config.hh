@@ -164,35 +164,6 @@ struct MemDeviceConfig
 };
 
 /**
- * What a hardware log region does when an append finds no safely
- * reclaimable slot (every candidate still belongs to an active
- * transaction or covers data not yet written back).
- */
-enum class LogFullPolicy
-{
-    /**
-     * Legacy behavior: reclaim the slot anyway and count a hazard.
-     * Keeps the paper's measured-overhead surface intact.
-     */
-    Reclaim,
-    /**
-     * Force the blocking data line back to NVRAM and retry with
-     * bounded exponential backoff in simulated ticks; falls back to
-     * Reclaim only once retries are exhausted.
-     */
-    Stall,
-    /**
-     * Like Stall, but when the blocker is an active transaction,
-     * request its abort; the victim rolls back via its in-log undo
-     * entries and retries.
-     */
-    AbortRetry,
-};
-
-/** Printable name of a LogFullPolicy. */
-const char *logFullPolicyName(LogFullPolicy policy);
-
-/**
  * Concurrency control over shared transactional data (the tx_load64 /
  * tx_store64 thread API). The paper's evaluation keeps transaction
  * footprints thread-disjoint, so the seed workloads ran without any
@@ -305,8 +276,6 @@ struct PersistConfig
      * conformlab differential must catch.
      */
     bool injectSkipShardMask = false;
-    /** Behavior when a log append finds no reclaimable slot. */
-    LogFullPolicy logFullPolicy = LogFullPolicy::Reclaim;
 
     /** Concurrency control for the tx_load64/tx_store64 API. */
     CcMode ccMode = CcMode::None;

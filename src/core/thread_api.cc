@@ -99,7 +99,7 @@ Thread::execTxBegin()
     SNF_ASSERT(!inTx, "nested transaction on core %u", ctx.id());
     inTx = true;
     txPreValidated = false;
-    txSeq = sys.txns().begin(ctx.id());
+    txSeq = sys.txns().begin();
     ctx.instr.total += kTxLibraryInstructions;
     ctx.instr.txOverhead += kTxLibraryInstructions;
     ctx.retireCompute(kTxLibraryInstructions);
@@ -214,12 +214,9 @@ Thread::execTxCommit()
         ctx.instr.txOverhead += n;
         ctx.retireCompute(n);
     }
-    if (sys.txns().abortRequested(txSeq) ||
-        (!txPreValidated && !sys.txns().validateReads(txSeq))) {
-        // Either the log-full abort-retry policy marked this
-        // transaction a victim while it was appending, or TL2
-        // commit validation found a stale read version; divert the
-        // commit into a rollback. The workload observes
+    if (!txPreValidated && !sys.txns().validateReads(txSeq)) {
+        // TL2 commit validation found a stale read version; divert
+        // the commit into a rollback. The workload observes
         // lastTxAborted() and may retry the transaction.
         execTxAbort();
         return;
@@ -270,8 +267,7 @@ Thread::execTxAbort()
     // combined undo+redo logging, Section II-B): dropping the
     // transaction would leave its stolen stores in place, so fail
     // loudly instead of corrupting. Workloads must gate aborting
-    // transactions on supportsAbort(), and the log-full AbortRetry
-    // policy never victimizes transactions under these modes.
+    // transactions on supportsAbort().
     //
     // Exception: a transaction with an EMPTY write-set stole
     // nothing, so aborting it is sound under any mode — it merely

@@ -238,9 +238,9 @@ class Thread
 
     /**
      * Did the last awaited txCommit()/txAbort() end in a rollback?
-     * txCommit() aborts instead of committing when the log-full
-     * abort-retry policy marked this transaction a victim; the
-     * workload checks this flag and retries the transaction.
+     * txCommit() aborts instead of committing when TL2 commit
+     * validation fails; the workload checks this flag and retries
+     * the transaction.
      */
     bool lastTxAborted() const { return lastAborted; }
 

@@ -125,8 +125,8 @@ LogBuffer::append(const LogRecord &rec, Tick now)
     if (rec.isCommit)
         open.commits.push_back(rec.tx);
 
-    // A log-full policy may have stalled the reservation (forced
-    // write-backs, backoff); the store cannot proceed before then.
+    // Reclaiming the slot may have waited for a forced write-back;
+    // the store cannot proceed before then.
     Tick proceed = std::max(now, reservation.readyAt);
     if (capacity == 0) {
         // No log buffer: the record is forced onto the NVRAM bus and

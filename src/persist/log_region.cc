@@ -17,8 +17,6 @@ LogRegion::LogRegion(Addr base, std::uint64_t size,
       reclaims(statGroup.counter("reclaims")),
       hazards(statGroup.counter("overwrite_hazards")),
       truncates(statGroup.counter("truncates")),
-      logFullStalls(statGroup.counter("logfull_stalls")),
-      logFullStallCycles(statGroup.counter("logfull_stall_cycles")),
       forcedWritebacks(statGroup.counter("forced_writebacks")),
       reclaimWaitCycles(statGroup.counter("reclaim_wait_cycles")),
       regionBase(base),
@@ -81,54 +79,6 @@ LogRegion::reserve(const LogRecord &rec, Tick now)
     std::uint64_t slot = tail;
     SlotMeta &m = meta[slot];
     Tick ready = now;
-
-    if (m.valid && !m.isCommit &&
-        policy != LogFullPolicy::Reclaim) {
-        // Log-full policy: before destroying a possibly-live record,
-        // try to make its reclamation safe — force the guarded data
-        // back to NVRAM, or ask the blocking transaction to abort —
-        // retrying with bounded exponential backoff in simulated
-        // ticks. Only when the retries are exhausted does the append
-        // fall through to the legacy counted-hazard reclaim.
-        bool abort_denied = false;
-        for (std::uint32_t attempt = 0;
-             attempt <= policyRetries; ++attempt) {
-            bool blocked = false;
-            if (txActive && txActive(m.txSeq)) {
-                if (policy == LogFullPolicy::AbortRetry &&
-                    abortRequest && !abort_denied) {
-                    // A denial is the livelock guard escalating this
-                    // append to the Stall policy: keep backing off,
-                    // but stop hammering the same victim.
-                    abort_denied = !abortRequest(m.txSeq);
-                }
-                // The victim can only roll back when its thread next
-                // runs; within this append the slot stays blocked.
-                blocked = true;
-            } else if (persistedSince &&
-                       !persistedSince(m.addr, m.appendTick, ready)) {
-                if (forceWriteback) {
-                    Tick acked = forceWriteback(m.addr, ready);
-                    if (acked > ready) {
-                        reclaimWaitCycles.inc(acked - ready);
-                        ready = acked;
-                    }
-                    forcedWritebacks.inc();
-                }
-                blocked =
-                    persistedSince &&
-                    !persistedSince(m.addr, m.appendTick, ready);
-            }
-            if (!blocked)
-                break;
-            if (attempt == policyRetries)
-                break; // exhausted: legacy reclaim below
-            Tick backoff = policyBackoffBase << attempt;
-            ready += backoff;
-            logFullStalls.inc();
-            logFullStallCycles.inc(backoff);
-        }
-    }
 
     if (m.valid) {
         // Reclaiming the oldest live entry (the log has wrapped).

@@ -49,10 +49,6 @@ class LogRegion
      * live system never sets it: persistHeader()/create() write zero.
      */
     static constexpr std::uint32_t kTruncFlagOffset = 32;
-    /** Stall/AbortRetry: attempts before falling back to Reclaim. */
-    static constexpr std::uint32_t kLogFullRetries = 8;
-    /** Stall/AbortRetry: base backoff in ticks (doubles per try). */
-    static constexpr Tick kLogFullBackoffBase = 64;
 
     struct Reservation
     {
@@ -61,8 +57,8 @@ class LogRegion
         bool torn;
         /**
          * Earliest tick the append may proceed at. Equals the append
-         * tick unless a log-full policy stalled the reservation
-         * (forced write-backs, exponential backoff).
+         * tick unless reclaiming the slot waited for the forced
+         * write-back of the line it guards.
          */
         Tick readyAt;
     };
@@ -131,14 +127,6 @@ class LogRegion
     /** Force the line holding an address back to NVRAM; returns the
      *  completion tick. Wired by the System to a cache flush. */
     using ForceWriteback = std::function<Tick(Addr, Tick)>;
-    /**
-     * Ask the owner of a transaction to abort (abort-retry). Returns
-     * false when the request is denied by the livelock guard (the
-     * victim has been aborted too many consecutive times); the append
-     * must then fall back to stall-style waiting instead of asking
-     * again.
-     */
-    using AbortRequestSink = std::function<bool(std::uint64_t)>;
 
     void setPersistedSince(PersistedSincePred p) { persistedSince = p; }
 
@@ -147,19 +135,6 @@ class LogRegion
     void setHazardSink(HazardSink h) { hazardSink = h; }
 
     void setForceWriteback(ForceWriteback f) { forceWriteback = f; }
-
-    void setAbortRequestSink(AbortRequestSink s) { abortRequest = s; }
-
-    /** Select the log-full policy (default: legacy Reclaim). */
-    void
-    setLogFullPolicy(LogFullPolicy p,
-                     std::uint32_t retries = kLogFullRetries,
-                     Tick backoffBase = kLogFullBackoffBase)
-    {
-        policy = p;
-        policyRetries = retries;
-        policyBackoffBase = backoffBase;
-    }
 
     /** Associate the just-reserved slot with a transaction sequence. */
     void bindSlotTx(std::uint64_t slot, std::uint64_t txSeq);
@@ -192,17 +167,12 @@ class LogRegion
     sim::Counter &reclaims;
     sim::Counter &hazards;
     sim::Counter &truncates;
-    // Log-full activity: the stalls are the Stall and AbortRetry
-    // policies' backoff; forced write-backs also accrue under Reclaim.
-    sim::Counter &logFullStalls;
-    sim::Counter &logFullStallCycles;
     sim::Counter &forcedWritebacks;
     /** Cycles appends waited for the forced write-back of the
-     *  oldest slot's guarded line to complete, under every log-full
-     *  policy (the only log-full wait under the default Reclaim
-     *  policy; Stall and AbortRetry add their backoff to
-     *  logFullStallCycles). */
+     *  oldest slot's guarded line to complete. */
     sim::Counter &reclaimWaitCycles;
+    /** Always 0: kept only for snfbench/, until ROADMAP item 7. */
+    sim::Counter logFullStallCycles;
 
   private:
     /** Zero-fill the slot array's written markers in NVRAM. */
@@ -229,15 +199,10 @@ class LogRegion
     std::uint64_t nextSeqNo = 1;
     std::vector<SlotMeta> meta;
 
-    LogFullPolicy policy = LogFullPolicy::Reclaim;
-    std::uint32_t policyRetries = kLogFullRetries;
-    Tick policyBackoffBase = kLogFullBackoffBase;
-
     PersistedSincePred persistedSince;
     TxActivePred txActive;
     HazardSink hazardSink;
     ForceWriteback forceWriteback;
-    AbortRequestSink abortRequest;
 };
 
 } // namespace snf::persist

@@ -10,8 +10,6 @@ TxnTracker::TxnTracker()
       begun(statGroup.counter("begun")),
       committed(statGroup.counter("committed")),
       aborted(statGroup.counter("aborted")),
-      abortRequests(statGroup.counter("abort_requests")),
-      abortEscalations(statGroup.counter("abort_escalations")),
       lockAcquires(statGroup.counter("cc_lock_acquires")),
       lockWaits(statGroup.counter("cc_lock_waits")),
       deadlockAborts(statGroup.counter("cc_deadlock_aborts")),
@@ -20,7 +18,7 @@ TxnTracker::TxnTracker()
 }
 
 std::uint64_t
-TxnTracker::begin(CoreId thread)
+TxnTracker::begin()
 {
     std::uint64_t seq = nextSeq++;
     std::uint32_t slot;
@@ -33,7 +31,6 @@ TxnTracker::begin(CoreId thread)
     }
     Txn &t = slots[slot];
     t.seq = seq;
-    t.thread = thread;
     slotOfSeq[seq] = slot;
     begun.inc();
     return seq;
@@ -59,9 +56,6 @@ TxnTracker::commit(std::uint64_t seq)
     const std::uint32_t *slot = slotOfSeq.find(seq);
     SNF_ASSERT(slot, "commit of unknown txn %llu",
                static_cast<unsigned long long>(seq));
-    // A successful commit proves the thread is making progress:
-    // reset its victim streak.
-    victimStreaks.erase(slots[*slot].thread);
     release(*slot, true);
     committed.inc();
 }
@@ -72,9 +66,6 @@ TxnTracker::abort(std::uint64_t seq)
     const std::uint32_t *slot = slotOfSeq.find(seq);
     if (!slot)
         return;
-    const Txn &t = slots[*slot];
-    if (t.abortRequested)
-        ++victimStreaks[t.thread];
     release(*slot, false);
     aborted.inc();
 }
@@ -123,39 +114,6 @@ TxnTracker::shardRecordCount(std::uint64_t seq,
 }
 
 bool
-TxnTracker::requestAbort(std::uint64_t seq)
-{
-    Txn *t = find(seq);
-    if (!t)
-        return true; // already gone; nothing blocks the caller
-    if (t->abortRequested)
-        return true; // duplicate request, already granted
-    auto vs = victimStreaks.find(t->thread);
-    if (abortRetryCap != 0 && vs != victimStreaks.end() &&
-        vs->second >= abortRetryCap) {
-        abortEscalations.inc();
-        return false;
-    }
-    t->abortRequested = true;
-    abortRequests.inc();
-    return true;
-}
-
-std::uint32_t
-TxnTracker::victimStreak(CoreId thread) const
-{
-    auto it = victimStreaks.find(thread);
-    return it == victimStreaks.end() ? 0 : it->second;
-}
-
-bool
-TxnTracker::abortRequested(std::uint64_t seq) const
-{
-    const Txn *t = find(seq);
-    return t && t->abortRequested;
-}
-
-bool
 TxnTracker::isActive(std::uint64_t seq) const
 {
     return slotOfSeq.contains(seq);
@@ -186,9 +144,6 @@ TxnTracker::acquireLine(std::uint64_t seq, Addr line, bool forWrite)
     Txn *txn = find(seq);
     SNF_ASSERT(txn, "CC acquire in unknown txn %llu",
                static_cast<unsigned long long>(seq));
-    if (txn->abortRequested)
-        return CcDecision::Abort; // doomed already; don't queue up
-
     LineCc *cc = lineCc.find(line);
     std::uint64_t owner = cc ? cc->owner : 0;
     if (owner != 0 && owner != seq) {
@@ -307,7 +262,6 @@ TxnTracker::release(std::uint32_t slot, bool committing)
     t.readSet.clear();
     t.logRecords = 0;
     t.shardMask = 0;
-    t.abortRequested = false;
     t.waitingOn = 0;
     slotOfSeq.erase(t.seq);
     t.seq = 0;

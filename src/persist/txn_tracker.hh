@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -28,7 +27,7 @@ enum class CcDecision
 {
     Granted, ///< proceed with the access
     Wait,    ///< line held by another transaction; back off and retry
-    Abort,   ///< waiting would deadlock (or tx already doomed): roll back
+    Abort,   ///< waiting would deadlock: roll back
 };
 
 /** See file comment. */
@@ -37,8 +36,8 @@ class TxnTracker
   public:
     TxnTracker();
 
-    /** Begin a transaction on @p thread; returns its sequence. */
-    std::uint64_t begin(CoreId thread);
+    /** Begin a transaction; returns its sequence. */
+    std::uint64_t begin();
 
     /** Commit the transaction with sequence @p seq. */
     void commit(std::uint64_t seq);
@@ -85,38 +84,6 @@ class TxnTracker
     /** Update records the transaction appended in @p shard. */
     std::uint32_t shardRecordCount(std::uint64_t seq,
                                    std::uint32_t shard) const;
-
-    /**
-     * Mark the transaction as an abort victim (log-full abort-retry
-     * policy). The owning thread observes this at commit and rolls
-     * back instead.
-     *
-     * Livelock guard: once the same thread has been victimized
-     * abortRetryCap consecutive times without committing, further
-     * requests against it are *denied* (returns false, counts an
-     * escalation) and the caller must fall back to the stall path —
-     * an adversarial workload can't abort one victim forever.
-     */
-    bool requestAbort(std::uint64_t seq);
-
-    /**
-     * The cap a System installs: a thread made the abort victim this
-     * many consecutive times without committing is denied further
-     * requests, and the append escalates to the Stall policy for that
-     * slot (counted in the escalations stat).
-     */
-    static constexpr std::uint32_t kAbortRetryCap = 8;
-
-    /** Set the consecutive-victim cap (0, the default, disables the
-     *  guard). */
-    void setAbortRetryCap(std::uint32_t cap) { abortRetryCap = cap; }
-
-    /** Consecutive times @p thread was aborted as a victim without
-     *  committing in between (livelock-guard state, for tests). */
-    std::uint32_t victimStreak(CoreId thread) const;
-
-    /** Has an abort been requested for this transaction? */
-    bool abortRequested(std::uint64_t seq) const;
 
     std::size_t activeCount() const { return slotOfSeq.size(); }
 
@@ -166,7 +133,6 @@ class TxnTracker
     struct Txn
     {
         std::uint64_t seq = 0;
-        CoreId thread = 0;
         std::vector<Addr> writeLines;
         sim::LineSet seen;
         std::uint32_t logRecords = 0;
@@ -174,7 +140,6 @@ class TxnTracker
         std::uint64_t shardMask = 0;
         /** Update-record count per shard (indexed by shard). */
         std::vector<std::uint32_t> shardRecords;
-        bool abortRequested = false;
         /** Line locks held (2PL reads + all-mode writes). */
         std::vector<Addr> locksHeld;
         /** TL2 read-set: (line, version at first read). */
@@ -211,8 +176,6 @@ class TxnTracker
     /** Active transaction sequence -> its slot. */
     sim::LineTable<std::uint32_t> slotOfSeq;
     std::vector<Addr> emptySet;
-    std::uint32_t abortRetryCap = 0;
-    std::unordered_map<CoreId, std::uint32_t> victimStreaks;
     CcMode ccModeV = CcMode::None;
     sim::LineTable<LineCc> lineCc;
     std::uint64_t versionClock = 0;
@@ -222,10 +185,6 @@ class TxnTracker
     sim::Counter &begun;
     sim::Counter &committed;
     sim::Counter &aborted;
-    sim::Counter &abortRequests;
-    /** Abort requests denied by the livelock guard (the log-full
-     *  path escalated to stalling instead). */
-    sim::Counter &abortEscalations;
     sim::Counter &lockAcquires;
     sim::Counter &lockWaits;
     /** Requester self-aborts that broke a waits-for cycle. */

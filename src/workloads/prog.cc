@@ -118,7 +118,7 @@ ProgWorkload::thread(System &sys, Thread &t,
                 co_await t.txCommit();
                 if (!t.lastTxAborted())
                     break;
-                // Log-full victim or TL2 validation failure.
+                // TL2 validation failure.
             }
             co_await t.compute(backoff + t.id());
             backoff = std::min<std::uint32_t>(backoff * 2, 2048);

@@ -13,11 +13,10 @@
  * to addresses exactly.
  *
  * Execution: ops go through the CC-aware txStore64/txLoad64. When an
- * access reports deadlock, or txCommit() diverts to rollback
- * (log-full victim or TL2 validation failure), the transaction is
- * retried from tx_begin with exponential backoff — the standard
- * abort-retry discipline. txSeqOf() reports the *final* attempt's
- * tracker sequence.
+ * access reports deadlock, or txCommit() diverts to rollback (TL2
+ * validation failure), the transaction is retried from tx_begin with
+ * exponential backoff — the standard abort-retry discipline.
+ * txSeqOf() reports the *final* attempt's tracker sequence.
  */
 
 #ifndef SNF_WORKLOADS_PROG_HH

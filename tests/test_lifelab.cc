@@ -4,10 +4,10 @@
  * (roundtrip, update atomicity at every interior crash point,
  * corruption detection), MemDevice line translation, the online log
  * scrubber (single-bit repair, repeat-offender promotion, remap-bank
- * redundancy restoration), the abort-retry livelock guard, recovery
- * re-entrancy (truncation-flag resume protocol), and the
- * multi-generation lifecycle soak including its I9 cross-generation
- * durability check and the sabotage self-test.
+ * redundancy restoration), recovery re-entrancy (truncation-flag
+ * resume protocol), and the multi-generation lifecycle soak
+ * including its I9 cross-generation durability check and the
+ * sabotage self-test.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "persist/log_region.hh"
 #include "persist/log_scrubber.hh"
 #include "persist/recovery.hh"
-#include "persist/txn_tracker.hh"
 #include "workloads/driver.hh"
 
 using namespace snf;
@@ -518,51 +517,6 @@ TEST(ScrubGolden, FaultedFwbCellKeepsItsScrubCounts)
     EXPECT_EQ(o.stats.scrubSlotsScanned, 2942u);
     EXPECT_EQ(o.stats.scrubRepairs, 117u);
     EXPECT_EQ(o.stats.scrubPromotions, 3u);
-}
-
-// ------------------------- livelock guard -------------------------
-
-TEST(TxnTracker, AbortRetryCapEscalatesToStall)
-{
-    TxnTracker t;
-    t.setAbortRetryCap(2);
-
-    std::uint64_t s1 = t.begin(0);
-    EXPECT_TRUE(t.requestAbort(s1));
-    t.abort(s1);
-    std::uint64_t s2 = t.begin(0);
-    EXPECT_TRUE(t.requestAbort(s2));
-    t.abort(s2);
-    EXPECT_EQ(t.victimStreak(0), 2u);
-
-    // Third consecutive request against the same thread: denied.
-    std::uint64_t s3 = t.begin(0);
-    EXPECT_FALSE(t.requestAbort(s3));
-    EXPECT_EQ(t.abortEscalations.value(), 1u);
-    EXPECT_FALSE(t.abortRequested(s3));
-
-    // A successful commit resets the streak; requests flow again.
-    t.commit(s3);
-    EXPECT_EQ(t.victimStreak(0), 0u);
-    std::uint64_t s4 = t.begin(0);
-    EXPECT_TRUE(t.requestAbort(s4));
-    t.abort(s4);
-
-    // Another thread is never throttled by thread 0's streak.
-    std::uint64_t o = t.begin(1);
-    EXPECT_TRUE(t.requestAbort(o));
-    t.abort(o);
-}
-
-TEST(TxnTracker, ZeroCapDisablesTheGuard)
-{
-    TxnTracker t; // default cap comes from config; tracker default 0
-    for (int i = 0; i < 10; ++i) {
-        std::uint64_t s = t.begin(0);
-        EXPECT_TRUE(t.requestAbort(s));
-        t.abort(s);
-    }
-    EXPECT_EQ(t.abortEscalations.value(), 0u);
 }
 
 // ------------------------- salvaging recovery ---------------------

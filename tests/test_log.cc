@@ -2,9 +2,10 @@
  * @file
  * Unit tests for the logging substrate: record serialization, the
  * circular log region (wrap, torn-bit passes, truncation, growth,
- * reclamation hazards), the log buffer (coalescing, capacity
- * back-pressure), the bus monitor's per-line pending records and
- * drain handles, and the write-combining buffer.
+ * reclamation hazards, the forced write-back before a slot's reuse),
+ * the log buffer (coalescing, capacity back-pressure), the bus
+ * monitor's per-line pending records and drain handles, and the
+ * write-combining buffer.
  */
 
 #include <gtest/gtest.h>
@@ -203,6 +204,33 @@ TEST(LogRegion, ReclaimHazardOnUnpersistedData)
     for (std::uint64_t i = 0; i < region.slotCount(); ++i)
         region.reserve(rec(1, 0x2000, 1, 2), i + 1);
     EXPECT_GT(region.hazards.value(), 0u);
+}
+
+TEST(LogRegion, ReclaimForcesWritebackThenProceeds)
+{
+    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    LogRegion region(smallMap(), nv);
+    region.create();
+    bool persisted = false;
+    int writebacks = 0;
+    region.setPersistedSince(
+        [&](Addr, Tick, Tick) { return persisted; });
+    region.setForceWriteback([&](Addr, Tick now) {
+        persisted = true;
+        ++writebacks;
+        return now + 10;
+    });
+    // Every slot guards a line of a finished transaction (txSeq 0)
+    // whose data has not been written back.
+    for (std::uint64_t i = 0; i < region.slotCount(); ++i)
+        region.reserve(rec(1, 0x2000 + i * 8, 0, i), 100);
+
+    auto r = region.reserve(LogRecord::commit(0, 2), 200);
+    EXPECT_EQ(writebacks, 1);
+    EXPECT_EQ(r.readyAt, 210u); // waited for the forced write-back
+    EXPECT_EQ(region.forcedWritebacks.value(), 1u);
+    EXPECT_EQ(region.reclaimWaitCycles.value(), 10u);
+    EXPECT_EQ(region.hazards.value(), 0u); // made safe, not hazardous
 }
 
 TEST(LogRegion, NoHazardWhenDataPersisted)

@@ -1009,10 +1009,9 @@ TEST(YcsbScale, MillionKeyZipfRunVerifies)
 }
 
 // ------------------------------------------------------------------
-// Log-full reclaim wait: under the default Reclaim policy an append
-// that reclaims the oldest slot waits for the forced write-back of
-// the line that slot guards. log.reclaim_wait_cycles counts that
-// wait and RunStats carries it; the log-full stall counters stay zero.
+// Log-full reclaim wait: an append that reclaims the oldest slot
+// waits for the forced write-back of the line that slot guards.
+// log.reclaim_wait_cycles counts that wait and RunStats carries it.
 // ------------------------------------------------------------------
 
 namespace
@@ -1061,7 +1060,6 @@ TEST(LogFullReclaim, WaitForForcedWritebacksIsCounted)
     EXPECT_EQ(dumpedCounter(dump.str(), "log.forced_writebacks"), 664u);
     EXPECT_EQ(dumpedCounter(dump.str(), "log.reclaim_wait_cycles"),
               11964453u);
-    EXPECT_EQ(dumpedCounter(dump.str(), "log.logfull_stall_cycles"), 0u);
     // RunStats carries the dumped wait and forced write-backs.
     EXPECT_EQ(outcome.stats.reclaimWaitCycles, 11964453u);
     EXPECT_EQ(outcome.stats.forcedWritebacks, 664u);

@@ -367,7 +367,7 @@ lineAt(std::uint32_t k)
 TEST(LogRouter, RoutesByAddressOrByCore)
 {
     TxnTracker txns;
-    std::uint64_t seq = txns.begin(3);
+    std::uint64_t seq = txns.begin();
     LogRouter central(PersistMode::Fwb, {1, false}, txns, false);
     LogRouter shards(PersistMode::Fwb, {4, false}, txns, false);
     LogRouter perCore(PersistMode::Fwb, {4, true}, txns, false);
@@ -390,7 +390,7 @@ TEST(LogRouter, LogsTheValuesTheModeNeeds)
         if (!isHardwareLogging(m) && !isSoftwareLogging(m))
             continue;
         TxnTracker txns;
-        std::uint64_t seq = txns.begin(0);
+        std::uint64_t seq = txns.begin();
         LogRouter r(m, {}, txns, false);
         LogRecord rec = r.route(0, seq, lineAt(1), 8, 11, 22).rec;
         bool undoOnly = m == PersistMode::HwUlog ||
@@ -412,7 +412,7 @@ TEST(LogRouter, CommitPlanFollowsTheShardMask)
 
     // Mask 0 (read-only): a plain commit, in the core's region under
     // hardware logging and in region 0 under software logging.
-    std::uint64_t ro = txns.begin(2);
+    std::uint64_t ro = txns.begin();
     LogRouter::CommitPlan p = hw.planCommit(2, ro);
     EXPECT_FALSE(p.crossShard());
     EXPECT_TRUE(p.fenced);
@@ -423,7 +423,7 @@ TEST(LogRouter, CommitPlanFollowsTheShardMask)
     EXPECT_EQ(sw.planCommit(2, ro).owner, 0u);
 
     // One bit: a plain commit behind the updates in their shard.
-    std::uint64_t one = txns.begin(1);
+    std::uint64_t one = txns.begin();
     hw.route(1, one, lineAt(3), 8, 0, 1);
     hw.route(1, one, lineAt(7), 8, 0, 1);
     p = hw.planCommit(1, one);
@@ -435,7 +435,7 @@ TEST(LogRouter, CommitPlanFollowsTheShardMask)
 
     // Several bits: prepares in shards 2 and 3, the masked commit in
     // the lowest participant, each carrying its own shard's count.
-    std::uint64_t many = txns.begin(0);
+    std::uint64_t many = txns.begin();
     for (std::uint32_t k : {1u, 2u, 3u, 7u})
         hw.route(0, many, lineAt(k), 8, 0, 1);
     p = hw.planCommit(0, many);
@@ -459,7 +459,7 @@ TEST(LogRouter, SkipMaskSelfTestNamesOnlyTheOwner)
     for (bool skip : {false, true}) {
         TxnTracker txns;
         LogRouter r(PersistMode::Fwb, {4, false}, txns, skip);
-        std::uint64_t seq = txns.begin(0);
+        std::uint64_t seq = txns.begin();
         r.route(0, seq, lineAt(1), 8, 0, 1);
         r.route(0, seq, lineAt(2), 8, 0, 1);
         LogRouter::CommitPlan p = r.planCommit(0, seq);
@@ -476,7 +476,7 @@ TEST(LogRouter, CentralAndPerCoreCommitsArePlainAndUnfenced)
     TxnTracker txns;
     LogRouter central(PersistMode::Hwl, {1, false}, txns, false);
     LogRouter perCore(PersistMode::Hwl, {4, true}, txns, false);
-    std::uint64_t seq = txns.begin(2);
+    std::uint64_t seq = txns.begin();
     for (std::uint32_t k = 0; k < 4; ++k)
         perCore.route(2, seq, lineAt(k), 8, 0, 1);
     for (const LogRouter *r : {&central, &perCore}) {

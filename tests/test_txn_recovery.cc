@@ -29,8 +29,8 @@ using namespace snf::persist;
 TEST(TxnTracker, BeginCommitLifecycle)
 {
     TxnTracker t;
-    std::uint64_t a = t.begin(0);
-    std::uint64_t b = t.begin(1);
+    std::uint64_t a = t.begin();
+    std::uint64_t b = t.begin();
     EXPECT_NE(a, b);
     EXPECT_TRUE(t.isActive(a));
     t.commit(a);
@@ -43,7 +43,7 @@ TEST(TxnTracker, BeginCommitLifecycle)
 TEST(TxnTracker, WriteSetDeduplicatesLines)
 {
     TxnTracker t;
-    std::uint64_t seq = t.begin(0);
+    std::uint64_t seq = t.begin();
     t.recordWrite(seq, 0x100);
     t.recordWrite(seq, 0x140);
     t.recordWrite(seq, 0x100);
@@ -59,61 +59,10 @@ TEST(TxnTracker, TxIdTruncatesSequence)
 TEST(TxnTracker, AbortRemovesTxn)
 {
     TxnTracker t;
-    std::uint64_t seq = t.begin(2);
+    std::uint64_t seq = t.begin();
     t.abort(seq);
     EXPECT_FALSE(t.isActive(seq));
     EXPECT_EQ(t.committed.value(), 0u);
-}
-
-TEST(TxnTracker, AbortRetryCapDeniesRepeatVictim)
-{
-    // Log-full abort-retry livelock guard: after the cap is hit on
-    // one thread's consecutive victimizations, further requests are
-    // denied (escalating to the stall path) until it commits.
-    TxnTracker t;
-    t.setAbortRetryCap(2);
-    std::uint64_t s1 = t.begin(3);
-    EXPECT_TRUE(t.requestAbort(s1));
-    EXPECT_TRUE(t.abortRequested(s1));
-    t.abort(s1);
-    std::uint64_t s2 = t.begin(3);
-    EXPECT_TRUE(t.requestAbort(s2));
-    t.abort(s2);
-    EXPECT_EQ(t.victimStreak(3), 2u);
-
-    std::uint64_t s3 = t.begin(3);
-    EXPECT_FALSE(t.requestAbort(s3)) << "cap must deny the third";
-    EXPECT_FALSE(t.abortRequested(s3));
-    EXPECT_EQ(t.abortEscalations.value(), 1u);
-
-    // A commit clears the streak and re-arms the guard.
-    t.commit(s3);
-    EXPECT_EQ(t.victimStreak(3), 0u);
-    std::uint64_t s4 = t.begin(3);
-    EXPECT_TRUE(t.requestAbort(s4));
-}
-
-TEST(TxnTracker, RequestAbortAfterLogFullAbortKeepsStateClean)
-{
-    // A stale abort request against a victim that already rolled
-    // back must not wedge the log-full path: the request trivially
-    // succeeds (nothing blocks the caller), no escalation is
-    // counted, and the write-set/log-record bookkeeping is released.
-    TxnTracker t;
-    std::uint64_t seq = t.begin(1);
-    t.recordWrite(seq, 0x1000);
-    t.noteLogRecord(seq);
-    EXPECT_EQ(t.logRecordCount(seq), 1u);
-    EXPECT_TRUE(t.requestAbort(seq));
-    EXPECT_TRUE(t.requestAbort(seq)) << "duplicate already granted";
-    EXPECT_EQ(t.abortRequests.value(), 1u);
-    t.abort(seq);
-    EXPECT_FALSE(t.isActive(seq));
-    EXPECT_TRUE(t.requestAbort(seq)) << "dead seq never blocks";
-    EXPECT_FALSE(t.abortRequested(seq));
-    EXPECT_EQ(t.abortEscalations.value(), 0u);
-    EXPECT_EQ(t.writeSet(seq).size(), 0u);
-    EXPECT_EQ(t.logRecordCount(seq), 0u);
 }
 
 // ------------------- concurrency control (CC) --------------------
@@ -122,8 +71,8 @@ TEST(TxnTrackerCc, TwoPhaseLockConflictWaitsUntilRelease)
 {
     TxnTracker t;
     t.setCcMode(CcMode::TwoPhase);
-    std::uint64_t a = t.begin(0);
-    std::uint64_t b = t.begin(1);
+    std::uint64_t a = t.begin();
+    std::uint64_t b = t.begin();
     EXPECT_EQ(t.acquireLine(a, 0x1000, true), CcDecision::Granted);
     EXPECT_EQ(t.lockOwnerOf(0x1000), a);
     // Re-acquiring a held line is free; a 2PL *read* of it conflicts
@@ -145,8 +94,8 @@ TEST(TxnTrackerCc, DeadlockCycleAbortsTheRequester)
     // is told to abort while a keeps running.
     TxnTracker t;
     t.setCcMode(CcMode::TwoPhase);
-    std::uint64_t a = t.begin(0);
-    std::uint64_t b = t.begin(1);
+    std::uint64_t a = t.begin();
+    std::uint64_t b = t.begin();
     EXPECT_EQ(t.acquireLine(a, 0x1000, true), CcDecision::Granted);
     EXPECT_EQ(t.acquireLine(b, 0x2000, true), CcDecision::Granted);
     EXPECT_EQ(t.acquireLine(a, 0x2000, true), CcDecision::Wait);
@@ -159,7 +108,7 @@ TEST(TxnTrackerCc, DeadlockCycleAbortsTheRequester)
     t.abort(b);
     EXPECT_EQ(t.lockOwnerOf(0x2000), 0u);
     EXPECT_EQ(t.acquireLine(a, 0x2000, true), CcDecision::Granted);
-    std::uint64_t b2 = t.begin(1);
+    std::uint64_t b2 = t.begin();
     EXPECT_EQ(t.acquireLine(b2, 0x3000, true), CcDecision::Granted);
     EXPECT_EQ(t.acquireLine(b2, 0x1000, true), CcDecision::Wait);
     t.commit(a);
@@ -172,11 +121,11 @@ TEST(TxnTrackerCc, AbortReleasesEveryHeldLock)
 {
     TxnTracker t;
     t.setCcMode(CcMode::TwoPhase);
-    std::uint64_t a = t.begin(0);
+    std::uint64_t a = t.begin();
     EXPECT_EQ(t.acquireLine(a, 0x1000, true), CcDecision::Granted);
     EXPECT_EQ(t.acquireLine(a, 0x2000, false), CcDecision::Granted);
     t.abort(a);
-    std::uint64_t b = t.begin(1);
+    std::uint64_t b = t.begin();
     EXPECT_EQ(t.acquireLine(b, 0x1000, true), CcDecision::Granted);
     EXPECT_EQ(t.acquireLine(b, 0x2000, true), CcDecision::Granted);
 }
@@ -188,11 +137,11 @@ TEST(TxnTrackerCc, Tl2StaleReadFailsValidation)
     // commit-time validation must fail.
     TxnTracker t;
     t.setCcMode(CcMode::Tl2);
-    std::uint64_t r = t.begin(0);
+    std::uint64_t r = t.begin();
     EXPECT_EQ(t.acquireLine(r, 0x1000, false), CcDecision::Granted);
     EXPECT_EQ(t.readSetSize(r), 1u);
 
-    std::uint64_t w = t.begin(1);
+    std::uint64_t w = t.begin();
     EXPECT_EQ(t.acquireLine(w, 0x1000, true), CcDecision::Granted);
     t.recordWrite(w, 0x1000); // the store path records the write
     t.commit(w);
@@ -202,7 +151,7 @@ TEST(TxnTrackerCc, Tl2StaleReadFailsValidation)
 
     // A fresh incarnation re-reads the new version and validates.
     t.abort(r);
-    std::uint64_t r2 = t.begin(0);
+    std::uint64_t r2 = t.begin();
     EXPECT_EQ(t.acquireLine(r2, 0x1000, false), CcDecision::Granted);
     EXPECT_TRUE(t.validateReads(r2));
     t.commit(r2);
@@ -214,8 +163,8 @@ TEST(TxnTrackerCc, Tl2ReadOfWriteLockedLineWaits)
     // locked line can't take a stable version, so the reader waits.
     TxnTracker t;
     t.setCcMode(CcMode::Tl2);
-    std::uint64_t w = t.begin(0);
-    std::uint64_t r = t.begin(1);
+    std::uint64_t w = t.begin();
+    std::uint64_t r = t.begin();
     EXPECT_EQ(t.acquireLine(w, 0x1000, true), CcDecision::Granted);
     EXPECT_EQ(t.acquireLine(r, 0x1000, false), CcDecision::Wait);
     t.commit(w);
@@ -230,7 +179,7 @@ TEST(TxnTrackerCc, NoneModeSkipsTheLayerEntirely)
     // lock state accumulates.
     TxnTracker t;
     ASSERT_EQ(t.ccMode(), CcMode::None);
-    std::uint64_t a = t.begin(0);
+    std::uint64_t a = t.begin();
     t.recordWrite(a, 0x1000);
     EXPECT_TRUE(t.validateReads(a));
     EXPECT_EQ(t.readSetSize(a), 0u);
@@ -245,18 +194,18 @@ TEST(TxnTrackerCc, NoneModeSkipsTheLayerEntirely)
 
 TEST(TxnTrackerCc, NextTxnOnACoreStartsClean)
 {
-    // Whatever the previous transaction on a core left behind (write
-    // set, read set, log-record counts, a waits-for edge), the next
-    // one begun there starts empty, after a commit and after an
-    // abort alike.
+    // Whatever the previous transaction left behind in the slot the
+    // next one reuses (write set, read set, log-record counts, a
+    // waits-for edge), the next one starts empty, after a commit and
+    // after an abort alike.
     for (bool commitFirst : {true, false}) {
         TxnTracker t;
         t.setCcMode(CcMode::Tl2);
-        std::uint64_t holder = t.begin(1);
+        std::uint64_t holder = t.begin();
         EXPECT_EQ(t.acquireLine(holder, 0x2000, true),
                   CcDecision::Granted);
 
-        std::uint64_t old = t.begin(0);
+        std::uint64_t old = t.begin();
         EXPECT_EQ(t.acquireLine(old, 0x1000, true), CcDecision::Granted);
         t.recordWrite(old, 0x1000);
         EXPECT_EQ(t.acquireLine(old, 0x3000, false),
@@ -270,13 +219,12 @@ TEST(TxnTrackerCc, NextTxnOnACoreStartsClean)
         else
             t.abort(old);
 
-        std::uint64_t next = t.begin(0);
+        std::uint64_t next = t.begin();
         EXPECT_TRUE(t.writeSet(next).empty());
         EXPECT_EQ(t.readSetSize(next), 0u);
         EXPECT_EQ(t.logRecordCount(next), 0u);
         EXPECT_EQ(t.shardMaskOf(next), 0u);
         EXPECT_EQ(t.shardRecordCount(next, 2), 0u);
-        EXPECT_FALSE(t.abortRequested(next));
 
         // The dedup sets start empty: lines the previous transaction
         // wrote and read are recorded afresh.
@@ -303,14 +251,14 @@ TEST(TxnTrackerCc, WaitChainThroughCommittedHolderIsNoDeadlock)
     // chain d -> b -> a, which ends at the committed a: no cycle.
     TxnTracker t;
     t.setCcMode(CcMode::TwoPhase);
-    std::uint64_t a = t.begin(0);
-    std::uint64_t b = t.begin(1);
+    std::uint64_t a = t.begin();
+    std::uint64_t b = t.begin();
     EXPECT_EQ(t.acquireLine(a, 0x1000, true), CcDecision::Granted);
     EXPECT_EQ(t.acquireLine(b, 0x2000, true), CcDecision::Granted);
     EXPECT_EQ(t.acquireLine(b, 0x1000, true), CcDecision::Wait);
     t.commit(a);
 
-    std::uint64_t d = t.begin(0);
+    std::uint64_t d = t.begin();
     EXPECT_EQ(t.acquireLine(d, 0x3000, true), CcDecision::Granted);
     EXPECT_EQ(t.acquireLine(d, 0x2000, true), CcDecision::Wait);
     EXPECT_EQ(t.deadlockAborts.value(), 0u);
@@ -329,8 +277,8 @@ TEST(TxnTrackerCc, OwnersAndVersionsOfManyLinesSurviveGrowth)
     };
     TxnTracker t;
     t.setCcMode(CcMode::TwoPhase);
-    std::uint64_t even = t.begin(0);
-    std::uint64_t odd = t.begin(1);
+    std::uint64_t even = t.begin();
+    std::uint64_t odd = t.begin();
     for (std::uint64_t i = 0; i < kLines; ++i) {
         std::uint64_t seq = i % 2 ? odd : even;
         ASSERT_EQ(t.acquireLine(seq, lineAt(i), true),

@@ -193,9 +193,6 @@ main(int argc, char **argv)
     flags.addSwitch("--paper", &paper, "paper-sized caches and log");
     flags.addCount("--crash-at TICK", &crashAt,
                    "crash at TICK, recover and verify");
-    flags.addChoice("--log-full P", &persist.logFullPolicy,
-                    logFullPolicyChoices(),
-                    "log-full policy (default reclaim)");
     flags.addCount("--log-shards N", &persist.logShards,
                    "log shards, cross-shard commit (default 1)", 1, 64);
     // faultlab: live media faults on the accepted-write path, each a
@@ -310,19 +307,13 @@ main(int argc, char **argv)
                 "write-backs\n",
                 static_cast<unsigned long long>(s.fwbScans),
                 static_cast<unsigned long long>(s.fwbWritebacks));
-    if (s.logFullStalls != 0 || s.forcedWritebacks != 0 ||
-        s.logFullEscalations != 0)
-        std::printf("  log-full        %llu stalls, %llu forced "
-                    "write-backs, %llu reclaim-wait cycles, %llu "
-                    "abort escalations (%s)\n",
-                    static_cast<unsigned long long>(s.logFullStalls),
+    if (s.forcedWritebacks != 0)
+        std::printf("  log-full        %llu forced write-backs, %llu "
+                    "reclaim-wait cycles\n",
                     static_cast<unsigned long long>(
                         s.forcedWritebacks),
                     static_cast<unsigned long long>(
-                        s.reclaimWaitCycles),
-                    static_cast<unsigned long long>(
-                        s.logFullEscalations),
-                    logFullPolicyName(persist.logFullPolicy));
+                        s.reclaimWaitCycles));
     if (s.faultsInjected != 0)
         std::printf("  media faults    %llu injected (seed %llu)\n",
                     static_cast<unsigned long long>(s.faultsInjected),
