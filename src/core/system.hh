@@ -235,9 +235,11 @@ class System
 
     persist::LogScrubber *scrub() { return scrubber.get(); }
 
-    persist::LogBuffer *logBuffer()
+    /** Log buffer of region @p index (null under software and
+     *  non-logging modes, which have none). */
+    persist::LogBuffer *logBuffer(std::size_t index = 0)
     {
-        return logBufs.empty() ? nullptr : logBufs[0].get();
+        return index < logBufs.size() ? logBufs[index].get() : nullptr;
     }
 
   private:

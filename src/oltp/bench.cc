@@ -49,11 +49,14 @@ runOnce(const OltpCellSpec &cell, const OltpMatrixConfig &cfg,
         if (e != sim::ProbeEvent::TxCommit)
             return;
         ++r.occSamples;
-        if (persist::LogBuffer *lb = sys.logBuffer()) {
-            std::uint64_t occ = lb->occupancy(now);
-            r.logOccSum += occ;
-            r.logOccMax = std::max(r.logOccMax, occ);
-        }
+        // Log occupancy summed over every region's buffer (a sharded
+        // log has one per shard).
+        std::uint64_t occ = 0;
+        for (std::size_t i = 0; i < sys.logPartitionCount(); ++i)
+            if (persist::LogBuffer *lb = sys.logBuffer(i))
+                occ += lb->occupancy(now);
+        r.logOccSum += occ;
+        r.logOccMax = std::max(r.logOccMax, occ);
         std::uint64_t wocc = sys.mem().wcb().occupancy();
         r.wcbOccSum += wocc;
         r.wcbOccMax = std::max(r.wcbOccMax, wocc);

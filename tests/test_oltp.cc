@@ -6,10 +6,11 @@
  * corrupted image must be rejected), YCSB torn-update detection at a
  * large Zipf-skewed keyspace, the page-wise YCSB and TPC-C oracles
  * against their per-word references, counter determinism across
- * repeats and across host --jobs, the no-steal empty-write-set abort
- * being legal under redo-only logging, the contended multi-shard
- * crash sweep (I1–I8), the latency histogram's quantile contract, and
- * the count of cycles log reclaims wait for forced write-backs.
+ * repeats and across host --jobs, log occupancy summed over every
+ * shard's log buffer, the no-steal empty-write-set abort being legal
+ * under redo-only logging, the contended multi-shard crash sweep
+ * (I1–I8), the latency histogram's quantile contract, and the count
+ * of cycles log reclaims wait for forced write-backs.
  */
 
 #include <gtest/gtest.h>
@@ -909,6 +910,23 @@ TEST(OltpBench, CountersIdenticalAcrossRepeatsAndJobs)
             << cells[i].engine << " counters depend on --jobs";
     EXPECT_GT(serial[0].committedTx, 0u);
     EXPECT_GT(serial[0].occSamples, 0u);
+}
+
+// A sharded log has one log buffer per shard; the commit-sampled log
+// occupancy sums all of them, not only shard 0's (which reads 460 and
+// 10 on this cell).
+TEST(OltpBench, LogOccupancySumsEveryShardBuffer)
+{
+    OltpMatrixConfig cfg;
+    cfg.threads = 4;
+    cfg.txPerThread = 30;
+    cfg.customers = 32;
+    cfg.logShards = 4;
+    OltpCellResult r = runOltpCell(
+        {"oltp-tpcc", PersistMode::Fwb, CcMode::TwoPhase}, cfg);
+    EXPECT_EQ(r.occSamples, 120u);
+    EXPECT_EQ(r.logOccSum, 2143u);
+    EXPECT_EQ(r.logOccMax, 41u);
 }
 
 // ------------------------------------------------------------------
