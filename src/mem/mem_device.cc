@@ -30,6 +30,7 @@ MemDevice::MemDevice(std::string name, const MemDeviceConfig &config,
       dataWrites(statGroup.counter("data_writes")),
       dataQueueCycles(statGroup.counter("data_queue_cycles")),
       dataQueueMax(statGroup.counter("data_queue_max")),
+      dataRowHits(statGroup.counter("data_row_hits")),
       faultBitFlips(statGroup.counter("fault_bit_flips")),
       faultMultiBit(statGroup.counter("fault_multi_bit")),
       faultTornLines(statGroup.counter("fault_torn_lines")),
@@ -231,6 +232,8 @@ MemDevice::access(bool write, Addr addr, std::uint64_t size,
         dataWrites.inc();
         dataQueueCycles.inc(start - now);
         dataQueueMax.raiseTo(start - now);
+        if (row_hit)
+            dataRowHits.inc();
     }
     Tick service_end = start + lat + cfg.burstCycles;
     // Writes are persistent once accepted into the ADR-protected

@@ -252,6 +252,9 @@ class MemDevice
     sim::Counter &dataQueueCycles;
     /** Longest such wait of a single posted data write. */
     sim::Counter &dataQueueMax;
+    /** Posted data writes that found their row open (rowHits also
+     *  counts every streaming log write as a hit). */
+    sim::Counter &dataRowHits;
     // Injected media faults (faultlab); all zero unless enabled.
     sim::Counter &faultBitFlips;
     sim::Counter &faultMultiBit;
