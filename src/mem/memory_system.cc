@@ -330,19 +330,11 @@ MemorySystem::fwbScanAll(Tick now, double costPerLine)
 {
     FwbScanResult out;
 
-    // Forced write-backs are background traffic: the memory
-    // controller trickles them out instead of bursting them all at
-    // the scan instant, so demand accesses are not starved.
-    const Tick wb_spacing =
-        (cfg.nvram.writeConflictLat + cfg.nvram.burstCycles) /
-            cfg.nvram.banks +
-        1;
-    Tick wb_issue = now;
-
     // The hardware scanner reads every tag, but only dirty NVRAM
     // lines change state: a clean line is IDLE and never carries fwb,
     // and a DRAM line is never flagged. So the walk visits just the
     // dirty lines while the port is charged for all of them.
+    fwbBatch.clear();
     auto scan_cache = [&](Cache &cache, bool is_l1, CoreId core) {
         cache.forEachDirtyLine([&](CacheLine &line) {
             if (!cfg.map.isNvram(line.lineAddr))
@@ -358,10 +350,7 @@ MemorySystem::fwbScanAll(Tick now, double costPerLine)
                 writebackL1ToL2(core, &line, l2ParentOf(core, &line));
                 cache.clearDirty(&line);
             } else {
-                wb_issue += wb_spacing;
-                out.lastWritebackDone =
-                    std::max(out.lastWritebackDone,
-                             writebackL2(line, wb_issue, now));
+                fwbBatch.push_back(&line);
             }
             ++out.linesWrittenBack;
         });
@@ -373,6 +362,28 @@ MemorySystem::fwbScanAll(Tick now, double costPerLine)
     for (CoreId c = 0; c < cfg.numCores; ++c)
         scan_cache(*l1s[c], true, c);
     scan_cache(l2, false, 0);
+
+    // Forced write-backs are background traffic: the memory
+    // controller trickles them out instead of bursting them all at
+    // the scan instant, so demand accesses are not starved. It drains
+    // the scan's batch in line-address order, as a row-hit-first
+    // controller drains a burst of queued writes, so consecutive
+    // lines of one NVRAM row hit the open row; the tag walk would
+    // alternate rows set by set.
+    std::sort(fwbBatch.begin(), fwbBatch.end(),
+              [](const CacheLine *a, const CacheLine *b) {
+                  return a->lineAddr < b->lineAddr;
+              });
+    const Tick wb_spacing =
+        (cfg.nvram.writeConflictLat + cfg.nvram.burstCycles) /
+            cfg.nvram.banks +
+        1;
+    Tick wb_issue = now;
+    for (CacheLine *line : fwbBatch) {
+        wb_issue += wb_spacing;
+        out.lastWritebackDone = std::max(out.lastWritebackDone,
+                                         writebackL2(*line, wb_issue, now));
+    }
     return out;
 }
 

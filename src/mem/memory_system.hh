@@ -139,7 +139,8 @@ class MemorySystem
      * lines, force-write-back lines flagged on the previous pass
      * (paper Figure 5). Only NVRAM-backed lines participate.
      * Charges @p costPerLine cycles of port busy time per line of
-     * each cache, though only its dirty lines are visited.
+     * each cache, though only its dirty lines are visited. The L2
+     * write-backs leave after the walk, in line-address order.
      */
     FwbScanResult fwbScanAll(Tick now, double costPerLine);
 
@@ -255,6 +256,8 @@ class MemorySystem
     BusMonitor busMonitor;
     PersistentStoreHook *hook = nullptr;
     DataWbBarrier dataWbBarrier;
+    /** One FWB scan's L2 lines to write back, reused across scans. */
+    std::vector<CacheLine *> fwbBatch;
 
     sim::Counter &coherenceInvalidations;
     sim::Counter &cacheToCacheTransfers;

@@ -1249,9 +1249,9 @@ TEST(LogFullGolden, ReclaimKeepsItsWaitsAndHazards)
     spec.sys.persist.ccMode = CcMode::TwoPhase;
     spec.verifyAtEnd = false;
     const workloads::RunOutcome o = workloads::runWorkload(spec);
-    EXPECT_EQ(o.endTick, 365923u);
-    EXPECT_EQ(o.stats.forcedWritebacks, 1873u);
-    EXPECT_EQ(o.stats.reclaimWaitCycles, 9799906u);
-    EXPECT_EQ(o.stats.overwriteHazards, 1086u);
+    EXPECT_EQ(o.endTick, 364253u);
+    EXPECT_EQ(o.stats.forcedWritebacks, 1829u);
+    EXPECT_EQ(o.stats.reclaimWaitCycles, 9664629u);
+    EXPECT_EQ(o.stats.overwriteHazards, 1071u);
     EXPECT_EQ(o.stats.abortedTx, 2u);
 }

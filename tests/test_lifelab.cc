@@ -513,10 +513,10 @@ TEST(ScrubGolden, FaultedFwbCellKeepsItsScrubCounts)
     spec.sys.nvram.faults.bitFlipProb = 1e-1;
     spec.verifyAtEnd = false;
     const workloads::RunOutcome o = workloads::runWorkload(spec);
-    EXPECT_EQ(o.endTick, 2457567u);
-    EXPECT_EQ(o.stats.scrubSlotsScanned, 2942u);
-    EXPECT_EQ(o.stats.scrubRepairs, 117u);
-    EXPECT_EQ(o.stats.scrubPromotions, 3u);
+    EXPECT_EQ(o.endTick, 2424796u);
+    EXPECT_EQ(o.stats.scrubSlotsScanned, 2903u);
+    EXPECT_EQ(o.stats.scrubRepairs, 115u);
+    EXPECT_EQ(o.stats.scrubPromotions, 5u);
 }
 
 // ------------------------- salvaging recovery ---------------------

@@ -179,6 +179,40 @@ TEST_F(MemorySystemTest, FwbScanFlagsThenWritesBack)
     EXPECT_EQ(out, 0x1234u);
 }
 
+TEST_F(MemorySystemTest, FwbScanDrainsItsBatchInAddressOrder)
+{
+    // Two NVRAM rows 32 KB apart: the same bank (rows 16 apart) and
+    // the same L2 sets (512 sets of 64 B), so the tag walk meets
+    // A0 B0 A1 B1 ... and every write would close the other's row.
+    constexpr int kLines = 8;
+    const Addr rowA = nv + (1u << 20);
+    const Addr rowB = rowA + 32 * 1024;
+    for (Addr row : {rowA, rowB}) {
+        for (int i = 0; i < kLines; ++i) {
+            std::uint64_t v = row + i;
+            ms.store(0, row + 64 * i, 8, &v, 0);
+        }
+    }
+    ms.fwbScanAll(1000, 0.0); // flag the L1 lines
+    ms.fwbScanAll(2000, 0.0); // move them into the L2, flag them there
+    const FwbScanResult s = ms.fwbScanAll(3000, 0.0);
+    EXPECT_EQ(s.linesWrittenBack, 2u * kLines);
+    EXPECT_EQ(ms.nvram().dataWrites.value(), 2u * kLines);
+    // In address order only each row's first write misses: the fills
+    // left row B open, so A0 and B0 conflict and the rest hit.
+    EXPECT_EQ(ms.nvram().dataRowHits.value(), 2u * kLines - 2);
+    Tick prev = 0;
+    for (Addr row : {rowA, rowB}) {
+        for (int i = 0; i < kLines; ++i) {
+            const Tick done = ms.monitor().lastWritebackOf(row + 64 * i);
+            EXPECT_GT(done, prev) << "line " << i;
+            prev = done;
+            EXPECT_FALSE(ms.isLineDirtyAnywhere(row + 64 * i));
+        }
+    }
+    EXPECT_EQ(s.lastWritebackDone, prev);
+}
+
 TEST_F(MemorySystemTest, FwbIgnoresDramLines)
 {
     std::uint64_t v = 9;

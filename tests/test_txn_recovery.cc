@@ -1064,32 +1064,34 @@ expectSums(const RecoverySums &s, const RecoverySums &want)
 // one and at four log regions, so a change to how a pass reads or
 // writes the image cannot move a byte or a count unnoticed. The
 // constants were captured before recovery batched its replay and
-// truncation writes.
+// truncation writes, and re-captured when FWB began draining each
+// scan's write-backs in address order: the run ends sooner, so its
+// crash ticks land elsewhere.
 TEST(RecoveryGolden, WrappingTpccLogKeepsItsCountsAndImages)
 {
     RecoverySums one;
     one.slotsScanned = 327600;
-    one.emptySlots = 30290;
-    one.validRecords = 297310;
-    one.committedTxns = 10870;
-    one.uncommittedTxns = 140;
-    one.redoApplied = 281825;
-    one.undoApplied = 4615;
-    one.writesIssued = 417544;
-    one.writesApplied = 339722;
-    one.imageHash = 12442818090069356722ULL;
+    one.emptySlots = 130040;
+    one.validRecords = 197560;
+    one.committedTxns = 7025;
+    one.uncommittedTxns = 120;
+    one.redoApplied = 187090;
+    one.undoApplied = 3445;
+    one.writesIssued = 321639;
+    one.writesApplied = 253407;
+    one.imageHash = 4676633808377385803ULL;
     expectSums(tpccRecoverySums(1), one);
 
     RecoverySums four;
     four.slotsScanned = 327360;
-    four.emptySlots = 49860;
-    four.validRecords = 277495;
-    four.committedTxns = 9480;
-    four.uncommittedTxns = 300;
-    four.redoApplied = 244940;
-    four.undoApplied = 5065;
-    four.writesIssued = 381205;
-    four.writesApplied = 306994;
-    four.imageHash = 12904122536165671976ULL;
+    four.emptySlots = 76665;
+    four.validRecords = 250695;
+    four.committedTxns = 8415;
+    four.uncommittedTxns = 165;
+    four.redoApplied = 222780;
+    four.undoApplied = 3555;
+    four.writesIssued = 357535;
+    four.writesApplied = 285691;
+    four.imageHash = 12098999495974295449ULL;
     expectSums(tpccRecoverySums(4), four);
 }
