@@ -90,6 +90,8 @@ runOnce(const OltpCellSpec &cell, const OltpMatrixConfig &cfg,
     r.userAborts = engine->userAborts();
     r.logRecords = s.logRecords;
     r.nvramWrites = s.nvramWrites;
+    r.forcedWritebacks = s.forcedWritebacks;
+    r.reclaimWaitCycles = s.reclaimWaitCycles;
     for (const auto &[name, m] : engine->txMetrics()) {
         OltpTypeCounters tc;
         tc.type = name;
@@ -116,7 +118,9 @@ OltpCellResult::counters() const
             {"log_records", logRecords},  {"nvram_writes", nvramWrites},
             {"occ_samples", occSamples},  {"log_occ_sum", logOccSum},
             {"log_occ_max", logOccMax},   {"wcb_occ_sum", wcbOccSum},
-            {"wcb_occ_max", wcbOccMax}};
+            {"wcb_occ_max", wcbOccMax},
+            {"forced_writebacks", forcedWritebacks},
+            {"reclaim_wait_cycles", reclaimWaitCycles}};
 }
 
 bool
@@ -200,7 +204,7 @@ writeOltpBenchJson(std::ostream &os, const OltpMatrixConfig &cfg,
 {
     JsonWriter w(os);
     w.beginObject();
-    w.field("schema", "snf-bench-oltp-v1");
+    w.field("schema", "snf-bench-oltp-v2");
     w.field("tool", "snfoltp");
     w.field("threads", cfg.threads);
     w.field("tx_per_thread", cfg.txPerThread);

@@ -87,6 +87,10 @@ struct OltpCellResult
     std::uint64_t userAborts = 0;
     std::uint64_t logRecords = 0;
     std::uint64_t nvramWrites = 0;
+    /** Log-full reclaims that forced their slot's line back, and the
+     *  cycles appends waited for those write-backs. */
+    std::uint64_t forcedWritebacks = 0;
+    std::uint64_t reclaimWaitCycles = 0;
     /** tx_commit-sampled occupancies (sum/max over samples). */
     std::uint64_t occSamples = 0;
     std::uint64_t logOccSum = 0;
@@ -124,7 +128,7 @@ std::vector<OltpCellResult>
 runOltpMatrix(const std::vector<OltpCellSpec> &cells,
               const OltpMatrixConfig &cfg);
 
-/** Write a snf-bench-oltp-v1 report. */
+/** Write a snf-bench-oltp-v2 report. */
 void writeOltpBenchJson(std::ostream &os, const OltpMatrixConfig &cfg,
                         const std::vector<OltpCellResult> &results);
 

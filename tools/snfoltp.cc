@@ -106,7 +106,7 @@ main(int argc, char **argv)
     flags.addCount("--jobs N", &cfg.jobs,
                    "host threads; 0 = one per hardware thread (1)");
     flags.addString("--bench-json FILE", &benchJsonPath,
-                    "write the snf-bench-oltp-v1 report, not the table");
+                    "write the snf-bench-oltp-v2 report, not the table");
     flags.parse(argc, argv);
     cfg.jobs = static_cast<unsigned>(crashlab::resolveJobs(cfg.jobs));
 
