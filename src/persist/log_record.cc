@@ -210,6 +210,7 @@ classifySlot(const std::uint8_t in[LogRecord::kSlotBytes])
         info.cls = anySet ? SlotClass::Torn : SlotClass::Empty;
         return info;
     }
+    info.torn = (in[0] & LogRecord::kFlagTorn) != 0;
     if (in[5] != LogRecord::kFormatVersion) {
         info.cls = SlotClass::CrcFail;
         return info;
@@ -240,7 +241,6 @@ classifySlot(const std::uint8_t in[LogRecord::kSlotBytes])
         return info;
     }
     info.cls = SlotClass::Valid;
-    info.torn = torn;
     info.rec = *rec;
     return info;
 }

@@ -154,7 +154,9 @@ struct LogRecord
 struct SlotInfo
 {
     SlotClass cls = SlotClass::Empty;
-    bool torn = false;  ///< torn (pass-parity) bit; valid slots only
+    /** Torn (pass-parity) bit of a written slot: valid and
+     *  CRC-failing ones. */
+    bool torn = false;
     LogRecord rec;      ///< parsed record; valid slots only
 };
 

@@ -694,7 +694,14 @@ recoverLog(ImageIO &io, const AddressMap &map,
             for (std::uint64_t i = boundary; i < sh.slots; ++i)
                 if (m[i].cls == SlotClass::Valid)
                     sh.ordered.push_back(m[i].rec);
-            sh.wrapped = !sh.ordered.empty() || boundary == sh.slots;
+            // A slot being overwritten has its payload landed under
+            // the old header, so it fails its CRC under the previous
+            // pass's torn bit (a first write has no marker and reads
+            // Torn). At the window's end with nothing valid after it,
+            // it is the last slot of a log that has wrapped.
+            sh.wrapped = !sh.ordered.empty() || boundary == sh.slots ||
+                         (m[boundary].cls == SlotClass::CrcFail &&
+                          m[boundary].torn != t0);
             for (std::uint64_t i = 0; i < boundary; ++i) {
                 if (m[i].cls != SlotClass::Valid)
                     continue; // holes and damage: bridged

@@ -544,6 +544,68 @@ TEST(Salvage, QuarantinesOnlyDamagedCommittedTxn)
     EXPECT_EQ(f.image.read64(f.data(2)), 70u);
 }
 
+// A crash can land while the log's last slot is being overwritten:
+// the next pass's payload has landed under the old header, so the
+// slot fails its CRC under the previous pass's torn bit, and no valid
+// slot of that pass is left past the window. The log has wrapped all
+// the same, so tx 9, whose oldest updates were reclaimed, is salvaged.
+TEST(Salvage, HalfOverwrittenLastSlotMeansTheLogWrapped)
+{
+    Fixture f;
+    const std::uint64_t n = f.log.slots;
+    // Pass 1: filler, then tx 9's first two updates in the last two
+    // slots. Their data persisted before pass 2 reclaimed them.
+    for (std::uint64_t i = 0; i + 2 < n; ++i)
+        f.log.append(LogRecord::commit(0, 100));
+    f.log.append(LogRecord::update(0, 9, f.data(0), 8, 0, 90));
+    const Addr last =
+        f.log.append(LogRecord::update(0, 9, f.data(1), 8, 0, 91));
+    f.image.write64(f.data(0), 90);
+    f.image.write64(f.data(1), 91);
+    // Pass 2: tx 9's other two updates and its commit, then filler
+    // up to the last slot.
+    f.log.append(LogRecord::update(0, 9, f.data(2), 8, 0, 92));
+    f.log.append(LogRecord::update(0, 9, f.data(3), 8, 0, 93));
+    f.log.append(LogRecord::commit(0, 9, 4));
+    for (std::uint64_t i = 3; i + 1 < n; ++i)
+        f.log.append(LogRecord::commit(0, 100));
+    std::uint8_t img[LogRecord::kSlotBytes];
+    LogRecord::commit(0, 101).serialize(img, false);
+    f.image.write(last + 8, sizeof(img) - 8, img + 8);
+    f.image.read(last, sizeof(img), img);
+    ASSERT_EQ(classifySlot(img).cls, SlotClass::CrcFail);
+
+    auto report = Recovery::run(f.image, f.map);
+    EXPECT_EQ(report.crcFailSlots, 1u);
+    EXPECT_EQ(report.quarantinedTxns, 0u);
+    EXPECT_EQ(f.image.read64(f.data(2)), 92u);
+    EXPECT_EQ(f.image.read64(f.data(3)), 93u);
+}
+
+// The same crash on the log's first pass hits a first write of the
+// slot, with no written marker yet: it reads Torn, the log has not
+// wrapped, and a commit whose update is missing is damage.
+TEST(Salvage, FirstWriteOfTheLastSlotIsNoWrap)
+{
+    Fixture f;
+    const std::uint64_t n = f.log.slots;
+    for (std::uint64_t i = 0; i + 3 < n; ++i)
+        f.log.append(LogRecord::commit(0, 100));
+    f.log.append(LogRecord::update(0, 9, f.data(2), 8, 0, 92));
+    f.log.append(LogRecord::commit(0, 9, 2));
+    std::uint8_t img[LogRecord::kSlotBytes];
+    LogRecord::commit(0, 101).serialize(img, true);
+    const Addr last = f.log.slotAddr(n - 1);
+    f.image.write(last + 8, sizeof(img) - 8, img + 8);
+    f.image.read(last, sizeof(img), img);
+    ASSERT_EQ(classifySlot(img).cls, SlotClass::Torn);
+
+    auto report = Recovery::run(f.image, f.map);
+    EXPECT_EQ(report.tornSlots, 1u);
+    EXPECT_EQ(report.quarantinedTxns, 1u);
+    EXPECT_EQ(f.image.read64(f.data(2)), 0u);
+}
+
 TEST(Salvage, CrcDamageCountedAndLocated)
 {
     Fixture f;
