@@ -49,18 +49,27 @@ System::System(const SystemConfig &config, PersistMode m)
         region->setTxActive([this](std::uint64_t seq) {
             return txnTracker.isActive(seq);
         });
+        region->setStampSource([this] { return memory->copyStamp(); });
         region->setPersistedSince(
-            [this](Addr addr, Tick appendTick, Tick now) {
+            [this](Addr addr, std::uint64_t stamp, Tick now) {
                 Addr line = memory->lineOf(addr);
-                Tick wb = memory->monitor().lastWritebackOf(line);
+                const mem::BusMonitor &mon = memory->monitor();
+                // A completed write-back that carried a copy made
+                // after the store persisted it, whatever is queued
+                // behind it.
+                if (mon.carriedSince(line, stamp, now))
+                    return true;
                 // A write-back whose completion lies in the future
                 // is still in flight: the cache already shows the
                 // line clean, but the data is not durable yet and a
-                // crash before `wb` loses it.
-                if (wb > now)
+                // crash before it completes loses it.
+                if (mon.lastWritebackOf(line) > now)
                     return false;
-                if (wb >= appendTick)
-                    return true;
+                // Only a copy to the L2 and a write-back from there
+                // clean a stored line, so a line clean everywhere
+                // whose write-backs have all completed is durable,
+                // even when the one that carried the store has left
+                // the history.
                 return !memory->isLineDirtyAnywhere(line);
             });
         region->setHazardSink(

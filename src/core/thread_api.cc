@@ -59,16 +59,17 @@ Thread::execStore(Addr a, std::uint32_t size, std::uint64_t v)
 
     bool persistent = inTx && sys.config().map.isNvram(a);
 
+    persist::SwLogging::Result logged;
     if (persistent && sys.swlog()) {
         // Software logging: injected instructions run before the
         // data store (Figure 2(a)).
-        auto res = sys.swlog()->logStore(ctx.id(), txSeq, a, size, v,
-                                         ctx.localTime);
-        ctx.localTime = std::max(ctx.localTime, res.done);
-        ctx.instr.total += res.instructions;
-        ctx.instr.logStores += res.logStores;
-        ctx.instr.logLoads += res.logLoads;
-        ctx.instr.fences += res.fences;
+        logged = sys.swlog()->logStore(ctx.id(), txSeq, a, size, v,
+                                       ctx.localTime);
+        ctx.localTime = std::max(ctx.localTime, logged.done);
+        ctx.instr.total += logged.instructions;
+        ctx.instr.logStores += logged.logStores;
+        ctx.instr.logLoads += logged.logLoads;
+        ctx.instr.fences += logged.fences;
     }
     if (persistent)
         sys.txns().recordWrite(txSeq, sys.mem().lineOf(a));
@@ -77,6 +78,10 @@ Thread::execStore(Addr a, std::uint32_t size, std::uint64_t v)
     sctx.persistent = persistent;
     sctx.txSeq = txSeq;
     auto r = sys.mem().store(ctx.id(), a, size, &v, ctx.localTime, sctx);
+    // The record's slot takes the store's stamp only now that the
+    // store is in its L1 line (LogRegion::restamp).
+    if (logged.region)
+        logged.region->restamp(logged.slot);
 
     // The core retires the store into the store buffer in one cycle;
     // it only stalls when the buffer is full (or the HWL log buffer

@@ -1,5 +1,7 @@
 #include "mem/bus_monitor.hh"
 
+#include <algorithm>
+
 namespace snf::mem
 {
 
@@ -41,14 +43,29 @@ Tick
 BusMonitor::lastWritebackOf(Addr dataLine) const
 {
     const Line *l = lines.find(dataLine);
-    return l ? l->lastWb : 0;
+    return l ? l->wbs.front().done : 0;
+}
+
+bool
+BusMonitor::carriedSince(Addr dataLine, std::uint64_t stamp,
+                         Tick now) const
+{
+    const Line *l = lines.find(dataLine);
+    if (!l)
+        return false;
+    for (const Writeback &wb : l->wbs)
+        if (wb.done != 0 && wb.done <= now)
+            return wb.stamp > stamp;
+    return false;
 }
 
 void
-BusMonitor::onDataWriteback(Addr dataLine, Tick startTick, Tick doneTick)
+BusMonitor::onDataWriteback(Addr dataLine, Tick startTick, Tick doneTick,
+                            std::uint64_t stamp)
 {
     Line &l = lines[dataLine];
-    l.lastWb = doneTick;
+    std::copy_backward(l.wbs.begin(), l.wbs.end() - 1, l.wbs.end());
+    l.wbs.front() = Writeback{doneTick, stamp};
     if (probe)
         probe(sim::ProbeEvent::DataWriteback, doneTick, dataLine);
     if (l.head == kNil)

@@ -10,6 +10,7 @@
 #ifndef SNF_MEM_BUS_MONITOR_HH
 #define SNF_MEM_BUS_MONITOR_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -37,6 +38,9 @@ class BusMonitor
      */
     using Record = std::uint32_t;
 
+    /** Write-backs of one line the monitor remembers, newest first. */
+    static constexpr std::size_t kWritebackHistory = 3;
+
     BusMonitor();
 
     /** A log record covering @p dataLine was appended at @p tick. */
@@ -45,8 +49,14 @@ class BusMonitor
     /** Record @p rec's NVRAM write completes at @p drainTick. */
     void onLogDrain(Record rec, Tick drainTick);
 
-    /** A dirty data line was written back to NVRAM. */
-    void onDataWriteback(Addr dataLine, Tick startTick, Tick doneTick);
+    /**
+     * A dirty data line was written back to NVRAM, carrying data last
+     * copied into the L2 under @p stamp (MemorySystem::copyStamp).
+     * The memory system reports a line's write-backs in issue order,
+     * which is also their completion order.
+     */
+    void onDataWriteback(Addr dataLine, Tick startTick, Tick doneTick,
+                         std::uint64_t stamp);
 
     /** A live (unpersisted-data) log entry was overwritten. */
     void onLogOverwriteHazard();
@@ -56,6 +66,14 @@ class BusMonitor
      * @p dataLine; 0 if it was never written back.
      */
     Tick lastWritebackOf(Addr dataLine) const;
+
+    /**
+     * Did the newest remembered write-back of @p dataLine that
+     * completed by @p now carry data copied into the L2 after
+     * @p stamp? Older write-backs carry older stamps, so it stands
+     * for every completed one. False when none has completed.
+     */
+    bool carriedSince(Addr dataLine, std::uint64_t stamp, Tick now) const;
 
     /**
      * Crash-tooling probe: emits DataWriteback at every NVRAM
@@ -80,10 +98,18 @@ class BusMonitor
         Record next; ///< next record of the line, append order
     };
 
-    /** Per-line state: last write-back and pending-record list. */
+    /** One NVRAM write-back of a line; done == 0 marks no entry. */
+    struct Writeback
+    {
+        Tick done = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    /** Per-line state: recent write-backs and pending-record list. */
     struct Line
     {
-        Tick lastWb = 0;
+        /** The newest kWritebackHistory write-backs, newest first. */
+        std::array<Writeback, kWritebackHistory> wbs{};
         Record head = kNil;
         Record tail = kNil;
     };

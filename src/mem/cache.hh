@@ -46,6 +46,13 @@ class CacheLine
      * invalid line.
      */
     std::uint64_t sharers = 0;
+    /**
+     * Inclusive L2 only: the copy stamp (MemorySystem::copyStamp) of
+     * the last L1 data copied into this line. Only such a copy dirties
+     * an L2 line, so a write-back always hands on the stamp of data
+     * this line really holds.
+     */
+    std::uint64_t copyStamp = 0;
     bool valid = false;
 
     bool dirty() const { return dirtyBit; }

@@ -88,10 +88,8 @@ MemorySystem::evictL2Line(CacheLine *slot, Tick now)
         CacheLine *l1line = l1s[c]->find(line);
         if (!l1line)
             return;
-        if (l1line->dirty()) {
-            std::memcpy(slot->data(), l1line->data(), l2.lineBytes());
-            l2.setDirty(slot);
-        }
+        if (l1line->dirty())
+            copyToL2(slot, l1line);
         l1s[c]->invalidate(l1line);
         coherenceInvalidations.inc();
     });
@@ -123,9 +121,19 @@ MemorySystem::writebackL2(CacheLine &line, Tick issue, Tick barrierAt,
                                       journaledIssue);
     l2.clearDirty(&line);
     l2.writebacks.inc();
-    if (nvram)
+    if (nvram) {
+        // Data writes are served in FIFO order per bank, so a line's
+        // write-backs complete in the order they issue; the bus
+        // monitor's history relies on it.
+        SNF_ASSERT(res.done > busMonitor.lastWritebackOf(addr),
+                   "write-back of line %llx completes at %llu, before "
+                   "the line's previous one",
+                   static_cast<unsigned long long>(addr),
+                   static_cast<unsigned long long>(res.done));
         busMonitor.onDataWriteback(
-            addr, checkFrom == kTickNever ? start : checkFrom, res.done);
+            addr, checkFrom == kTickNever ? start : checkFrom, res.done,
+            line.copyStamp);
+    }
     return res.done;
 }
 
@@ -150,11 +158,18 @@ MemorySystem::fillL2(Addr lineAddr, Tick now)
 }
 
 void
+MemorySystem::copyToL2(CacheLine *parent, const CacheLine *src)
+{
+    std::memcpy(parent->data(), src->data(), l2.lineBytes());
+    l2.setDirty(parent);
+    parent->copyStamp = ++copyClock;
+}
+
+void
 MemorySystem::writebackL1ToL2(CoreId core, CacheLine *line,
                               CacheLine *parent)
 {
-    std::memcpy(parent->data(), line->data(), l2.lineBytes());
-    l2.setDirty(parent);
+    copyToL2(parent, line);
     l2.touch(parent);
     l1s[core]->writebacks.inc();
 }
@@ -217,8 +232,7 @@ MemorySystem::ensureInL1(CoreId core, Addr lineAddr, Tick now,
         if (!other)
             return;
         if (other->dirty()) {
-            std::memcpy(parent->data(), other->data(), l2.lineBytes());
-            l2.setDirty(parent);
+            copyToL2(parent, other);
             l1s[c]->clearDirty(other);
             cacheToCacheTransfers.inc();
             done += l1.latency();

@@ -166,6 +166,17 @@ class MemorySystem
     void setStoreHook(PersistentStoreHook *h) { hook = h; }
 
     /**
+     * The host-order copy clock. Every L1-to-L2 data copy (eviction,
+     * clwb, FWB's L1 pass, the shutdown flush, a cache-to-cache pull,
+     * an L1 recall) bumps it, and the L2 line keeps the new value
+     * (CacheLine::copyStamp) for the bus monitor at its next
+     * write-back. Read right after a store has written its L1 line,
+     * it stamps the store: a write-back carries the store iff its
+     * stamp is greater.
+     */
+    std::uint64_t copyStamp() const { return copyClock; }
+
+    /**
      * Barrier invoked before any NVRAM data write-back is put on the
      * memory bus. The hardware-logging configurations bind this to
      * the log buffer's drain so log records issued earlier reach
@@ -221,6 +232,10 @@ class MemorySystem
     /** The L2 copy of @p core's L1 @p line (inclusion asserts it). */
     CacheLine *l2ParentOf(CoreId core, const CacheLine *line);
 
+    /** Copy @p src's data into its L2 @p parent, mark the parent
+     *  dirty and stamp it with the next copy-clock value. */
+    void copyToL2(CacheLine *parent, const CacheLine *src);
+
     /** Write a dirty L1 line's data into its L2 @p parent without
      *  invalidating it. */
     void writebackL1ToL2(CoreId core, CacheLine *line,
@@ -258,6 +273,8 @@ class MemorySystem
     DataWbBarrier dataWbBarrier;
     /** One FWB scan's L2 lines to write back, reused across scans. */
     std::vector<CacheLine *> fwbBatch;
+    /** See copyStamp(). */
+    std::uint64_t copyClock = 0;
 
     sim::Counter &coherenceInvalidations;
     sim::Counter &cacheToCacheTransfers;

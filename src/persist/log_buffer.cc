@@ -138,7 +138,11 @@ LogBuffer::append(const LogRecord &rec, Tick now)
             stalls.inc();
     } else if (occupancy(now) > capacity) {
         // FIFO full: stall the store until the oldest group retires.
-        if (hasOpen)
+        // A group that fills its log line issues now; a half-filled
+        // one stays open for the record that completes its line, so
+        // back-pressure does not split a line into two NVRAM writes.
+        if (hasOpen &&
+            open.base + open.bytes.size() == open.lineAddr + lineBytes)
             flushGroup(now);
         while (occupancy(proceed) > capacity && !inflight.empty()) {
             proceed = inflight.front().second;

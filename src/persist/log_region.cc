@@ -79,6 +79,9 @@ LogRegion::reserve(const LogRecord &rec, Tick now)
     std::uint64_t slot = tail;
     SlotMeta &m = meta[slot];
     Tick ready = now;
+    // Read before the reclaim below, whose forced write-back may copy
+    // the store's own line into the L2.
+    const std::uint64_t stamp = stampSource ? stampSource() : 0;
 
     if (m.valid) {
         // Reclaiming the oldest live entry (the log has wrapped).
@@ -90,7 +93,7 @@ LogRegion::reserve(const LogRecord &rec, Tick now)
                 // the transaction can no longer be rolled back.
                 hazard = true;
             } else if (persistedSince &&
-                       !persistedSince(m.addr, m.appendTick, ready)) {
+                       !persistedSince(m.addr, m.stamp, ready)) {
                 // The working data guarded by this record has not
                 // reached NVRAM since the record was appended. The
                 // hardware never frees such an entry silently: it
@@ -107,9 +110,8 @@ LogRegion::reserve(const LogRecord &rec, Tick now)
                     }
                     forcedWritebacks.inc();
                 }
-                hazard =
-                    persistedSince &&
-                    !persistedSince(m.addr, m.appendTick, ready);
+                hazard = persistedSince &&
+                         !persistedSince(m.addr, m.stamp, ready);
             }
         }
         if (hazard) {
@@ -125,7 +127,7 @@ LogRegion::reserve(const LogRecord &rec, Tick now)
     // volatile working data.
     m.isCommit = rec.isCommit || rec.isPrepare;
     m.addr = rec.addr;
-    m.appendTick = now;
+    m.stamp = stamp;
     m.txSeq = 0;
     m.seqNo = nextSeqNo++;
 
@@ -143,6 +145,12 @@ void
 LogRegion::bindSlotTx(std::uint64_t slot, std::uint64_t txSeq)
 {
     meta[slot].txSeq = txSeq;
+}
+
+void
+LogRegion::restamp(std::uint64_t slot)
+{
+    meta[slot].stamp = stampSource ? stampSource() : 0;
 }
 
 std::vector<LogRegion::UndoEntry>

@@ -113,15 +113,25 @@ class LogRegion
     }
 
     /**
-     * Predicate: is the line containing this address durable as of
-     * @p now (a write-back COMPLETED in [appendTick, now])? A
+     * Predicate: is the store a slot guards durable as of @p now? The
+     * store is named by the line of its address and its copy stamp
+     * (mem::MemorySystem::copyStamp, read once the store has written
+     * its L1 line). It is durable once a write-back that carried a
+     * later L1-to-L2 copy of the line has COMPLETED by @p now. A
      * write-back that has merely been issued — its completion tick
      * lies beyond @p now — does not count: the data is still in
-     * flight and a crash before completion loses it. Wired by the
-     * System to the memory hierarchy + bus monitor.
-     * Arguments: (addr, appendTick, now).
+     * flight and a crash before completion loses it. Neither does a
+     * completed one that only carried older data, such as an FWB
+     * write-back of the L2 copy while the store still sat in a
+     * flagged L1 line. Wired by the System to the memory hierarchy +
+     * bus monitor.
+     * Arguments: (addr, stamp, now).
      */
-    using PersistedSincePred = std::function<bool(Addr, Tick, Tick)>;
+    using PersistedSincePred =
+        std::function<bool(Addr, std::uint64_t, Tick)>;
+    /** The copy stamp a store written to its L1 line now carries.
+     *  Wired by the System to mem::MemorySystem::copyStamp. */
+    using StampSource = std::function<std::uint64_t()>;
     using TxActivePred = std::function<bool(std::uint64_t)>;
     using HazardSink = std::function<void()>;
     /** Force the line holding an address back to NVRAM; returns the
@@ -129,6 +139,8 @@ class LogRegion
     using ForceWriteback = std::function<Tick(Addr, Tick)>;
 
     void setPersistedSince(PersistedSincePred p) { persistedSince = p; }
+
+    void setStampSource(StampSource s) { stampSource = s; }
 
     void setTxActive(TxActivePred p) { txActive = p; }
 
@@ -138,6 +150,16 @@ class LogRegion
 
     /** Associate the just-reserved slot with a transaction sequence. */
     void bindSlotTx(std::uint64_t slot, std::uint64_t txSeq);
+
+    /**
+     * Stamp @p slot from the stamp source again. reserve() stamps a
+     * slot when it is taken, which suits the hardware log: its store
+     * hook runs once the store has written its L1 line. The software
+     * runtime reserves before its in-place store and calls this after
+     * it, so that a cache-to-cache pull of the line in between does
+     * not count as carrying the store.
+     */
+    void restamp(std::uint64_t slot);
 
     /** One in-log undo value of a transaction (tx_abort rollback). */
     struct UndoEntry
@@ -183,7 +205,8 @@ class LogRegion
         bool valid = false;
         bool isCommit = false;
         Addr addr = 0;
-        Tick appendTick = 0;
+        /** Copy stamp of the guarded store (see PersistedSincePred). */
+        std::uint64_t stamp = 0;
         std::uint64_t txSeq = 0;
         std::uint64_t seqNo = 0; ///< global append order
     };
@@ -200,6 +223,7 @@ class LogRegion
     std::vector<SlotMeta> meta;
 
     PersistedSincePred persistedSince;
+    StampSource stampSource;
     TxActivePred txActive;
     HazardSink hazardSink;
     ForceWriteback forceWriteback;

@@ -26,7 +26,7 @@ SwLogging::SwLogging(mem::MemorySystem &memory,
                persistModeName(router.mode()), regions.size());
 }
 
-void
+std::uint64_t
 SwLogging::writeRecordViaWcb(LogRegion &region, const LogRecord &rec,
                              std::uint64_t txSeq, Result &res, Tick now)
 {
@@ -47,6 +47,7 @@ SwLogging::writeRecordViaWcb(LogRegion &region, const LogRecord &rec,
         res.logStores += 1;
     }
     res.done = t;
+    return reservation.slot;
 }
 
 namespace
@@ -79,7 +80,8 @@ SwLogging::logStore(CoreId core, std::uint64_t txSeq, Addr addr,
 
     LogRouter::Routed r =
         router.route(core, txSeq, addr, size, old_val, newVal);
-    writeRecordViaWcb(*regions[r.region], r.rec, txSeq, res, now);
+    res.region = regions[r.region];
+    res.slot = writeRecordViaWcb(*res.region, r.rec, txSeq, res, now);
     updateRecords.inc();
 
     if (router.mode() == PersistMode::RedoClwb) {

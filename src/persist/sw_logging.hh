@@ -36,6 +36,13 @@ class SwLogging
         std::uint32_t logStores = 0;
         std::uint32_t logLoads = 0;
         std::uint32_t fences = 0;
+        /**
+         * logStore() only: the update record's region and slot. The
+         * caller restamps the slot once its in-place store has written
+         * the L1 line (LogRegion::restamp).
+         */
+        LogRegion *region = nullptr;
+        std::uint64_t slot = 0;
     };
 
     /**
@@ -62,10 +69,12 @@ class SwLogging
     /**
      * Write a serialized record into its reserved log slot of
      * @p region as a sequence of <= 8-byte uncacheable stores
-     * through the WCB.
+     * through the WCB. Returns the reserved slot.
      */
-    void writeRecordViaWcb(LogRegion &region, const LogRecord &rec,
-                           std::uint64_t txSeq, Result &res, Tick now);
+    std::uint64_t writeRecordViaWcb(LogRegion &region,
+                                    const LogRecord &rec,
+                                    std::uint64_t txSeq, Result &res,
+                                    Tick now);
 
     mem::MemorySystem &mem;
     std::vector<LogRegion *> regions;

@@ -1311,9 +1311,9 @@ TEST(LogFullGolden, ReclaimKeepsItsWaitsAndHazards)
     spec.sys.persist.ccMode = CcMode::TwoPhase;
     spec.verifyAtEnd = false;
     const workloads::RunOutcome o = workloads::runWorkload(spec);
-    EXPECT_EQ(o.endTick, 364253u);
-    EXPECT_EQ(o.stats.forcedWritebacks, 1829u);
-    EXPECT_EQ(o.stats.reclaimWaitCycles, 9664629u);
-    EXPECT_EQ(o.stats.overwriteHazards, 1071u);
+    EXPECT_EQ(o.endTick, 365855u);
+    EXPECT_EQ(o.stats.forcedWritebacks, 1783u);
+    EXPECT_EQ(o.stats.reclaimWaitCycles, 10686368u);
+    EXPECT_EQ(o.stats.overwriteHazards, 1131u);
     EXPECT_EQ(o.stats.abortedTx, 2u);
 }

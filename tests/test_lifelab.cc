@@ -513,10 +513,10 @@ TEST(ScrubGolden, FaultedFwbCellKeepsItsScrubCounts)
     spec.sys.nvram.faults.bitFlipProb = 1e-1;
     spec.verifyAtEnd = false;
     const workloads::RunOutcome o = workloads::runWorkload(spec);
-    EXPECT_EQ(o.endTick, 2424796u);
-    EXPECT_EQ(o.stats.scrubSlotsScanned, 2903u);
-    EXPECT_EQ(o.stats.scrubRepairs, 115u);
-    EXPECT_EQ(o.stats.scrubPromotions, 5u);
+    EXPECT_EQ(o.endTick, 2101054u);
+    EXPECT_EQ(o.stats.scrubSlotsScanned, 2515u);
+    EXPECT_EQ(o.stats.scrubRepairs, 107u);
+    EXPECT_EQ(o.stats.scrubPromotions, 1u);
 }
 
 // ------------------------- salvaging recovery ---------------------

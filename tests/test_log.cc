@@ -347,6 +347,29 @@ TEST(LogBuffer, LargeCapacityAbsorbsBursts)
     EXPECT_EQ(buf.stats().counterValue("stalls"), 0u);
 }
 
+TEST(LogBuffer, FullFifoKeepsAHalfFilledLineOpen)
+{
+    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    LogRegion region(smallMap(), nv);
+    region.create();
+    LogBuffer buf(region, nv, nullptr, 2, 64);
+    // Slots 0 and 1 fill the first log line. Slot 2 issues that line
+    // and opens the next, which the full FIFO must not issue half
+    // filled: the store waits for the first line's drain instead.
+    buf.append(rec(1, 0x1000, 1, 2), 0);
+    buf.append(rec(1, 0x1008, 1, 2), 0);
+    Tick proceed = buf.append(rec(1, 0x1010, 1, 2), 0);
+    EXPECT_GT(proceed, 0u);
+    EXPECT_EQ(buf.stats().counterValue("groups"), 1u);
+    // Slot 3 completes the second line, which then drains as one
+    // NVRAM write.
+    buf.append(rec(1, 0x1018, 1, 2), proceed);
+    buf.drainAll(proceed);
+    EXPECT_EQ(buf.stats().counterValue("groups"), 2u);
+    EXPECT_EQ(nv.writes.value(), 2u);
+    EXPECT_EQ(buf.stats().counterValue("bytes"), 128u);
+}
+
 TEST(LogBuffer, DropAllModelsCrash)
 {
     mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
@@ -373,7 +396,7 @@ TEST(LogBuffer, ReportsOrderingToMonitor)
     buf.append(rec(1, data_line + 8, 1, 2), 0);
     Tick drained = buf.drainAll(5);
     // Data write-back after the drain: no violation.
-    monitor.onDataWriteback(data_line, drained + 10, drained + 20);
+    monitor.onDataWriteback(data_line, drained + 10, drained + 20, 0);
     EXPECT_EQ(monitor.orderViolations(), 0u);
 }
 
@@ -383,7 +406,7 @@ TEST(BusMonitor, FlagsDataBeforeLog)
     Addr line = 0x1000;
     monitor.onLogAppend(line, 100);
     // Data line reaches NVRAM before the record drains.
-    monitor.onDataWriteback(line, 150, 160);
+    monitor.onDataWriteback(line, 150, 160, 0);
     EXPECT_EQ(monitor.orderViolations(), 1u);
 }
 
@@ -391,7 +414,7 @@ TEST(BusMonitor, TracksLastWriteback)
 {
     mem::BusMonitor monitor;
     EXPECT_EQ(monitor.lastWritebackOf(0x40), 0u);
-    monitor.onDataWriteback(0x40, 10, 25);
+    monitor.onDataWriteback(0x40, 10, 25, 0);
     EXPECT_EQ(monitor.lastWritebackOf(0x40), 25u);
 }
 
@@ -434,16 +457,16 @@ TEST(BusMonitor, CountsOneViolationPerLateRecord)
     monitor.onLogAppend(line, 2);
     monitor.onLogAppend(line, 3);
     // None of the three records has drained: each one is late.
-    monitor.onDataWriteback(line, 10, 20);
+    monitor.onDataWriteback(line, 10, 20, 0);
     EXPECT_EQ(monitor.orderViolations(), 3u);
     // Undrained records stay pending and are late again.
-    monitor.onDataWriteback(line, 30, 40);
+    monitor.onDataWriteback(line, 30, 40, 0);
     EXPECT_EQ(monitor.orderViolations(), 6u);
     EXPECT_EQ(monitor.stats().counterValue("checked_writebacks"), 2u);
     EXPECT_EQ(monitor.lastWritebackOf(line), 40u);
     // A record appended after the write-back started is not late.
     monitor.onLogAppend(0x2000, 50);
-    monitor.onDataWriteback(0x2000, 45, 60);
+    monitor.onDataWriteback(0x2000, 45, 60, 0);
     EXPECT_EQ(monitor.orderViolations(), 6u);
 }
 
@@ -460,18 +483,18 @@ TEST(BusMonitor, PartialDrainLeavesTheUndrainedRecordPending)
     Tick first = mb.drains[0];
 
     // Records 1 and 2 drained by `first`; record 3 has not.
-    mb.monitor.onDataWriteback(line, first, first + 1);
+    mb.monitor.onDataWriteback(line, first, first + 1, 0);
     EXPECT_EQ(mb.monitor.orderViolations(), 1u);
     EXPECT_EQ(mb.checked(), 1u);
 
     Tick second = mb.buf.drainAll(first + 1);
-    mb.monitor.onDataWriteback(line, second, second + 1);
+    mb.monitor.onDataWriteback(line, second, second + 1, 0);
     EXPECT_EQ(mb.monitor.orderViolations(), 1u);
     EXPECT_EQ(mb.checked(), 2u);
 
     // Every record was dropped by the write-back after its drain, so
     // the line has nothing pending left to check.
-    mb.monitor.onDataWriteback(line, 1, 2);
+    mb.monitor.onDataWriteback(line, 1, 2, 0);
     EXPECT_EQ(mb.monitor.orderViolations(), 1u);
     EXPECT_EQ(mb.checked(), 2u);
 }
@@ -492,18 +515,18 @@ TEST(BusMonitor, WritebackDropsOnlyRecordsDrainedByItsCompletion)
 
     // Completes between the two drains: records 1-2 are on time and
     // dropped, records 3-4 are late and stay pending.
-    mb.monitor.onDataWriteback(line, 5, first);
+    mb.monitor.onDataWriteback(line, 5, first, 0);
     EXPECT_EQ(mb.monitor.orderViolations(), 2u);
 
     // A write-back completing before either drain finds only records
     // 3-4: records 1-2 were dropped.
-    mb.monitor.onDataWriteback(line, 5, 6);
+    mb.monitor.onDataWriteback(line, 5, 6, 0);
     EXPECT_EQ(mb.monitor.orderViolations(), 4u);
 
-    mb.monitor.onDataWriteback(line, second, second);
+    mb.monitor.onDataWriteback(line, second, second, 0);
     EXPECT_EQ(mb.monitor.orderViolations(), 4u);
     EXPECT_EQ(mb.checked(), 3u);
-    mb.monitor.onDataWriteback(line, 5, 6);
+    mb.monitor.onDataWriteback(line, 5, 6, 0);
     EXPECT_EQ(mb.monitor.orderViolations(), 4u);
     EXPECT_EQ(mb.checked(), 3u);
 }
@@ -520,15 +543,15 @@ TEST(BusMonitor, DrainMarksExactlyTheHandledRecord)
     mem::BusMonitor::Record second = monitor.onLogAppend(line, 5);
     EXPECT_NE(first, second);
     monitor.onLogDrain(second, 50);
-    monitor.onDataWriteback(line, 60, 70);
+    monitor.onDataWriteback(line, 60, 70, 0);
     EXPECT_EQ(monitor.orderViolations(), 1u);
 
     monitor.onLogDrain(first, 80);
-    monitor.onDataWriteback(line, 90, 100);
+    monitor.onDataWriteback(line, 90, 100, 0);
     EXPECT_EQ(monitor.orderViolations(), 1u);
     EXPECT_EQ(monitor.stats().counterValue("checked_writebacks"), 2u);
     // Both records are gone, and their pool nodes are reused.
-    monitor.onDataWriteback(line, 110, 120);
+    monitor.onDataWriteback(line, 110, 120, 0);
     EXPECT_EQ(monitor.stats().counterValue("checked_writebacks"), 2u);
     mem::BusMonitor::Record again = monitor.onLogAppend(line, 130);
     EXPECT_TRUE(again == first || again == second);
@@ -547,25 +570,25 @@ TEST(LogBuffer, SameTickRecordsOfOneLineDrainInAppendOrder)
     mb.buf.append(rec(1, line + 8, 1, 2), 5); // flushes it
     ASSERT_EQ(mb.drains.size(), 1u);
     Tick first = mb.drains[0];
-    mb.monitor.onDataWriteback(line, first, first);
+    mb.monitor.onDataWriteback(line, first, first, 0);
     EXPECT_EQ(mb.monitor.orderViolations(), 1u);
     Tick second = mb.buf.drainAll(first);
-    mb.monitor.onDataWriteback(line, second, second);
+    mb.monitor.onDataWriteback(line, second, second, 0);
     EXPECT_EQ(mb.monitor.orderViolations(), 1u);
-    mb.monitor.onDataWriteback(line, 5, 6);
+    mb.monitor.onDataWriteback(line, 5, 6, 0);
     EXPECT_EQ(mb.monitor.orderViolations(), 1u);
 }
 
 TEST(BusMonitor, CheckedWritebacksCountOnlyLinesWithPendingRecords)
 {
     mem::BusMonitor monitor;
-    monitor.onDataWriteback(0x40, 1, 2);
-    monitor.onDataWriteback(0x80, 3, 4);
+    monitor.onDataWriteback(0x40, 1, 2, 0);
+    monitor.onDataWriteback(0x80, 3, 4, 0);
     EXPECT_EQ(monitor.stats().counterValue("checked_writebacks"), 0u);
     monitor.onLogAppend(0x40, 5);
-    monitor.onDataWriteback(0x80, 6, 7);
+    monitor.onDataWriteback(0x80, 6, 7, 0);
     EXPECT_EQ(monitor.stats().counterValue("checked_writebacks"), 0u);
-    monitor.onDataWriteback(0x40, 6, 7);
+    monitor.onDataWriteback(0x40, 6, 7, 0);
     EXPECT_EQ(monitor.stats().counterValue("checked_writebacks"), 1u);
     EXPECT_EQ(monitor.lastWritebackOf(0x80), 7u);
 }
@@ -623,7 +646,7 @@ TEST(BusMonitor, MatchesDrainByAppendTickReference)
           }
           default: {
             Tick start = now, done = now + rng.below(40);
-            monitor.onDataWriteback(line, start, done);
+            monitor.onDataWriteback(line, start, done, 0);
             refLastWb[line] = done;
             auto &dq = ref[line];
             if (!dq.empty())

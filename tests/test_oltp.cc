@@ -913,7 +913,7 @@ TEST(OltpBench, CountersIdenticalAcrossRepeatsAndJobs)
 }
 
 // A sharded log has one log buffer per shard; the commit-sampled log
-// occupancy sums all of them, not only shard 0's (which reads 460 and
+// occupancy sums all of them, not only shard 0's (which reads 458 and
 // 10 on this cell).
 TEST(OltpBench, LogOccupancySumsEveryShardBuffer)
 {
@@ -925,7 +925,7 @@ TEST(OltpBench, LogOccupancySumsEveryShardBuffer)
     OltpCellResult r = runOltpCell(
         {"oltp-tpcc", PersistMode::Fwb, CcMode::TwoPhase}, cfg);
     EXPECT_EQ(r.occSamples, 120u);
-    EXPECT_EQ(r.logOccSum, 2143u);
+    EXPECT_EQ(r.logOccSum, 2139u);
     EXPECT_EQ(r.logOccMax, 41u);
 }
 
@@ -1069,18 +1069,20 @@ dumpedCounter(const std::string &dump, const std::string &name)
 
 TEST(LogFullReclaim, WaitForForcedWritebacksIsCounted)
 {
-    // The 256 KB scaled log wraps six times; the 542 forced
-    // write-backs keep reclaims waiting 5.9 M cycles in all.
+    // A 64 KB log wraps 27 times; its 1 644 forced write-backs keep
+    // reclaims waiting 9.5 M cycles in all. (The 256 KB scaled log
+    // wraps six times and forces nothing: FWB has written every
+    // reclaimed line back by then.)
     std::ostringstream dump;
-    auto outcome = runWorkload(reclaimCell(256 * 1024), &dump);
+    auto outcome = runWorkload(reclaimCell(64 * 1024), &dump);
     EXPECT_TRUE(outcome.verified) << outcome.verifyMessage;
-    EXPECT_EQ(dumpedCounter(dump.str(), "log.wraps"), 6u);
-    EXPECT_EQ(dumpedCounter(dump.str(), "log.forced_writebacks"), 542u);
+    EXPECT_EQ(dumpedCounter(dump.str(), "log.wraps"), 27u);
+    EXPECT_EQ(dumpedCounter(dump.str(), "log.forced_writebacks"), 1644u);
     EXPECT_EQ(dumpedCounter(dump.str(), "log.reclaim_wait_cycles"),
-              5915688u);
+              9542721u);
     // RunStats carries the dumped wait and forced write-backs.
-    EXPECT_EQ(outcome.stats.reclaimWaitCycles, 5915688u);
-    EXPECT_EQ(outcome.stats.forcedWritebacks, 542u);
+    EXPECT_EQ(outcome.stats.reclaimWaitCycles, 9542721u);
+    EXPECT_EQ(outcome.stats.forcedWritebacks, 1644u);
 }
 
 TEST(LogFullReclaim, LogThatNeverWrapsNeverWaits)

@@ -290,6 +290,124 @@ TEST(SystemFacade, ScaledAndPaperPresetsRun)
     }
 }
 
+// ------------------- reclaiming a slot's guarded line ---------------
+
+namespace
+{
+
+/** A transactional store context of a transaction that is not active
+ *  when its slots are reclaimed. */
+mem::MemorySystem::StoreCtx
+finishedTx()
+{
+    mem::MemorySystem::StoreCtx ctx;
+    ctx.persistent = true;
+    ctx.txSeq = 1000;
+    return ctx;
+}
+
+/** Reserve commit records at @p now until the tail wraps to slot 0,
+ *  then reclaim slot 0 with one more. */
+void
+reclaimSlotZero(persist::LogRegion &log, Tick now)
+{
+    do
+        log.reserve(persist::LogRecord::commit(0, 1), now);
+    while (log.tailSlot() != 0);
+    log.reserve(persist::LogRecord::commit(0, 1), now);
+}
+
+sim::Co<void>
+storeThenScanThenCommit(Thread &t, System &sys, Addr addr)
+{
+    co_await t.txBegin();
+    co_await t.store64(addr, 3);
+    // FWB's L2 pass writes back the copy the store's pull made, while
+    // the store itself sits in core 0's L1.
+    sys.mem().fwbScanAll(t.context().localTime, 0.0);
+    co_await t.txCommit();
+}
+
+} // namespace
+
+// Slot 0's store was carried by a completed clwb write-back; a newer
+// write-back of the line is still queued at its bank when the slot is
+// reclaimed. The reclaim must not wait for it.
+TEST(ReclaimDurability, CompletedWritebackThatCarriedTheStoreFreesItsSlot)
+{
+    Env env(PersistMode::Hwl);
+    mem::MemorySystem &ms = env.sys.mem();
+    std::uint64_t v = 1;
+    ms.store(0, env.a, 8, &v, 100, finishedTx()); // slot 0
+    const Tick carried = ms.clwb(0, env.a, 200);
+    v = 2;
+    ms.store(0, env.a, 8, &v, 300);
+    const Tick queued = ms.clwb(0, env.a, 400);
+    ASSERT_LT(carried, queued - 1);
+
+    persist::LogRegion &log = env.sys.logPartition(0);
+    reclaimSlotZero(log, queued - 1);
+    EXPECT_EQ(log.forcedWritebacks.value(), 0u);
+    EXPECT_EQ(log.reclaimWaitCycles.value(), 0u);
+    EXPECT_EQ(log.hazards.value(), 0u);
+}
+
+// FWB writes back the line's older L2 copy in the scan that only
+// flags the L1 copy holding slot 0's store. That write-back completes
+// after the store, yet does not carry it, so the reclaim must force
+// the line back.
+TEST(ReclaimDurability, FwbWritebackOfAnOlderL2CopyDoesNotCarryTheStore)
+{
+    Env env(PersistMode::Fwb);
+    mem::MemorySystem &ms = env.sys.mem();
+    std::uint64_t v = 1;
+    ms.store(0, env.a, 8, &v, 100);
+    ms.fwbScanAll(200, 0.0); // flags the L1 line
+    ms.fwbScanAll(300, 0.0); // copies it to the L2, flags the L2 line
+    v = 2;
+    ms.store(0, env.a, 8, &v, 400, finishedTx()); // slot 0
+    const mem::FwbScanResult scan = ms.fwbScanAll(500, 0.0);
+    ASSERT_EQ(scan.linesFlagged, 1u);
+    ASSERT_EQ(scan.linesWrittenBack, 1u);
+    ASSERT_TRUE(ms.isLineDirtyAnywhere(env.a));
+
+    persist::LogRegion &log = env.sys.logPartition(0);
+    reclaimSlotZero(log, scan.lastWritebackDone);
+    EXPECT_EQ(log.forcedWritebacks.value(), 1u);
+    EXPECT_EQ(log.hazards.value(), 0u);
+    EXPECT_FALSE(ms.isLineDirtyAnywhere(env.a));
+}
+
+// Software logging reserves slot 0 before the in-place store, whose
+// fill pulls core 1's dirty copy into the L2. FWB then writes back
+// that pulled copy while the store sits in core 0's L1; the commit's
+// clwb write-back is still in flight at the reclaim. The pulled copy
+// does not carry the store, so the reclaim must wait.
+TEST(ReclaimDurability, PullBeforeASoftwareLoggedStoreDoesNotCarryIt)
+{
+    Env env(PersistMode::RedoClwb);
+    mem::MemorySystem &ms = env.sys.mem();
+    std::uint64_t v = 1;
+    ms.store(1, env.a, 8, &v, 10);
+    ms.fwbScanAll(20, 0.0); // flags core 1's L1 line
+    ms.fwbScanAll(30, 0.0); // copies it to the L2, flags the L2 line
+    v = 2;
+    ms.store(1, env.a, 8, &v, 40); // dirty in core 1's L1 again
+    env.sys.spawn(0, [&](Thread &t) {
+        return storeThenScanThenCommit(t, env.sys, env.a);
+    });
+    env.sys.run();
+    ASSERT_EQ(env.sys.txns().committed.value(), 1u);
+    ASSERT_EQ(ms.stats().counterValue("cache_to_cache"), 1u);
+    ASSERT_EQ(ms.l2Cache().writebacks.value(), 2u);
+
+    persist::LogRegion &log = env.sys.logPartition(0);
+    reclaimSlotZero(log, ms.monitor().lastWritebackOf(env.a) - 1);
+    EXPECT_EQ(log.forcedWritebacks.value(), 1u);
+    EXPECT_GT(log.reclaimWaitCycles.value(), 0u);
+    EXPECT_EQ(log.hazards.value(), 0u);
+}
+
 TEST(BumpAllocator, AlignsAndAdvances)
 {
     BumpAllocator heap(0x1000, 0x1000);

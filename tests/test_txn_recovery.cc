@@ -1065,33 +1065,34 @@ expectSums(const RecoverySums &s, const RecoverySums &want)
 // writes the image cannot move a byte or a count unnoticed. The
 // constants were captured before recovery batched its replay and
 // truncation writes, and re-captured when FWB began draining each
-// scan's write-backs in address order: the run ends sooner, so its
-// crash ticks land elsewhere.
+// scan's write-backs in address order and again when a reclaim began
+// trusting an older completed write-back that carried the store: each
+// time the run ends sooner, so its crash ticks land elsewhere.
 TEST(RecoveryGolden, WrappingTpccLogKeepsItsCountsAndImages)
 {
     RecoverySums one;
     one.slotsScanned = 327600;
-    one.emptySlots = 130040;
-    one.validRecords = 197560;
-    one.committedTxns = 7025;
-    one.uncommittedTxns = 120;
-    one.redoApplied = 187090;
-    one.undoApplied = 3445;
-    one.writesIssued = 321639;
-    one.writesApplied = 253407;
-    one.imageHash = 4676633808377385803ULL;
+    one.emptySlots = 100795;
+    one.validRecords = 226800;
+    one.committedTxns = 8285;
+    one.uncommittedTxns = 145;
+    one.redoApplied = 215450;
+    one.undoApplied = 3065;
+    one.writesIssued = 349619;
+    one.writesApplied = 278589;
+    one.imageHash = 14384690031723033891ULL;
     expectSums(tpccRecoverySums(1), one);
 
     RecoverySums four;
     four.slotsScanned = 327360;
-    four.emptySlots = 76665;
-    four.validRecords = 250695;
-    four.committedTxns = 8415;
+    four.emptySlots = 107730;
+    four.validRecords = 219630;
+    four.committedTxns = 7485;
     four.uncommittedTxns = 165;
-    four.redoApplied = 222780;
-    four.undoApplied = 3555;
-    four.writesIssued = 357535;
-    four.writesApplied = 285691;
-    four.imageHash = 12098999495974295449ULL;
+    four.redoApplied = 194890;
+    four.undoApplied = 3165;
+    four.writesIssued = 329255;
+    four.writesApplied = 260239;
+    four.imageHash = 12621412069246075987ULL;
     expectSums(tpccRecoverySums(4), four);
 }
