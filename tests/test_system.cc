@@ -3,7 +3,8 @@
  * Integration tests of the System facade and the thread API:
  * transaction semantics per mode, instruction accounting, instant
  * commits under FWB, locks and CAS, multi-word transfers, crash
- * snapshots, and end-to-end recovery of a hand-built transaction.
+ * snapshots, end-to-end recovery of a hand-built transaction, and
+ * which write-backs let a log-full reclaim free a slot.
  */
 
 #include <gtest/gtest.h>
