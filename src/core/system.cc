@@ -50,27 +50,12 @@ System::System(const SystemConfig &config, PersistMode m)
             return txnTracker.isActive(seq);
         });
         region->setStampSource([this] { return memory->copyStamp(); });
+        // A completed write-back that carried a copy made after the
+        // store persisted it, whatever is queued behind it.
         region->setPersistedSince(
             [this](Addr addr, std::uint64_t stamp, Tick now) {
-                Addr line = memory->lineOf(addr);
-                const mem::BusMonitor &mon = memory->monitor();
-                // A completed write-back that carried a copy made
-                // after the store persisted it, whatever is queued
-                // behind it.
-                if (mon.carriedSince(line, stamp, now))
-                    return true;
-                // A write-back whose completion lies in the future
-                // is still in flight: the cache already shows the
-                // line clean, but the data is not durable yet and a
-                // crash before it completes loses it.
-                if (mon.lastWritebackOf(line) > now)
-                    return false;
-                // Only a copy to the L2 and a write-back from there
-                // clean a stored line, so a line clean everywhere
-                // whose write-backs have all completed is durable,
-                // even when the one that carried the store has left
-                // the history.
-                return !memory->isLineDirtyAnywhere(line);
+                return memory->monitor().carriedSince(
+                    memory->lineOf(addr), stamp, now);
             });
         region->setHazardSink(
             [this]() { memory->monitor().onLogOverwriteHazard(); });

@@ -123,8 +123,8 @@ class LogRegion
      * flight and a crash before completion loses it. Neither does a
      * completed one that only carried older data, such as an FWB
      * write-back of the L2 copy while the store still sat in a
-     * flagged L1 line. Wired by the System to the memory hierarchy +
-     * bus monitor.
+     * flagged L1 line. Wired by the System to
+     * mem::BusMonitor::carriedSince.
      * Arguments: (addr, stamp, now).
      */
     using PersistedSincePred =
