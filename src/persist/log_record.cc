@@ -215,8 +215,7 @@ classifySlot(const std::uint8_t in[LogRecord::kSlotBytes])
         info.cls = SlotClass::CrcFail;
         return info;
     }
-    bool torn = false;
-    auto rec = LogRecord::deserialize(in, torn);
+    auto rec = LogRecord::deserialize(in, info.torn);
     // A damaged size field could push payloadBytes() past the slot;
     // reject before computing the CRC over out-of-range bytes.
     if (!rec || rec->payloadBytes() > LogRecord::kSlotBytes ||
