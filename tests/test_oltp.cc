@@ -1095,6 +1095,34 @@ TEST(LogFullReclaim, LogThatNeverWrapsNeverWaits)
     EXPECT_EQ(dumpedCounter(dump.str(), "log.reclaim_wait_cycles"), 0u);
 }
 
+TEST(LogFullReclaim, LogSmallerThanTheLiveWriteSetsLosesRecords)
+{
+    // Pins a known defect (ROADMAP, "A log smaller than the live write
+    // sets"). A reclaim that reaches a live record of an active
+    // transaction overwrites it as a counted hazard, so that
+    // transaction can no longer roll back. On a 48 KB log the cell
+    // meets 50 such reclaims, one of their transactions later rolls
+    // back without the undo values it lost, and the final image fails
+    // the TPC-C oracle (a stock row counts an order line that no order
+    // holds); a 32 KB log meets 211 and happens to verify; 64 KB meets
+    // none.
+    // A fix turns the 48 KB verdict to a pass and the counts to 0.
+    struct Cell
+    {
+        std::uint64_t logBytes;
+        std::uint64_t hazards;
+        bool verified;
+    };
+    for (const Cell &c : {Cell{48 * 1024, 50, false},
+                          Cell{32 * 1024, 211, true},
+                          Cell{64 * 1024, 0, true}}) {
+        SCOPED_TRACE(c.logBytes);
+        auto outcome = runWorkload(reclaimCell(c.logBytes));
+        EXPECT_EQ(outcome.stats.overwriteHazards, c.hazards);
+        EXPECT_EQ(outcome.verified, c.verified) << outcome.verifyMessage;
+    }
+}
+
 TEST(LogFullReclaim, FwbLeadsHwlOnAWrappingLog)
 {
     // A 2 MB log that 8 x 2 000 transactions wrap six times. FWB
