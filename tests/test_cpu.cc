@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the CPU layer: thread-context timing helpers (store
  * buffer, fences, retire width), the earliest-thread-first scheduler
- * (ordering, determinism, crash stop), and event-queue interleaving.
+ * (ordering, determinism, crash stop), event-queue interleaving, and
+ * where two OLTP cells stand when System::run stops at a tick.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,9 @@
 #include "core/system.hh"
 #include "cpu/scheduler.hh"
 #include "cpu/thread_context.hh"
+#include "oltp/tpcc.hh"
+#include "oltp/ycsb.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 using namespace snf;
@@ -220,4 +224,217 @@ TEST(InstructionCounts, AccumulateAcrossClasses)
     EXPECT_EQ(a.total, 15u);
     EXPECT_EQ(a.loads, 3u);
     EXPECT_EQ(a.stores, 2u);
+}
+
+// ------------------------------------------------------------------
+// The stop tick: System::run(stopAt) leaves every op a thread reaches
+// at or past stopAt unexecuted, and runs every op below it, together
+// with every event due by the last of them.
+// ------------------------------------------------------------------
+
+namespace
+{
+
+/** A load, 400 compute instructions, a load; *afterLoad is the clock
+ *  once the first load has run. */
+sim::Co<void>
+loadComputeLoad(Thread &t, Addr a, Tick *afterLoad)
+{
+    co_await t.load64(a);
+    *afterLoad = t.context().localTime;
+    co_await t.compute(400);
+    co_await t.load64(a);
+}
+
+/** The clock at which loadComputeLoad reaches its compute. */
+Tick
+computeTick()
+{
+    System sys(SystemConfig::scaled(1), PersistMode::NonPers);
+    Addr a = sys.heap().alloc(64, 64);
+    Tick afterLoad = 0;
+    sys.spawn(0, [&](Thread &t) {
+        return loadComputeLoad(t, a, &afterLoad);
+    });
+    sys.run();
+    return afterLoad;
+}
+
+} // namespace
+
+TEST(StopTick, ComputeReachedAtTheStopTickDoesNotRun)
+{
+    const Tick reached = computeTick();
+    ASSERT_GT(reached, 0u);
+    for (Tick stopAt : {Tick(1), reached}) {
+        SCOPED_TRACE(stopAt);
+        System sys(SystemConfig::scaled(1), PersistMode::NonPers);
+        Addr a = sys.heap().alloc(64, 64);
+        Tick afterLoad = 0;
+        sys.spawn(0, [&](Thread &t) {
+            return loadComputeLoad(t, a, &afterLoad);
+        });
+        sys.run(stopAt);
+        const cpu::ThreadContext &ctx = sys.thread(0).context();
+        EXPECT_EQ(afterLoad, reached);
+        EXPECT_EQ(ctx.localTime, reached);
+        EXPECT_EQ(ctx.instr.loads, 1u);
+        EXPECT_EQ(ctx.instr.compute, 0u);
+
+        // Running on executes the compute and the second load.
+        sys.run();
+        EXPECT_EQ(ctx.instr.compute, 400u);
+        EXPECT_EQ(ctx.instr.loads, 2u);
+    }
+}
+
+TEST(StopTick, ComputeBelowTheStopTickRunsAfterTheEventsDueByIt)
+{
+    // The compute is reached at `reached`, below the stop tick, and
+    // the second load at reached + 100, past it. An event due between
+    // the two loads' ticks fires before the stop, as it would if the
+    // scheduler executed the compute itself.
+    const Tick reached = computeTick();
+    System sys(SystemConfig::scaled(1), PersistMode::NonPers);
+    Addr a = sys.heap().alloc(64, 64);
+    Tick afterLoad = 0;
+    Tick fired = kTickNever;
+    sys.events().schedule(reached, [&](Tick when) { fired = when; });
+    sys.spawn(0, [&](Thread &t) {
+        return loadComputeLoad(t, a, &afterLoad);
+    });
+    sys.run(reached + 1);
+    const cpu::ThreadContext &ctx = sys.thread(0).context();
+    EXPECT_EQ(ctx.instr.compute, 400u);
+    EXPECT_EQ(ctx.localTime, reached + 100);
+    EXPECT_EQ(ctx.instr.loads, 1u);
+    EXPECT_EQ(fired, reached);
+}
+
+namespace
+{
+
+/**
+ * Run an OLTP cell of @p Engine to @p stopAt and describe where it
+ * stopped: committed and aborted transactions, executed events, and
+ * each thread's clock, instructions, compute instructions and
+ * transaction-overhead instructions (where CC probes are charged).
+ */
+template <class Engine>
+std::string
+stopState(PersistMode mode, CcMode cc,
+          const workloads::WorkloadParams &params,
+          Tick stopAt)
+{
+    SystemConfig cfg = SystemConfig::scaled(params.threads);
+    cfg.persist.ccMode = cc;
+    System sys(cfg, mode);
+    Engine eng;
+    eng.setup(sys, params);
+    for (CoreId c = 0; c < params.threads; ++c)
+        sys.spawn(c, [&](Thread &t) {
+            return eng.thread(sys, t, params);
+        });
+    sys.run(stopAt);
+    auto ull = [](std::uint64_t v) {
+        return static_cast<unsigned long long>(v);
+    };
+    std::string s = strfmt("commit=%llu abort=%llu events=%llu",
+                           ull(sys.txns().committed.value()),
+                           ull(sys.txns().aborted.value()),
+                           ull(sys.events().statExecuted()));
+    for (CoreId c = 0; c < params.threads; ++c) {
+        const cpu::ThreadContext &ctx = sys.thread(c).context();
+        s += strfmt(" | clock=%llu instr=%llu compute=%llu tx=%llu",
+                    ull(ctx.localTime), ull(ctx.instr.total),
+                    ull(ctx.instr.compute), ull(ctx.instr.txOverhead));
+    }
+    return s;
+}
+
+} // namespace
+
+TEST(StopTickGolden, OltpCellsStopWhereTheyStopped)
+{
+    // Captured while every op parked for the scheduler: where a
+    // TPC-C fwb/2PL cell and a YCSB undo-clwb/TL2 cell stand when
+    // System::run stops at four ticks each. An op that runs in place
+    // must leave every value here as it was.
+    workloads::WorkloadParams tpcc;
+    tpcc.threads = 4;
+    tpcc.txPerThread = 130;
+    tpcc.warehouses = 4;
+    tpcc.footprint = 256;
+    tpcc.seed = 3;
+    const std::pair<Tick, const char *> kTpcc[] = {
+        {43211,
+         "commit=57 abort=0 events=2"
+         " | clock=43353 instr=6936 compute=4685 tx=1512"
+         " | clock=43215 instr=7295 compute=4940 tx=1598"
+         " | clock=43288 instr=6784 compute=4530 tx=1536"
+         " | clock=43272 instr=7466 compute=5010 tx=1690"},
+        {130007,
+         "commit=197 abort=0 events=7"
+         " | clock=130328 instr=22004 compute=14700 tx=4932"
+         " | clock=130054 instr=22472 compute=15050 tx=5000"
+         " | clock=130062 instr=23514 compute=15460 tx=5540"
+         " | clock=130320 instr=23505 compute=15585 tx=5464"},
+        {216503,
+         "commit=339 abort=0 events=12"
+         " | clock=216586 instr=37789 compute=25100 tx=8594"
+         " | clock=216503 instr=39192 compute=26045 tx=8922"
+         " | clock=216507 instr=40619 compute=26715 tx=9594"
+         " | clock=216726 instr=38477 compute=25565 tx=8804"},
+        {303331,
+         "commit=481 abort=1 events=16"
+         " | clock=303427 instr=55153 compute=36600 tx=12548"
+         " | clock=303589 instr=57379 compute=37970 tx=13194"
+         " | clock=267734 instr=51167 compute=33715 tx=12024"
+         " | clock=303435 instr=57297 compute=37870 tx=13248"},
+    };
+    for (const auto &[stopAt, want] : kTpcc)
+        EXPECT_EQ(stopState<oltp::TpccEngine>(PersistMode::Fwb,
+                                              CcMode::TwoPhase, tpcc,
+                                              stopAt),
+                  want)
+            << "tpcc @" << stopAt;
+
+    workloads::WorkloadParams ycsb;
+    ycsb.threads = 4;
+    ycsb.txPerThread = 150;
+    ycsb.footprint = 1024;
+    ycsb.zipfTheta = 0.99;
+    ycsb.seed = 3;
+    const std::pair<Tick, const char *> kYcsb[] = {
+        {7841,
+         "commit=60 abort=1 events=0"
+         " | clock=8075 instr=2577 compute=1454 tx=426"
+         " | clock=7843 instr=2339 compute=1338 tx=466"
+         " | clock=8074 instr=2088 compute=1116 tx=404"
+         " | clock=7977 instr=2720 compute=1366 tx=496"},
+        {23519,
+         "commit=201 abort=3 events=0"
+         " | clock=23604 instr=8754 compute=4692 tx=1530"
+         " | clock=23587 instr=7895 compute=4249 tx=1458"
+         " | clock=23638 instr=7394 compute=3928 tx=1416"
+         " | clock=23621 instr=8128 compute=4238 tx=1536"},
+        {39203,
+         "commit=340 abort=3 events=0"
+         " | clock=39438 instr=14058 compute=7416 tx=2518"
+         " | clock=39455 instr=13770 compute=7386 tx=2514"
+         " | clock=39404 instr=12870 compute=6924 tx=2462"
+         " | clock=39421 instr=13040 compute=6868 tx=2488"},
+        {54907,
+         "commit=522 abort=3 events=0"
+         " | clock=55072 instr=21294 compute=11034 tx=3832"
+         " | clock=54921 instr=20954 compute=10930 tx=3802"
+         " | clock=54958 instr=20142 compute=10806 tx=3830"
+         " | clock=55035 instr=20264 compute=10680 tx=3830"},
+    };
+    for (const auto &[stopAt, want] : kYcsb)
+        EXPECT_EQ(stopState<oltp::YcsbEngine>(PersistMode::UndoClwb,
+                                              CcMode::Tl2, ycsb,
+                                              stopAt),
+                  want)
+            << "ycsb @" << stopAt;
 }
