@@ -11,7 +11,7 @@ namespace snf
 System::System(const SystemConfig &config, PersistMode m)
     : cfg(config),
       persistMode(m),
-      scheduler(eventQueue)
+      threadScheduler(eventQueue)
 {
     cfg.validate();
     // Hand the NVRAM device its remap-table geometry (lifelab) so it
@@ -165,14 +165,14 @@ System::spawn(CoreId id,
                "core %u already has a workload", id);
     rootCoros.push_back(fn(t));
     t.context().rootHandle = rootCoros.back().raw();
-    scheduler.addThread(&t.context());
+    threadScheduler.addThread(&t.context());
 }
 
 Tick
 System::run(Tick stopAt)
 {
-    Tick end = scheduler.run(stopAt);
-    if (scheduler.allFinished()) {
+    Tick end = threadScheduler.run(stopAt);
+    if (threadScheduler.allFinished()) {
         // The hardware log-buffer FIFOs drain continuously; at a
         // natural end of execution they empty within a few cycles,
         // so the final records are durable (commits acknowledged).
@@ -345,6 +345,7 @@ System::dumpStats(std::ostream &os)
         fwbEngine->stats().dump(os);
     if (scrubber)
         scrubber->stats().dump(os);
+    threadScheduler.stats().dump(os);
 }
 
 } // namespace snf

@@ -162,6 +162,8 @@ class System
 
     sim::EventQueue &events() { return eventQueue; }
 
+    cpu::Scheduler &scheduler() { return threadScheduler; }
+
     Thread &thread(CoreId id) { return *threads[id]; }
 
     std::uint32_t numCores() const { return cfg.numCores; }
@@ -256,7 +258,7 @@ class System
     std::unique_ptr<persist::SwLogging> swLogging;
     std::unique_ptr<persist::FwbEngine> fwbEngine;
     std::unique_ptr<persist::LogScrubber> scrubber;
-    cpu::Scheduler scheduler;
+    cpu::Scheduler threadScheduler;
     std::vector<std::unique_ptr<Thread>> threads;
     std::vector<sim::Co<void>> rootCoros;
     sim::ProbeFn probeFn;

@@ -15,9 +15,6 @@ namespace
 /** Library-call overhead of tx_begin/tx_commit, in instructions. */
 constexpr std::uint64_t kTxLibraryInstructions = 8;
 
-/** Lock-table probe cost of one CC acquire, in instructions. */
-constexpr std::uint64_t kCcAcquireInstructions = 2;
-
 /** TL2 validation cost per read-set entry, in instructions. */
 constexpr std::uint64_t kCcValidateInstructions = 2;
 
@@ -353,24 +350,45 @@ Thread::execCas(Addr a, std::uint64_t expected, std::uint64_t desired)
     return old_val;
 }
 
-persist::CcDecision
-Thread::execCcAcquire(Addr a, bool forWrite)
+void
+Thread::chargeCcProbe()
 {
     // The lock-table probe models as a couple of ALU ops; the wait
     // itself is the caller's backoff compute.
     ctx.instr.total += kCcAcquireInstructions;
     ctx.instr.txOverhead += kCcAcquireInstructions;
     ctx.retireCompute(kCcAcquireInstructions);
+}
+
+persist::CcDecision
+Thread::execCcAcquire(Addr a, bool forWrite)
+{
+    chargeCcProbe();
     return sys.txns().acquireLine(txSeq, sys.mem().lineOf(a),
                                   forWrite);
+}
+
+bool
+Thread::ccGrantedInPlace(Addr a, bool forWrite)
+{
+    const CcMode cc = sys.txns().ccMode();
+    if (cc == CcMode::None || !inTx || !sys.config().map.isNvram(a))
+        return true;
+    if (!forWrite && cc == CcMode::Tl2)
+        return false;
+    // acquireLine's branch for a line the transaction holds: Granted,
+    // no counter moves, and the waits-for edge stays 0 (it is set
+    // only inside ccAcquire's retry loop).
+    if (sys.txns().lockOwnerOf(sys.mem().lineOf(a)) != txSeq ||
+        !ctx.claimInPlace())
+        return false;
+    chargeCcProbe();
+    return true;
 }
 
 sim::Co<bool>
 Thread::ccAcquire(Addr a, bool forWrite)
 {
-    if (sys.txns().ccMode() == CcMode::None || !inTx ||
-        !sys.config().map.isNvram(a))
-        co_return true;
     std::uint32_t backoff = kCcBackoffBase;
     for (;;) {
         persist::CcDecision d =
@@ -389,13 +407,15 @@ Thread::ccAcquire(Addr a, bool forWrite)
 sim::Co<bool>
 Thread::txStore64(Addr a, std::uint64_t v)
 {
-    // The await must be hoisted out of the if condition: awaiting a
-    // Co<> temporary inside a condition miscompiles under GCC 12's
-    // coroutine lowering (the child frame resumes at a bogus suspend
-    // index and the op never parks).
-    bool granted = co_await ccAcquire(a, true);
-    if (!granted)
-        co_return false;
+    if (!ccGrantedInPlace(a, true)) {
+        // The await must be hoisted out of the if condition: awaiting
+        // a Co<> temporary inside a condition miscompiles under GCC
+        // 12's coroutine lowering (the child frame resumes at a bogus
+        // suspend index and the op never parks).
+        bool granted = co_await ccAcquire(a, true);
+        if (!granted)
+            co_return false;
+    }
     co_await store64(a, v);
     co_return true;
 }
@@ -403,6 +423,8 @@ Thread::txStore64(Addr a, std::uint64_t v)
 sim::Co<bool>
 Thread::txLock64(Addr a)
 {
+    if (ccGrantedInPlace(a, true))
+        co_return true;
     bool granted = co_await ccAcquire(a, true); // see txStore64
     co_return granted;
 }
@@ -410,9 +432,11 @@ Thread::txLock64(Addr a)
 sim::Co<bool>
 Thread::txLoad64(Addr a, std::uint64_t *out)
 {
-    bool granted = co_await ccAcquire(a, false); // see txStore64
-    if (!granted)
-        co_return false;
+    if (!ccGrantedInPlace(a, false)) {
+        bool granted = co_await ccAcquire(a, false); // see txStore64
+        if (!granted)
+            co_return false;
+    }
     *out = co_await load64(a);
     co_return true;
 }

@@ -4,11 +4,16 @@
  * loads, stores, compute, atomics, and persistent-memory transactions
  * (tx_begin / tx_commit of paper Section IV-A).
  *
- * Every awaited operation suspends the workload coroutine back to the
+ * An awaited operation suspends the workload coroutine back to the
  * scheduler, which executes it when this thread is globally earliest.
- * Under software-logging modes the transaction operations expand into
- * the extra logging instructions of Figure 2(a); under hardware modes
- * they reduce to the register writes of Figure 2(b).
+ * Two kinds read and write only this thread's state and run in place
+ * instead, below the scheduler's stop tick (cpu/scheduler.hh says why
+ * the result is the same): compute(), and the CC probe of a
+ * transactional access to a line the open transaction already locks
+ * (ccGrantedInPlace). Under software-logging modes the transaction
+ * operations expand into the extra logging instructions of Figure
+ * 2(a); under hardware modes they reduce to the register writes of
+ * Figure 2(b).
  */
 
 #ifndef SNF_CORE_THREAD_API_HH
@@ -126,6 +131,16 @@ class Thread
         ComputeOp(Thread *t, std::uint64_t n)
             : VoidAwaiter(t), amount(n)
         {
+        }
+
+        /** Runs in place below the stop tick (see file comment). */
+        bool
+        await_ready() noexcept
+        {
+            if (!t->ctx.claimInPlace())
+                return false;
+            t->execCompute(amount);
+            return true;
         }
 
         void execute() override { t->execCompute(amount); }
@@ -308,6 +323,24 @@ class Thread
      */
     TxValidateOp txValidate() { return TxValidateOp(this); }
 
+    /**
+     * May a transactional access to @p a go ahead without a scheduled
+     * CC probe? True when CC does not apply to it (no scheme, no open
+     * transaction, or a DRAM address), or when the open transaction
+     * already holds the line's lock and the access needs no TL2
+     * read-set entry (a 2PL access or a TL2 write): the probe then
+     * runs in place, charged as a scheduled one is, and changes
+     * nothing else. Only the holder's own commit or abort releases a
+     * lock, so no other thread can change the answer. False when the
+     * probe must be scheduled (another line, a TL2 read, or a clock
+     * at or past the stop tick): txLoad64, txStore64 and txLock64
+     * then acquire the line through the scheduler.
+     */
+    bool ccGrantedInPlace(Addr a, bool forWrite);
+
+    /** Lock-table probe cost of one CC acquire, in instructions. */
+    static constexpr std::uint64_t kCcAcquireInstructions = 2;
+
     /** Multi-word load into @p out (splits at 8-byte boundaries). */
     sim::Co<void> loadBytes(Addr a, void *out, std::uint32_t len);
 
@@ -323,8 +356,12 @@ class Thread
   private:
     friend class System;
 
-    /** The CC acquire loop shared by txStore64/txLoad64. */
+    /** The CC acquire loop shared by txStore64/txLoad64/txLock64,
+     *  for an access ccGrantedInPlace did not grant. */
     sim::Co<bool> ccAcquire(Addr a, bool forWrite);
+
+    /** Charge one CC lock-table probe to the core. */
+    void chargeCcProbe();
 
     std::uint64_t execLoad(Addr a, std::uint32_t size);
     void execStore(Addr a, std::uint32_t size, std::uint64_t v);

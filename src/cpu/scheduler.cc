@@ -8,7 +8,7 @@ namespace snf::cpu
 {
 
 Scheduler::Scheduler(sim::EventQueue &evq)
-    : events(evq)
+    : events(evq), statGroup("sched"), ops(statGroup.counter("ops"))
 {
 }
 
@@ -43,6 +43,11 @@ Scheduler::allFinished() const
 Tick
 Scheduler::run(Tick stopAt)
 {
+    for (ThreadContext *t : threads) {
+        t->stopAt = stopAt;
+        t->lastInPlace = kTickNever;
+    }
+
     while (ThreadContext *t = pickNext()) {
         if (t->localTime >= stopAt)
             break;
@@ -66,6 +71,7 @@ Scheduler::run(Tick stopAt)
                        t->id());
             PendingOp *op = t->pending;
             t->pending = nullptr;
+            ops.inc();
             op->execute();
         }
 
@@ -73,6 +79,14 @@ Scheduler::run(Tick stopAt)
         if (t->rootHandle.done())
             t->finished = true;
     }
+
+    // Executing an in-place op here would first have fired the events
+    // due by its tick. They cannot affect the op, but they must fire
+    // before the machine stops.
+    for (const ThreadContext *t : threads)
+        if (t->lastInPlace != kTickNever &&
+            events.nextEventTick() <= t->lastInPlace)
+            events.runUntil(t->lastInPlace);
 
     Tick max_time = 0;
     for (const ThreadContext *t : threads)

@@ -6,6 +6,18 @@
  * memory operation, and resumes its coroutine until the next
  * operation. This yields a deterministic, causally-ordered global
  * interleaving across cores.
+ *
+ * An op that reads and writes only its own thread's state (a compute,
+ * or the CC probe of a line the open transaction already locks) does
+ * not park: it runs in place inside the coroutine, below the stop
+ * tick only (ThreadContext::claimInPlace). The result is the one
+ * parking would give. A parked op runs at the clock its thread parked
+ * with, because only the thread's own ops move that clock, and no
+ * other thread's op, event or probe reads what an in-place op
+ * changes. Two things would still differ, and run() keeps both as
+ * parking has them: an op reached at or past the stop tick never
+ * runs, and the events due by the latest in-place op fire before
+ * run() returns.
  */
 
 #ifndef SNF_CPU_SCHEDULER_HH
@@ -15,6 +27,7 @@
 
 #include "cpu/thread_context.hh"
 #include "sim/event_queue.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace snf::cpu
@@ -38,11 +51,18 @@ class Scheduler
     /** True once every added thread has completed. */
     bool allFinished() const;
 
+    sim::StatGroup &stats() { return statGroup; }
+
   private:
     ThreadContext *pickNext() const;
 
     sim::EventQueue &events;
     std::vector<ThreadContext *> threads;
+    sim::StatGroup statGroup; // must precede the counter reference
+
+  public:
+    /** Parked ops executed (ops run in place are not counted). */
+    sim::Counter &ops;
 };
 
 } // namespace snf::cpu

@@ -2,8 +2,9 @@
  * @file
  * Per-thread (1:1 per-core) execution state of the timing model: the
  * local cycle clock, the store buffer that hides store latency, the
- * set of outstanding persist operations a fence must await, and the
- * coroutine resume point used by the scheduler.
+ * set of outstanding persist operations a fence must await, the
+ * coroutine resume point used by the scheduler, and the stop tick
+ * below which an op may run in place instead of parking.
  */
 
 #ifndef SNF_CPU_THREAD_CONTEXT_HH
@@ -77,6 +78,30 @@ class ThreadContext
     runnable() const
     {
         return !finished && (pending != nullptr || !started);
+    }
+
+    /** Ops run in place only below this tick; Scheduler::run sets it
+     *  to its own stop tick. */
+    Tick stopAt = 0;
+
+    /** The clock of the latest op that ran in place in this run;
+     *  kTickNever = none has. */
+    Tick lastInPlace = kTickNever;
+
+    /**
+     * May an op that reads and writes only this thread's state run
+     * now, inside the coroutine, instead of parking? Only below
+     * stopAt: the scheduler never executes an op parked at or past
+     * it. On true the caller runs the op at once, and its tick is
+     * noted so the scheduler still fires the events due by it.
+     */
+    bool
+    claimInPlace()
+    {
+        if (localTime >= stopAt)
+            return false;
+        lastInPlace = localTime;
+        return true;
     }
 
     // --- timing helpers ------------------------------------------

@@ -13,6 +13,11 @@ TxExec::load(Addr a, std::uint64_t *out)
     *out = 0;
     if (isDoomed)
         co_return;
+    // A probe granted in place needs no txLoad64 frame.
+    if (th.ccGrantedInPlace(a, false)) {
+        *out = co_await th.load64(a);
+        co_return;
+    }
     bool ok = co_await th.txLoad64(a, out);
     if (!ok) {
         isDoomed = true;
@@ -27,6 +32,10 @@ TxExec::store(Addr a, std::uint64_t v)
         co_return;
     if (defer) {
         buf.emplace_back(a, v);
+        co_return;
+    }
+    if (th.ccGrantedInPlace(a, true)) { // see load
+        co_await th.store64(a, v);
         co_return;
     }
     bool ok = co_await th.txStore64(a, v);

@@ -229,13 +229,6 @@ TxnTracker::lineVersion(Addr line) const
     return cc ? cc->version : 0;
 }
 
-std::uint64_t
-TxnTracker::lockOwnerOf(Addr line) const
-{
-    const LineCc *cc = lineCc.find(line);
-    return cc ? cc->owner : 0;
-}
-
 void
 TxnTracker::release(std::uint32_t slot, bool committing)
 {

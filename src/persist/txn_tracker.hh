@@ -119,8 +119,14 @@ class TxnTracker
     /** Commit version of @p line (bumped by each committed writer). */
     std::uint64_t lineVersion(Addr line) const;
 
-    /** Owning transaction of @p line's lock (0 = unlocked). */
-    std::uint64_t lockOwnerOf(Addr line) const;
+    /** Owning transaction of @p line's lock (0 = unlocked). Inline:
+     *  every transactional access asks it (Thread::ccGrantedInPlace). */
+    std::uint64_t
+    lockOwnerOf(Addr line) const
+    {
+        const LineCc *cc = lineCc.find(line);
+        return cc ? cc->owner : 0;
+    }
 
     sim::StatGroup &stats() { return statGroup; }
 

@@ -5,9 +5,12 @@
  *
  * A workload thread is a Co<void> coroutine. Every simulated memory
  * operation is an awaitable that suspends back to the cpu::Scheduler,
- * which resumes the globally-earliest thread next. Nested Co<T> calls
- * chain via symmetric transfer, so only memory-op awaiters escape to
- * the scheduler.
+ * which resumes the globally-earliest thread next. An op that reads
+ * and writes only its own thread's state (a compute, or the CC probe
+ * of a line the transaction already locks) is an awaitable too, but
+ * below the scheduler's stop tick it runs in place and does not
+ * suspend (cpu/scheduler.hh). Nested Co<T> calls chain via symmetric
+ * transfer, so only memory-op awaiters escape to the scheduler.
  *
  * Every memory operation creates and destroys a few short-lived
  * frames, so frames come from detail::FramePool, a per-host-thread

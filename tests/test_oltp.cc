@@ -10,8 +10,9 @@
  * shard's log buffer, the no-steal empty-write-set abort being legal
  * under redo-only logging, the contended multi-shard crash sweep
  * (I1–I8), the latency histogram's quantile contract, the count of
- * cycles log reclaims wait for forced write-backs, and the live
- * records a log smaller than the live write sets loses.
+ * cycles log reclaims wait for forced write-backs, the live records a
+ * log smaller than the live write sets loses, and how many ops a TPC-C
+ * cell still parks for the scheduler.
  */
 
 #include <gtest/gtest.h>
@@ -1144,4 +1145,35 @@ TEST(LogFullReclaim, FwbLeadsHwlOnAWrappingLog)
     const double fwb = throughput(PersistMode::Fwb);
     const double hwl = throughput(PersistMode::Hwl);
     EXPECT_GT(fwb, hwl);
+}
+
+// ------------------------------------------------------------------
+// Ops that run in place: a compute, and the CC probe of a line the
+// open transaction already locks, run inside the workload coroutine
+// instead of parking for the scheduler. sched.ops counts the parked
+// ops the scheduler ran.
+// ------------------------------------------------------------------
+
+TEST(InPlaceOps, TpccCellParksFewerOps)
+{
+    // snfsim --workload oltp-tpcc --mode fwb --threads 8 --warehouses 4
+    // --footprint 256 --cc 2pl --tx 500 --seed 16. While every op
+    // parked, the scheduler ran 444 472 of them, among them 194 812
+    // CC probes (152 735 of a line the transaction already held) and
+    // 36 733 computes. The simulated run is the same either way.
+    RunSpec spec;
+    spec.workload = "oltp-tpcc";
+    spec.mode = PersistMode::Fwb;
+    spec.params.threads = 8;
+    spec.params.txPerThread = 500;
+    spec.params.warehouses = 4;
+    spec.params.footprint = 256;
+    spec.params.seed = 16;
+    spec.sys = SystemConfig::scaled(spec.params.threads);
+    spec.sys.persist.ccMode = CcMode::TwoPhase;
+    std::ostringstream dump;
+    auto outcome = runWorkload(spec, &dump);
+    EXPECT_TRUE(outcome.verified) << outcome.verifyMessage;
+    EXPECT_EQ(outcome.endTick, 2193832u);
+    EXPECT_EQ(dumpedCounter(dump.str(), "sched.ops"), 255004u);
 }

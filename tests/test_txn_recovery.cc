@@ -3,7 +3,8 @@
  * Unit tests for transaction tracking and post-crash recovery:
  * redo of committed transactions, undo of uncommitted ones, the
  * torn-bit window scan across wraps, torn-record rejection, recovery
- * idempotence (invariant I6), and log truncation.
+ * idempotence (invariant I6), and log truncation; and which CC
+ * probes of the thread API run in place instead of parking.
  */
 
 #include <gtest/gtest.h>
@@ -302,6 +303,162 @@ TEST(TxnTrackerCc, OwnersAndVersionsOfManyLinesSurviveGrowth)
     }
     EXPECT_EQ(t.lineVersion(lineAt(kLines)), 0u);
     EXPECT_EQ(t.lockOwnerOf(lineAt(kLines)), 0u);
+}
+
+// -------------- CC probes that run in place (Thread) --------------
+
+namespace
+{
+
+/** What one thread has seen of the machine between two of its ops. */
+struct Seen
+{
+    std::uint64_t ops;        ///< parked ops the scheduler has run
+    std::uint64_t txOverhead; ///< the thread's CC and tx instructions
+};
+
+Seen
+seen(System &sys, Thread &t)
+{
+    return {sys.scheduler().ops.value(), t.context().instr.txOverhead};
+}
+
+/** The config of a one-core system under @p cc. */
+SystemConfig
+oneCore(CcMode cc)
+{
+    SystemConfig cfg = SystemConfig::scaled(1);
+    cfg.persist.ccMode = cc;
+    return cfg;
+}
+
+} // namespace
+
+TEST(CcInPlace, SecondTwoPhaseAccessToAnOwnedLineIsNotScheduled)
+{
+    System sys(oneCore(CcMode::TwoPhase), PersistMode::Fwb);
+    Addr line = sys.heap().alloc(64, 64);
+    std::vector<Seen> at;
+    sys.spawn(0, [&](Thread &t) {
+        return [](System &sys, Thread &t, Addr a,
+                  std::vector<Seen> *at) -> sim::Co<void> {
+            // Every await stays out of EXPECT_TRUE, whose expansion is
+            // an if condition (see Thread::txStore64).
+            co_await t.txBegin();
+            at->push_back(seen(sys, t));
+            bool ok = co_await t.txStore64(a, 1); // locks the line
+            EXPECT_TRUE(ok);
+            at->push_back(seen(sys, t));
+            std::uint64_t v = 0;
+            ok = co_await t.txLoad64(a + 8, &v);
+            EXPECT_TRUE(ok);
+            at->push_back(seen(sys, t));
+            ok = co_await t.txStore64(a + 16, 3);
+            EXPECT_TRUE(ok);
+            at->push_back(seen(sys, t));
+            co_await t.txCommit();
+        }(sys, t, line, &at);
+    });
+    sys.run();
+    ASSERT_EQ(at.size(), 4u);
+    const std::uint64_t probe = Thread::kCcAcquireInstructions;
+    // The first access parks its probe and its store.
+    EXPECT_EQ(at[1].ops - at[0].ops, 2u);
+    EXPECT_EQ(at[1].txOverhead - at[0].txOverhead, probe);
+    // A load and a store of the owned line park only the access, and
+    // each still charges the probe.
+    EXPECT_EQ(at[2].ops - at[1].ops, 1u);
+    EXPECT_EQ(at[2].txOverhead - at[1].txOverhead, probe);
+    EXPECT_EQ(at[3].ops - at[2].ops, 1u);
+    EXPECT_EQ(at[3].txOverhead - at[2].txOverhead, probe);
+    // One lock taken, no waits.
+    EXPECT_EQ(sys.txns().lockAcquires.value(), 1u);
+    EXPECT_EQ(sys.txns().lockWaits.value(), 0u);
+}
+
+TEST(CcInPlace, Tl2ReadOfAnOwnedLineStaysScheduled)
+{
+    // A TL2 read records the line's commit version in the read-set,
+    // so its probe stays scheduled even on a line the transaction
+    // write-locked; a TL2 write to that line runs in place.
+    System sys(oneCore(CcMode::Tl2), PersistMode::Fwb);
+    Addr line = sys.heap().alloc(64, 64);
+    std::vector<Seen> at;
+    std::size_t readSet = 0;
+    bool valid = false;
+    sys.spawn(0, [&](Thread &t) {
+        return [](System &sys, Thread &t, Addr a, std::vector<Seen> *at,
+                  std::size_t *readSet, bool *valid) -> sim::Co<void> {
+            // A first transaction commits a write: the line's commit
+            // version becomes 1.
+            co_await t.txBegin();
+            bool ok = co_await t.txStore64(a, 1);
+            EXPECT_TRUE(ok);
+            co_await t.txCommit();
+
+            co_await t.txBegin();
+            ok = co_await t.txStore64(a + 8, 2); // locks the line
+            EXPECT_TRUE(ok);
+            at->push_back(seen(sys, t));
+            std::uint64_t v = 0;
+            ok = co_await t.txLoad64(a, &v);
+            EXPECT_TRUE(ok);
+            at->push_back(seen(sys, t));
+            ok = co_await t.txStore64(a + 16, 3);
+            EXPECT_TRUE(ok);
+            at->push_back(seen(sys, t));
+            *readSet = sys.txns().readSetSize(t.currentTxSeq());
+            *valid = sys.txns().validateReads(t.currentTxSeq());
+            co_await t.txCommit();
+        }(sys, t, line, &at, &readSet, &valid);
+    });
+    sys.run();
+    ASSERT_EQ(at.size(), 3u);
+    const std::uint64_t probe = Thread::kCcAcquireInstructions;
+    EXPECT_EQ(at[1].ops - at[0].ops, 2u); // probe and load
+    EXPECT_EQ(at[1].txOverhead - at[0].txOverhead, probe);
+    EXPECT_EQ(at[2].ops - at[1].ops, 1u); // the store only
+    EXPECT_EQ(at[2].txOverhead - at[1].txOverhead, probe);
+    // The read recorded version 1, which is still current.
+    EXPECT_EQ(readSet, 1u);
+    EXPECT_TRUE(valid);
+    EXPECT_EQ(sys.txns().lineVersion(sys.mem().lineOf(line)), 2u);
+    EXPECT_EQ(sys.txns().validationFailures.value(), 0u);
+}
+
+TEST(CcInPlace, AccessToALineAnotherTransactionHoldsStaysScheduled)
+{
+    // Core 0 locks the line and computes for 500 cycles before it
+    // commits; core 1's store to the line meanwhile probes through the
+    // scheduler, is told to wait, backs off and retries until the lock
+    // is free.
+    SystemConfig cfg = SystemConfig::scaled(2);
+    cfg.persist.ccMode = CcMode::TwoPhase;
+    System sys(cfg, PersistMode::Fwb);
+    Addr a = sys.heap().alloc(64, 64);
+    sys.spawn(0, [&](Thread &t) {
+        return [](Thread &t, Addr a) -> sim::Co<void> {
+            co_await t.txBegin();
+            bool ok = co_await t.txStore64(a, 1);
+            EXPECT_TRUE(ok);
+            co_await t.compute(2000);
+            co_await t.txCommit();
+        }(t, a);
+    });
+    sys.spawn(1, [&](Thread &t) {
+        return [](Thread &t, Addr a) -> sim::Co<void> {
+            co_await t.compute(400);
+            co_await t.txBegin();
+            bool ok = co_await t.txStore64(a + 8, 2);
+            EXPECT_TRUE(ok);
+            co_await t.txCommit();
+        }(t, a);
+    });
+    sys.run();
+    EXPECT_GT(sys.txns().lockWaits.value(), 0u);
+    EXPECT_EQ(sys.txns().lockAcquires.value(), 2u);
+    EXPECT_EQ(sys.txns().committed.value(), 2u);
+    EXPECT_EQ(sys.txns().deadlockAborts.value(), 0u);
 }
 
 // ---------------------------- Recovery ---------------------------
