@@ -8,7 +8,6 @@
  */
 
 #include "bench/common.hh"
-#include "sim/logging.hh"
 
 using namespace snf;
 using namespace snf::bench;
@@ -16,23 +15,14 @@ using namespace snf::bench;
 namespace
 {
 
-workloads::RunOutcome
+RunStats
 run(const std::string &wl, std::uint32_t threads, bool distributed)
 {
-    workloads::RunSpec spec;
-    spec.workload = wl;
-    spec.mode = PersistMode::Fwb;
-    spec.params.threads = threads;
-    spec.params.txPerThread = static_cast<std::uint64_t>(
-        500 * benchScale());
-    if (spec.params.txPerThread == 0)
-        spec.params.txPerThread = 1;
-    spec.params.footprint = 65536;
-    spec.sys = benchConfig(threads);
+    workloads::RunSpec spec =
+        benchSpec(wl, PersistMode::Fwb, threads, 500, 65536);
     if (distributed)
         spec.sys.persist.logShards = PersistConfig::kPerCoreLogs;
-    spec.verifyAtEnd = false;
-    return workloads::runWorkload(spec);
+    return workloads::runWorkload(spec).stats;
 }
 
 } // namespace
@@ -54,13 +44,10 @@ main()
             auto d = run(wl, threads, true);
             std::printf("%-8s %8u %14.1f %14.1f %7.2fx %10llu "
                         "%10llu\n",
-                        wl, threads, c.stats.txPerMcycle,
-                        d.stats.txPerMcycle,
-                        d.stats.txPerMcycle / c.stats.txPerMcycle,
-                        static_cast<unsigned long long>(
-                            c.stats.logBufferStalls),
-                        static_cast<unsigned long long>(
-                            d.stats.logBufferStalls));
+                        wl, threads, c.txPerMcycle, d.txPerMcycle,
+                        d.txPerMcycle / c.txPerMcycle,
+                        static_cast<unsigned long long>(c.logBufferStalls),
+                        static_cast<unsigned long long>(d.logBufferStalls));
             std::fflush(stdout);
         }
     }

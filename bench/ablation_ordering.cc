@@ -9,7 +9,6 @@
  */
 
 #include "bench/common.hh"
-#include "sim/logging.hh"
 
 using namespace snf;
 using namespace snf::bench;
@@ -17,23 +16,13 @@ using namespace snf::bench;
 namespace
 {
 
-workloads::RunOutcome
+RunStats
 run(PersistMode mode, bool barrier, std::uint32_t logEntries)
 {
-    workloads::RunSpec spec;
-    spec.workload = "hash";
-    spec.mode = mode;
-    spec.params.threads = 4;
-    spec.params.txPerThread = static_cast<std::uint64_t>(
-        600 * benchScale());
-    if (spec.params.txPerThread == 0)
-        spec.params.txPerThread = 1;
-    spec.params.footprint = 65536;
-    spec.sys = benchConfig(4);
+    workloads::RunSpec spec = benchSpec("hash", mode, 4, 600, 65536);
     spec.sys.persist.disableWbBarrier = !barrier;
     spec.sys.persist.logBufferEntries = logEntries;
-    spec.verifyAtEnd = false;
-    return workloads::runWorkload(spec);
+    return workloads::runWorkload(spec).stats;
 }
 
 } // namespace
@@ -55,9 +44,9 @@ main()
                 std::printf("%-6s %8s %10u %12.2f %14llu\n",
                             persistModeName(m),
                             barrier ? "on" : "off", entries,
-                            o.stats.txPerMcycle,
+                            o.txPerMcycle,
                             static_cast<unsigned long long>(
-                                o.stats.orderViolations));
+                                o.orderViolations));
                 std::fflush(stdout);
             }
         }

@@ -1,23 +1,25 @@
 /**
  * @file
  * Shared helpers for the benchmark harnesses that regenerate the
- * paper's tables and figures: cell runners, normalization against the
- * unsafe-base baseline, and table printers.
+ * paper's tables and figures: the run spec every figure builds on,
+ * cell runners, the unsafe-base baseline, and the Table II header.
  *
- * Every bench honours SNF_BENCH_SCALE (default 1.0): transaction
- * counts are multiplied by it, so `SNF_BENCH_SCALE=0.1 fig6_...`
- * gives a fast approximate run and larger values tighten the numbers.
+ * Every bench honours SNF_BENCH_SCALE (default 1.0; any positive
+ * finite number, anything else is rejected): transaction counts are
+ * multiplied by it, so `SNF_BENCH_SCALE=0.1 fig6to9_microbench` gives
+ * a fast approximate run and larger values tighten the numbers.
  */
 
 #ifndef SNF_BENCH_COMMON_HH
 #define SNF_BENCH_COMMON_HH
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <string>
-#include <vector>
 
+#include "sim/logging.hh"
 #include "workloads/driver.hh"
 
 namespace snf::bench
@@ -29,8 +31,11 @@ benchScale()
     const char *s = std::getenv("SNF_BENCH_SCALE");
     if (!s)
         return 1.0;
-    double v = std::atof(s);
-    return v > 0 ? v : 1.0;
+    char *end = nullptr;
+    double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || !std::isfinite(v) || v <= 0)
+        fatal("SNF_BENCH_SCALE needs a positive number, got '%s'", s);
+    return v;
 }
 
 /** Benchmark-grade system config: paper latencies, scaled caches. */
@@ -44,71 +49,50 @@ benchConfig(std::uint32_t threads)
     return SystemConfig::scaled(threads);
 }
 
-struct Cell
-{
-    workloads::RunOutcome outcome;
-
-    double throughput() const { return outcome.stats.txPerMcycle; }
-
-    double ipc() const { return outcome.stats.ipc; }
-
-    double instructions() const
-    {
-        return static_cast<double>(outcome.stats.instr.total);
-    }
-
-    double
-    nvramWriteBytes() const
-    {
-        return static_cast<double>(outcome.stats.nvramWriteBytes);
-    }
-
-    double
-    memDynEnergy() const
-    {
-        return outcome.stats.energy.memoryDynamicPj();
-    }
-};
-
-/** Run one (workload, mode, threads) cell with bench-sized inputs. */
-inline Cell
-runCell(const std::string &workload, PersistMode mode,
-        std::uint32_t threads, bool stringValues = false,
-        std::uint64_t txPerThreadBase = 400,
-        std::uint64_t footprint = 131072)
+/**
+ * The run every figure and ablation starts from: benchConfig, the
+ * base transaction count per thread times SNF_BENCH_SCALE (at least
+ * 1), and no end-of-run check (timing cells; correctness is tested).
+ * Callers set only the config field they sweep.
+ */
+inline workloads::RunSpec
+benchSpec(const std::string &workload, PersistMode mode,
+          std::uint32_t threads, std::uint64_t txPerThreadBase,
+          std::uint64_t footprint)
 {
     workloads::RunSpec spec;
     spec.workload = workload;
     spec.mode = mode;
     spec.params.threads = threads;
-    spec.params.txPerThread = static_cast<std::uint64_t>(
-        static_cast<double>(txPerThreadBase) * benchScale());
-    if (spec.params.txPerThread == 0)
-        spec.params.txPerThread = 1;
+    spec.params.txPerThread = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               static_cast<double>(txPerThreadBase) * benchScale()));
     spec.params.footprint = footprint;
-    spec.params.stringValues = stringValues;
     spec.sys = benchConfig(threads);
-    spec.verifyAtEnd = false; // timing cells; correctness is tested
-    Cell c;
-    c.outcome = workloads::runWorkload(spec);
-    return c;
+    spec.verifyAtEnd = false;
+    return spec;
+}
+
+/** Run one (workload, mode, threads) cell of Figures 6-10. */
+inline RunStats
+runCell(const std::string &workload, PersistMode mode,
+        std::uint32_t threads)
+{
+    return workloads::runWorkload(
+               benchSpec(workload, mode, threads, 400, 131072))
+        .stats;
 }
 
 /**
  * The unsafe-base baseline of the paper's figures: the better of
  * redo and undo software logging without forced write-backs.
  */
-inline Cell
-unsafeBase(const std::string &workload, std::uint32_t threads,
-           bool stringValues = false,
-           std::uint64_t txPerThreadBase = 400,
-           std::uint64_t footprint = 131072)
+inline RunStats
+unsafeBase(const std::string &workload, std::uint32_t threads)
 {
-    Cell redo = runCell(workload, PersistMode::UnsafeRedo, threads,
-                        stringValues, txPerThreadBase, footprint);
-    Cell undo = runCell(workload, PersistMode::UnsafeUndo, threads,
-                        stringValues, txPerThreadBase, footprint);
-    return redo.throughput() >= undo.throughput() ? redo : undo;
+    RunStats redo = runCell(workload, PersistMode::UnsafeRedo, threads);
+    RunStats undo = runCell(workload, PersistMode::UnsafeUndo, threads);
+    return redo.txPerMcycle >= undo.txPerMcycle ? redo : undo;
 }
 
 inline void

@@ -7,7 +7,6 @@
  */
 
 #include "bench/common.hh"
-#include "sim/logging.hh"
 
 using namespace snf;
 using namespace snf::bench;
@@ -26,27 +25,29 @@ main()
 
     const std::uint32_t threads = 4;
     for (const auto &wl : workloads::whisperNames()) {
-        Cell base = unsafeBase(wl, threads);
-        Cell nonp = runCell(wl, PersistMode::NonPers, threads);
-        Cell redo = runCell(wl, PersistMode::RedoClwb, threads);
-        Cell undo = runCell(wl, PersistMode::UndoClwb, threads);
-        const Cell &clwb =
-            redo.throughput() >= undo.throughput() ? redo : undo;
+        RunStats base = unsafeBase(wl, threads);
+        RunStats nonp = runCell(wl, PersistMode::NonPers, threads);
+        RunStats redo = runCell(wl, PersistMode::RedoClwb, threads);
+        RunStats undo = runCell(wl, PersistMode::UndoClwb, threads);
+        const RunStats &clwb =
+            redo.txPerMcycle >= undo.txPerMcycle ? redo : undo;
 
         for (PersistMode m : {PersistMode::Hwl, PersistMode::Fwb}) {
-            Cell c = runCell(wl, m, threads);
+            RunStats c = runCell(wl, m, threads);
             std::printf(
                 "%-10s %7s | %8.2f %8.2f %8.2f %8.2f | %8.2f "
                 "%8.2f | %8.2f\n",
-                wl.c_str(), persistModeName(m), c.ipc() / base.ipc(),
-                base.memDynEnergy() / c.memDynEnergy(),
-                c.throughput() / base.throughput(),
-                c.nvramWriteBytes() > 0
-                    ? base.nvramWriteBytes() / c.nvramWriteBytes()
+                wl.c_str(), persistModeName(m), c.ipc / base.ipc,
+                base.energy.memoryDynamicPj() /
+                    c.energy.memoryDynamicPj(),
+                c.txPerMcycle / base.txPerMcycle,
+                c.nvramWriteBytes > 0
+                    ? static_cast<double>(base.nvramWriteBytes) /
+                          static_cast<double>(c.nvramWriteBytes)
                     : 0.0,
-                clwb.throughput() / base.throughput(),
-                c.throughput() / clwb.throughput(),
-                c.throughput() / nonp.throughput());
+                clwb.txPerMcycle / base.txPerMcycle,
+                c.txPerMcycle / clwb.txPerMcycle,
+                c.txPerMcycle / nonp.txPerMcycle);
             std::fflush(stdout);
         }
     }

@@ -8,7 +8,6 @@
  */
 
 #include "bench/common.hh"
-#include "sim/logging.hh"
 
 using namespace snf;
 using namespace snf::bench;
@@ -16,22 +15,12 @@ using namespace snf::bench;
 namespace
 {
 
-snf::workloads::RunOutcome
+RunStats
 runHash(PersistMode mode, std::uint32_t entries)
 {
-    workloads::RunSpec spec;
-    spec.workload = "hash";
-    spec.mode = mode;
-    spec.params.threads = 4;
-    spec.params.txPerThread = static_cast<std::uint64_t>(
-        600 * benchScale());
-    if (spec.params.txPerThread == 0)
-        spec.params.txPerThread = 1;
-    spec.params.footprint = 65536;
-    spec.sys = benchConfig(4);
+    workloads::RunSpec spec = benchSpec("hash", mode, 4, 600, 65536);
     spec.sys.persist.logBufferEntries = entries;
-    spec.verifyAtEnd = false;
-    return workloads::runWorkload(spec);
+    return workloads::runWorkload(spec).stats;
 }
 
 } // namespace
@@ -44,23 +33,21 @@ main()
                 "(hash, 4 threads, fwb) ==\n");
     printTableII();
 
-    double base = runHash(PersistMode::Fwb, 0).stats.txPerMcycle;
+    double base = runHash(PersistMode::Fwb, 0).txPerMcycle;
     std::printf("%8s %12s %10s %8s\n", "entries", "tx/Mcycle",
                 "vs 0-entry", "stalls");
     for (std::uint32_t entries : {0u, 8u, 15u, 16u, 32u, 64u, 128u,
                                   256u}) {
         auto o = runHash(PersistMode::Fwb, entries);
         std::printf("%8u %12.2f %10.2f %8llu\n", entries,
-                    o.stats.txPerMcycle, o.stats.txPerMcycle / base,
-                    static_cast<unsigned long long>(
-                        o.stats.logBufferStalls));
+                    o.txPerMcycle, o.txPerMcycle / base,
+                    static_cast<unsigned long long>(o.logBufferStalls));
         std::fflush(stdout);
     }
     for (PersistMode m : {PersistMode::HwRlog, PersistMode::HwUlog}) {
         auto o = runHash(m, 15);
         std::printf("%8s %12.2f %10.2f   (reference)\n",
-                    persistModeName(m), o.stats.txPerMcycle,
-                    o.stats.txPerMcycle / base);
+                    persistModeName(m), o.txPerMcycle, o.txPerMcycle / base);
     }
 
     std::printf("\nExpected shape (paper): ~+10%% at 8 entries, "

@@ -10,7 +10,6 @@
 
 #include "bench/common.hh"
 #include "persist/fwb_engine.hh"
-#include "sim/logging.hh"
 
 using namespace snf;
 using namespace snf::bench;
@@ -21,21 +20,11 @@ namespace
 std::uint64_t
 hazardsAt(std::uint64_t logBytes, Tick period)
 {
-    workloads::RunSpec spec;
-    spec.workload = "hash";
-    spec.mode = PersistMode::Fwb;
-    spec.params.threads = 4;
-    spec.params.txPerThread = static_cast<std::uint64_t>(
-        800 * benchScale());
-    if (spec.params.txPerThread == 0)
-        spec.params.txPerThread = 1;
-    spec.params.footprint = 65536;
-    spec.sys = benchConfig(4);
+    workloads::RunSpec spec =
+        benchSpec("hash", PersistMode::Fwb, 4, 800, 65536);
     spec.sys.map.logSize = logBytes;
     spec.sys.persist.fwbPeriod = period;
-    spec.verifyAtEnd = false;
-    auto o = workloads::runWorkload(spec);
-    return o.stats.overwriteHazards;
+    return workloads::runWorkload(spec).stats.overwriteHazards;
 }
 
 } // namespace

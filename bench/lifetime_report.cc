@@ -9,7 +9,6 @@
 
 #include "bench/common.hh"
 #include "core/system.hh"
-#include "sim/logging.hh"
 
 using namespace snf;
 using namespace snf::bench;
@@ -20,16 +19,7 @@ namespace
 void
 report(const char *label, PersistMode mode)
 {
-    workloads::RunSpec spec;
-    spec.workload = "sps";
-    spec.mode = mode;
-    spec.params.threads = 4;
-    spec.params.txPerThread = static_cast<std::uint64_t>(
-        2000 * benchScale());
-    if (spec.params.txPerThread == 0)
-        spec.params.txPerThread = 1;
-    spec.params.footprint = 65536;
-    spec.sys = benchConfig(4);
+    workloads::RunSpec spec = benchSpec("sps", mode, 4, 2000, 65536);
 
     // Run by hand so the device wear counters are reachable.
     System sys(spec.sys, mode);

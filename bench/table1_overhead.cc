@@ -7,7 +7,6 @@
 
 #include "bench/common.hh"
 #include "persist/log_record.hh"
-#include "sim/logging.hh"
 
 using namespace snf;
 using namespace snf::bench;
