@@ -2,13 +2,16 @@
  * @file
  * Figures 6-9: the five microbenchmarks at 1, 2, 4 and 8 threads
  * under every persistence scheme, normalized to unsafe-base (the
- * better of software redo/undo logging without forced write-backs).
- * Each cell is simulated once; the four figures are views of it.
+ * better of software redo/undo logging without forced write-backs):
+ * transaction throughput (Fig 6), IPC and instruction count (Fig 7),
+ * memory dynamic energy (Fig 8) and NVRAM write traffic (Fig 9).
+ * Each cell is simulated once; every table is a view of the same runs.
  */
 
 #include <array>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "bench/common.hh"
 
@@ -34,12 +37,84 @@ struct Row
 
 using Matrix = std::map<std::pair<std::uint32_t, std::string>, Row>;
 
-void
-printModes(const char *label)
+/** One table: a value per mode against its row's unsafe-base. */
+struct View
 {
-    std::printf("%-12s", label);
+    const char *title;
+    std::vector<std::uint32_t> threads;
+    double (*value)(const RunStats &run, const RunStats &base);
+    /** The paper's shape, printed under the table; may be null. */
+    const char *expected;
+};
+
+double
+ratio(std::uint64_t num, std::uint64_t den)
+{
+    return static_cast<double>(num) / static_cast<double>(den);
+}
+
+const View kViews[] = {
+    {"Figure 6: transaction throughput speedup (normalized to "
+     "unsafe-base)",
+     {1, 2, 4, 8},
+     [](const RunStats &s, const RunStats &b) {
+         return s.txPerMcycle / b.txPerMcycle;
+     },
+     "redo/undo-clwb < 1, hwl > 1, fwb highest persistent mode\n"
+     "(paper: fwb ~1.86x best sw logging at 1 thread, ~1.75x at 8 "
+     "threads)"},
+    {"Figure 7: IPC speedup (normalized to unsafe-base)",
+     {1, 4},
+     [](const RunStats &s, const RunStats &b) { return s.ipc / b.ipc; },
+     nullptr},
+    {"Figure 7: instruction count (normalized to unsafe-base)",
+     {1, 4},
+     [](const RunStats &s, const RunStats &b) {
+         return ratio(s.instr.total, b.instr.total);
+     },
+     "sw logging up to 2.5x non-pers instructions; fwb ~1.3x "
+     "non-pers;\nhw modes' IPC well above sw logging."},
+    {"Figure 8: memory dynamic energy reduction (unsafe-base / mode; "
+     "higher is better)",
+     {1, 2, 4, 8},
+     [](const RunStats &s, const RunStats &b) {
+         return b.energy.memoryDynamicPj() / s.energy.memoryDynamicPj();
+     },
+     "clwb-based sw logging imposes up to 62% memory energy overhead "
+     "vs\nnon-pers; fwb recovers most of it (~20% dynamic memory "
+     "energy overhead)."},
+    {"Figure 9: memory write traffic reduction (unsafe-base bytes / "
+     "mode bytes)",
+     {1, 8},
+     [](const RunStats &s, const RunStats &b) {
+         // non-pers may write nothing at all.
+         return s.nvramWriteBytes > 0
+                    ? ratio(b.nvramWriteBytes, s.nvramWriteBytes)
+                    : 0.0;
+     },
+     "fwb substantially reduces NVRAM writes vs clwb-based sw "
+     "logging\n(cache-coalesced FWB write-backs replace per-commit "
+     "forced write-backs)."},
+};
+
+void
+print(const View &v, const Matrix &rows)
+{
+    std::printf("== %s ==\n%-12s", v.title, "benchmark");
     for (PersistMode m : kModes)
         std::printf(" %10s", persistModeName(m));
+    std::printf("\n");
+    for (std::uint32_t threads : v.threads) {
+        for (const auto &wl : workloads::microbenchNames()) {
+            const Row &r = rows.at({threads, wl});
+            std::printf("%-9s-%ut", wl.c_str(), threads);
+            for (const RunStats &s : r.modes)
+                std::printf(" %10.2f", v.value(s, r.base));
+            std::printf("\n");
+        }
+    }
+    if (v.expected)
+        std::printf("\nExpected shape (paper): %s\n", v.expected);
     std::printf("\n");
 }
 
@@ -59,105 +134,8 @@ main()
         }
     }
 
-    // Figure 6.
-    std::printf("== Figure 6: transaction throughput speedup "
-                "(normalized to unsafe-base) ==\n");
     printTableII();
-    printModes("benchmark");
-    for (std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-        for (const auto &wl : workloads::microbenchNames()) {
-            const Row &r = rows.at({threads, wl});
-            std::printf("%-9s-%ut", wl.c_str(), threads);
-            for (const RunStats &s : r.modes)
-                std::printf(" %10.2f",
-                            s.txPerMcycle / r.base.txPerMcycle);
-            std::printf("\n");
-        }
-    }
-    std::printf("\nExpected shape (paper): redo/undo-clwb < 1, "
-                "hwl > 1, fwb highest persistent mode\n");
-    std::printf("(paper: fwb ~1.86x best sw logging at 1 thread, "
-                "~1.75x at 8 threads)\n");
-
-    // Figure 7.
-    std::printf("== Figure 7: IPC speedup and instruction count "
-                "(normalized to unsafe-base) ==\n");
-    printTableII();
-    for (std::uint32_t threads : {1u, 4u}) {
-        std::printf("--- %u thread(s): IPC speedup ---\n", threads);
-        printModes("benchmark");
-        for (const auto &wl : workloads::microbenchNames()) {
-            const Row &r = rows.at({threads, wl});
-            std::printf("%-12s", wl.c_str());
-            for (const RunStats &s : r.modes)
-                std::printf(" %10.2f", s.ipc / r.base.ipc);
-            std::printf("\n");
-        }
-        std::printf("--- %u thread(s): instruction count ---\n",
-                    threads);
-        printModes("benchmark");
-        for (const auto &wl : workloads::microbenchNames()) {
-            const Row &r = rows.at({threads, wl});
-            std::printf("%-12s", wl.c_str());
-            for (const RunStats &s : r.modes)
-                std::printf(
-                    " %10.2f",
-                    static_cast<double>(s.instr.total) /
-                        static_cast<double>(r.base.instr.total));
-            std::printf("\n");
-        }
-        std::printf("\n");
-    }
-    std::printf("Expected shape (paper): sw logging up to 2.5x "
-                "non-pers instructions; fwb ~1.3x non-pers;\n"
-                "hw modes' IPC well above sw logging.\n");
-
-    // Figure 8.
-    std::printf("== Figure 8: memory dynamic energy reduction "
-                "(unsafe-base / mode; higher is better) ==\n");
-    printTableII();
-    for (std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-        for (const auto &wl : workloads::microbenchNames()) {
-            const Row &r = rows.at({threads, wl});
-            std::printf("%-9s-%ut", wl.c_str(), threads);
-            for (const RunStats &s : r.modes)
-                std::printf(" %10.2f",
-                            r.base.energy.memoryDynamicPj() /
-                                s.energy.memoryDynamicPj());
-            std::printf("\n");
-        }
-        if (threads == 1)
-            printModes("(modes)");
-    }
-    std::printf("\nExpected shape (paper): clwb-based sw logging "
-                "imposes up to 62%% memory energy overhead vs\n"
-                "non-pers; fwb recovers most of it (~20%% dynamic "
-                "memory energy overhead).\n");
-
-    // Figure 9.
-    std::printf("== Figure 9: memory write traffic reduction "
-                "(unsafe-base bytes / mode bytes) ==\n");
-    printTableII();
-    printModes("benchmark");
-    for (std::uint32_t threads : {1u, 8u}) {
-        for (const auto &wl : workloads::microbenchNames()) {
-            const Row &r = rows.at({threads, wl});
-            std::printf("%-9s-%ut", wl.c_str(), threads);
-            for (const RunStats &s : r.modes) {
-                double denom = static_cast<double>(s.nvramWriteBytes);
-                std::printf(
-                    " %10.2f",
-                    denom > 0 ? static_cast<double>(
-                                    r.base.nvramWriteBytes) /
-                                    denom
-                              : 0.0);
-            }
-            std::printf("\n");
-        }
-    }
-    std::printf("\nExpected shape (paper): fwb substantially reduces "
-                "NVRAM writes vs clwb-based sw logging\n"
-                "(cache-coalesced FWB write-backs replace per-commit "
-                "forced write-backs).\n");
+    for (const View &v : kViews)
+        print(v, rows);
     return 0;
 }
