@@ -43,14 +43,15 @@ Scheduler::allFinished() const
 Tick
 Scheduler::run(Tick stopAt)
 {
-    for (ThreadContext *t : threads) {
+    for (ThreadContext *t : threads)
         t->stopAt = stopAt;
-        t->lastInPlace = kTickNever;
-    }
 
+    bool stopped = false;
     while (ThreadContext *t = pickNext()) {
-        if (t->localTime >= stopAt)
+        if (t->localTime >= stopAt) {
+            stopped = true;
             break;
+        }
 
         // Fire time-triggered machinery (FWB scans, monitors) that
         // precedes this thread's next step. The guard jumps straight
@@ -80,13 +81,11 @@ Scheduler::run(Tick stopAt)
             t->finished = true;
     }
 
-    // Executing an in-place op here would first have fired the events
-    // due by its tick. They cannot affect the op, but they must fire
-    // before the machine stops.
-    for (const ThreadContext *t : threads)
-        if (t->lastInPlace != kTickNever &&
-            events.nextEventTick() <= t->lastInPlace)
-            events.runUntil(t->lastInPlace);
+    // A run to the end fires every event due before the stop tick
+    // before it executes any op at or past it, so a stopped run fires
+    // them too. Every op that ran in place lies below the stop tick.
+    if (stopped && events.nextEventTick() < stopAt)
+        events.runUntil(stopAt - 1);
 
     Tick max_time = 0;
     for (const ThreadContext *t : threads)

@@ -14,10 +14,12 @@
  * parking would give. A parked op runs at the clock its thread parked
  * with, because only the thread's own ops move that clock, and no
  * other thread's op, event or probe reads what an in-place op
- * changes. Two things would still differ, and run() keeps both as
- * parking has them: an op reached at or past the stop tick never
- * runs, and the events due by the latest in-place op fire before
- * run() returns.
+ * changes. An op reached at or past the stop tick never runs, as it
+ * would not if parked.
+ *
+ * A run stopped at a tick fires every event due before it, as a run
+ * to the end does before its first op at or past that tick, so both
+ * hold the same state at the stop tick (crashSnapshot).
  */
 
 #ifndef SNF_CPU_SCHEDULER_HH

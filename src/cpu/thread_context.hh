@@ -84,25 +84,13 @@ class ThreadContext
      *  to its own stop tick. */
     Tick stopAt = 0;
 
-    /** The clock of the latest op that ran in place in this run;
-     *  kTickNever = none has. */
-    Tick lastInPlace = kTickNever;
-
     /**
      * May an op that reads and writes only this thread's state run
      * now, inside the coroutine, instead of parking? Only below
      * stopAt: the scheduler never executes an op parked at or past
-     * it. On true the caller runs the op at once, and its tick is
-     * noted so the scheduler still fires the events due by it.
+     * it. On true the caller runs the op at once.
      */
-    bool
-    claimInPlace()
-    {
-        if (localTime >= stopAt)
-            return false;
-        lastInPlace = localTime;
-        return true;
-    }
+    bool claimInPlace() const { return localTime < stopAt; }
 
     // --- timing helpers ------------------------------------------
 
