@@ -39,7 +39,6 @@ struct ImageIO
     const mem::RemapTable *remap = nullptr;
     std::uint64_t budget = ~0ULL;
     bool collect = false;
-    const sim::ProbeFn *probe = nullptr;
 
     std::uint64_t issued = 0;
     std::uint64_t applied = 0;
@@ -95,8 +94,7 @@ struct ImageIO
     bool
     bulk(std::uint64_t lines)
     {
-        if (collect || (probe && *probe) || !directScan() ||
-            applied + lines > budget)
+        if (collect || !directScan() || applied + lines > budget)
             return false;
         issued += lines;
         applied += lines;
@@ -117,8 +115,6 @@ struct ImageIO
                                                         line_end - a);
             Addr line = a & ~static_cast<Addr>(kLineBytes - 1);
             ++issued;
-            if (probe && *probe)
-                (*probe)(sim::ProbeEvent::RecoveryWrite, issued, line);
             if (applied < budget) {
                 img.write(translate(a), seg, src);
                 ++applied;
@@ -257,7 +253,6 @@ Recovery::run(mem::BackingStore &image, const AddressMap &map,
     io.remap = have_remap ? &remap : nullptr;
     io.budget = opts.crashAfterWrites;
     io.collect = opts.collectWrites;
-    io.probe = &opts.probe;
 
     RecoveryReport r = recoverLog(
         io, map, opts,

@@ -26,7 +26,6 @@
 
 #include "core/system_config.hh"
 #include "mem/backing_store.hh"
-#include "sim/probe.hh"
 #include "sim/types.hh"
 
 namespace snf::persist
@@ -78,8 +77,6 @@ struct RecoveryOptions
      * in the address map (Recovery::run only).
      */
     bool promoteBadLines = false;
-    /** Emits one RecoveryWrite event per line write when set. */
-    sim::ProbeFn probe;
 };
 
 /**

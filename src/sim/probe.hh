@@ -53,13 +53,6 @@ enum class ProbeEvent : std::uint8_t
      */
     TxAbort,
     /**
-     * Post-crash recovery issued one 64-byte-line NVRAM write (redo,
-     * undo, spare copy, remap-table chunk, or truncation zeroing);
-     * arg = line address, tick = ordinal of the write within the
-     * recovery pass. Crash-during-recovery sweeps key off these.
-     */
-    RecoveryWrite,
-    /**
      * The crash model discarded a pending WCB entry before it reached
      * NVRAM (arg = line address). Emitted once per dropped entry so
      * traces account for every in-flight write; crash harvesting
@@ -82,7 +75,6 @@ probeEventName(ProbeEvent e)
       case ProbeEvent::TxCommit:      return "tx-commit";
       case ProbeEvent::CommitDurable: return "commit-durable";
       case ProbeEvent::TxAbort:       return "tx-abort";
-      case ProbeEvent::RecoveryWrite: return "recovery-write";
       case ProbeEvent::WcbDrop:       return "wcb-drop";
     }
     return "?";
