@@ -469,6 +469,10 @@ struct JournaledTpcc
                 return eng.thread(*sys, t, params);
             });
     }
+
+    // The threads' coroutines hold this object's address.
+    JournaledTpcc(const JournaledTpcc &) = delete;
+    JournaledTpcc &operator=(const JournaledTpcc &) = delete;
 };
 
 } // namespace
@@ -476,11 +480,11 @@ struct JournaledTpcc
 TEST(StopTick, StoppedRunHoldsTheFullRunsImage)
 {
     // A run stopped at a tick must hold the NVRAM image a run to the
-    // end journals by that tick. From 808 795 on, the last running
-    // thread's clock jumps past the stop in one long reclaim wait
-    // while an FWB scan falls due; a stopped run that did not fire it
-    // lacked its write-backs (first difference: a log slot at
-    // 0x100010c00). 95 152 is a control that always matched.
+    // end journals by that tick. From 808 795 on, a thread's clock
+    // jumps past the stop in one long reclaim wait while an FWB scan
+    // falls due; a stopped run that did not fire it lacked its
+    // write-backs (first difference: a log slot at 0x100010c00).
+    // 95 152 is a control that always matched.
     JournaledTpcc full;
     ASSERT_EQ(full.sys->run(), 932494u);
     for (Tick at : {Tick{95152}, Tick{808795}, Tick{875402}}) {

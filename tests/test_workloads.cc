@@ -157,9 +157,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------------------
 // Figure 6's shape: FWB needs no clwb and no per-store log write, so
-// it is the fastest persistent mode. Two rows of fig6_throughput, at
-// its configuration (400 tx per thread, 131 072 elements, scaled
-// preset): fwb's tx/Mcycle is at least the better clwb scheme's.
+// it is the fastest persistent mode. Two rows of Figure 6 as
+// fig6to9_microbench runs them (400 tx per thread, 131 072 elements,
+// scaled preset): fwb's tx/Mcycle is at least the better clwb
+// scheme's.
 // ------------------------------------------------------------------
 
 namespace
