@@ -200,14 +200,9 @@ tpccCrash()
         sys.run(at);
         sys.setProbe({});
         trace.finalize();
-        crashlab::CrashFacts facts;
-        facts.tick = at;
-        facts.txBegun = trace.begunBy(at);
-        facts.txCommitted = trace.committedBy(at) + trace.abortedBy(at);
-        facts.txDurableCommits = trace.durableBy(at);
-        facts.threads = params.threads;
-        facts.logWraps = sys.collectStats(at).logWraps;
-        facts.mode = PersistMode::Fwb;
+        crashlab::CrashFacts facts = crashlab::crashFactsAt(
+            trace, at, params.threads, sys.collectStats(at).logWraps,
+            PersistMode::Fwb);
         return TpccCrash{sys.crashSnapshot(at), sys.config().map, facts,
                          std::move(eng)};
     }();

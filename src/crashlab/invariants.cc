@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "crashlab/trace.hh"
 #include "persist/log_record.hh"
 #include "persist/log_region.hh"
 #include "sim/logging.hh"
@@ -27,6 +28,21 @@ VerifyTimerScope::VerifyTimerScope(std::uint64_t *sinkNs)
 VerifyTimerScope::~VerifyTimerScope()
 {
     verifyTimerSink = prev;
+}
+
+CrashFacts
+crashFactsAt(const CrashTrace &trace, Tick tick, std::uint32_t threads,
+             std::uint64_t logWraps, PersistMode mode)
+{
+    CrashFacts f;
+    f.tick = tick;
+    f.txBegun = trace.begunBy(tick);
+    f.txCommitted = trace.committedBy(tick) + trace.abortedBy(tick);
+    f.txDurableCommits = trace.durableBy(tick);
+    f.threads = threads;
+    f.logWraps = logWraps;
+    f.mode = mode;
+    return f;
 }
 
 bool

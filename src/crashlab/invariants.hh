@@ -60,6 +60,17 @@ struct CrashFacts
     PersistMode mode = PersistMode::NonPers;
 };
 
+class CrashTrace;
+
+/**
+ * The facts of a finalized reference trace at @p tick. Aborts close
+ * with a commit record under undo-capable modes, so they join
+ * txCommitted, the commit-record upper bound.
+ */
+CrashFacts crashFactsAt(const CrashTrace &trace, Tick tick,
+                        std::uint32_t threads, std::uint64_t logWraps,
+                        PersistMode mode);
+
 /**
  * Installs a thread-local nanosecond accumulator that every
  * checkCrashPoint on this thread adds the wall-clock of its workload

@@ -252,17 +252,9 @@ runLifecycle(const LifecycleConfig &cfg)
         res.perf.snapshotSec += secondsSince(tSnap);
         Clock::time_point tCheck = Clock::now();
 
-        CrashFacts facts;
-        facts.tick = gr.crashTick;
-        facts.txBegun = trace.begunBy(gr.crashTick);
-        // Aborts close with a commit record under undo-capable modes,
-        // so they join the commit-record upper bound.
-        facts.txCommitted = trace.committedBy(gr.crashTick) +
-                            trace.abortedBy(gr.crashTick);
-        facts.txDurableCommits = trace.durableBy(gr.crashTick);
-        facts.threads = params.threads;
-        facts.logWraps = stats.logWraps;
-        facts.mode = cfg.run.mode;
+        CrashFacts facts =
+            crashFactsAt(trace, gr.crashTick, params.threads,
+                         stats.logWraps, cfg.run.mode);
 
         // I1-I8 on private copies of the (still clean) snapshot. A
         // run under live media faults has a damaged reference image,

@@ -131,17 +131,8 @@ runCrashSweep(const SweepConfig &cfg)
     res.perf.checkpointsBuilt = store.checkpointCount();
 
     auto factsAt = [&](Tick t) {
-        CrashFacts f;
-        f.tick = t;
-        f.txBegun = trace.begunBy(t);
-        // Aborts close with a commit record under undo-capable
-        // modes, so they join the commit-record upper bound.
-        f.txCommitted = trace.committedBy(t) + trace.abortedBy(t);
-        f.txDurableCommits = trace.durableBy(t);
-        f.threads = cfg.run.params.threads;
-        f.logWraps = res.refLogWraps;
-        f.mode = cfg.run.mode;
-        return f;
+        return crashFactsAt(trace, t, cfg.run.params.threads,
+                            res.refLogWraps, cfg.run.mode);
     };
     // Evaluate one crash image. @p skipReentrancy drops the
     // interrupted-recovery sweep (each probe multiplies the cost by
