@@ -9,6 +9,7 @@
  */
 
 #include <array>
+#include <cmath>
 #include <map>
 #include <utility>
 #include <vector>
@@ -42,6 +43,7 @@ struct View
 {
     const char *title;
     std::vector<std::uint32_t> threads;
+    /** NaN where the run has no value; printed as `-`. */
     double (*value)(const RunStats &run, const RunStats &base);
     /** The paper's shape, printed under the table; may be null. */
     const char *expected;
@@ -90,7 +92,7 @@ const View kViews[] = {
          // non-pers may write nothing at all.
          return s.nvramWriteBytes > 0
                     ? ratio(b.nvramWriteBytes, s.nvramWriteBytes)
-                    : 0.0;
+                    : std::nan("");
      },
      "fwb substantially reduces NVRAM writes vs clwb-based sw "
      "logging\n(cache-coalesced FWB write-backs replace per-commit "
@@ -108,8 +110,13 @@ print(const View &v, const Matrix &rows)
         for (const auto &wl : workloads::microbenchNames()) {
             const Row &r = rows.at({threads, wl});
             std::printf("%-9s-%ut", wl.c_str(), threads);
-            for (const RunStats &s : r.modes)
-                std::printf(" %10.2f", v.value(s, r.base));
+            for (const RunStats &s : r.modes) {
+                double x = v.value(s, r.base);
+                if (std::isnan(x))
+                    std::printf(" %10s", "-");
+                else
+                    std::printf(" %10.2f", x);
+            }
             std::printf("\n");
         }
     }
