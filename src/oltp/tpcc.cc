@@ -95,11 +95,11 @@ TpccEngine::setup(System &sys, const WorkloadParams &params)
     lay.maxOrders = threadsPerWh * params.txPerThread + 1;
 
     ccOn = sys.config().persist.ccMode != CcMode::None;
-    SNF_ASSERT(ccOn || lay.warehouses >= params.threads,
-               "oltp-tpcc: %u threads over %" PRIu64
-               " warehouses contend on shared rows and require a CC "
-               "scheme (--cc 2pl|tl2)",
-               params.threads, lay.warehouses);
+    if (!ccOn && lay.warehouses < params.threads)
+        fatal("oltp-tpcc: %u threads over %" PRIu64
+              " warehouses share rows; give each thread a warehouse "
+              "(--warehouses) or pick a CC scheme (--cc 2pl|tl2)",
+              params.threads, lay.warehouses);
 
     auto &heap = sys.heap();
     lay.warehouseBase =

@@ -56,10 +56,11 @@ YcsbEngine::setup(System &sys, const WorkloadParams &params)
     SNF_ASSERT(theta > 0.0 && theta < 1.0,
                "oltp-ycsb: zipf theta %.3f outside (0, 1)", theta);
     ccOn = sys.config().persist.ccMode != CcMode::None;
-    SNF_ASSERT(ccOn || nkeys >= params.threads,
-               "oltp-ycsb: %u threads need at least one key each "
-               "(%" PRIu64 " keys) without a CC scheme",
-               params.threads, nkeys);
+    if (!ccOn && nkeys < params.threads)
+        fatal("oltp-ycsb: %u threads over %" PRIu64
+              " keys share rows; give each thread a key (--footprint) "
+              "or pick a CC scheme (--cc 2pl|tl2)",
+              params.threads, nkeys);
 
     // Records start all-zero (version 0, payload 0), which already
     // satisfies the payload == version invariant — no prewrites, so
