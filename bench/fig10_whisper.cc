@@ -3,8 +3,11 @@
  * Figure 10: WHISPER-style real-workload results — IPC, dynamic
  * memory energy consumption, transaction throughput, and NVRAM write
  * traffic, normalized to unsafe-base, for the full design (fwb) with
- * hwl and non-pers as references.
+ * hwl and non-pers as references. WHISPER's tpcc and ycsb are the
+ * OLTP engines, run after the four WHISPER-like workloads.
  */
+
+#include <vector>
 
 #include "bench/common.hh"
 
@@ -24,7 +27,10 @@ main()
                 "trafRd", "bestClwb", "fwb/clwb", "fwb/nonp");
 
     const std::uint32_t threads = 4;
-    for (const auto &wl : workloads::whisperNames()) {
+    std::vector<std::string> names = workloads::whisperNames();
+    const auto &oltp = workloads::oltpNames();
+    names.insert(names.end(), oltp.begin(), oltp.end());
+    for (const auto &wl : names) {
         RunStats base = unsafeBase(wl, threads);
         RunStats nonp = runCell(wl, PersistMode::NonPers, threads);
         RunStats redo = runCell(wl, PersistMode::RedoClwb, threads);

@@ -135,6 +135,10 @@ class TpccEngine : public OltpEngine
     bool verify(const mem::BackingStore &nvram,
                 std::string *why) const override;
 
+    /** Without a CC scheme setup() gives every thread its own home
+     *  warehouse and no transaction leaves it. */
+    bool threadPrivate() const override { return !ccOn; }
+
     const TpccLayout &layout() const { return lay; }
 
   private:

@@ -44,6 +44,10 @@ class YcsbEngine : public OltpEngine
     bool verify(const mem::BackingStore &nvram,
                 std::string *why) const override;
 
+    /** Without a CC scheme each thread owns the keys congruent to its
+     *  id (see file comment). */
+    bool threadPrivate() const override { return !ccOn; }
+
     std::uint64_t keys() const { return nkeys; }
 
     /** NVRAM address of key @p k's record (version word first). */

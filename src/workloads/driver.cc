@@ -19,14 +19,15 @@ runWorkload(const RunSpec &spec, std::ostream *statsDump)
         fatal("crash runs need PersistConfig::crashJournal");
 
     auto workload = makeWorkload(spec.workload);
+    System sys(cfg, spec.mode);
+    workload->setup(sys, spec.params);
+    // Asked after setup(): an engine learns there whether its threads
+    // share data (the OLTP engines do under a CC scheme).
     if (persist::resolveLogLayout(cfg, spec.mode).byCore &&
         !workload->threadPrivate())
         fatal("--distributed-log needs thread-private persistent data, "
               "but workload '%s' shares it between threads",
               spec.workload.c_str());
-
-    System sys(cfg, spec.mode);
-    workload->setup(sys, spec.params);
 
     for (CoreId c = 0; c < spec.params.threads; ++c) {
         sys.spawn(c, [&](Thread &t) -> sim::Co<void> {

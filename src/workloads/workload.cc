@@ -10,9 +10,7 @@
 #include "workloads/whisper_ctree.hh"
 #include "workloads/whisper_echo.hh"
 #include "workloads/whisper_hashmap.hh"
-#include "workloads/whisper_tpcc.hh"
 #include "workloads/whisper_vacation.hh"
-#include "workloads/whisper_ycsb.hh"
 
 #include "oltp/tpcc.hh"
 #include "oltp/ycsb.hh"
@@ -39,10 +37,6 @@ makeWorkload(const std::string &name)
         return std::make_unique<WhisperCtree>();
     if (name == "hashmap")
         return std::make_unique<WhisperHashmap>();
-    if (name == "tpcc")
-        return std::make_unique<WhisperTpcc>();
-    if (name == "ycsb")
-        return std::make_unique<WhisperYcsb>();
     if (name == "echo")
         return std::make_unique<WhisperEcho>();
     if (name == "vacation")
@@ -67,7 +61,7 @@ const std::vector<std::string> &
 whisperNames()
 {
     static const std::vector<std::string> names = {
-        "ctree", "hashmap", "tpcc", "ycsb", "echo", "vacation",
+        "ctree", "hashmap", "echo", "vacation",
     };
     return names;
 }

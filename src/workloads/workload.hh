@@ -89,6 +89,7 @@ class Workload
      * recovery-time order, so runWorkload rejects any other workload
      * whose log layout resolves to per-core regions
      * (PersistConfig::kPerCoreLogs under a hardware-logging mode).
+     * Asked after setup(), which may decide it from the config.
      */
     virtual bool threadPrivate() const { return false; }
 };
@@ -99,7 +100,8 @@ std::unique_ptr<Workload> makeWorkload(const std::string &name);
 /** Names of the five paper microbenchmarks (Table III). */
 const std::vector<std::string> &microbenchNames();
 
-/** Names of the WHISPER-like workloads. */
+/** Names of the WHISPER-like workloads; WHISPER's tpcc and ycsb are
+ *  the OLTP engines (oltpNames()). */
 const std::vector<std::string> &whisperNames();
 
 /** Names of the production-scale OLTP engines (src/oltp). */

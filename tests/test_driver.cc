@@ -20,7 +20,8 @@ TEST(WorkloadRegistry, AllNamesConstruct)
         EXPECT_EQ(wl->name(), name);
     }
     EXPECT_EQ(microbenchNames().size(), 5u);
-    EXPECT_EQ(whisperNames().size(), 6u);
+    EXPECT_EQ(whisperNames().size(), 4u);
+    EXPECT_EQ(oltpNames().size(), 2u);
 }
 
 TEST(WorkloadRegistryDeath, UnknownWorkloadIsFatal)

@@ -181,18 +181,31 @@ TEST(DistributedLogs, RecoveryReentrantAtEveryWriteBudget)
 
 TEST(DistributedLogsDeathTest, RejectsWorkloadWithSharedData)
 {
-    // vacation's reservations share resource rows between threads:
+    // vacation's reservations share resource rows between threads,
+    // and so do the OLTP engines under a CC scheme (TPC-C with fewer
+    // warehouses than threads, YCSB over the whole keyspace):
     // per-core regions could not order their writes at recovery.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    RunSpec spec;
-    spec.workload = "vacation";
-    spec.mode = PersistMode::Fwb;
-    spec.params.threads = 2;
-    spec.sys = distCfg(2, /*journal=*/true);
-    spec.crashAt = 20000;
-    EXPECT_EXIT(runWorkload(spec), ::testing::ExitedWithCode(1),
-                "--distributed-log");
+    auto sharedCell = [](const char *wl, CcMode cc) {
+        RunSpec spec;
+        spec.workload = wl;
+        spec.mode = PersistMode::Fwb;
+        spec.params.threads = 2;
+        spec.sys = distCfg(2, /*journal=*/true);
+        spec.sys.persist.ccMode = cc;
+        spec.crashAt = 20000;
+        return spec;
+    };
+    RunSpec tpcc = sharedCell("oltp-tpcc", CcMode::TwoPhase);
+    tpcc.params.warehouses = 1;
+    for (const RunSpec &spec :
+         {sharedCell("vacation", CcMode::None), tpcc,
+          sharedCell("oltp-ycsb", CcMode::Tl2)})
+        EXPECT_EXIT(runWorkload(spec), ::testing::ExitedWithCode(1),
+                    "--distributed-log")
+            << spec.workload;
     // Software modes keep the centralized log, so the flag is inert.
+    RunSpec spec = sharedCell("vacation", CcMode::None);
     spec.mode = PersistMode::UndoClwb;
     spec.crashAt.reset();
     spec.params.txPerThread = 10;
@@ -201,7 +214,7 @@ TEST(DistributedLogsDeathTest, RejectsWorkloadWithSharedData)
 
 TEST(DistributedLogs, WorkloadsVerifyUnderDistributedFwb)
 {
-    for (const auto &wl : {"hash", "sps", "tpcc"}) {
+    for (const auto &wl : {"hash", "sps", "oltp-tpcc", "oltp-ycsb"}) {
         RunSpec spec;
         spec.workload = wl;
         spec.mode = PersistMode::Fwb;
@@ -223,10 +236,11 @@ TEST(DistributedLogs, CrashRecoveryUnderDistributedFwb)
     // paper's one-transaction-stream-per-thread model, Figure 4):
     // without a global LSN, committed writes to SHARED addresses
     // from different partitions cannot be ordered at recovery. The
-    // partitioned workloads satisfy this; vacation/ycsb (shared
-    // writes) must use the centralized log, and runWorkload rejects
-    // them (RejectsWorkloadWithSharedData below).
-    for (const auto &wl : {"tpcc", "hash", "echo"}) {
+    // partitioned workloads satisfy this, and so do the OLTP engines
+    // without a CC scheme; vacation and the engines under one
+    // (shared writes) must use the centralized log, and runWorkload
+    // rejects them (RejectsWorkloadWithSharedData above).
+    for (const auto &wl : {"oltp-tpcc", "oltp-ycsb", "hash", "echo"}) {
         RunSpec spec;
         spec.workload = wl;
         spec.mode = PersistMode::Fwb;
@@ -238,6 +252,33 @@ TEST(DistributedLogs, CrashRecoveryUnderDistributedFwb)
         auto outcome = runWorkload(spec);
         EXPECT_TRUE(outcome.verified)
             << wl << ": " << outcome.verifyMessage;
+    }
+}
+
+TEST(DistributedLogs, TpccCrashSweepOverPerCoreRegions)
+{
+    // Without a CC scheme each TPC-C thread stays in its own
+    // warehouse, so its log may live in its core's region. Every
+    // sampled crash point must pass I1-I8 and the TPC-C oracle, also
+    // after the 4-thread cell's regions wrap.
+    for (std::uint32_t threads : {2u, 4u}) {
+        crashlab::SweepConfig cfg;
+        cfg.run.workload = "oltp-tpcc";
+        cfg.run.mode = PersistMode::Fwb;
+        cfg.run.params.threads = threads;
+        cfg.run.params.txPerThread = 150;
+        cfg.run.params.footprint = 256;
+        cfg.run.params.seed = 3;
+        cfg.run.sys = distCfg(threads, /*journal=*/true);
+        cfg.jobs = 2;
+        cfg.maxPoints = 300;
+        auto res = crashlab::runCrashSweep(cfg);
+        EXPECT_TRUE(res.refVerified) << res.refVerifyMessage;
+        EXPECT_EQ(res.pointsTested, 300u) << threads;
+        EXPECT_TRUE(res.passed()) << threads << ": " << res.minimizedDetail;
+        if (threads == 4) {
+            EXPECT_GT(res.refLogWraps, 0u);
+        }
     }
 }
 

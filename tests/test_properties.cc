@@ -85,7 +85,7 @@ TEST_P(CrashSweep, HashRecoversFromAnyCrashPoint)
 
 TEST_P(CrashSweep, TpccRecoversFromAnyCrashPoint)
 {
-    RunSpec spec = propSpec("tpcc", PersistMode::Fwb, 5);
+    RunSpec spec = propSpec("oltp-tpcc", PersistMode::Fwb, 5);
     spec.params.txPerThread = 500;
     spec.sys.persist.crashJournal = true;
     spec.crashAt = 20000 + GetParam() * 17321;

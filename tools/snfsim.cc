@@ -55,8 +55,8 @@ int
 runBenchMatrix(const RunSpec &base, bool paper, std::uint64_t repeats,
                const std::string &path)
 {
-    static const char *kWorkloads[] = {"sps", "hash", "btree", "ycsb",
-                                       "tpcc"};
+    static const char *kWorkloads[] = {"sps", "hash", "btree",
+                                       "oltp-ycsb", "oltp-tpcc"};
     static const PersistMode kModes[] = {
         PersistMode::Fwb, PersistMode::UndoClwb, PersistMode::RedoClwb,
         PersistMode::NonPers};
@@ -184,7 +184,7 @@ main(int argc, char **argv)
     flags.addReal("--zipf-theta X", &spec.params.zipfTheta,
                   "oltp-ycsb Zipf skew", 0.0, 1.0);
     flags.addChoice("--cc 2pl|tl2|none", &persist.ccMode, ccModeChoices(),
-                    "concurrency control (oltp-tpcc needs one)");
+                    "concurrency control (when OLTP threads share rows)");
     flags.addCount("--seed N", &spec.params.seed, "workload RNG seed");
     flags.addSwitch("--strings", &spec.params.stringValues,
                     "string (multi-word) values");
