@@ -8,7 +8,6 @@
  */
 
 #include "bench/common.hh"
-#include "core/system.hh"
 
 using namespace snf;
 using namespace snf::bench;
@@ -19,20 +18,11 @@ namespace
 void
 report(const char *label, PersistMode mode)
 {
-    workloads::RunSpec spec = benchSpec("sps", mode, 4, 2000, 65536);
-
-    // Run by hand so the device wear counters are reachable.
-    System sys(spec.sys, mode);
-    auto wl = workloads::makeWorkload(spec.workload);
-    wl->setup(sys, spec.params);
-    for (CoreId c = 0; c < spec.params.threads; ++c) {
-        sys.spawn(c, [&](Thread &t) {
-            return wl->thread(sys, t, spec.params);
-        });
-    }
-    Tick end = sys.run();
-
-    auto wear = sys.mem().nvram().wearReport();
+    workloads::LiveCell cell(benchSpec("sps", mode, 4, 2000, 65536));
+    Tick end = cell.run();
+    // The device's wear counters of the measured run; a figure's spec
+    // does not verify, so nothing flushes after it.
+    auto wear = cell.system().mem().nvram().wearReport();
     double days = wear.hottestRowLifetimeSeconds(
                       100000000 /* 1e8 endurance */, end,
                       kClockGhz) /

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/system.hh"
 #include "crashlab/sweep.hh"
 #include "mem/backing_store.hh"
 #include "oltp/tpcc.hh"
@@ -163,48 +162,48 @@ BENCHMARK(BM_CrashSweepEndToEnd)
  * 256 customers per district, 130 tx per thread, crashed at tick
  * 1 000 000 of ~2 019 000: 10 240 customer and 33 792 stock rows, the
  * tables a crash-tpcc point's oracle walks), with the reference
- * trace's facts at the crash, as a sweep derives them, and the engine
- * whose oracle checks it. Built once, outside every timed loop.
+ * trace's facts at the crash, as a sweep derives them, and the cell
+ * whose engine's oracle checks it. Built once, outside every timed
+ * loop.
  */
 struct TpccCrash
 {
+    std::unique_ptr<workloads::LiveCell> live;
     mem::BackingStore image;
-    AddressMap map;
     crashlab::CrashFacts facts;
-    std::unique_ptr<oltp::TpccEngine> eng;
+
+    const AddressMap &map() const { return live->system().config().map; }
 };
 
 const TpccCrash &
 tpccCrash()
 {
     static const TpccCrash cell = [] {
-        workloads::WorkloadParams params;
-        params.threads = 4;
-        params.txPerThread = 130;
-        params.footprint = 256;
-        params.warehouses = 4;
-        params.seed = 1;
-        SystemConfig cfg = SystemConfig::scaled(params.threads);
-        cfg.persist.ccMode = CcMode::TwoPhase;
-        cfg.persist.crashJournal = true;
-        System sys(cfg, PersistMode::Fwb);
-        auto eng = std::make_unique<oltp::TpccEngine>();
-        eng->setup(sys, params);
+        workloads::RunSpec spec;
+        spec.workload = "oltp-tpcc";
+        spec.mode = PersistMode::Fwb;
+        spec.params.threads = 4;
+        spec.params.txPerThread = 130;
+        spec.params.footprint = 256;
+        spec.params.warehouses = 4;
+        spec.params.seed = 1;
+        spec.sys = SystemConfig::scaled(spec.params.threads);
+        spec.sys.persist.ccMode = CcMode::TwoPhase;
+        spec.sys.persist.crashJournal = true;
+        spec.crashAt = 1000000;
+        auto live = std::make_unique<workloads::LiveCell>(spec);
+        System &sys = live->system();
         crashlab::CrashTrace trace;
         sys.setProbe(trace.collector());
-        for (CoreId c = 0; c < params.threads; ++c)
-            sys.spawn(c, [&](Thread &t) -> sim::Co<void> {
-                return eng->thread(sys, t, params);
-            });
-        const Tick at = 1000000;
-        sys.run(at);
+        live->run();
         sys.setProbe({});
         trace.finalize();
+        const Tick at = *spec.crashAt;
         crashlab::CrashFacts facts = crashlab::crashFactsAt(
-            trace, at, params.threads, sys.collectStats(at).logWraps,
+            trace, at, spec.params.threads, sys.collectStats(at).logWraps,
             PersistMode::Fwb);
-        return TpccCrash{sys.crashSnapshot(at), sys.config().map, facts,
-                         std::move(eng)};
+        mem::BackingStore image = sys.crashSnapshot(at);
+        return TpccCrash{std::move(live), std::move(image), facts};
     }();
     return cell;
 }
@@ -215,10 +214,12 @@ BM_TpccOracle(benchmark::State &state)
 {
     static const mem::BackingStore recovered = [] {
         mem::BackingStore image = tpccCrash().image;
-        persist::Recovery::run(image, tpccCrash().map);
+        persist::Recovery::run(image, tpccCrash().map());
         return image;
     }();
-    const oltp::TpccLayout &layout = tpccCrash().eng->layout();
+    const oltp::TpccLayout &layout =
+        dynamic_cast<const oltp::TpccEngine &>(tpccCrash().live->workload())
+            .layout();
     for (auto _ : state) {
         std::string why;
         bool ok = oltp::checkTpccConsistency(recovered, layout, &why);
@@ -249,7 +250,7 @@ BM_RecoveryPass(benchmark::State &state)
         for (bool truncate : {true, false}) {
             mem::BackingStore img = cell.image;
             const std::uint64_t before = img.pagesCloned();
-            persist::Recovery::run(img, cell.map,
+            persist::Recovery::run(img, cell.map(),
                                    truncate ? persist::RecoveryOptions{}
                                             : keep);
             (truncate ? clonedCanonical : clonedReplay) +=
@@ -276,7 +277,7 @@ BM_CrashPointCheck(benchmark::State &state)
     const TpccCrash &cell = tpccCrash();
     for (auto _ : state) {
         std::vector<crashlab::Violation> v = crashlab::checkCrashPoint(
-            cell.image, cell.map, *cell.eng, cell.facts,
+            cell.image, cell.map(), cell.live->workload(), cell.facts,
             persist::RecoveryOptions{});
         if (!v.empty())
             state.SkipWithError(

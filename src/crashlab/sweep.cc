@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "crashlab/lifecycle.hh"
-#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 namespace snf::crashlab
@@ -76,37 +75,25 @@ runCrashSweep(const SweepConfig &cfg)
     SweepResult res;
     Clock::time_point tTotal = Clock::now();
 
-    SystemConfig sysCfg = cfg.run.sys;
-    sysCfg.persist.crashJournal = true; // the sweep depends on it
-    if (cfg.run.params.threads > sysCfg.numCores)
-        fatal("%u threads but only %u cores", cfg.run.params.threads,
-              sysCfg.numCores);
-
-    // Reference run, instrumented.
+    // Reference run, instrumented: the cell itself, journaled,
+    // uncrashed and verified whatever the caller's spec says.
+    workloads::RunSpec refSpec = cfg.run;
+    refSpec.sys.persist.crashJournal = true; // the sweep depends on it
+    refSpec.crashAt.reset();
+    refSpec.verifyAtEnd = true;
     Clock::time_point tRef = Clock::now();
-    System sys(sysCfg, cfg.run.mode);
-    auto workload = workloads::makeWorkload(cfg.run.workload);
-    workload->setup(sys, cfg.run.params);
-
+    workloads::LiveCell cell(refSpec);
     CrashTrace trace;
-    sys.setProbe(trace.collector());
-    for (CoreId c = 0; c < cfg.run.params.threads; ++c) {
-        sys.spawn(c, [&](Thread &t) -> sim::Co<void> {
-            return workload->thread(sys, t, cfg.run.params);
-        });
-    }
-    res.endTick = sys.run();
+    cell.system().setProbe(trace.collector());
+    res.endTick = cell.run();
     // Detach before the graceful flush: write-backs issued after the
     // run's end are not crash candidates.
-    sys.setProbe({});
-
-    RunStats refStats = sys.collectStats(res.endTick);
-    res.refCommittedTx = refStats.committedTx;
-    res.refLogWraps = refStats.logWraps;
-
-    sys.flushAll(res.endTick);
-    res.refVerified = workload->verify(sys.mem().nvram().store(),
-                                       &res.refVerifyMessage);
+    cell.system().setProbe({});
+    workloads::RunOutcome ref = cell.finish();
+    res.refCommittedTx = ref.stats.committedTx;
+    res.refLogWraps = ref.stats.logWraps;
+    res.refVerified = ref.verified;
+    res.refVerifyMessage = std::move(ref.verifyMessage);
     res.perf.refRunSec = secondsSince(tRef);
 
     Clock::time_point tHarvest = Clock::now();
@@ -118,7 +105,7 @@ runCrashSweep(const SweepConfig &cfg)
     res.pointsTested = points.size();
     res.perf.harvestSec = secondsSince(tHarvest);
 
-    const System &csys = sys;
+    const System &csys = cell.system();
     const mem::BackingStore &store = csys.mem().nvram().store();
 
     // Build the journal index + checkpoints once, up front, so the
@@ -149,7 +136,7 @@ runCrashSweep(const SweepConfig &cfg)
                 cfg.recovery, rep, plan);
         } else {
             violations =
-                checkCrashPoint(image, csys.config().map, *workload,
+                checkCrashPoint(image, csys.config().map, cell.workload(),
                                 factsAt(t), cfg.recovery, rep);
         }
         // Crash-during-recovery (I8 extension): recovery of this

@@ -36,8 +36,9 @@ namespace snf::crashlab
 struct SweepConfig
 {
     /**
-     * The workload cell to sweep. crashAt is ignored (the sweep
-     * picks its own crash points); crashJournal is forced on.
+     * The workload cell to sweep, run once through
+     * workloads::LiveCell. crashAt is ignored (the sweep picks its
+     * own crash points); crashJournal and verifyAtEnd are forced on.
      */
     workloads::RunSpec run;
     /** Worker threads evaluating crash points; 0 = one per core. */

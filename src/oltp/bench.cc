@@ -9,6 +9,7 @@
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/probe.hh"
+#include "workloads/driver.hh"
 
 namespace snf::oltp
 {
@@ -21,27 +22,27 @@ OltpCellResult
 runOnce(const OltpCellSpec &cell, const OltpMatrixConfig &cfg,
         double *wallSec)
 {
-    workloads::WorkloadParams params;
-    params.threads = cfg.threads;
-    params.txPerThread = cfg.txPerThread;
-    params.seed = cfg.seed;
-    params.warehouses = cfg.warehouses;
-    params.zipfTheta = cfg.zipfTheta;
-    params.footprint =
+    workloads::RunSpec spec;
+    spec.workload = cell.engine;
+    spec.mode = cell.mode;
+    spec.params.threads = cfg.threads;
+    spec.params.txPerThread = cfg.txPerThread;
+    spec.params.seed = cfg.seed;
+    spec.params.warehouses = cfg.warehouses;
+    spec.params.zipfTheta = cfg.zipfTheta;
+    spec.params.footprint =
         cell.engine == "oltp-tpcc" ? cfg.customers : cfg.keys;
-
-    SystemConfig sysCfg = SystemConfig::scaled(cfg.threads);
-    sysCfg.persist.ccMode = cell.cc;
-    sysCfg.persist.logShards = cfg.logShards;
+    spec.sys = SystemConfig::scaled(cfg.threads);
+    spec.sys.persist.ccMode = cell.cc;
+    spec.sys.persist.logShards = cfg.logShards;
 
     auto t0 = std::chrono::steady_clock::now();
 
-    System sys(sysCfg, cell.mode);
-    auto workload = workloads::makeWorkload(cell.engine);
-    auto *engine = dynamic_cast<OltpEngine *>(workload.get());
+    workloads::LiveCell live(spec);
+    System &sys = live.system();
+    const auto *engine = dynamic_cast<const OltpEngine *>(&live.workload());
     SNF_ASSERT(engine, "'%s' is not an OLTP engine",
                cell.engine.c_str());
-    workload->setup(sys, params);
 
     OltpCellResult r;
     r.spec = cell;
@@ -62,36 +63,19 @@ runOnce(const OltpCellSpec &cell, const OltpMatrixConfig &cfg,
         r.wcbOccMax = std::max(r.wcbOccMax, wocc);
     });
 
-    for (CoreId c = 0; c < params.threads; ++c) {
-        sys.spawn(c, [&](Thread &t) -> sim::Co<void> {
-            return workload->thread(sys, t, params);
-        });
-    }
-    Tick end = sys.run(kTickNever);
-
-    // Stats reflect the measured run; the final flush only exposes a
-    // complete image for the oracle (as in workloads::runWorkload).
-    RunStats s = sys.collectStats(end);
-    sys.flushAll(end);
-    std::string why;
-    if (!workload->verify(sys.mem().nvram().store(), &why))
+    live.run();
+    workloads::RunOutcome out = live.finish();
+    if (!out.verified)
         fatal("oltp bench cell %s/%s/%s failed verification: %s",
               cell.engine.c_str(), persistModeName(cell.mode),
-              ccModeName(cell.cc), why.c_str());
+              ccModeName(cell.cc), out.verifyMessage.c_str());
 
     auto t1 = std::chrono::steady_clock::now();
     *wallSec = std::chrono::duration<double>(t1 - t0).count();
 
-    r.cycles = s.cycles;
-    r.committedTx = s.committedTx;
-    r.abortedTx = s.abortedTx;
-    r.instructions = s.instr.total;
+    r.stats = out.stats;
     r.retries = engine->retries();
     r.userAborts = engine->userAborts();
-    r.logRecords = s.logRecords;
-    r.nvramWrites = s.nvramWrites;
-    r.forcedWritebacks = s.forcedWritebacks;
-    r.reclaimWaitCycles = s.reclaimWaitCycles;
     for (const auto &[name, m] : engine->txMetrics()) {
         OltpTypeCounters tc;
         tc.type = name;
@@ -112,15 +96,18 @@ runOnce(const OltpCellSpec &cell, const OltpMatrixConfig &cfg,
 std::vector<std::pair<const char *, std::uint64_t>>
 OltpCellResult::counters() const
 {
-    return {{"cycles", cycles},           {"committed_tx", committedTx},
-            {"aborted_tx", abortedTx},    {"instructions", instructions},
+    return {{"cycles", stats.cycles},
+            {"committed_tx", stats.committedTx},
+            {"aborted_tx", stats.abortedTx},
+            {"instructions", stats.instr.total},
             {"retries", retries},         {"user_aborts", userAborts},
-            {"log_records", logRecords},  {"nvram_writes", nvramWrites},
+            {"log_records", stats.logRecords},
+            {"nvram_writes", stats.nvramWrites},
             {"occ_samples", occSamples},  {"log_occ_sum", logOccSum},
             {"log_occ_max", logOccMax},   {"wcb_occ_sum", wcbOccSum},
             {"wcb_occ_max", wcbOccMax},
-            {"forced_writebacks", forcedWritebacks},
-            {"reclaim_wait_cycles", reclaimWaitCycles}};
+            {"forced_writebacks", stats.forcedWritebacks},
+            {"reclaim_wait_cycles", stats.reclaimWaitCycles}};
 }
 
 bool
@@ -242,7 +229,8 @@ writeOltpBenchJson(std::ostream &os, const OltpMatrixConfig &cfg,
         w.field("wall_sec", r.wallSec);
         w.field("sim_tx_per_sec",
                 r.wallSec > 0.0
-                    ? static_cast<double>(r.committedTx) / r.wallSec
+                    ? static_cast<double>(r.stats.committedTx) /
+                          r.wallSec
                     : 0.0);
         w.field("repeats", r.repeats);
         w.end();

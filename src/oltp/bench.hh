@@ -79,18 +79,11 @@ struct OltpCellResult
 {
     OltpCellSpec spec;
 
-    Tick cycles = 0;
-    std::uint64_t committedTx = 0;
-    std::uint64_t abortedTx = 0;
-    std::uint64_t instructions = 0;
+    /** The measured run's statistics; counters() reports eight of
+     *  them. */
+    RunStats stats;
     std::uint64_t retries = 0;
     std::uint64_t userAborts = 0;
-    std::uint64_t logRecords = 0;
-    std::uint64_t nvramWrites = 0;
-    /** Log-full reclaims that forced their slot's line back, and the
-     *  cycles appends waited for those write-backs. */
-    std::uint64_t forcedWritebacks = 0;
-    std::uint64_t reclaimWaitCycles = 0;
     /** tx_commit-sampled occupancies (sum/max over samples). */
     std::uint64_t occSamples = 0;
     std::uint64_t logOccSum = 0;

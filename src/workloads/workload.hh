@@ -86,8 +86,8 @@ class Workload
      * Does every thread write only persistent data of its own (split
      * by Thread::id())? Distributed per-core logs need it: writes to
      * a shared address from different log regions have no
-     * recovery-time order, so runWorkload rejects any other workload
-     * whose log layout resolves to per-core regions
+     * recovery-time order, so workloads::LiveCell rejects any other
+     * workload whose log layout resolves to per-core regions
      * (PersistConfig::kPerCoreLogs under a hardware-logging mode).
      * Asked after setup(), which may decide it from the config.
      */

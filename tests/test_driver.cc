@@ -115,15 +115,41 @@ TEST(Driver, StatsExcludeFinalFlush)
     spec.params.footprint = 1024;
     spec.sys = SystemConfig::scaled(1);
 
-    spec.flushAtEnd = false;
+    // A run that does not verify flushes nothing; one that does
+    // flushes after its statistics are taken.
     spec.verifyAtEnd = false;
     auto without = runWorkload(spec);
-    spec.flushAtEnd = true;
+    spec.verifyAtEnd = true;
     auto with = runWorkload(spec);
     // Cycles and traffic are identical: the flush serves
     // verification only.
     EXPECT_EQ(without.stats.cycles, with.stats.cycles);
     EXPECT_EQ(without.stats.nvramWrites, with.stats.nvramWrites);
+}
+
+TEST(Driver, FlushesOnlyWhenItVerifies)
+{
+    // The figure programs do not verify, so their cells must not pay
+    // for writing back caches nobody reads.
+    RunSpec spec;
+    spec.workload = "sps";
+    spec.mode = PersistMode::Fwb;
+    spec.params.threads = 1;
+    spec.params.txPerThread = 200;
+    spec.params.footprint = 1024;
+    spec.sys = SystemConfig::scaled(1);
+    for (bool verify : {false, true}) {
+        spec.verifyAtEnd = verify;
+        LiveCell cell(spec);
+        cell.run();
+        const auto &nvram = cell.system().mem().nvram();
+        const std::uint64_t before = nvram.writes.value();
+        EXPECT_TRUE(cell.finish().verified);
+        if (verify)
+            EXPECT_GT(nvram.writes.value(), before);
+        else
+            EXPECT_EQ(nvram.writes.value(), before);
+    }
 }
 
 TEST(Driver, VerificationCatchesCorruption)

@@ -184,7 +184,8 @@ TEST(DistributedLogsDeathTest, RejectsWorkloadWithSharedData)
     // vacation's reservations share resource rows between threads,
     // and so do the OLTP engines under a CC scheme (TPC-C with fewer
     // warehouses than threads, YCSB over the whole keyspace):
-    // per-core regions could not order their writes at recovery.
+    // per-core regions could not order their writes at recovery. A
+    // crash sweep's reference run is held to the same rule.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     auto sharedCell = [](const char *wl, CcMode cc) {
         RunSpec spec;
@@ -200,10 +201,16 @@ TEST(DistributedLogsDeathTest, RejectsWorkloadWithSharedData)
     tpcc.params.warehouses = 1;
     for (const RunSpec &spec :
          {sharedCell("vacation", CcMode::None), tpcc,
-          sharedCell("oltp-ycsb", CcMode::Tl2)})
+          sharedCell("oltp-ycsb", CcMode::Tl2)}) {
         EXPECT_EXIT(runWorkload(spec), ::testing::ExitedWithCode(1),
                     "--distributed-log")
             << spec.workload;
+        crashlab::SweepConfig sweep;
+        sweep.run = spec;
+        EXPECT_EXIT(crashlab::runCrashSweep(sweep),
+                    ::testing::ExitedWithCode(1), "--distributed-log")
+            << spec.workload << " (crash sweep)";
+    }
     // Software modes keep the centralized log, so the flag is inert.
     RunSpec spec = sharedCell("vacation", CcMode::None);
     spec.mode = PersistMode::UndoClwb;

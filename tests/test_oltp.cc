@@ -910,7 +910,7 @@ TEST(OltpBench, CountersIdenticalAcrossRepeatsAndJobs)
     for (std::size_t i = 0; i < serial.size(); ++i)
         EXPECT_TRUE(serial[i].countersEqual(parallel[i]))
             << cells[i].engine << " counters depend on --jobs";
-    EXPECT_GT(serial[0].committedTx, 0u);
+    EXPECT_GT(serial[0].stats.committedTx, 0u);
     EXPECT_GT(serial[0].occSamples, 0u);
 }
 

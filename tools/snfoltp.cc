@@ -34,10 +34,6 @@ printTable(const std::vector<OltpCellResult> &results)
                 "workload", "mode", "cc", "commits", "tx/Mcyc",
                 "aborts", "retries", "log-recs", "logocc", "wcbocc");
     for (const OltpCellResult &r : results) {
-        double txPerMcycle =
-            r.cycles == 0 ? 0.0
-                          : 1e6 * static_cast<double>(r.committedTx) /
-                                static_cast<double>(r.cycles);
         double logOccAvg =
             r.occSamples == 0
                 ? 0.0
@@ -53,11 +49,11 @@ printTable(const std::vector<OltpCellResult> &results)
             "%7.1f\n",
             r.spec.engine.c_str(), persistModeName(r.spec.mode),
             ccModeName(r.spec.cc),
-            static_cast<unsigned long long>(r.committedTx),
-            txPerMcycle,
-            static_cast<unsigned long long>(r.abortedTx),
+            static_cast<unsigned long long>(r.stats.committedTx),
+            r.stats.txPerMcycle,
+            static_cast<unsigned long long>(r.stats.abortedTx),
             static_cast<unsigned long long>(r.retries),
-            static_cast<unsigned long long>(r.logRecords), logOccAvg,
+            static_cast<unsigned long long>(r.stats.logRecords), logOccAvg,
             wcbOccAvg);
         for (const OltpTypeCounters &t : r.types)
             std::printf("    %-12s commits=%-7llu p50=%-6llu "
