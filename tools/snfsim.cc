@@ -46,13 +46,14 @@ benchCounters(const RunStats &s)
 }
 
 /**
- * Perf-bench mode: run the reference workload×mode matrix and write a
- * snf-bench-sim-v1 report. The counters block must repeat exactly
- * (the simulator is deterministic); wall-clock rates live in a
- * separate "perf" block so CI strips them before diffing.
+ * Perf-bench mode: run the reference workload×mode matrix on @p
+ * base's machine and parameters and write a snf-bench-sim-v1 report.
+ * The counters block must repeat exactly (the simulator is
+ * deterministic); wall-clock rates live in a separate "perf" block so
+ * CI strips them before diffing.
  */
 int
-runBenchMatrix(const RunSpec &base, bool paper, std::uint64_t repeats,
+runBenchMatrix(const RunSpec &base, std::uint64_t repeats,
                const std::string &path)
 {
     static const char *kWorkloads[] = {"sps", "hash", "btree",
@@ -75,15 +76,8 @@ runBenchMatrix(const RunSpec &base, bool paper, std::uint64_t repeats,
             RunSpec spec = base;
             spec.workload = w;
             spec.mode = m;
-            // The preset machine with the logging flags: no media
-            // faults, no scrubber. Journal NVRAM writes like a crash
-            // sweep would, so the journal-entries counter is live and
-            // gateable.
-            spec.sys = paper
-                           ? SystemConfig::paper(spec.params.threads)
-                           : SystemConfig::scaled(spec.params.threads);
-            spec.sys.persist = base.sys.persist;
-            spec.sys.persist.scrub = false;
+            // Journal NVRAM writes like a crash sweep would, so the
+            // journal-entries counter is live and gateable.
             spec.sys.persist.crashJournal = true;
 
             RunStats s;
@@ -258,9 +252,19 @@ main(int argc, char **argv)
         spec.crashAt = crashAt;
     }
 
-    if (!benchJsonPath.empty())
-        return runBenchMatrix(spec, paper, benchRepeats,
-                              benchJsonPath);
+    if (!benchJsonPath.empty()) {
+        // BENCH_sim.json's matrix: every workload and mode, run to
+        // completion without a scrubber, media faults or a stats
+        // dump. A flag that would change or skip that is an error.
+        for (const char *ignored :
+             {"--workload", "--mode", "--crash-at", "--scrub",
+              "--dump-stats", "--fault-bitflip", "--fault-multibit",
+              "--fault-drop", "--fault-torn", "--fault-stuck",
+              "--fault-seed", "--fault-preset"})
+            if (flags.given(ignored))
+                fatal("%s does not apply to --bench-json", ignored);
+        return runBenchMatrix(spec, benchRepeats, benchJsonPath);
+    }
 
     // The dump is taken from this very run when the simulation stops
     // and printed after the report.
