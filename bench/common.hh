@@ -38,22 +38,14 @@ benchScale()
     return v;
 }
 
-/** Benchmark-grade system config: paper latencies, scaled caches. */
-inline SystemConfig
-benchConfig(std::uint32_t threads)
-{
-    // The scaled preset keeps the paper's latency/bandwidth numbers
-    // and shrinks caches and log 16x, so the bench footprints below
-    // exceed the LLC as the paper's 256 MB-1 GB footprints exceed
-    // its 8 MB LLC.
-    return SystemConfig::scaled(threads);
-}
-
 /**
- * The run every figure and ablation starts from: benchConfig, the
- * base transaction count per thread times SNF_BENCH_SCALE (at least
- * 1), and no end-of-run check (timing cells; correctness is tested).
- * Callers set only the config field they sweep.
+ * The run every figure and ablation starts from: the scaled preset,
+ * the base transaction count per thread times SNF_BENCH_SCALE (at
+ * least 1), and no end-of-run check (timing cells; correctness is
+ * tested). The preset keeps the paper's latency/bandwidth numbers and
+ * shrinks caches and log 16x, so the bench footprints exceed the LLC
+ * as the paper's 256 MB-1 GB footprints exceed its 8 MB LLC. Callers
+ * set only the config field they sweep.
  */
 inline workloads::RunSpec
 benchSpec(const std::string &workload, PersistMode mode,
@@ -68,7 +60,7 @@ benchSpec(const std::string &workload, PersistMode mode,
         1, static_cast<std::uint64_t>(
                static_cast<double>(txPerThreadBase) * benchScale()));
     spec.params.footprint = footprint;
-    spec.sys = benchConfig(threads);
+    spec.sys = SystemConfig::scaled(threads);
     spec.verifyAtEnd = false;
     return spec;
 }
@@ -99,7 +91,7 @@ inline void
 printTableII()
 {
     std::printf("# Configuration (paper Table II, scaled preset):\n");
-    SystemConfig c = benchConfig(4);
+    SystemConfig c = SystemConfig::scaled(4);
     std::printf("#   cores=%u @%.1fGHz, L1 %uKB/%uw, L2 %uKB/%uw, "
                 "line %uB\n",
                 c.numCores, kClockGhz, c.l1.sizeBytes / 1024,

@@ -41,7 +41,7 @@ main()
                 "hazards@derived", "hazards@100x period");
     for (std::uint64_t kb : {64ULL, 128ULL, 256ULL, 512ULL, 1024ULL,
                              2048ULL, 4096ULL}) {
-        SystemConfig cfg = benchConfig(4);
+        SystemConfig cfg = SystemConfig::scaled(4);
         cfg.map.logSize = kb * 1024;
         Tick period = persist::FwbEngine::derivePeriod(cfg);
         std::uint64_t at_derived = hazardsAt(kb * 1024, 0);
