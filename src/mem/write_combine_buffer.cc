@@ -62,13 +62,14 @@ WriteCombineBuffer::append(Addr addr, std::uint32_t size,
 
     Tick visible = now + 1;
     if (entries.size() >= capacity) {
-        Tick done = flushOldest(now);
+        flushOldest(now);
         // If too many flushes are still in flight, the store stalls
-        // until the oldest one retires.
-        while (!inflight.empty() && inflight.front() <= now)
+        // until the oldest ones retire and at most `capacity` remain
+        // (the log buffer's FIFO-full rule).
+        while (inflight.size() > capacity) {
+            visible = std::max(visible, inflight.front());
             inflight.pop_front();
-        if (inflight.size() > capacity)
-            visible = std::max(visible, done);
+        }
     }
 
     Entry e;
