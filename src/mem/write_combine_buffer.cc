@@ -14,24 +14,30 @@ WriteCombineBuffer::WriteCombineBuffer(MemDevice &device,
     : dev(device),
       capacity(numEntries),
       lineBytes(line),
+      ring(numEntries),
+      lineData(static_cast<std::size_t>(numEntries) * line),
       statGroup("wcb"),
       coalescedStores(statGroup.counter("coalesced_stores")),
       flushes(statGroup.counter("flushes"))
 {
+    SNF_ASSERT(capacity > 0, "WCB without entries");
+    for (std::uint32_t i = 0; i < capacity; ++i)
+        ring[i].data = lineData.data() + std::size_t{i} * lineBytes;
 }
 
 Tick
 WriteCombineBuffer::flushOldest(Tick now)
 {
-    SNF_ASSERT(!entries.empty(), "flush on empty WCB");
-    Entry e = std::move(entries.front());
-    entries.pop_front();
+    SNF_ASSERT(count > 0, "flush on empty WCB");
+    const Entry &e = ring[head];
+    head = (head + 1) % capacity;
+    --count;
     // Serialize flushes: the WCB has one port to the memory bus.
-    Tick issue = std::max(now, lastFlushDone);
+    Tick issue = std::max(now, lastDone);
     auto res = dev.access(true, e.lineAddr + e.lo, e.hi - e.lo,
-                          e.data.data() + e.lo, nullptr, issue, true,
+                          e.data + e.lo, nullptr, issue, true,
                           PersistOrigin::WcbFlush);
-    lastFlushDone = res.done;
+    lastDone = res.done;
     flushes.inc();
     if (probe)
         probe(sim::ProbeEvent::WcbFlush, res.done, e.lineAddr);
@@ -50,9 +56,10 @@ WriteCombineBuffer::append(Addr addr, std::uint32_t size,
     std::uint32_t off = static_cast<std::uint32_t>(addr - line);
     SNF_ASSERT(off + size <= lineBytes, "WCB store crosses line");
 
-    for (auto &e : entries) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+        Entry &e = ring[(head + i) % capacity];
         if (e.lineAddr == line) {
-            std::memcpy(e.data.data() + off, data, size);
+            std::memcpy(e.data + off, data, size);
             e.lo = std::min(e.lo, off);
             e.hi = std::max(e.hi, off + size);
             coalescedStores.inc();
@@ -61,7 +68,7 @@ WriteCombineBuffer::append(Addr addr, std::uint32_t size,
     }
 
     Tick visible = now + 1;
-    if (entries.size() >= capacity) {
+    if (count >= capacity) {
         flushOldest(now);
         // If too many flushes are still in flight, the store stalls
         // until the oldest ones retire and at most `capacity` remain
@@ -72,13 +79,15 @@ WriteCombineBuffer::append(Addr addr, std::uint32_t size,
         }
     }
 
-    Entry e;
+    Entry &e = ring[(head + count) % capacity];
+    ++count;
     e.lineAddr = line;
     e.lo = off;
     e.hi = off + size;
-    e.data.assign(lineBytes, 0);
-    std::memcpy(e.data.data() + off, data, size);
-    entries.push_back(std::move(e));
+    // A flush writes [lo, hi), so bytes between two stores to the
+    // line go out as zeros.
+    std::memset(e.data, 0, lineBytes);
+    std::memcpy(e.data + off, data, size);
     return visible;
 }
 
@@ -87,8 +96,8 @@ WriteCombineBuffer::drainAll(Tick now)
 {
     // A fence also waits for the flushes issued before it: an empty
     // buffer may still have capacity flushes in flight.
-    Tick done = std::max(now, lastFlushDone);
-    while (!entries.empty())
+    Tick done = std::max(now, lastDone);
+    while (count > 0)
         done = std::max(done, flushOldest(now));
     return done;
 }
@@ -100,10 +109,11 @@ WriteCombineBuffer::dropAll()
     // announced so traces (and reorderlab) know which lines were
     // pending in the WCB when the crash model wiped it.
     if (probe) {
-        for (const Entry &e : entries)
-            probe(sim::ProbeEvent::WcbDrop, 0, e.lineAddr);
+        for (std::uint32_t i = 0; i < count; ++i)
+            probe(sim::ProbeEvent::WcbDrop, 0,
+                  ring[(head + i) % capacity].lineAddr);
     }
-    entries.clear();
+    count = 0;
     inflight.clear();
 }
 

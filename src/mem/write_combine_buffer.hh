@@ -10,6 +10,7 @@
 #ifndef SNF_MEM_WRITE_COMBINE_BUFFER_HH
 #define SNF_MEM_WRITE_COMBINE_BUFFER_HH
 
+#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -46,7 +47,7 @@ class WriteCombineBuffer
     /** Drop all un-flushed contents (crash model). */
     void dropAll();
 
-    std::size_t occupancy() const { return entries.size(); }
+    std::size_t occupancy() const { return count; }
 
     /** Crash-tooling probe: WcbFlush at each flush completion. */
     void setProbe(sim::ProbeFn p) { probe = std::move(p); }
@@ -56,10 +57,10 @@ class WriteCombineBuffer
   private:
     struct Entry
     {
-        Addr lineAddr;
-        std::uint32_t lo; ///< lowest dirty byte offset in line
-        std::uint32_t hi; ///< one past highest dirty byte offset
-        std::vector<std::uint8_t> data;
+        Addr lineAddr = 0;
+        std::uint32_t lo = 0; ///< lowest dirty byte offset in line
+        std::uint32_t hi = 0; ///< one past highest dirty byte offset
+        std::uint8_t *data = nullptr; ///< its line in lineData
     };
 
     /** Flush the oldest entry; returns its completion tick. */
@@ -68,10 +69,15 @@ class WriteCombineBuffer
     MemDevice &dev;
     std::uint32_t capacity;
     std::uint32_t lineBytes;
-    std::deque<Entry> entries;
+    /** The FIFO: `count` entries from `head`, wrapping. Each slot
+     *  keeps the line buffer it was given at construction. */
+    std::vector<Entry> ring;
+    std::vector<std::uint8_t> lineData;
+    std::uint32_t head = 0;
+    std::uint32_t count = 0;
     /** Completion ticks of issued flushes still in flight. */
     std::deque<Tick> inflight;
-    Tick lastFlushDone = 0;
+    Tick lastDone = 0;
     sim::ProbeFn probe;
     sim::StatGroup statGroup; // must precede the counter references
 

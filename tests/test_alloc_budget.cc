@@ -112,7 +112,8 @@ TEST(AllocationBudget, YcsbUndoClwbTl2)
     cell.params.zipfTheta = 0.9;
     cell.params.txPerThread = 500;
     cell.params.seed = 3;
-    // Measured 3.2 (mostly write-combining-buffer entries) when the
-    // budget was set; node-based per-line maps made ~10.
-    EXPECT_LE(allocationsPerCommit<oltp::YcsbEngine>(cell), 4.0);
+    // Measured 0.48 when the budget was set. A line buffer per
+    // write-combining-buffer entry made 3.2, node-based per-line
+    // maps ~10.
+    EXPECT_LE(allocationsPerCommit<oltp::YcsbEngine>(cell), 1.0);
 }

@@ -701,6 +701,30 @@ TEST(Wcb, EvictsOldestWhenFull)
     EXPECT_EQ(nv.store().read64(0x000), 7u); // flushed to device
 }
 
+TEST(Wcb, FullBufferWaitsForTheOldestFlushOnly)
+{
+    mem::MemDevice nv("nv", nvCfg(), 0);
+    mem::WriteCombineBuffer wcb(nv, 2, 64);
+    std::vector<Tick> flushDone;
+    wcb.setProbe([&](sim::ProbeEvent e, Tick t, std::uint64_t) {
+        if (e == sim::ProbeEvent::WcbFlush)
+            flushDone.push_back(t);
+    });
+    std::uint64_t v = 5;
+    // Two entries fill the buffer; each later line flushes the
+    // oldest entry. Nothing stalls while at most two flushes are in
+    // flight.
+    for (Addr line = 0; line < 4; ++line)
+        EXPECT_EQ(wcb.append(line * 64, 8, &v, 0), 1u);
+    ASSERT_EQ(flushDone.size(), 2u);
+    // The third flush in flight stalls the store until the oldest
+    // one retires, not until the flush it just issued.
+    Tick visible = wcb.append(4 * 64, 8, &v, 0);
+    ASSERT_EQ(flushDone.size(), 3u);
+    EXPECT_EQ(visible, flushDone[0]);
+    EXPECT_LT(visible, flushDone[2]);
+}
+
 TEST(Wcb, DropAllLosesUnflushed)
 {
     mem::MemDevice nv("nv", nvCfg(), 0);
