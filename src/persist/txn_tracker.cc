@@ -21,17 +21,15 @@ std::uint64_t
 TxnTracker::begin()
 {
     std::uint64_t seq = nextSeq++;
-    std::uint32_t slot;
+    Txn *t;
     if (freeSlots.empty()) {
-        slot = static_cast<std::uint32_t>(slots.size());
-        slots.emplace_back();
+        t = &slots.emplace_back();
     } else {
-        slot = freeSlots.back();
+        t = freeSlots.back();
         freeSlots.pop_back();
     }
-    Txn &t = slots[slot];
-    t.seq = seq;
-    slotOfSeq[seq] = slot;
+    t->seq = seq;
+    slotOfSeq[seq] = t;
     begun.inc();
     return seq;
 }
@@ -39,34 +37,34 @@ TxnTracker::begin()
 TxnTracker::Txn *
 TxnTracker::find(std::uint64_t seq)
 {
-    const std::uint32_t *slot = slotOfSeq.find(seq);
-    return slot ? &slots[*slot] : nullptr;
+    Txn *const *slot = slotOfSeq.find(seq);
+    return slot ? *slot : nullptr;
 }
 
 const TxnTracker::Txn *
 TxnTracker::find(std::uint64_t seq) const
 {
-    const std::uint32_t *slot = slotOfSeq.find(seq);
-    return slot ? &slots[*slot] : nullptr;
+    Txn *const *slot = slotOfSeq.find(seq);
+    return slot ? *slot : nullptr;
 }
 
 void
 TxnTracker::commit(std::uint64_t seq)
 {
-    const std::uint32_t *slot = slotOfSeq.find(seq);
-    SNF_ASSERT(slot, "commit of unknown txn %llu",
+    Txn *t = find(seq);
+    SNF_ASSERT(t, "commit of unknown txn %llu",
                static_cast<unsigned long long>(seq));
-    release(*slot, true);
+    release(*t, true);
     committed.inc();
 }
 
 void
 TxnTracker::abort(std::uint64_t seq)
 {
-    const std::uint32_t *slot = slotOfSeq.find(seq);
-    if (!slot)
+    Txn *t = find(seq);
+    if (!t)
         return;
-    release(*slot, false);
+    release(*t, false);
     aborted.inc();
 }
 
@@ -230,9 +228,8 @@ TxnTracker::lineVersion(Addr line) const
 }
 
 void
-TxnTracker::release(std::uint32_t slot, bool committing)
+TxnTracker::release(Txn &t, bool committing)
 {
-    Txn &t = slots[slot];
     if (committing && ccModeV != CcMode::None) {
         // Bump the written lines' versions so TL2 readers with older
         // versions fail validation.
@@ -258,7 +255,7 @@ TxnTracker::release(std::uint32_t slot, bool committing)
     t.waitingOn = 0;
     slotOfSeq.erase(t.seq);
     t.seq = 0;
-    freeSlots.push_back(slot);
+    freeSlots.push_back(&t);
 }
 
 } // namespace snf::persist

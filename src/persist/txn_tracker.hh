@@ -172,15 +172,16 @@ class TxnTracker
 
     /** Drop the locks, bump (on commit) the versions of the written
      *  lines, and return the slot to the free list. */
-    void release(std::uint32_t slot, bool committing);
+    void release(Txn &t, bool committing);
 
     std::uint64_t nextSeq = 1;
     /** Transaction slots. A deque, so a slot never moves and a
      *  writeSet() reference survives other transactions' begin. */
     std::deque<Txn> slots;
-    std::vector<std::uint32_t> freeSlots;
-    /** Active transaction sequence -> its slot. */
-    sim::LineTable<std::uint32_t> slotOfSeq;
+    std::vector<Txn *> freeSlots;
+    /** Active transaction sequence -> its slot, found in one probe
+     *  (no deque indexing). */
+    sim::LineTable<Txn *> slotOfSeq;
     std::vector<Addr> emptySet;
     CcMode ccModeV = CcMode::None;
     sim::LineTable<LineCc> lineCc;
