@@ -82,12 +82,15 @@ buildTimeline(const BackendRun &b, const ModelOracle &oracle)
 
     // CommitDurable carries the 16-bit log txid under hardware
     // logging and the tracker sequence under software logging
-    // (sim/probe.hh); TxCommit always carries the sequence.
+    // (sim/probe.hh); TxCommit always carries the sequence. A
+    // software-logged commit with no record is ordered at its
+    // ReadOnlyEnd, which carries the sequence too.
     bool swKeys = isSoftwareLogging(b.mode);
     std::map<std::uint64_t, Tick> durableAt;
     std::map<std::uint64_t, Tick> initiatedAt;
     for (const auto &ev : b.trace.events()) {
-        if (ev.kind == sim::ProbeEvent::CommitDurable) {
+        if (ev.kind == sim::ProbeEvent::CommitDurable ||
+            ev.kind == sim::ProbeEvent::ReadOnlyEnd) {
             durableAt.emplace(ev.arg, ev.tick); // first wins
         } else if (ev.kind == sim::ProbeEvent::TxCommit) {
             initiatedAt.emplace(ev.arg, ev.tick);
@@ -102,7 +105,7 @@ buildTimeline(const BackendRun &b, const ModelOracle &oracle)
                 swKeys ? seq : persist::TxnTracker::txIdOf(seq);
             auto d = durableAt.find(key);
             SNF_ASSERT(d != durableAt.end(),
-                       "no CommitDurable event for committed tx");
+                       "no durable-order event for committed tx");
             auto c = initiatedAt.find(seq);
             SNF_ASSERT(c != initiatedAt.end(),
                        "no TxCommit event for committed tx");

@@ -129,6 +129,30 @@ Thread::execFence()
         std::max(ctx.localTime, sys.mem().drainWcb(ctx.localTime));
 }
 
+bool
+Thread::endsWithoutRecord() const
+{
+    return isSoftwareLogging(sys.mode()) &&
+           sys.txns().writeSet(txSeq).empty();
+}
+
+void
+Thread::announceReadOnlyEnd()
+{
+    // Its end tick is not its place in durable order: a writer's
+    // whole commit sequence runs in one op, so ops of other threads
+    // at ticks before the sequence ends already see its locks
+    // released and may read what it wrote. Every commit record
+    // issued before this transaction ended is in NVRAM by the WCB's
+    // last flush completion, so ordering it there puts it after each
+    // writer it could have read from.
+    if (sys.probe())
+        sys.probe()(sim::ProbeEvent::ReadOnlyEnd,
+                    std::max(ctx.localTime,
+                             sys.mem().wcb().lastFlushDone()),
+                    txSeq);
+}
+
 void
 Thread::writeCommitRecord()
 {
@@ -232,15 +256,23 @@ Thread::execTxCommit()
     if (sys.probe())
         sys.probe()(sim::ProbeEvent::TxCommit, ctx.localTime, txSeq);
 
-    writeCommitRecord();
+    // Software logging commits a transaction that wrote nothing with
+    // no commit record and no fence: recovery has nothing to redo or
+    // undo for it. Hardware logging keeps its record, which costs the
+    // core nothing.
+    const bool recordless = endsWithoutRecord();
+    if (!recordless)
+        writeCommitRecord();
 
     sys.txns().commit(txSeq);
-    // For the clwb+fence software schemes the commit record is
-    // durable once the commit sequence's fence has completed, i.e.
-    // by localTime here (hardware modes report durability from the
-    // log buffer's drain instead).
-    if (sys.probe() && (sys.mode() == PersistMode::RedoClwb ||
-                        sys.mode() == PersistMode::UndoClwb)) {
+    if (recordless) {
+        announceReadOnlyEnd();
+    } else if (sys.probe() && (sys.mode() == PersistMode::RedoClwb ||
+                               sys.mode() == PersistMode::UndoClwb)) {
+        // For the clwb+fence software schemes the commit record is
+        // durable once the commit sequence's fence has completed,
+        // i.e. by localTime here (hardware modes report durability
+        // from the log buffer's drain instead).
         sys.probe()(sim::ProbeEvent::CommitDurable, ctx.localTime,
                     txSeq);
     }
@@ -259,7 +291,8 @@ Thread::execTxAbort()
 
     // Emitted at abort initiation: under undo-capable modes the
     // rollback ends in a commit record (see below), so crash-trace
-    // commit upper bounds must count aborts from here too.
+    // commit upper bounds must count aborts from here too, unless a
+    // ReadOnlyEnd follows.
     if (sys.probe())
         sys.probe()(sim::ProbeEvent::TxAbort, ctx.localTime, txSeq);
     lastAborted = true;
@@ -284,23 +317,30 @@ Thread::execTxAbort()
                "to roll back with",
                ctx.id(), persistModeName(sys.mode()));
 
-    // Roll back through the log (paper Section IV-A tx_abort): read
-    // this transaction's undo values back from the drained log
-    // window and write them as compensating stores, newest first.
-    // The stores go through the normal transactional store path, so
-    // they are themselves logged (undo-of-undo) and a crash
-    // mid-rollback still recovers to a consistent state. The
-    // compensated lines are all write-locked by this transaction
-    // under a CC mode, so the stores cannot race a concurrent owner.
-    ctx.localTime =
-        std::max(ctx.localTime, sys.drainLogs(ctx.localTime));
-    for (const auto &e : sys.collectUndo(txSeq))
-        execStore(e.addr, e.size, e.undo);
-    // Close the generation with an ordinary commit record: replaying
-    // original-then-compensating updates in log order reproduces the
-    // rolled-back state, so recovery needs no special abort
-    // handling.
-    writeCommitRecord();
+    if (endsWithoutRecord()) {
+        // Software logging wrote no record for it, so there is no
+        // log to drain and no generation to close (see execTxCommit).
+        announceReadOnlyEnd();
+    } else {
+        // Roll back through the log (paper Section IV-A tx_abort):
+        // read this transaction's undo values back from the drained
+        // log window and write them as compensating stores, newest
+        // first. The stores go through the normal transactional
+        // store path, so they are themselves logged (undo-of-undo)
+        // and a crash mid-rollback still recovers to a consistent
+        // state. The compensated lines are all write-locked by this
+        // transaction under a CC mode, so the stores cannot race a
+        // concurrent owner.
+        ctx.localTime =
+            std::max(ctx.localTime, sys.drainLogs(ctx.localTime));
+        for (const auto &e : sys.collectUndo(txSeq))
+            execStore(e.addr, e.size, e.undo);
+        // Close the generation with an ordinary commit record:
+        // replaying original-then-compensating updates in log order
+        // reproduces the rolled-back state, so recovery needs no
+        // special abort handling.
+        writeCommitRecord();
+    }
 
     sys.txns().abort(txSeq);
     inTx = false;

@@ -380,6 +380,13 @@ class Thread
      *  and the rollback-closing record of abort). */
     void writeCommitRecord();
 
+    /** Does the open transaction end with no log record? Under
+     *  software logging, exactly when it wrote nothing. */
+    bool endsWithoutRecord() const;
+
+    /** Probe ReadOnlyEnd for the open transaction (sim/probe.hh). */
+    void announceReadOnlyEnd();
+
     cpu::ThreadContext ctx;
     System &sys;
     bool inTx = false;

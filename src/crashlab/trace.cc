@@ -24,19 +24,32 @@ CrashTrace::finalize()
                      [](const Event &a, const Event &b) {
                          return a.tick < b.tick;
                      });
+    // A transaction that ended with no log record (ReadOnlyEnd)
+    // counts in no bound: recovery can find nothing of it.
+    std::vector<std::uint64_t> recordless;
+    for (const Event &e : stream)
+        if (e.kind == sim::ProbeEvent::ReadOnlyEnd)
+            recordless.push_back(e.arg);
+    std::sort(recordless.begin(), recordless.end());
+    auto counted = [&](const Event &e) {
+        return !std::binary_search(recordless.begin(), recordless.end(),
+                                   e.arg);
+    };
     for (const Event &e : stream) {
         switch (e.kind) {
           case sim::ProbeEvent::TxBegin:
             beginTicks.push_back(e.tick);
             break;
           case sim::ProbeEvent::TxCommit:
-            commitTicks.push_back(e.tick);
+            if (counted(e))
+                commitTicks.push_back(e.tick);
             break;
           case sim::ProbeEvent::CommitDurable:
             durableTicks.push_back(e.tick);
             break;
           case sim::ProbeEvent::TxAbort:
-            abortTicks.push_back(e.tick);
+            if (counted(e))
+                abortTicks.push_back(e.tick);
             break;
           default:
             break;
@@ -54,9 +67,11 @@ CrashTrace::harvest(Tick endTick) const
         if (e.tick > endTick)
             continue;
         // WcbDrop announces state the crash model already discarded
-        // (the drop *is* the crash); it never changes the durable
-        // image, so it yields no crash point of its own.
-        if (e.kind == sim::ProbeEvent::WcbDrop)
+        // (the drop *is* the crash), and ReadOnlyEnd a transaction
+        // that left nothing in NVRAM; neither changes the durable
+        // image, so neither yields a crash point of its own.
+        if (e.kind == sim::ProbeEvent::WcbDrop ||
+            e.kind == sim::ProbeEvent::ReadOnlyEnd)
             continue;
         if (e.tick > 0)
             points.push_back(CrashPoint{e.tick - 1, e.kind, true});

@@ -70,7 +70,11 @@ class CrashTrace
     /** Transactions begun with begin-tick <= @p t. */
     std::uint64_t begunBy(Tick t) const;
 
-    /** Transactions whose commit *initiated* by @p t. */
+    /**
+     * Transactions whose commit *initiated* by @p t. This and
+     * abortedBy() leave out transactions that ended with no log
+     * record (sim::ProbeEvent::ReadOnlyEnd).
+     */
     std::uint64_t committedBy(Tick t) const;
 
     /** Transactions whose commit record was *durable* by @p t. */

@@ -49,6 +49,13 @@ class WriteCombineBuffer
 
     std::size_t occupancy() const { return count; }
 
+    /**
+     * Completion tick of the last flush issued (0 before the first).
+     * Flushes are serialized, so every line flushed so far is in
+     * NVRAM by then.
+     */
+    Tick lastFlushDone() const { return lastDone; }
+
     /** Crash-tooling probe: WcbFlush at each flush completion. */
     void setProbe(sim::ProbeFn p) { probe = std::move(p); }
 

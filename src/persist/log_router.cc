@@ -53,11 +53,13 @@ LogRouter::planCommit(CoreId core, std::uint64_t txSeq) const
     if ((mask & (mask - 1)) == 0) {
         // At most one participant: the plain commit record, behind
         // the transaction's updates in the same FIFO, so drain order
-        // alone makes it atomic. A transaction with no update record
-        // commits in the committing core's region under hardware
-        // logging and in region 0 under software logging; the two
-        // differ only on address shards, where such a record has
-        // nothing to redo or undo in any region.
+        // alone makes it atomic. Hardware logging commits a
+        // transaction with no update record in the committing core's
+        // region. Software logging no longer plans such a commit: a
+        // transaction that wrote nothing ends with no record at all
+        // (Thread::execTxCommit), and only a transactional CAS, which
+        // its runtime does not log, still reaches region 0 here.
+        // Such a record has nothing to redo or undo in any region.
         if (mask != 0)
             plan.owner =
                 static_cast<std::uint32_t>(std::countr_zero(mask));

@@ -45,6 +45,8 @@ enum class ProbeEvent : std::uint8_t
      * A commit became durable: its commit record (hardware logging)
      * or commit-record fence (software logging) completed at NVRAM
      * (arg = 16-bit log txid for hardware, tx sequence for software).
+     * A software-logged commit with no record announces ReadOnlyEnd
+     * instead.
      */
     CommitDurable,
     /**
@@ -60,6 +62,16 @@ enum class ProbeEvent : std::uint8_t
      * change).
      */
     WcbDrop,
+    /**
+     * A software-logged transaction that wrote nothing ended with no
+     * log record: a read-only commit, or an abort with nothing to
+     * roll back (arg = tx sequence). Its tick is its place in
+     * durable order, max(end tick, the WCB's last flush completion):
+     * every commit record issued before it is in NVRAM by then. It
+     * follows the transaction's TxCommit or TxAbort, changes no
+     * durable state, and stands in for CommitDurable.
+     */
+    ReadOnlyEnd,
 };
 
 /** Short stable name for reports. */
@@ -76,6 +88,7 @@ probeEventName(ProbeEvent e)
       case ProbeEvent::CommitDurable: return "commit-durable";
       case ProbeEvent::TxAbort:       return "tx-abort";
       case ProbeEvent::WcbDrop:       return "wcb-drop";
+      case ProbeEvent::ReadOnlyEnd:   return "read-only-end";
     }
     return "?";
 }

@@ -361,7 +361,9 @@ TEST(StopTickGolden, OltpCellsStopWhereTheyStopped)
     // Captured while every op parked for the scheduler: where a
     // TPC-C fwb/2PL cell and a YCSB undo-clwb/TL2 cell stand when
     // System::run stops at four ticks each. An op that runs in place
-    // must leave every value here as it was.
+    // must leave every value here as it was. The YCSB rows were
+    // re-pinned when software-logged read-only transactions stopped
+    // writing a commit record.
     workloads::WorkloadParams tpcc;
     tpcc.threads = 4;
     tpcc.txPerThread = 130;
@@ -409,29 +411,29 @@ TEST(StopTickGolden, OltpCellsStopWhereTheyStopped)
     ycsb.seed = 3;
     const std::pair<Tick, const char *> kYcsb[] = {
         {7841,
-         "commit=60 abort=1 events=0"
-         " | clock=8075 instr=2577 compute=1454 tx=426"
-         " | clock=7843 instr=2339 compute=1338 tx=466"
-         " | clock=8074 instr=2088 compute=1116 tx=404"
-         " | clock=7977 instr=2720 compute=1366 tx=496"},
+         "commit=75 abort=2 events=0"
+         " | clock=7859 instr=3270 compute=1752 tx=620"
+         " | clock=8028 instr=2848 compute=1592 tx=576"
+         " | clock=7927 instr=2530 compute=1376 tx=492"
+         " | clock=7850 instr=3330 compute=1808 tx=572"},
         {23519,
-         "commit=201 abort=3 events=0"
-         " | clock=23604 instr=8754 compute=4692 tx=1530"
-         " | clock=23587 instr=7895 compute=4249 tx=1458"
-         " | clock=23638 instr=7394 compute=3928 tx=1416"
-         " | clock=23621 instr=8128 compute=4238 tx=1536"},
+         "commit=233 abort=2 events=0"
+         " | clock=23646 instr=9376 compute=4964 tx=1800"
+         " | clock=23521 instr=8709 compute=4706 tx=1692"
+         " | clock=23717 instr=8532 compute=4786 tx=1710"
+         " | clock=23577 instr=8833 compute=4766 tx=1636"},
         {39203,
-         "commit=340 abort=3 events=0"
-         " | clock=39438 instr=14058 compute=7416 tx=2518"
-         " | clock=39455 instr=13770 compute=7386 tx=2514"
-         " | clock=39404 instr=12870 compute=6924 tx=2462"
-         " | clock=39421 instr=13040 compute=6868 tx=2488"},
+         "commit=405 abort=2 events=0"
+         " | clock=39428 instr=15956 compute=8452 tx=3030"
+         " | clock=39409 instr=15264 compute=8086 tx=2932"
+         " | clock=39529 instr=15054 compute=8408 tx=2954"
+         " | clock=39213 instr=15205 compute=8274 tx=2906"},
         {54907,
-         "commit=522 abort=3 events=0"
-         " | clock=55072 instr=21294 compute=11034 tx=3832"
-         " | clock=54921 instr=20954 compute=10930 tx=3802"
-         " | clock=54958 instr=20142 compute=10806 tx=3830"
-         " | clock=55035 instr=20264 compute=10680 tx=3830"},
+         "commit=592 abort=3 events=0"
+         " | clock=54944 instr=22382 compute=11668 tx=4184"
+         " | clock=54961 instr=23271 compute=12535 tx=4376"
+         " | clock=54091 instr=22518 compute=12334 tx=4378"
+         " | clock=53656 instr=22589 compute=12340 tx=4378"},
     };
     for (const auto &[stopAt, want] : kYcsb)
         EXPECT_EQ(stopState<oltp::YcsbEngine>(PersistMode::UndoClwb,

@@ -10,7 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/system.hh"
 #include "persist/recovery.hh"
@@ -79,6 +83,70 @@ bytesRoundTrip(Thread &t, Addr addr, bool *ok)
     std::uint8_t out[100] = {};
     co_await t.loadBytes(addr + 4, out, sizeof(out));
     *ok = std::equal(in, in + sizeof(in), out);
+}
+
+/** What ending a transaction may cost, read between two ops. */
+std::string
+endCosts(System &sys, Thread &t)
+{
+    const cpu::ThreadContext &ctx = t.context();
+    std::uint64_t records = sys.hwl() ? sys.hwl()->commitRecords.value()
+                                      : sys.swlog()->commitRecords.value();
+    return strfmt("log-stores=%llu fences=%llu nvram-writes=%llu "
+                  "wcb-flushes=%llu wcb-entries=%zu commit-records=%llu",
+                  static_cast<unsigned long long>(ctx.instr.logStores),
+                  static_cast<unsigned long long>(ctx.instr.fences),
+                  static_cast<unsigned long long>(
+                      sys.mem().nvram().writes.value()),
+                  static_cast<unsigned long long>(
+                      sys.mem().wcb().flushes.value()),
+                  sys.mem().wcb().occupancy(),
+                  static_cast<unsigned long long>(records));
+}
+
+/**
+ * A writer over eight lines, then a read-only commit and an abort
+ * before any store. costs[0..1] bracket the commit, costs[2..3] the
+ * abort. With @p repeat, further read-only transactions follow.
+ */
+sim::Co<void>
+readOnlyEnds(System &sys, Thread &t, Addr a, std::string *costs,
+             int repeat)
+{
+    co_await t.txBegin();
+    for (std::uint64_t l = 0; l < 8; ++l)
+        co_await t.store64(a + l * 64, l + 1);
+    co_await t.txCommit();
+
+    co_await t.txBegin();
+    co_await t.load64(a);
+    costs[0] = endCosts(sys, t);
+    co_await t.txCommit();
+    costs[1] = endCosts(sys, t);
+
+    co_await t.txBegin();
+    co_await t.load64(a + 64);
+    costs[2] = endCosts(sys, t);
+    co_await t.txAbort();
+    costs[3] = endCosts(sys, t);
+
+    for (int i = 0; i < repeat; ++i) {
+        co_await t.txBegin();
+        co_await t.load64(a + (i % 8) * 64);
+        co_await t.txCommit();
+    }
+}
+
+/** Writer transactions over eight lines each. */
+sim::Co<void>
+writerLoop(Thread &t, Addr a, int txs)
+{
+    for (int i = 0; i < txs; ++i) {
+        co_await t.txBegin();
+        for (std::uint64_t l = 0; l < 8; ++l)
+            co_await t.store64(a + l * 64, i + l);
+        co_await t.txCommit();
+    }
 }
 
 sim::Co<void>
@@ -172,6 +240,82 @@ TEST(SystemFacade, SoftwareLoggingInflatesInstructions)
     std::uint64_t sw_instr =
         env.sys.collectStats(env.sys.run()).instr.total;
     EXPECT_GT(sw_instr, base_instr * 3 / 2); // well above 1.5x
+}
+
+TEST(SystemFacade, SoftwareLoggingEndsReadOnlyTransactionsWithNoRecord)
+{
+    // Read-only ends ordered after their end tick, by the WCB.
+    std::size_t later = 0;
+    for (PersistMode mode :
+         {PersistMode::UndoClwb, PersistMode::RedoClwb,
+          PersistMode::UnsafeUndo, PersistMode::Fwb, PersistMode::Hwl}) {
+        SCOPED_TRACE(persistModeName(mode));
+        {
+            // One core, so nothing else moves the counters.
+            Env env(mode);
+            std::string costs[4];
+            env.sys.spawn(0, [&](Thread &t) {
+                return readOnlyEnds(env.sys, t, env.a, costs, 0);
+            });
+            env.sys.run();
+            if (isHardwareLogging(mode)) {
+                // The commit and the abort each still append a record.
+                EXPECT_NE(costs[0], costs[1]);
+                EXPECT_NE(costs[2], costs[3]);
+            } else {
+                // No log store, fence, NVRAM write or WCB flush; under
+                // unsafe-undo the writer's commit record is still in
+                // the WCB, and no drain takes it out.
+                EXPECT_EQ(costs[0], costs[1]);
+                EXPECT_EQ(costs[2], costs[3]);
+            }
+        }
+
+        // Core 0 ends read-only transactions while core 1's writers
+        // keep WCB flushes in flight.
+        Env env(mode);
+        System &sys = env.sys;
+        std::map<std::uint64_t, Tick> initiated;
+        struct End
+        {
+            std::uint64_t seq;
+            Tick tick;
+            Tick wcbDone; ///< the WCB's last flush completion then
+        };
+        std::vector<End> ends;
+        std::set<std::uint64_t> durable;
+        sys.setProbe([&](sim::ProbeEvent e, Tick t, std::uint64_t arg) {
+            if (e == sim::ProbeEvent::TxCommit ||
+                e == sim::ProbeEvent::TxAbort)
+                initiated[arg] = t;
+            else if (e == sim::ProbeEvent::ReadOnlyEnd)
+                ends.push_back({arg, t, sys.mem().wcb().lastFlushDone()});
+            else if (e == sim::ProbeEvent::CommitDurable)
+                durable.insert(arg);
+        });
+        std::string costs[4];
+        sys.spawn(0, [&](Thread &t) {
+            return readOnlyEnds(sys, t, env.a, costs, 40);
+        });
+        sys.spawn(1, [&](Thread &t) {
+            return writerLoop(t, env.a + 1024, 20);
+        });
+        sys.run();
+        if (isHardwareLogging(mode)) {
+            EXPECT_TRUE(ends.empty());
+            continue;
+        }
+        // 41 read-only commits and one abort, each ordered no earlier
+        // than its end or the WCB's last flush completion.
+        ASSERT_EQ(ends.size(), 42u);
+        for (const End &e : ends) {
+            EXPECT_GE(e.tick, e.wcbDone);
+            EXPECT_GE(e.tick, initiated.at(e.seq));
+            EXPECT_EQ(durable.count(e.seq), 0u);
+            later += e.tick > initiated.at(e.seq);
+        }
+    }
+    EXPECT_GT(later, 0u);
 }
 
 TEST(SystemFacade, LocksSerializeConflictingThreads)
