@@ -306,7 +306,8 @@ Thread::execTxAbort()
     //
     // Exception: a transaction with an EMPTY write-set stole
     // nothing, so aborting it is sound under any mode — it merely
-    // releases CC locks and closes the (empty) log generation. The
+    // releases CC locks and, under hardware logging, closes the
+    // (empty) log generation. The
     // OLTP engines' no-steal discipline relies on this: under
     // redo-only modes every conflict (2PL deadlock, TL2 validation)
     // is discovered before the first store, so the rollback is
