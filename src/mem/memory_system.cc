@@ -39,7 +39,8 @@ MemorySystem::MemorySystem(const SystemConfig &config)
       dramDev("dram", config.dram, config.map.dramBase),
       wcbuf(nvramDev, kWcbEntries, config.l1.lineBytes),
       coherenceInvalidations(statGroup.counter("coherence_invals")),
-      cacheToCacheTransfers(statGroup.counter("cache_to_cache"))
+      cacheToCacheTransfers(statGroup.counter("cache_to_cache")),
+      wbBarrierWaitCycles(statGroup.counter("wb_barrier_wait_cycles"))
 {
     cfg.validate();
     for (CoreId c = 0; c < cfg.numCores; ++c) {
@@ -108,6 +109,7 @@ MemorySystem::writebackL2(CacheLine &line, Tick issue, Tick barrierAt,
     Tick start = issue;
     if (dataWbBarrier && nvram)
         start = std::max(start, dataWbBarrier(barrierAt));
+    wbBarrierWaitCycles.inc(start - issue);
     // The journaled issue tick is normally the access tick
     // (kTickNever), but the injectSkipWbBarrier self-test reports the
     // pre-barrier tick, making the write-back concurrently pending

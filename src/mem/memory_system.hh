@@ -278,6 +278,9 @@ class MemorySystem
 
     sim::Counter &coherenceInvalidations;
     sim::Counter &cacheToCacheTransfers;
+    /** Sum over data write-backs of start - issue: the wait at the
+     *  log-drain barrier (setDataWbBarrier). */
+    sim::Counter &wbBarrierWaitCycles;
 };
 
 } // namespace snf::mem

@@ -18,7 +18,9 @@ WriteCombineBuffer::WriteCombineBuffer(MemDevice &device,
       lineData(static_cast<std::size_t>(numEntries) * line),
       statGroup("wcb"),
       coalescedStores(statGroup.counter("coalesced_stores")),
-      flushes(statGroup.counter("flushes"))
+      flushes(statGroup.counter("flushes")),
+      flushWaitCycles(statGroup.counter("flush_wait_cycles")),
+      drainWaitCycles(statGroup.counter("drain_wait_cycles"))
 {
     SNF_ASSERT(capacity > 0, "WCB without entries");
     for (std::uint32_t i = 0; i < capacity; ++i)
@@ -34,6 +36,7 @@ WriteCombineBuffer::flushOldest(Tick now)
     --count;
     // Serialize flushes: the WCB has one port to the memory bus.
     Tick issue = std::max(now, lastDone);
+    flushWaitCycles.inc(issue - now);
     auto res = dev.access(true, e.lineAddr + e.lo, e.hi - e.lo,
                           e.data + e.lo, nullptr, issue, true,
                           PersistOrigin::WcbFlush);
@@ -99,6 +102,7 @@ WriteCombineBuffer::drainAll(Tick now)
     Tick done = std::max(now, lastDone);
     while (count > 0)
         done = std::max(done, flushOldest(now));
+    drainWaitCycles.inc(done - now);
     return done;
 }
 

@@ -91,6 +91,11 @@ class WriteCombineBuffer
   public:
     sim::Counter &coalescedStores;
     sim::Counter &flushes;
+    /** Sum over flushes of issue - request tick: the wait for the
+     *  one port behind the flushes issued before. */
+    sim::Counter &flushWaitCycles;
+    /** Sum over drains of completion - request tick. */
+    sim::Counter &drainWaitCycles;
 };
 
 } // namespace snf::mem
