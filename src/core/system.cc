@@ -60,16 +60,10 @@ System::System(const SystemConfig &config, PersistMode m)
         region->setHazardSink(
             [this]() { memory->monitor().onLogOverwriteHazard(); });
         // Reclaiming a slot whose guarded line is still volatile
-        // forces that line back to NVRAM first.
+        // forces that line back to NVRAM first (a clwb, which also
+        // waits for a write-back of the line already in flight).
         region->setForceWriteback([this](Addr addr, Tick now) {
-            Tick done = memory->clwb(0, addr, now);
-            // If a write-back of the line is already in flight (the
-            // clwb then finds it clean and completes early), waiting
-            // for durability means waiting for that write-back's
-            // completion tick, not the clwb's.
-            return std::max(
-                done, memory->monitor().lastWritebackOf(
-                          memory->lineOf(addr)));
+            return memory->clwb(0, addr, now);
         });
     }
     txnTracker.setCcMode(cfg.persist.ccMode);

@@ -317,11 +317,16 @@ MemorySystem::clwb(CoreId core, Addr addr, Tick now)
 {
     Addr line = lineOf(addr);
     Tick t = std::max(now, l1s[core]->busyUntil);
+    // A line that is clean because a write-back of it (another core's
+    // clwb, an eviction, an FWB scan) is still in flight persists only
+    // when that write-back completes: it may carry this core's stores.
+    const Tick clean = std::max(t + l2.latency(),
+                                busMonitor.lastWritebackOf(line));
 
     // Inclusion: a line absent from L2 is in no L1 either.
     CacheLine *l2line = l2.find(line);
     if (!l2line)
-        return t + l2.latency();
+        return clean;
 
     // Step 1: any dirty L1 copy is written through to L2.
     forEachSharer(l2line->sharers, [&](CoreId c) {
@@ -338,7 +343,7 @@ MemorySystem::clwb(CoreId core, Addr addr, Tick now)
         Tick issue = std::max(t, l2.busyUntil) + l2.latency();
         return writebackL2(*l2line, issue, issue);
     }
-    return t + l2.latency();
+    return clean;
 }
 
 FwbScanResult

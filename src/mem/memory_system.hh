@@ -130,7 +130,10 @@ class MemorySystem
     /**
      * clwb: force the line containing @p addr back to memory if dirty
      * anywhere. The line stays valid (clean).
-     * @return the persist-completion tick the next fence must await.
+     * @return the persist-completion tick the next fence must await:
+     *         never before the line's last write-back completes, which
+     *         may carry this core's stores although another core
+     *         issued it (BusMonitor::lastWritebackOf).
      */
     Tick clwb(CoreId core, Addr addr, Tick now);
 

@@ -157,6 +157,23 @@ TEST_F(MemorySystemTest, ClwbOnCleanLineIsCheap)
     EXPECT_LT(done, 1100u); // no device write needed
 }
 
+TEST_F(MemorySystemTest, ClwbWaitsForTheLinesWritebackInFlight)
+{
+    // Core 0's clwb finds core 1's store dirty in core 1's L1 and
+    // writes it back. Core 1's own clwb, issued before that write-back
+    // completes, finds the line clean; its store is durable only once
+    // the write-back lands, so a fence after it must wait that long.
+    std::uint64_t v = 1;
+    Addr a = nv + 16384;
+    ms.store(0, a, 8, &v, 0);
+    v = 2;
+    ms.store(1, a, 8, &v, 100);
+    const Tick first = ms.clwb(0, a, 200);
+    const Tick second_at = 210;
+    ASSERT_GT(first, second_at + ms.l2Cache().latency());
+    EXPECT_GE(ms.clwb(1, a, second_at), first);
+}
+
 TEST_F(MemorySystemTest, FwbScanFlagsThenWritesBack)
 {
     std::uint64_t v = 0x1234;
