@@ -139,13 +139,14 @@ Thread::endsWithoutRecord() const
 void
 Thread::announceReadOnlyEnd()
 {
-    // Its end tick is not its place in durable order: a writer's
-    // whole commit sequence runs in one op, so ops of other threads
-    // at ticks before the sequence ends already see its locks
-    // released and may read what it wrote. Every commit record
-    // issued before this transaction ended is in NVRAM by the WCB's
-    // last flush completion, so ordering it there puts it after each
-    // writer it could have read from.
+    // Order it after every writer it could have read from. Under
+    // undo-clwb and redo-clwb a writer holds its locks until the last
+    // step of its commit sequence, which runs after the fence behind
+    // its commit record, so this transaction's end tick already
+    // follows that record's durability. The probe still takes the
+    // WCB's last flush completion too, by which every commit record
+    // flushed before this transaction ended is in NVRAM; the
+    // snfdiff_conflict_read_heavy_* gates guard the rule.
     if (sys.probe())
         sys.probe()(sim::ProbeEvent::ReadOnlyEnd,
                     std::max(ctx.localTime,
@@ -153,9 +154,20 @@ Thread::announceReadOnlyEnd()
                     txSeq);
 }
 
-void
-Thread::writeCommitRecord()
+bool
+Thread::writeCommitRecord(std::uint32_t step)
 {
+    auto log_commit = [&]() {
+        auto res = sys.swlog()->logCommit(ctx.id(), txSeq,
+                                          ctx.localTime);
+        ctx.localTime = std::max(ctx.localTime, res.done);
+        ctx.instr.total += res.instructions;
+        ctx.instr.logStores += res.logStores;
+    };
+    auto hw_commit = [&]() {
+        Tick done = sys.hwl()->onCommit(ctx.id(), txSeq, ctx.localTime);
+        ctx.localTime = std::max(ctx.localTime, done);
+    };
     auto clwb_write_set = [&]() {
         for (Addr line : sys.txns().writeSet(txSeq))
             execClwb(line);
@@ -164,70 +176,87 @@ Thread::writeCommitRecord()
 
     switch (sys.mode()) {
       case PersistMode::NonPers:
-        break;
+        return false;
       case PersistMode::UnsafeRedo:
-      case PersistMode::UnsafeUndo: {
+      case PersistMode::UnsafeUndo:
         // Commit record only; no ordering enforcement ("unsafe").
-        auto res = sys.swlog()->logCommit(ctx.id(), txSeq,
-                                          ctx.localTime);
-        ctx.localTime = std::max(ctx.localTime, res.done);
-        ctx.instr.total += res.instructions;
-        ctx.instr.logStores += res.logStores;
-        break;
-      }
-      case PersistMode::RedoClwb: {
+        log_commit();
+        return false;
+      case PersistMode::RedoClwb:
         // Redo logging: the transaction commits once the log is
         // durable; the write-set is then flushed so the log can be
         // truncated (Section II-C).
-        auto res = sys.swlog()->logCommit(ctx.id(), txSeq,
-                                          ctx.localTime);
-        ctx.localTime = std::max(ctx.localTime, res.done);
-        ctx.instr.total += res.instructions;
-        ctx.instr.logStores += res.logStores;
-        execFence();
-        clwb_write_set();
-        break;
-      }
-      case PersistMode::UndoClwb: {
+        if (step == 0) {
+            log_commit();
+            execFence();
+            return true;
+        }
+        if (step == 1) {
+            clwb_write_set();
+            return true;
+        }
+        return false;
+      case PersistMode::UndoClwb:
         // Undo logging: the write-set must be durable before the
         // commit record (Figure 1(a)).
-        clwb_write_set();
-        auto res = sys.swlog()->logCommit(ctx.id(), txSeq,
-                                          ctx.localTime);
-        ctx.localTime = std::max(ctx.localTime, res.done);
-        ctx.instr.total += res.instructions;
-        ctx.instr.logStores += res.logStores;
-        execFence();
-        break;
-      }
+        if (step == 0) {
+            clwb_write_set();
+            return true;
+        }
+        if (step == 1) {
+            log_commit();
+            execFence();
+            return true;
+        }
+        return false;
       case PersistMode::HwRlog:
       case PersistMode::HwUlog:
-      case PersistMode::Fwb: {
+      case PersistMode::Fwb:
         // Instant transaction commit (Section III-D): one hardware
         // commit record, no flushes, no barriers.
-        Tick done =
-            sys.hwl()->onCommit(ctx.id(), txSeq, ctx.localTime);
-        ctx.localTime = std::max(ctx.localTime, done);
-        break;
-      }
-      case PersistMode::Hwl: {
+        hw_commit();
+        return false;
+      case PersistMode::Hwl:
         // HWL without FWB: hardware logging, but the write-set is
         // still flushed with clwb at commit (Section VI).
-        Tick done =
-            sys.hwl()->onCommit(ctx.id(), txSeq, ctx.localTime);
-        ctx.localTime = std::max(ctx.localTime, done);
-        clwb_write_set();
-        break;
-      }
+        if (step == 0) {
+            hw_commit();
+            clwb_write_set();
+            return true;
+        }
+        return false;
     }
+    return false;
 }
 
-void
-Thread::execTxCommit()
+bool
+Thread::execTxEnd(TxEndOp &op)
 {
-    SNF_ASSERT(inTx, "commit outside transaction on core %u",
-               ctx.id());
+    if (op.step == 0) {
+        SNF_ASSERT(inTx, "%s outside transaction on core %u",
+                   op.aborting ? "abort" : "commit", ctx.id());
+        // TL2 commit validation may divert the commit into a
+        // rollback; the workload observes lastTxAborted() and may
+        // retry the transaction.
+        if (!op.aborting && !beginCommit())
+            op.aborting = true;
+        // Software logging ends a transaction that wrote nothing with
+        // no commit record, fence or log drain: recovery has nothing
+        // to redo or undo for it. Hardware logging keeps its record,
+        // which costs the core nothing.
+        op.recordless = endsWithoutRecord();
+        if (op.aborting)
+            beginAbort(op.recordless);
+    }
+    if (!op.recordless && writeCommitRecord(op.step++))
+        return false;
+    endTx(op);
+    return true;
+}
 
+bool
+Thread::beginCommit()
+{
     // TL2 validation work is charged whether it passes or not. A
     // pre-validated transaction (txValidate) already paid it and
     // must not revalidate: its serialization point was the early
@@ -240,55 +269,22 @@ Thread::execTxCommit()
         ctx.instr.txOverhead += n;
         ctx.retireCompute(n);
     }
-    if (!txPreValidated && !sys.txns().validateReads(txSeq)) {
-        // TL2 commit validation found a stale read version; divert
-        // the commit into a rollback. The workload observes
-        // lastTxAborted() and may retry the transaction.
-        execTxAbort();
-        return;
-    }
+    if (!txPreValidated && !sys.txns().validateReads(txSeq))
+        return false;
     lastAborted = false;
 
     // Emitted at commit *initiation*: a commit record can reach
-    // NVRAM at any point during the sequence below, so trace-based
-    // upper bounds on recovered-committed counts must count from
-    // here, not from the sequence's end.
+    // NVRAM at any point during the sequence, so trace-based upper
+    // bounds on recovered-committed counts must count from here, not
+    // from the sequence's end.
     if (sys.probe())
         sys.probe()(sim::ProbeEvent::TxCommit, ctx.localTime, txSeq);
-
-    // Software logging commits a transaction that wrote nothing with
-    // no commit record and no fence: recovery has nothing to redo or
-    // undo for it. Hardware logging keeps its record, which costs the
-    // core nothing.
-    const bool recordless = endsWithoutRecord();
-    if (!recordless)
-        writeCommitRecord();
-
-    sys.txns().commit(txSeq);
-    if (recordless) {
-        announceReadOnlyEnd();
-    } else if (sys.probe() && (sys.mode() == PersistMode::RedoClwb ||
-                               sys.mode() == PersistMode::UndoClwb)) {
-        // For the clwb+fence software schemes the commit record is
-        // durable once the commit sequence's fence has completed,
-        // i.e. by localTime here (hardware modes report durability
-        // from the log buffer's drain instead).
-        sys.probe()(sim::ProbeEvent::CommitDurable, ctx.localTime,
-                    txSeq);
-    }
-    inTx = false;
-    txSeq = 0;
-    ctx.instr.total += kTxLibraryInstructions;
-    ctx.instr.txOverhead += kTxLibraryInstructions;
-    ctx.retireCompute(kTxLibraryInstructions);
+    return true;
 }
 
 void
-Thread::execTxAbort()
+Thread::beginAbort(bool recordless)
 {
-    SNF_ASSERT(inTx, "abort outside transaction on core %u",
-               ctx.id());
-
     // Emitted at abort initiation: under undo-capable modes the
     // rollback ends in a commit record (see below), so crash-trace
     // commit upper bounds must count aborts from here too, unless a
@@ -317,33 +313,47 @@ Thread::execTxAbort()
                "tx_abort on core %u under mode %s: no undo values "
                "to roll back with",
                ctx.id(), persistModeName(sys.mode()));
+    if (recordless)
+        return;
 
-    if (endsWithoutRecord()) {
-        // Software logging wrote no record for it, so there is no
-        // log to drain and no generation to close (see execTxCommit).
-        announceReadOnlyEnd();
+    // Roll back through the log (paper Section IV-A tx_abort): read
+    // this transaction's undo values back from the drained log window
+    // and write them as compensating stores, newest first. The stores
+    // go through the normal transactional store path, so they are
+    // themselves logged (undo-of-undo) and a crash mid-rollback still
+    // recovers to a consistent state. The compensated lines are all
+    // write-locked by this transaction under a CC mode, so the stores
+    // cannot race a concurrent owner. The generation then closes with
+    // an ordinary commit record: replaying original-then-compensating
+    // updates in log order reproduces the rolled-back state, so
+    // recovery needs no special abort handling.
+    ctx.localTime = std::max(ctx.localTime, sys.drainLogs(ctx.localTime));
+    for (const auto &e : sys.collectUndo(txSeq))
+        execStore(e.addr, e.size, e.undo);
+}
+
+void
+Thread::endTx(const TxEndOp &op)
+{
+    if (op.aborting) {
+        if (op.recordless)
+            announceReadOnlyEnd();
+        sys.txns().abort(txSeq);
     } else {
-        // Roll back through the log (paper Section IV-A tx_abort):
-        // read this transaction's undo values back from the drained
-        // log window and write them as compensating stores, newest
-        // first. The stores go through the normal transactional
-        // store path, so they are themselves logged (undo-of-undo)
-        // and a crash mid-rollback still recovers to a consistent
-        // state. The compensated lines are all write-locked by this
-        // transaction under a CC mode, so the stores cannot race a
-        // concurrent owner.
-        ctx.localTime =
-            std::max(ctx.localTime, sys.drainLogs(ctx.localTime));
-        for (const auto &e : sys.collectUndo(txSeq))
-            execStore(e.addr, e.size, e.undo);
-        // Close the generation with an ordinary commit record:
-        // replaying original-then-compensating updates in log order
-        // reproduces the rolled-back state, so recovery needs no
-        // special abort handling.
-        writeCommitRecord();
+        sys.txns().commit(txSeq);
+        if (op.recordless) {
+            announceReadOnlyEnd();
+        } else if (sys.probe() &&
+                   (sys.mode() == PersistMode::RedoClwb ||
+                    sys.mode() == PersistMode::UndoClwb)) {
+            // For the clwb+fence software schemes the commit record
+            // is durable once the commit sequence's fence has
+            // completed, i.e. by localTime here (hardware modes
+            // report durability from the log buffer's drain instead).
+            sys.probe()(sim::ProbeEvent::CommitDurable, ctx.localTime,
+                        txSeq);
+        }
     }
-
-    sys.txns().abort(txSeq);
     inTx = false;
     txSeq = 0;
     ctx.instr.total += kTxLibraryInstructions;

@@ -153,18 +153,32 @@ class Thread
         void execute() override { t->execTxBegin(); }
     };
 
-    struct TxCommitOp : VoidAwaiter
+    /**
+     * A commit or abort sequence. Every fence in it ends a step: the
+     * op parks itself again at the fence's completion tick, and the
+     * workload resumes only after the last step, which releases the
+     * transaction (DESIGN §5a).
+     */
+    struct TxEndOp : VoidAwaiter
     {
-        using VoidAwaiter::VoidAwaiter;
+        /** Rolls back: txAbort(), or a commit whose TL2 validation
+         *  failed. */
+        bool aborting;
+        /** Ends with no log record (endsWithoutRecord): one step. */
+        bool recordless = false;
+        /** Steps of the commit-record sequence run so far. */
+        std::uint32_t step = 0;
 
-        void execute() override { t->execTxCommit(); }
-    };
+        TxEndOp(Thread *t, bool abort) : VoidAwaiter(t), aborting(abort)
+        {
+        }
 
-    struct TxAbortOp : VoidAwaiter
-    {
-        using VoidAwaiter::VoidAwaiter;
-
-        void execute() override { t->execTxAbort(); }
+        void
+        execute() override
+        {
+            if (!t->execTxEnd(*this))
+                t->ctx.pending = this;
+        }
     };
 
     struct ClwbOp : VoidAwaiter
@@ -238,7 +252,7 @@ class Thread
     TxBeginOp txBegin() { return TxBeginOp(this); }
 
     /** tx_commit(): close the transaction (mode-dependent cost). */
-    TxCommitOp txCommit() { return TxCommitOp(this); }
+    TxEndOp txCommit() { return TxEndOp(this, false); }
 
     /**
      * tx_abort(): roll the transaction back via its in-log undo
@@ -249,7 +263,7 @@ class Thread
      * them panics instead of silently leaving the stolen stores in
      * place.
      */
-    TxAbortOp txAbort() { return TxAbortOp(this); }
+    TxEndOp txAbort() { return TxEndOp(this, true); }
 
     /**
      * Did the last awaited txCommit()/txAbort() end in a rollback?
@@ -368,17 +382,34 @@ class Thread
     persist::CcDecision execCcAcquire(Addr a, bool forWrite);
     void execCompute(std::uint64_t n);
     void execTxBegin();
-    void execTxCommit();
-    void execTxAbort();
     bool execTxValidate();
     void execClwb(Addr a);
     void execFence();
     std::uint64_t execCas(Addr a, std::uint64_t expected,
                           std::uint64_t desired);
 
-    /** The mode-specific commit-record sequence (shared by commit
-     *  and the rollback-closing record of abort). */
-    void writeCommitRecord();
+    /** Run the next step of @p op; true once it ran the last. */
+    bool execTxEnd(TxEndOp &op);
+
+    /** A commit's first step up to its record: TL2 validation, then
+     *  TxCommit. False when validation failed. */
+    bool beginCommit();
+
+    /** An abort's first step up to its record: TxAbort, then the
+     *  compensating stores unless @p recordless. */
+    void beginAbort(bool recordless);
+
+    /** The last step of @p op: release the transaction and announce
+     *  where it ends in durable order. */
+    void endTx(const TxEndOp &op);
+
+    /**
+     * Step @p step of the mode-specific commit-record sequence
+     * (shared by commit and the rollback-closing record of abort).
+     * @return true when the step ended at a fence and the sequence
+     *         goes on at the fence's completion tick.
+     */
+    bool writeCommitRecord(std::uint32_t step);
 
     /** Does the open transaction end with no log record? Under
      *  software logging, exactly when it wrote nothing. */

@@ -74,6 +74,10 @@ Scheduler::run(Tick stopAt)
             t->pending = nullptr;
             ops.inc();
             op->execute();
+            // An op that parked itself again runs its next step once
+            // this thread is again the earliest; the coroutine waits.
+            if (t->pending)
+                continue;
         }
 
         t->resumePoint.resume();

@@ -17,6 +17,11 @@
  * changes. An op reached at or past the stop tick never runs, as it
  * would not if parked.
  *
+ * An op may run in steps: one that parks itself again while it runs
+ * (a commit sequence at each fence, Thread::TxEndOp) is executed
+ * again once its thread is again the earliest, and its coroutine
+ * resumes only after the last step.
+ *
  * A run stopped at a tick fires every event due before it, as a run
  * to the end does before its first op at or past that tick, so both
  * hold the same state at the stop tick (crashSnapshot).
@@ -63,7 +68,8 @@ class Scheduler
     sim::StatGroup statGroup; // must precede the counter reference
 
   public:
-    /** Parked ops executed (ops run in place are not counted). */
+    /** Parked op steps executed (ops run in place are not
+     *  counted). */
     sim::Counter &ops;
 };
 

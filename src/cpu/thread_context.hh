@@ -23,7 +23,9 @@ namespace snf::cpu
 /**
  * A simulated-memory operation parked by an awaiter, executed by the
  * scheduler when its thread is the globally earliest. Implementations
- * live in the awaiter objects inside coroutine frames.
+ * live in the awaiter objects inside coroutine frames. An execute()
+ * that sets its thread's `pending` back to itself has more steps to
+ * run; the scheduler then does not resume the coroutine.
  */
 class PendingOp
 {

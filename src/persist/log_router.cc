@@ -57,7 +57,7 @@ LogRouter::planCommit(CoreId core, std::uint64_t txSeq) const
         // transaction with no update record in the committing core's
         // region. Software logging no longer plans such a commit: a
         // transaction that wrote nothing ends with no record at all
-        // (Thread::execTxCommit), and only a transactional CAS, which
+        // (Thread::execTxEnd), and only a transactional CAS, which
         // its runtime does not log, still reaches region 0 here.
         // Such a record has nothing to redo or undo in any region.
         if (mask != 0)

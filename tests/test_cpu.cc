@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/system.hh"
@@ -363,7 +365,8 @@ TEST(StopTickGolden, OltpCellsStopWhereTheyStopped)
     // System::run stops at four ticks each. An op that runs in place
     // must leave every value here as it was. The YCSB rows were
     // re-pinned when software-logged read-only transactions stopped
-    // writing a commit record.
+    // writing a commit record, and again when commit sequences began
+    // to park at each fence.
     workloads::WorkloadParams tpcc;
     tpcc.threads = 4;
     tpcc.txPerThread = 130;
@@ -411,29 +414,29 @@ TEST(StopTickGolden, OltpCellsStopWhereTheyStopped)
     ycsb.seed = 3;
     const std::pair<Tick, const char *> kYcsb[] = {
         {7841,
-         "commit=75 abort=2 events=0"
-         " | clock=7859 instr=3270 compute=1752 tx=620"
-         " | clock=8028 instr=2848 compute=1592 tx=576"
-         " | clock=7927 instr=2530 compute=1376 tx=492"
-         " | clock=7850 instr=3330 compute=1808 tx=572"},
+         "commit=68 abort=2 events=0"
+         " | clock=7844 instr=3216 compute=1738 tx=604"
+         " | clock=7841 instr=6861 compute=5794 tx=548"
+         " | clock=8131 instr=5450 compute=4380 tx=484"
+         " | clock=8075 instr=2858 compute=1514 tx=534"},
         {23519,
-         "commit=233 abort=2 events=0"
-         " | clock=23646 instr=9376 compute=4964 tx=1800"
-         " | clock=23521 instr=8709 compute=4706 tx=1692"
-         " | clock=23717 instr=8532 compute=4786 tx=1710"
-         " | clock=23577 instr=8833 compute=4766 tx=1636"},
+         "commit=211 abort=2 events=0"
+         " | clock=23715 instr=9423 compute=5020 tx=1798"
+         " | clock=23526 instr=11741 compute=8358 tx=1480"
+         " | clock=23678 instr=17214 compute=14044 tx=1418"
+         " | clock=23654 instr=9812 compute=5681 tx=1690"},
         {39203,
-         "commit=405 abort=2 events=0"
-         " | clock=39428 instr=15956 compute=8452 tx=3030"
-         " | clock=39409 instr=15264 compute=8086 tx=2932"
-         " | clock=39529 instr=15054 compute=8408 tx=2954"
-         " | clock=39213 instr=15205 compute=8274 tx=2906"},
+         "commit=380 abort=4 events=0"
+         " | clock=39206 instr=17733 compute=10072 tx=3096"
+         " | clock=39214 instr=25874 compute=19683 tx=2652"
+         " | clock=39207 instr=33526 compute=27600 tx=2672"
+         " | clock=39238 instr=19083 compute=11927 tx=3036"},
         {54907,
-         "commit=592 abort=3 events=0"
-         " | clock=54944 instr=22382 compute=11668 tx=4184"
-         " | clock=54961 instr=23271 compute=12535 tx=4376"
-         " | clock=54091 instr=22518 compute=12334 tx=4378"
-         " | clock=53656 instr=22589 compute=12340 tx=4378"},
+         "commit=551 abort=6 events=0"
+         " | clock=55021 instr=26090 compute=15192 tx=4236"
+         " | clock=54923 instr=32350 compute=23105 tx=3742"
+         " | clock=55119 instr=44266 compute=34838 tx=4190"
+         " | clock=51305 instr=27942 compute=17770 tx=4436"},
     };
     for (const auto &[stopAt, want] : kYcsb)
         EXPECT_EQ(stopState<oltp::YcsbEngine>(PersistMode::UndoClwb,
@@ -446,25 +449,22 @@ TEST(StopTickGolden, OltpCellsStopWhereTheyStopped)
 namespace
 {
 
-/** A TPC-C fwb/2PL cell with the crash journal on: 8 threads x 200
- *  tx, 4 warehouses, 256 customers, seed 3. */
-struct JournaledTpcc
+/** An OLTP cell of @p Engine with the crash journal on. */
+template <class Engine>
+struct JournaledCell
 {
     workloads::WorkloadParams params;
-    oltp::TpccEngine eng;
+    Engine eng;
     std::unique_ptr<System> sys;
 
-    JournaledTpcc()
+    JournaledCell(PersistMode mode, CcMode cc,
+                  const workloads::WorkloadParams &p)
+        : params(p)
     {
-        params.threads = 8;
-        params.txPerThread = 200;
-        params.warehouses = 4;
-        params.footprint = 256;
-        params.seed = 3;
         SystemConfig cfg = SystemConfig::scaled(params.threads);
-        cfg.persist.ccMode = CcMode::TwoPhase;
+        cfg.persist.ccMode = cc;
         cfg.persist.crashJournal = true;
-        sys = std::make_unique<System>(cfg, PersistMode::Fwb);
+        sys = std::make_unique<System>(cfg, mode);
         eng.setup(*sys, params);
         for (CoreId c = 0; c < params.threads; ++c)
             sys->spawn(c, [this](Thread &t) {
@@ -473,9 +473,65 @@ struct JournaledTpcc
     }
 
     // The threads' coroutines hold this object's address.
-    JournaledTpcc(const JournaledTpcc &) = delete;
-    JournaledTpcc &operator=(const JournaledTpcc &) = delete;
+    JournaledCell(const JournaledCell &) = delete;
+    JournaledCell &operator=(const JournaledCell &) = delete;
 };
+
+/** TPC-C fwb/2PL: 8 threads x 200 tx, 4 warehouses, 256 customers,
+ *  seed 3. */
+struct JournaledTpcc : JournaledCell<oltp::TpccEngine>
+{
+    static workloads::WorkloadParams
+    cell()
+    {
+        workloads::WorkloadParams p;
+        p.threads = 8;
+        p.txPerThread = 200;
+        p.warehouses = 4;
+        p.footprint = 256;
+        p.seed = 3;
+        return p;
+    }
+
+    JournaledTpcc()
+        : JournaledCell(PersistMode::Fwb, CcMode::TwoPhase, cell())
+    {
+    }
+};
+
+/** YCSB undo-clwb/TL2: 8 threads x 300 tx, 100 000 keys, Zipf 0.9,
+ *  seed 3. */
+struct JournaledYcsb : JournaledCell<oltp::YcsbEngine>
+{
+    static workloads::WorkloadParams
+    cell()
+    {
+        workloads::WorkloadParams p;
+        p.threads = 8;
+        p.txPerThread = 300;
+        p.footprint = 100000;
+        p.zipfTheta = 0.9;
+        p.seed = 3;
+        return p;
+    }
+
+    JournaledYcsb()
+        : JournaledCell(PersistMode::UndoClwb, CcMode::Tl2, cell())
+    {
+    }
+};
+
+/** The stopped run's NVRAM image at @p at equals the full run's. */
+void
+expectSameImage(System &full, System &stopped, Tick at)
+{
+    mem::BackingStore want = full.crashSnapshot(at);
+    mem::BackingStore got = stopped.crashSnapshot(at);
+    std::optional<Addr> diff =
+        got.firstDifference(want, want.base(), want.size());
+    EXPECT_FALSE(diff) << std::hex << "first difference at 0x"
+                       << diff.value_or(0);
+}
 
 } // namespace
 
@@ -493,11 +549,34 @@ TEST(StopTick, StoppedRunHoldsTheFullRunsImage)
         SCOPED_TRACE(at);
         JournaledTpcc stopped;
         stopped.sys->run(at);
-        mem::BackingStore want = full.sys->crashSnapshot(at);
-        mem::BackingStore got = stopped.sys->crashSnapshot(at);
-        std::optional<Addr> diff =
-            got.firstDifference(want, want.base(), want.size());
-        EXPECT_FALSE(diff) << std::hex << "first difference at 0x"
-                           << diff.value_or(0);
+        expectSameImage(*full.sys, *stopped.sys, at);
+    }
+
+    // An undo-clwb commit runs in three steps, parked at its clwb
+    // fence and at its commit record's fence. Stop inside eight
+    // update commits spread over the run, halfway between their
+    // TxCommit and their CommitDurable: the committing thread is
+    // parked between two steps, its transaction still active.
+    JournaledYcsb ycsb;
+    std::map<std::uint64_t, Tick> began;
+    std::vector<std::pair<Tick, std::uint64_t>> inside;
+    ycsb.sys->setProbe(
+        [&](sim::ProbeEvent e, Tick t, std::uint64_t seq) {
+            if (e == sim::ProbeEvent::TxCommit)
+                began[seq] = t;
+            else if (e == sim::ProbeEvent::CommitDurable)
+                inside.push_back({began.at(seq) + (t - began.at(seq)) / 2,
+                                  seq});
+        });
+    ycsb.sys->run();
+    ASSERT_GT(inside.size(), 800u);
+    const std::size_t stride = inside.size() / 8;
+    for (std::size_t i = stride / 2; i < inside.size(); i += stride) {
+        const auto [at, seq] = inside[i];
+        SCOPED_TRACE(at);
+        JournaledYcsb stopped;
+        stopped.sys->run(at);
+        EXPECT_TRUE(stopped.sys->txns().isActive(seq));
+        expectSameImage(*ycsb.sys, *stopped.sys, at);
     }
 }

@@ -14,6 +14,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/system.hh"
@@ -572,6 +573,109 @@ TEST(ReclaimDurability, PullBeforeASoftwareLoggedStoreDoesNotCarryIt)
     EXPECT_EQ(log.forcedWritebacks.value(), 1u);
     EXPECT_GT(log.reclaimWaitCycles.value(), 0u);
     EXPECT_EQ(log.hazards.value(), 0u);
+}
+
+// ------------------------------------------------------------------
+// Commit sequences park at each fence: every fence in a commit or
+// abort sequence ends a step of its op, and the last step releases
+// the transaction.
+// ------------------------------------------------------------------
+
+TEST(CommitSteps, EachFenceEndsAStep)
+{
+    // One thread, ten update transactions of txBegin, load, store,
+    // txCommit: the first three park once each, the commit once per
+    // step. undo-clwb: clwbs + fence, record + fence, release;
+    // redo-clwb: record + fence, clwbs + fence, release; hwl: record
+    // + clwbs + fence, release; fwb has no fence.
+    const std::pair<PersistMode, std::uint64_t> kSteps[] = {
+        {PersistMode::UndoClwb, 3},
+        {PersistMode::RedoClwb, 3},
+        {PersistMode::Hwl, 2},
+        {PersistMode::Fwb, 1},
+    };
+    for (const auto &[mode, steps] : kSteps) {
+        SCOPED_TRACE(persistModeName(mode));
+        Env env(mode, 1);
+        env.sys.spawn(0, [&](Thread &t) {
+            return incrementLoop(t, env.a, 10);
+        });
+        env.sys.run();
+        EXPECT_EQ(env.sys.txns().committed.value(), 10u);
+        EXPECT_EQ(env.sys.scheduler().ops.value(), 10 * (3 + steps));
+    }
+}
+
+namespace
+{
+
+/** One update of @p addr's line in a transaction. */
+sim::Co<void>
+lockedUpdate(Thread &t, Addr addr)
+{
+    co_await t.txBegin();
+    bool ok = co_await t.txStore64(addr, 1);
+    EXPECT_TRUE(ok);
+    co_await t.txCommit();
+}
+
+/** Idle, then probe @p addr's line for its lock at tick @p at (the
+ *  clock starts at 0); *granted is the clock once it is granted. */
+sim::Co<void>
+lateLock(Thread &t, Addr addr, Tick at, Tick *granted)
+{
+    // txBegin retires 8 instructions, 2 cycles at 4 per cycle.
+    co_await t.compute(4 * (at - 2));
+    co_await t.txBegin();
+    EXPECT_EQ(t.context().localTime, at);
+    bool ok = co_await t.txLock64(addr);
+    EXPECT_TRUE(ok);
+    *granted = t.context().localTime;
+    co_await t.txCommit();
+}
+
+} // namespace
+
+TEST(CommitSteps, LocksAreHeldUntilTheLastStep)
+{
+    // Under undo-clwb/2PL thread 0's commit ends its first step at
+    // the clwb fence and its second at the commit record's fence; the
+    // third releases the line's lock at the commit's end. Thread 1
+    // probes the line one cycle before that end, after the clwb
+    // fence, and must wait for the release.
+    struct Outcome
+    {
+        Tick end = 0;     ///< thread 0's CommitDurable tick
+        Tick granted = 0; ///< thread 1's clock once granted
+        std::uint64_t lockWaits = 0;
+    };
+    // Thread 1 (present when @p at is nonzero) moves none of thread
+    // 0's ticks: it touches no memory before its lock is granted.
+    auto run = [](Tick at) {
+        SystemConfig cfg = SystemConfig::scaled(2);
+        cfg.persist.ccMode = CcMode::TwoPhase;
+        System sys(cfg, PersistMode::UndoClwb);
+        Addr a = sys.heap().alloc(64, 64);
+        Outcome o;
+        sys.setProbe([&](sim::ProbeEvent e, Tick t, std::uint64_t) {
+            if (e == sim::ProbeEvent::CommitDurable && o.end == 0)
+                o.end = t;
+        });
+        sys.spawn(0, [&](Thread &t) { return lockedUpdate(t, a); });
+        if (at != 0)
+            sys.spawn(1, [&](Thread &t) {
+                return lateLock(t, a, at, &o.granted);
+            });
+        sys.run();
+        o.lockWaits = sys.txns().lockWaits.value();
+        return o;
+    };
+    const Tick end = run(0).end;
+    ASSERT_GT(end, 100u);
+    Outcome o = run(end - 1);
+    EXPECT_EQ(o.end, end);
+    EXPECT_GE(o.lockWaits, 1u);
+    EXPECT_GT(o.granted, end);
 }
 
 TEST(BumpAllocator, AlignsAndAdvances)
