@@ -317,9 +317,8 @@ MemorySystem::clwb(CoreId core, Addr addr, Tick now)
 {
     Addr line = lineOf(addr);
     Tick t = std::max(now, l1s[core]->busyUntil);
-    // A line that is clean because a write-back of it (another core's
-    // clwb, an eviction, an FWB scan) is still in flight persists only
-    // when that write-back completes: it may carry this core's stores.
+    // A clean line may be clean only because a write-back carrying
+    // this core's stores is still in flight (see the header).
     const Tick clean = std::max(t + l2.latency(),
                                 busMonitor.lastWritebackOf(line));
 
