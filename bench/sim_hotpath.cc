@@ -1,17 +1,12 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the simulator tick machinery
- * after the hot-path overhaul: the calendar event queue (near-future
- * bucket ring, far-future overflow heap, same-tick FIFO merge,
- * reschedule-from-callback), the small-buffer callback (inline vs
- * heap-spilled captures), queue clear/reuse between runs, the
- * idle-tick skip probe, the cache tag-array lookup fast path, an FWB
- * scan over a mostly clean hierarchy, and nested coroutine awaits
- * through the frame pool.
+ * google-benchmark microbenchmarks of the simulator tick machinery:
+ * the scheduler's idle-tick probe of the event queue, the cache
+ * tag-array lookup fast path, an FWB scan over a mostly clean
+ * hierarchy, and nested coroutine awaits through the frame pool.
  *
- * Deterministic counters (allocations per scheduled event, heap
- * spills) are exported as benchmark counters so the perf-smoke lane
- * can gate on them without trusting wall-clock.
+ * Deterministic counters (lines flagged and written back per scan,
+ * frames taken from the heap) ride along as benchmark counters.
  */
 
 #include <benchmark/benchmark.h>
@@ -24,155 +19,11 @@
 #include "sim/coro.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "sim/small_callback.hh"
 
 using namespace snf;
 
 namespace
 {
-
-/// Near-future scheduling: every event lands in the bucket ring.
-void
-BM_CalendarRing(benchmark::State &state)
-{
-    sim::EventQueue q;
-    Tick now = 0;
-    std::uint64_t fired = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < 64; ++i)
-            q.schedule(now + 1 + (i * 7) % 32,
-                       [&fired](Tick) { ++fired; });
-        now += 32;
-        q.runUntil(now);
-    }
-    benchmark::DoNotOptimize(fired);
-    state.counters["alloc_per_event"] = benchmark::Counter(
-        static_cast<double>(q.statCallbackHeapAllocs()) /
-        static_cast<double>(q.statScheduled() ? q.statScheduled() : 1));
-    state.counters["heap_spill_frac"] = benchmark::Counter(
-        static_cast<double>(q.statHeapSpills()) /
-        static_cast<double>(q.statScheduled() ? q.statScheduled() : 1));
-}
-BENCHMARK(BM_CalendarRing);
-
-/// Far-future scheduling: every event overflows to the heap, then
-/// drains through the merged (tick, seq) pop path.
-void
-BM_CalendarHeapSpill(benchmark::State &state)
-{
-    sim::EventQueue q;
-    Tick now = 0;
-    std::uint64_t fired = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < 64; ++i)
-            q.schedule(now + 2048 + (i * 131) % 512,
-                       [&fired](Tick) { ++fired; });
-        now += 4096;
-        q.runUntil(now);
-    }
-    benchmark::DoNotOptimize(fired);
-    state.counters["heap_spill_frac"] = benchmark::Counter(
-        static_cast<double>(q.statHeapSpills()) /
-        static_cast<double>(q.statScheduled() ? q.statScheduled() : 1));
-}
-BENCHMARK(BM_CalendarHeapSpill);
-
-/// Many events on one tick: exercises the per-bucket FIFO drain.
-void
-BM_CalendarSameTickFifo(benchmark::State &state)
-{
-    sim::EventQueue q;
-    Tick now = 0;
-    std::uint64_t fired = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < 256; ++i)
-            q.schedule(now + 1, [&fired](Tick) { ++fired; });
-        now += 1;
-        q.runUntil(now);
-    }
-    benchmark::DoNotOptimize(fired);
-}
-BENCHMARK(BM_CalendarSameTickFifo);
-
-/// A periodic self-rescheduling event (the LogScrubber/FwbEngine
-/// pattern): each callback schedules its successor from inside the
-/// drain loop.
-void
-BM_CalendarReschedule(benchmark::State &state)
-{
-    sim::EventQueue q;
-    Tick now = 0;
-    std::uint64_t fired = 0;
-    struct Periodic
-    {
-        sim::EventQueue &q;
-        std::uint64_t &fired;
-        void
-        operator()(Tick t) const
-        {
-            ++fired;
-            q.schedule(t + 3, Periodic{q, fired});
-        }
-    };
-    q.schedule(1, Periodic{q, fired});
-    for (auto _ : state) {
-        now += 512;
-        q.runUntil(now);
-    }
-    benchmark::DoNotOptimize(fired);
-}
-BENCHMARK(BM_CalendarReschedule);
-
-/// Inline-capture callback: construct + invoke, no heap traffic.
-void
-BM_SmallCallbackInline(benchmark::State &state)
-{
-    std::uint64_t acc = 0;
-    for (auto _ : state) {
-        sim::SmallCallback cb([&acc](Tick t) { acc += t; });
-        benchmark::DoNotOptimize(cb.onHeap()); // false: 8-byte capture
-        cb(7);
-    }
-    benchmark::DoNotOptimize(acc);
-}
-BENCHMARK(BM_SmallCallbackInline);
-
-/// Oversized capture: spills to the heap (the slow path the queue's
-/// allocations-per-event counter tracks).
-void
-BM_SmallCallbackHeapSpill(benchmark::State &state)
-{
-    std::uint64_t acc = 0;
-    struct Big
-    {
-        std::uint64_t pad[16];
-    };
-    Big big{};
-    for (auto _ : state) {
-        sim::SmallCallback cb(
-            [&acc, big](Tick t) { acc += t + big.pad[0]; });
-        benchmark::DoNotOptimize(cb.onHeap()); // true: 136-byte capture
-        cb(7);
-    }
-    benchmark::DoNotOptimize(acc);
-}
-BENCHMARK(BM_SmallCallbackHeapSpill);
-
-/// clear() between runs: O(pending) teardown with capacity retained,
-/// the harness reuse pattern (one queue, many simulations).
-void
-BM_QueueClearReuse(benchmark::State &state)
-{
-    sim::EventQueue q;
-    std::uint64_t fired = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < 128; ++i)
-            q.schedule(1 + (i % 64), [&fired](Tick) { ++fired; });
-        q.clear();
-    }
-    benchmark::DoNotOptimize(fired);
-}
-BENCHMARK(BM_QueueClearReuse);
 
 /// The scheduler's idle-skip probe: nextEventTick() on a queue with a
 /// single far-future event must be O(1), not a scan.

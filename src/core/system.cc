@@ -313,8 +313,6 @@ System::collectStats(Tick cycles) const
 
     s.eventsScheduled = eventQueue.statScheduled();
     s.eventsExecuted = eventQueue.statExecuted();
-    s.eventHeapSpills = eventQueue.statHeapSpills();
-    s.callbackHeapAllocs = eventQueue.statCallbackHeapAllocs();
     s.journalEntries = nv.store().journalSize();
 
     s.energy = energy::EnergyModel::compute(*memory, s.instr.total);

@@ -118,7 +118,9 @@ struct RunStats
     // gates on these instead of wall-clock.
     std::uint64_t eventsScheduled = 0;
     std::uint64_t eventsExecuted = 0;
+    /** Always 0: kept only for snfbench/, until ROADMAP item 7. */
     std::uint64_t eventHeapSpills = 0;
+    /** Always 0: kept only for snfbench/, until ROADMAP item 7. */
     std::uint64_t callbackHeapAllocs = 0;
     /** Crash-journal entries accumulated (0 unless crashJournal). */
     std::uint64_t journalEntries = 0;

@@ -62,23 +62,6 @@ isSoftwareLogging(PersistMode mode)
 }
 
 bool
-usesCommitClwb(PersistMode mode)
-{
-    // Software undo logging flushes the write-set before commit
-    // (Figure 1(a)); software redo logging flushes after commit so the
-    // log can be truncated (Section II-C, conservative force-write-back).
-    // hwl uses clwb in lieu of the FWB mechanism (Section VI).
-    switch (mode) {
-      case PersistMode::RedoClwb:
-      case PersistMode::UndoClwb:
-      case PersistMode::Hwl:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
 supportsAbort(PersistMode mode)
 {
     switch (mode) {

@@ -52,9 +52,6 @@ bool isHardwareLogging(PersistMode mode);
 /** True for modes that inject software logging instructions. */
 bool isSoftwareLogging(PersistMode mode);
 
-/** True for modes that issue clwb over the transaction write-set. */
-bool usesCommitClwb(PersistMode mode);
-
 /**
  * True for modes whose log carries undo values, i.e. the only modes
  * where tx_abort() can roll stolen data back (Section II-B: redo-only

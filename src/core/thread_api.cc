@@ -139,19 +139,13 @@ Thread::endsWithoutRecord() const
 void
 Thread::announceReadOnlyEnd()
 {
-    // Order it after every writer it could have read from. Under
-    // undo-clwb and redo-clwb a writer holds its locks until the last
-    // step of its commit sequence, which runs after the fence behind
-    // its commit record, so this transaction's end tick already
-    // follows that record's durability. The probe still takes the
-    // WCB's last flush completion too, by which every commit record
-    // flushed before this transaction ended is in NVRAM; the
-    // snfdiff_conflict_read_heavy_* gates guard the rule.
+    // Its end tick follows every writer it could have read from:
+    // under undo-clwb and redo-clwb a writer holds its locks until
+    // the last step of its commit sequence, which runs after the
+    // fence behind its commit record. The snfdiff_conflict_read_heavy_*
+    // gates guard the rule.
     if (sys.probe())
-        sys.probe()(sim::ProbeEvent::ReadOnlyEnd,
-                    std::max(ctx.localTime,
-                             sys.mem().wcb().lastFlushDone()),
-                    txSeq);
+        sys.probe()(sim::ProbeEvent::ReadOnlyEnd, ctx.localTime, txSeq);
 }
 
 bool

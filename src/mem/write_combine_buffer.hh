@@ -49,13 +49,6 @@ class WriteCombineBuffer
 
     std::size_t occupancy() const { return count; }
 
-    /**
-     * Completion tick of the last flush issued (0 before the first).
-     * Flushes are serialized, so every line flushed so far is in
-     * NVRAM by then.
-     */
-    Tick lastFlushDone() const { return lastDone; }
-
     /** Crash-tooling probe: WcbFlush at each flush completion. */
     void setProbe(sim::ProbeFn p) { probe = std::move(p); }
 
@@ -84,6 +77,8 @@ class WriteCombineBuffer
     std::uint32_t count = 0;
     /** Completion ticks of issued flushes still in flight. */
     std::deque<Tick> inflight;
+    /** Completion tick of the last flush; the next one starts no
+     *  earlier, since flushes leave one at a time. */
     Tick lastDone = 0;
     sim::ProbeFn probe;
     sim::StatGroup statGroup; // must precede the counter references

@@ -1,162 +1,32 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
 #include <utility>
 
 namespace snf::sim
 {
 
 void
-EventQueue::heapUp(std::size_t i)
+EventQueue::schedule(Tick when, Callback cb)
 {
-    while (i > 0) {
-        std::size_t parent = (i - 1) / 2;
-        if (!heapLess(heapStore[i], heapStore[parent]))
-            break;
-        std::swap(heapStore[i], heapStore[parent]);
-        i = parent;
-    }
-}
-
-void
-EventQueue::heapDown(std::size_t i)
-{
-    const std::size_t n = heapStore.size();
-    for (;;) {
-        std::size_t l = 2 * i + 1;
-        if (l >= n)
-            break;
-        std::size_t m = l;
-        if (l + 1 < n && heapLess(heapStore[l + 1], heapStore[l]))
-            m = l + 1;
-        if (!heapLess(heapStore[m], heapStore[i]))
-            break;
-        std::swap(heapStore[i], heapStore[m]);
-        i = m;
-    }
-}
-
-EventQueue::HeapEntry
-EventQueue::popHeapTop()
-{
-    HeapEntry top = std::move(heapStore.front());
-    heapStore.front() = std::move(heapStore.back());
-    heapStore.pop_back();
-    if (!heapStore.empty())
-        heapDown(0);
-    return top;
-}
-
-Tick
-EventQueue::ringMinTick() const
-{
-    if (ringCount == 0)
-        return kTickNever;
-    const std::size_t start = ringBase & kRingMask;
-    const std::size_t w0 = start >> 6;
-    const unsigned b0 = start & 63;
-    // Scan span buckets starting at ringBase's slot, wrapping; the
-    // first (kBitWords+1 covers the partially re-visited start word).
-    for (std::size_t i = 0; i <= kBitWords; ++i) {
-        const std::size_t w = (w0 + i) & (kBitWords - 1);
-        std::uint64_t bits = occupied[w];
-        if (i == 0)
-            bits &= ~std::uint64_t{0} << b0;
-        else if (i == kBitWords)
-            bits &= ~(~std::uint64_t{0} << b0);
-        if (bits) {
-            const unsigned b =
-                static_cast<unsigned>(__builtin_ctzll(bits));
-            const std::size_t idx = (w << 6) | b;
-            const std::size_t dist = (idx - start) & kRingMask;
-            return ringBase + dist;
-        }
-    }
-    return kTickNever;
-}
-
-void
-EventQueue::refreshMin()
-{
-    const Tick rm = ringMinTick();
-    const Tick hm = heapStore.empty() ? kTickNever
-                                      : heapStore.front().when;
-    cachedMin = rm < hm ? rm : hm;
+    heap.push_back(Entry{when, nextSeq++, std::move(cb)});
+    std::push_heap(heap.begin(), heap.end(), later);
 }
 
 std::size_t
 EventQueue::runUntil(Tick now)
 {
-    std::size_t executed = 0;
-    while (cachedMin <= now) {
-        const Tick t = cachedMin;
-        // Candidates at tick t: the ring bucket for t (its head is the
-        // lowest seq in the bucket, appended FIFO) and/or the heap top.
-        Bucket *b = nullptr;
-        if (t >= ringBase && t - ringBase < kRingSpan) {
-            Bucket &cand = ring[t & kRingMask];
-            if (cand.head < cand.events.size())
-                b = &cand;
-        }
-        const bool heapHas =
-            !heapStore.empty() && heapStore.front().when == t;
-
-        // Advancing the base before invoking lets callbacks schedule
-        // follow-ups for tick t (or later) into the ring. Buckets
-        // behind the new base are already drained, so slot reuse on
-        // wrap stays collision-free.
-        if (t > ringBase)
-            ringBase = t;
-
-        if (b != nullptr &&
-            (!heapHas ||
-             b->events[b->head].seq < heapStore.front().seq)) {
-            // Move out before invoking: the callback may push into
-            // this same bucket and reallocate its vector.
-            Callback cb = std::move(b->events[b->head].cb);
-            ++b->head;
-            --ringCount;
-            if (b->head == b->events.size()) {
-                b->events.clear();
-                b->head = 0;
-                occupied[(t & kRingMask) >> 6] &=
-                    ~(std::uint64_t{1} << (t & 63));
-            }
-            cb(t);
-        } else {
-            HeapEntry e = popHeapTop();
-            e.cb(e.when);
-        }
+    std::size_t n = 0;
+    while (!heap.empty() && heap.front().when <= now) {
+        std::pop_heap(heap.begin(), heap.end(), later);
+        // Move out before invoking: the callback may schedule more.
+        Entry e = std::move(heap.back());
+        heap.pop_back();
+        e.cb(e.when);
+        ++n;
         ++executed;
-        ++statExecuted_;
-        refreshMin();
     }
-    // Keep the ring horizon anchored at the present so future
-    // schedules land in buckets even after quiet stretches. Every
-    // bucket in (old base, now] is drained at this point.
-    if (now > ringBase)
-        ringBase = now;
-    return executed;
-}
-
-void
-EventQueue::clear()
-{
-    if (ringCount != 0) {
-        for (Bucket &b : ring) {
-            b.events.clear();
-            b.head = 0;
-        }
-    }
-    occupied.fill(0);
-    ringCount = 0;
-    ringBase = 0;
-    heapStore.clear();
-    cachedMin = kTickNever;
-    nextSeq = 0;
-    statScheduled_ = 0;
-    statExecuted_ = 0;
-    statHeapSpills_ = 0;
-    statCallbackHeapAllocs_ = 0;
+    return n;
 }
 
 } // namespace snf::sim

@@ -1,29 +1,23 @@
 /**
  * @file
- * Discrete-event queue driving all time-triggered simulator activity
- * (FWB scans, log scrubbing, periodic monitors). Core/thread progress
- * is driven by the cpu::Scheduler, which interleaves with this queue
- * on a common tick.
+ * Discrete-event queue driving the simulator's time-triggered
+ * activity: FWB's periodic scan (Section IV-D) and the log scrubber's
+ * steps. Core/thread progress is driven by the cpu::Scheduler, which
+ * interleaves with this queue on a common tick.
  *
- * Layout: a calendar queue. Events landing within kRingSpan ticks of
- * the ring base go into a bucket-per-tick ring (O(1) schedule, no
- * comparisons); everything farther out — and anything scheduled into
- * the past — spills to a small binary min-heap. Pop takes the global
- * (when, seq) minimum across both structures, which reproduces the
- * exact execution order of the previous single-heap implementation:
- * earliest tick first, FIFO by schedule order within a tick, including
- * events scheduled from inside callbacks.
+ * One binary min-heap ordered by (tick, schedule order). A run holds
+ * at most one pending event, FWB's next scan or the scrubber's next
+ * step, so nothing faster pays for itself.
  */
 
 #ifndef SNF_SIM_EVENT_QUEUE_HH
 #define SNF_SIM_EVENT_QUEUE_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
-#include "sim/small_callback.hh"
 #include "sim/types.hh"
 
 namespace snf::sim
@@ -36,119 +30,48 @@ namespace snf::sim
 class EventQueue
 {
   public:
-    using Callback = SmallCallback;
-
-    /** Ring horizon: events within this many ticks of the base are
-     *  bucketed; beyond it they overflow to the heap. Power of two. */
-    static constexpr std::size_t kRingSpan = 1024;
+    using Callback = std::function<void(Tick)>;
 
     /** Schedule @p cb to run at absolute tick @p when. */
-    void
-    schedule(Tick when, Callback cb)
-    {
-        ++statScheduled_;
-        if (cb.onHeap())
-            ++statCallbackHeapAllocs_;
-        if (when < cachedMin)
-            cachedMin = when;
-        if (when >= ringBase && when - ringBase < kRingSpan) {
-            Bucket &b = ring[when & kRingMask];
-            b.events.push_back(RingEvent{nextSeq++, std::move(cb)});
-            occupied[(when & kRingMask) >> 6] |=
-                std::uint64_t{1} << (when & 63);
-            ++ringCount;
-        } else {
-            heapStore.push_back(
-                HeapEntry{when, nextSeq++, std::move(cb)});
-            heapUp(heapStore.size() - 1);
-            ++statHeapSpills_;
-        }
-    }
+    void schedule(Tick when, Callback cb);
 
     /** Tick of the earliest pending event, or kTickNever if empty. */
-    Tick nextEventTick() const { return cachedMin; }
-
-    bool empty() const { return ringCount == 0 && heapStore.empty(); }
-
-    std::size_t size() const { return ringCount + heapStore.size(); }
+    Tick
+    nextEventTick() const
+    {
+        return heap.empty() ? kTickNever : heap.front().when;
+    }
 
     /**
-     * Execute every event with tick <= @p now.
+     * Execute every event with tick <= @p now, including those the
+     * callbacks schedule at or before it.
      * @return the number of events executed.
      */
     std::size_t runUntil(Tick now);
 
-    /** Drop all pending events (used between runs). O(pending), and
-     *  bucket/heap capacity is retained for reuse between runs. */
-    void clear();
-
-    /** Lifetime perf counters (reset by clear()). */
-    std::uint64_t statScheduled() const { return statScheduled_; }
-    std::uint64_t statExecuted() const { return statExecuted_; }
-    /** Events that missed the ring and went to the overflow heap. */
-    std::uint64_t statHeapSpills() const { return statHeapSpills_; }
-    /** Callbacks whose capture exceeded the inline buffer. */
-    std::uint64_t
-    statCallbackHeapAllocs() const
-    {
-        return statCallbackHeapAllocs_;
-    }
+    /** Lifetime counters. */
+    std::uint64_t statScheduled() const { return nextSeq; }
+    std::uint64_t statExecuted() const { return executed; }
 
   private:
-    static constexpr std::size_t kRingMask = kRingSpan - 1;
-    static constexpr std::size_t kBitWords = kRingSpan / 64;
-
-    struct RingEvent
-    {
-        std::uint64_t seq;
-        Callback cb;
-    };
-
-    /** FIFO bucket: events append in seq order, pop via head index. */
-    struct Bucket
-    {
-        std::vector<RingEvent> events;
-        std::size_t head = 0;
-    };
-
-    struct HeapEntry
+    struct Entry
     {
         Tick when;
         std::uint64_t seq;
         Callback cb;
     };
 
+    /** Heap order: the front is the least (when, seq). */
     static bool
-    heapLess(const HeapEntry &a, const HeapEntry &b)
+    later(const Entry &a, const Entry &b)
     {
-        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+        return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
 
-    void heapUp(std::size_t i);
-    void heapDown(std::size_t i);
-    HeapEntry popHeapTop();
-
-    /** Earliest occupied ring tick at/after ringBase, or kTickNever. */
-    Tick ringMinTick() const;
-
-    /** Recompute cachedMin from both structures. */
-    void refreshMin();
-
-    std::array<Bucket, kRingSpan> ring;
-    std::array<std::uint64_t, kBitWords> occupied{};
-    std::size_t ringCount = 0;
-    /** Ring slot 0 corresponds to this tick; advances monotonically. */
-    Tick ringBase = 0;
-
-    std::vector<HeapEntry> heapStore;
-
-    Tick cachedMin = kTickNever;
+    std::vector<Entry> heap;
+    /** Events scheduled so far, and so the next one's seq. */
     std::uint64_t nextSeq = 0;
-
-    std::uint64_t statScheduled_ = 0;
-    std::uint64_t statExecuted_ = 0;
-    std::uint64_t statHeapSpills_ = 0;
-    std::uint64_t statCallbackHeapAllocs_ = 0;
+    std::uint64_t executed = 0;
 };
 
 } // namespace snf::sim

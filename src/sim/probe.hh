@@ -65,11 +65,11 @@ enum class ProbeEvent : std::uint8_t
     /**
      * A software-logged transaction that wrote nothing ended with no
      * log record: a read-only commit, or an abort with nothing to
-     * roll back (arg = tx sequence). Its tick is its place in
-     * durable order, max(end tick, the WCB's last flush completion):
-     * every commit record issued before it is in NVRAM by then. It
-     * follows the transaction's TxCommit or TxAbort, changes no
-     * durable state, and stands in for CommitDurable.
+     * roll back (arg = tx sequence). Its tick, the transaction's
+     * end tick, is its place in durable order: every writer it read
+     * from held its locks past its commit record's fence. It fires
+     * at the tick of the transaction's TxCommit or TxAbort, changes
+     * no durable state, and stands in for CommitDurable.
      */
     ReadOnlyEnd,
 };

@@ -34,15 +34,6 @@ TEST(PersistMode, HardwareVsSoftwarePartition)
     EXPECT_FALSE(isSoftwareLogging(PersistMode::NonPers));
 }
 
-TEST(PersistMode, ClwbUsers)
-{
-    EXPECT_TRUE(usesCommitClwb(PersistMode::RedoClwb));
-    EXPECT_TRUE(usesCommitClwb(PersistMode::UndoClwb));
-    EXPECT_TRUE(usesCommitClwb(PersistMode::Hwl));
-    EXPECT_FALSE(usesCommitClwb(PersistMode::Fwb));
-    EXPECT_FALSE(usesCommitClwb(PersistMode::UnsafeRedo));
-}
-
 TEST(SystemConfig, PaperPresetMatchesTableII)
 {
     SystemConfig c = SystemConfig::paper();

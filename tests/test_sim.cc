@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -24,7 +25,6 @@
 #include "sim/event_queue.hh"
 #include "sim/json.hh"
 #include "sim/line_table.hh"
-#include "sim/small_callback.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -94,6 +94,7 @@ TEST(EventQueue, SameTickIsFifo)
     for (int i = 0; i < 8; ++i)
         q.schedule(5, [&, i](Tick) { order.push_back(i); });
     q.runUntil(5);
+    ASSERT_EQ(order.size(), 8u);
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(order[i], i);
 }
@@ -109,17 +110,6 @@ TEST(EventQueue, CallbackMayReschedule)
     q.schedule(0, tick);
     q.runUntil(1000);
     EXPECT_EQ(fired, 5);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, ClearDropsEverything)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(1, [&](Tick) { ++fired; });
-    q.clear();
-    q.runUntil(100);
-    EXPECT_EQ(fired, 0);
     EXPECT_EQ(q.nextEventTick(), kTickNever);
 }
 
@@ -132,148 +122,79 @@ TEST(EventQueue, EventsReceiveTheirScheduledTick)
     EXPECT_EQ(seen, 42u);
 }
 
-namespace
-{
-
 /**
- * Reference model of the pre-calendar event queue: one binary heap
- * ordered by (tick, insertion seq). The calendar queue must replay
- * any schedule trace in exactly this order.
+ * Randomized schedule traces — near and far ticks, same-tick bursts,
+ * past ticks, and callbacks that schedule more — held to the queue's
+ * contract: each runUntil(now) runs exactly the pending events with
+ * tick <= now, each at its own tick, always the least pending (tick,
+ * schedule order) next.
  */
-class ReferenceHeapQueue
-{
-  public:
-    void
-    schedule(Tick when, std::function<void(Tick)> cb)
-    {
-        entries.push_back(Entry{when, nextSeq++, std::move(cb)});
-        std::push_heap(entries.begin(), entries.end(), later);
-    }
-
-    std::uint64_t
-    runUntil(Tick now)
-    {
-        std::uint64_t executed = 0;
-        while (!entries.empty() && entries.front().when <= now) {
-            std::pop_heap(entries.begin(), entries.end(), later);
-            Entry e = std::move(entries.back());
-            entries.pop_back();
-            e.cb(e.when);
-            ++executed;
-        }
-        return executed;
-    }
-
-  private:
-    struct Entry
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::function<void(Tick)> cb;
-    };
-
-    static bool
-    later(const Entry &a, const Entry &b)
-    {
-        return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-    }
-
-    std::vector<Entry> entries;
-    std::uint64_t nextSeq = 0;
-};
-
-} // namespace
-
-/**
- * Differential test: drive the calendar queue and the reference heap
- * with an identical randomized schedule trace — near-ring ticks,
- * far-future heap spills, same-tick bursts, past-tick schedules, and
- * events that schedule more events from inside their callbacks — and
- * require the execution orders to match element for element.
- */
-TEST(EventQueue, MatchesReferenceHeapOrderOnRandomTraces)
+TEST(EventQueue, RandomTracesRunInTickThenScheduleOrder)
 {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        SCOPED_TRACE(seed);
         EventQueue q;
-        ReferenceHeapQueue ref;
-        std::vector<std::pair<int, Tick>> gotQ;
-        std::vector<std::pair<int, Tick>> gotRef;
+        Rng rng(seed);
+        // What the queue holds, as (tick, schedule order).
+        std::set<std::pair<Tick, std::uint64_t>> pending;
+        std::uint64_t scheduled = 0;
+        std::uint64_t ran = 0;
+        Tick now = 0;   // where each round's events are spawned
+        Tick bound = 0; // the running runUntil's argument
 
-        // Two identically seeded RNG streams keep the traces equal
-        // while each queue's callbacks draw independently.
-        Rng rngQ(seed);
-        Rng rngRef(seed);
-        int idQ = 0;
-        int idRef = 0;
-
-        auto spawn = [](auto &queue, auto &rng, auto &got, int &id,
-                        Tick base, auto &&self) -> void {
-            int me = id++;
-            // Mix of ring-span offsets, same-tick, far-future heap
-            // spills, and occasional already-past ticks.
+        std::function<void(Tick)> spawn = [&](Tick base) {
+            // Near ticks, far ticks, the caller's own tick, and
+            // occasionally one already past.
             std::uint64_t kind = rng.below(8);
             Tick when = base;
             if (kind < 4)
                 when = base + rng.below(64);
             else if (kind < 6)
                 when = base + 900 + rng.below(4000);
-            else if (kind == 6)
-                when = base; // same tick as the caller
-            else
-                when = base > 50 ? base - rng.below(50) : base;
-            bool respawn = rng.below(4) == 0;
-            queue.schedule(
-                when, [me, respawn, base, &queue, &rng, &got, &id,
-                       self](Tick t) {
-                    got.emplace_back(me, t);
-                    if (respawn && id < 400)
-                        self(queue, rng, got, id, t + 1 + (me % 7),
-                             self);
-                });
+            else if (kind == 7 && base > 50)
+                when = base - rng.below(50);
+            const std::uint64_t seq = scheduled++;
+            const bool respawn = rng.below(4) == 0;
+            pending.emplace(when, seq);
+            q.schedule(when, [&, when, seq, respawn](Tick t) {
+                EXPECT_EQ(t, when);
+                EXPECT_LE(t, bound);
+                ASSERT_FALSE(pending.empty());
+                EXPECT_EQ(*pending.begin(), std::make_pair(when, seq));
+                pending.erase({when, seq});
+                ++ran;
+                if (respawn && scheduled < 400)
+                    spawn(t + 1 + seq % 7);
+            });
         };
 
-        Tick now = 0;
-        for (int round = 0; round < 12; ++round) {
-            for (int n = 0; n < 16; ++n) {
-                spawn(q, rngQ, gotQ, idQ, now, spawn);
-                spawn(ref, rngRef, gotRef, idRef, now, spawn);
+        for (int round = 0; round < 13; ++round) {
+            if (round < 12) {
+                for (int n = 0; n < 16; ++n)
+                    spawn(now);
+                now += 128;
+            } else {
+                now += 100000;
             }
-            now += 128;
-            q.runUntil(now);
-            ref.runUntil(now);
+            // First up to the least pending tick, so that a bound
+            // equal to an event's tick is run, then up to now.
+            const Tick least =
+                pending.empty() ? now : pending.begin()->first;
+            for (Tick b : {std::min(least, now), now}) {
+                bound = b;
+                const std::uint64_t before = ran;
+                const std::size_t n = q.runUntil(bound);
+                EXPECT_EQ(n, ran - before);
+                EXPECT_TRUE(pending.empty() ||
+                            pending.begin()->first > bound);
+                EXPECT_EQ(q.nextEventTick(), pending.empty()
+                                                 ? kTickNever
+                                                 : pending.begin()->first);
+            }
         }
-        q.runUntil(now + 100000);
-        ref.runUntil(now + 100000);
-
-        ASSERT_EQ(idQ, idRef) << "seed " << seed;
-        EXPECT_EQ(gotQ, gotRef) << "seed " << seed;
-        EXPECT_TRUE(q.empty());
-    }
-}
-
-TEST(EventQueue, ClearRetainsAQueueReusableBetweenRuns)
-{
-    // The harness pattern: one queue, many simulations. clear() must
-    // drop pending events, reset the tick origin and stat counters,
-    // and leave the queue fully usable for a new run starting at 0.
-    EventQueue q;
-    std::vector<Tick> fired;
-    for (int run = 0; run < 3; ++run) {
-        for (Tick t : {5u, 2000u, 7u})
-            q.schedule(t, [&](Tick when) { fired.push_back(when); });
-        q.schedule(100000, [&](Tick) { fired.push_back(999999); });
-        EXPECT_EQ(q.size(), 4u);
-        q.runUntil(2000);
-        EXPECT_EQ(fired, (std::vector<Tick>{5, 7, 2000}));
-        fired.clear();
-
-        q.clear();
-        EXPECT_TRUE(q.empty());
-        EXPECT_EQ(q.nextEventTick(), kTickNever);
-        EXPECT_EQ(q.statScheduled(), 0u);
-        EXPECT_EQ(q.statExecuted(), 0u);
-        EXPECT_EQ(q.statHeapSpills(), 0u);
-        EXPECT_EQ(q.statCallbackHeapAllocs(), 0u);
+        EXPECT_TRUE(pending.empty());
+        EXPECT_EQ(q.statScheduled(), scheduled);
+        EXPECT_EQ(q.statExecuted(), ran);
     }
 }
 
@@ -281,54 +202,12 @@ TEST(EventQueue, CountsSchedulingActivity)
 {
     EventQueue q;
     int fired = 0;
-    q.schedule(1, [&](Tick) { ++fired; });       // ring
-    q.schedule(5000, [&](Tick) { ++fired; });    // heap spill
+    q.schedule(1, [&](Tick) { ++fired; });
+    q.schedule(5000, [&](Tick) { ++fired; });
     q.runUntil(10000);
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(q.statScheduled(), 2u);
     EXPECT_EQ(q.statExecuted(), 2u);
-    EXPECT_EQ(q.statHeapSpills(), 1u);
-    // Both captures fit the small-buffer callback inline.
-    EXPECT_EQ(q.statCallbackHeapAllocs(), 0u);
-}
-
-TEST(SmallCallback, InlineCaptureStaysOffTheHeap)
-{
-    std::uint64_t acc = 0;
-    SmallCallback cb([&acc](Tick t) { acc += t; });
-    EXPECT_FALSE(cb.onHeap());
-    cb(7);
-    cb(8);
-    EXPECT_EQ(acc, 15u);
-}
-
-TEST(SmallCallback, OversizedCaptureSpillsToHeapAndStillRuns)
-{
-    struct Big
-    {
-        std::uint64_t pad[16];
-    };
-    Big big{};
-    big.pad[0] = 5;
-    std::uint64_t acc = 0;
-    SmallCallback cb([&acc, big](Tick t) { acc += t + big.pad[0]; });
-    EXPECT_TRUE(cb.onHeap());
-    cb(10);
-    EXPECT_EQ(acc, 15u);
-}
-
-TEST(SmallCallback, MovePreservesTheCallable)
-{
-    std::uint64_t acc = 0;
-    SmallCallback a([&acc](Tick t) { acc += t; });
-    SmallCallback b = std::move(a);
-    EXPECT_FALSE(a); // moved-from is empty
-    EXPECT_TRUE(b);
-    b(3);
-    SmallCallback c;
-    c = std::move(b);
-    c(4);
-    EXPECT_EQ(acc, 7u);
 }
 
 TEST(Rng, Deterministic)

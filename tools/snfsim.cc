@@ -4,7 +4,7 @@
  * workload under any persistence mode and print the full statistics,
  * optionally crashing mid-run and recovering. `--bench-json FILE`
  * ("-" = stdout) instead runs the reference workload×mode matrix at
- * the given --threads/--tx/--seed and writes the snf-bench-sim-v1
+ * the given --threads/--tx/--seed and writes the snf-bench-sim-v2
  * report (BENCH_sim.json); `--bench-repeats N` keeps each cell's best
  * wall time and aborts if any counter differs between repeats.
  * `snfsim --help` lists every flag.
@@ -40,14 +40,12 @@ benchCounters(const RunStats &s)
             {"instructions", s.instr.total},
             {"events_scheduled", s.eventsScheduled},
             {"events_executed", s.eventsExecuted},
-            {"event_heap_spills", s.eventHeapSpills},
-            {"callback_heap_allocs", s.callbackHeapAllocs},
             {"journal_entries", s.journalEntries}};
 }
 
 /**
  * Perf-bench mode: run the reference workload×mode matrix on @p
- * base's machine and parameters and write a snf-bench-sim-v1 report.
+ * base's machine and parameters and write a snf-bench-sim-v2 report.
  * The counters block must repeat exactly (the simulator is
  * deterministic); wall-clock rates live in a separate "perf" block so
  * CI strips them before diffing.
@@ -65,7 +63,7 @@ runBenchMatrix(const RunSpec &base, std::uint64_t repeats,
     std::ostringstream out;
     JsonWriter json(out);
     json.beginObject();
-    json.field("schema", "snf-bench-sim-v1");
+    json.field("schema", "snf-bench-sim-v2");
     json.field("tool", "snfsim");
     json.field("threads", base.params.threads);
     json.field("tx_per_thread", base.params.txPerThread);
@@ -105,11 +103,6 @@ runBenchMatrix(const RunSpec &base, std::uint64_t repeats,
                 fatal("bench cell %s/%s failed verification", w,
                       persistModeName(m));
 
-            double allocsPerEvent =
-                s.eventsScheduled == 0
-                    ? 0.0
-                    : static_cast<double>(s.callbackHeapAllocs) /
-                          static_cast<double>(s.eventsScheduled);
             json.beginObject();
             json.field("workload", w);
             json.field("mode", persistModeName(m));
@@ -128,7 +121,6 @@ runBenchMatrix(const RunSpec &base, std::uint64_t repeats,
                            ? static_cast<double>(s.eventsExecuted) /
                                  bestSec
                            : 0.0);
-            json.field("allocs_per_event", allocsPerEvent);
             json.end();
             json.end();
         }
