@@ -1,13 +1,12 @@
 /**
  * @file
  * google-benchmark harness for the snapshot engine behind the crash
- * sweeps: naive full-replay vs. checkpointed snapshotAt over a
- * journaled store (the benchmark argument is the checkpoint interval,
- * 0 = naive), repeated snapshotAt vs. the monotone Cursor along an
- * ascending tick walk, a small end-to-end runCrashSweep cell at
- * both settings, and, on one TPC-C crash image, one recovery pass,
- * the consistency oracle every oltp-tpcc crash point ends with and
- * the whole per-point check around them. CI runs this with
+ * sweeps: snapshotAt at scattered ticks over a journaled store,
+ * repeated snapshotAt vs. the monotone Cursor along an ascending tick
+ * walk, a small end-to-end runCrashSweep cell, and, on one TPC-C
+ * crash image, one recovery pass, the consistency oracle every
+ * oltp-tpcc crash point ends with and the whole per-point check
+ * around them. CI runs this with
  * --benchmark_min_time=0.05s as the bench-smoke job; locally, plain
  * `sweep_perf` gives stable numbers.
  */
@@ -34,70 +33,59 @@ constexpr std::uint64_t kJournalEntries = 50000;
 
 /**
  * A journaled store with a synthetic but realistically shaped write
- * stream: mostly small (<= 32 B, inline) writes over a working set
- * far smaller than the range, completion ticks mildly out of issue
- * order. Built once per checkpoint interval and shared across
- * iterations (snapshotAt is const).
+ * stream: mostly small (<= 32 B) writes over a working set far
+ * smaller than the range, completion ticks mildly out of issue order.
+ * Built once and shared across iterations (snapshotAt is const).
  */
 const mem::BackingStore &
-journaledStore(std::size_t ckptInterval)
+journaledStore()
 {
-    static std::vector<
-        std::pair<std::size_t, std::unique_ptr<mem::BackingStore>>>
-        cache;
-    for (const auto &e : cache)
-        if (e.first == ckptInterval)
-            return *e.second;
-
-    auto bs = std::make_unique<mem::BackingStore>(kBase, kSize);
-    bs->setCheckpointInterval(ckptInterval);
-    bs->enableJournal();
-    sim::Rng rng(1234);
-    Tick now = 0;
-    for (std::uint64_t i = 0; i < kJournalEntries; ++i) {
-        now += rng.below(5);
-        std::uint8_t buf[64];
-        std::uint64_t len = rng.chance(0.9) ? 8 + 8 * rng.below(4)
-                                            : 33 + rng.below(32);
-        for (std::uint64_t b = 0; b < len; ++b)
-            buf[b] = static_cast<std::uint8_t>(rng.next());
-        Addr a = kBase + rng.below((1 << 20) - sizeof(buf));
-        bs->write(a, len, buf, now + rng.below(3));
-    }
-    bs->buildSnapshotIndex();
-    cache.emplace_back(ckptInterval, std::move(bs));
-    return *cache.back().second;
+    static const mem::BackingStore store = [] {
+        mem::BackingStore bs(kBase, kSize);
+        bs.enableJournal();
+        sim::Rng rng(1234);
+        Tick now = 0;
+        for (std::uint64_t i = 0; i < kJournalEntries; ++i) {
+            now += rng.below(5);
+            std::uint8_t buf[64];
+            std::uint64_t len = rng.chance(0.9) ? 8 + 8 * rng.below(4)
+                                                : 33 + rng.below(32);
+            for (std::uint64_t b = 0; b < len; ++b)
+                buf[b] = static_cast<std::uint8_t>(rng.next());
+            Addr a = kBase + rng.below((1 << 20) - sizeof(buf));
+            bs.write(a, len, buf, now + rng.below(3));
+        }
+        bs.buildSnapshotIndex();
+        return bs;
+    }();
+    return store;
 }
 
 /** Upper bound on the synthetic stream's completion ticks (they
  *  advance by < 5 per entry plus a completion jitter of < 3). */
 constexpr Tick kLastTick = kJournalEntries * 5 + 3;
 
-/** snapshotAt at scattered ticks; arg = checkpoint interval. */
+/** snapshotAt at scattered ticks. */
 void
 BM_SnapshotAt(benchmark::State &state)
 {
-    const mem::BackingStore &bs =
-        journaledStore(static_cast<std::size_t>(state.range(0)));
+    const mem::BackingStore &bs = journaledStore();
     sim::Rng rng(7);
     for (auto _ : state) {
         mem::BackingStore snap = bs.snapshotAt(rng.below(kLastTick + 1));
         benchmark::DoNotOptimize(snap.read64(kBase));
     }
-    state.counters["checkpoints"] =
-        static_cast<double>(bs.checkpointCount());
 }
-BENCHMARK(BM_SnapshotAt)->Arg(0)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_SnapshotAt);
 
 /**
  * An ascending 64-point walk — the access pattern of a crash sweep —
- * via independent snapshotAt calls; arg = checkpoint interval.
+ * via independent snapshotAt calls.
  */
 void
 BM_AscendingWalk_SnapshotAt(benchmark::State &state)
 {
-    const mem::BackingStore &bs =
-        journaledStore(static_cast<std::size_t>(state.range(0)));
+    const mem::BackingStore &bs = journaledStore();
     for (auto _ : state) {
         std::uint64_t acc = 0;
         for (Tick t = 0; t <= kLastTick; t += kLastTick / 64)
@@ -105,14 +93,13 @@ BM_AscendingWalk_SnapshotAt(benchmark::State &state)
         benchmark::DoNotOptimize(acc);
     }
 }
-BENCHMARK(BM_AscendingWalk_SnapshotAt)->Arg(0)->Arg(1024);
+BENCHMARK(BM_AscendingWalk_SnapshotAt);
 
 /** The same walk through the monotone Cursor (one replay total). */
 void
 BM_AscendingWalk_Cursor(benchmark::State &state)
 {
-    const mem::BackingStore &bs =
-        journaledStore(static_cast<std::size_t>(state.range(0)));
+    const mem::BackingStore &bs = journaledStore();
     for (auto _ : state) {
         mem::BackingStore::Cursor cursor(bs);
         std::uint64_t acc = 0;
@@ -121,13 +108,12 @@ BM_AscendingWalk_Cursor(benchmark::State &state)
         benchmark::DoNotOptimize(acc);
     }
 }
-BENCHMARK(BM_AscendingWalk_Cursor)->Arg(0)->Arg(1024);
+BENCHMARK(BM_AscendingWalk_Cursor);
 
 /**
- * End-to-end crash sweep of a small sps/fwb cell; arg = checkpoint
- * interval (0 = the pre-overhaul naive replay). Dominated by the
+ * End-to-end crash sweep of a small sps/fwb cell. Dominated by the
  * recovery + checker passes, so this is the number that tracks the
- * user-visible snfcrash speedup.
+ * user-visible snfcrash speed.
  */
 void
 BM_CrashSweepEndToEnd(benchmark::State &state)
@@ -140,8 +126,6 @@ BM_CrashSweepEndToEnd(benchmark::State &state)
         cfg.run.params.txPerThread = 30;
         cfg.run.params.seed = 1;
         cfg.run.sys = SystemConfig::scaled(2);
-        cfg.run.sys.persist.snapshotCheckpointK =
-            static_cast<std::size_t>(state.range(0));
         cfg.jobs = 1;
         cfg.maxPoints = 100;
         crashlab::SweepResult res = crashlab::runCrashSweep(cfg);
@@ -152,10 +136,7 @@ BM_CrashSweepEndToEnd(benchmark::State &state)
             static_cast<double>(res.perf.entriesReplayed);
     }
 }
-BENCHMARK(BM_CrashSweepEndToEnd)
-    ->Arg(0)
-    ->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CrashSweepEndToEnd)->Unit(benchmark::kMillisecond);
 
 /**
  * The crash image of a TPC-C cell (fwb/2PL, 4 threads, 4 warehouses,

@@ -207,15 +207,6 @@ struct PersistConfig
     /** Record write journal in NVRAM for crash snapshots. */
     bool crashJournal = false;
     /**
-     * Journal-checkpoint interval of the snapshot engine: the store
-     * materializes a copy-on-write image every K journal entries so
-     * snapshotAt(t) replays only the delta past the nearest
-     * checkpoint. 0 disables checkpoints (full replay per snapshot —
-     * the naive reference mode bench/sweep_perf compares against).
-     * Only meaningful with crashJournal.
-     */
-    std::size_t snapshotCheckpointK = 1024;
-    /**
      * Ablation only: drop the memory controller's FIFO ordering of
      * log writes ahead of data write-backs. Violates the inherent
      * log-before-data guarantee (bench/ablation_ordering).

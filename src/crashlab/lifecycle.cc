@@ -333,10 +333,12 @@ runLifecycle(const LifecycleConfig &cfg)
         // legitimately overwrites it.
         if (!sabotaged && !gr.recovery.remapCorrupt) {
             std::unordered_set<Addr> allowed;
-            sys.mem().nvram().store().forEachJournalWrite(
-                gr.crashTick, [&](Addr a, std::uint64_t n) {
-                    for (Addr l = a & ~(kLine - 1); l < a + n;
-                         l += kLine)
+            sys.mem().nvram().store().forEachJournalRecord(
+                [&](const mem::BackingStore::JournalRecord &r) {
+                    if (r.done > gr.crashTick)
+                        return;
+                    for (Addr l = r.addr & ~(kLine - 1);
+                         l < r.addr + r.size; l += kLine)
                         allowed.insert(l);
                 });
             for (Addr l : gr.recovery.touchedLines)

@@ -89,10 +89,9 @@ writePerfSummary(std::ostream &os, const CellResult &cell)
     os << line;
     std::snprintf(
         line, sizeof(line),
-        "  perf: journal %llu entries, %llu checkpoints, %llu "
-        "replayed, %llu pages cloned\n",
+        "  perf: journal %llu entries, %llu replayed, %llu pages "
+        "cloned\n",
         static_cast<unsigned long long>(p.journalEntries),
-        static_cast<unsigned long long>(p.checkpointsBuilt),
         static_cast<unsigned long long>(p.entriesReplayed),
         static_cast<unsigned long long>(p.pagesCloned));
     os << line;
@@ -116,7 +115,6 @@ writePerfJson(JsonWriter &w, const SweepPerf &p)
     w.key("minimize_sec").fixed(p.minimizeSec, 6);
     w.key("total_sec").fixed(p.totalSec, 6);
     w.field("journal_entries", p.journalEntries);
-    w.field("checkpoints_built", p.checkpointsBuilt);
     w.field("entries_replayed", p.entriesReplayed);
     w.field("pages_cloned", p.pagesCloned);
     w.field("jobs", p.jobsUsed);
@@ -231,7 +229,7 @@ writeBenchJson(std::ostream &os, const std::string &tool,
 {
     JsonWriter w(os);
     w.beginObject();
-    w.field("schema", "snf-bench-sweep-v1");
+    w.field("schema", "snf-bench-sweep-v2");
     w.field("tool", tool);
     w.key("cells").beginArray();
     for (const CellResult &c : cells) {

@@ -108,14 +108,13 @@ runCrashSweep(const SweepConfig &cfg)
     const System &csys = cell.system();
     const mem::BackingStore &store = csys.mem().nvram().store();
 
-    // Build the journal index + checkpoints once, up front, so the
-    // cost shows as its own phase instead of inside the first
-    // evaluated point, and so parallel workers never contend on it.
+    // Sort the journal once, up front, so the cost shows as its own
+    // phase instead of inside the first evaluated point, and so
+    // parallel workers never contend on it.
     Clock::time_point tIndex = Clock::now();
     store.buildSnapshotIndex();
     res.perf.indexSec = secondsSince(tIndex);
     res.perf.journalEntries = store.journalSize();
-    res.perf.checkpointsBuilt = store.checkpointCount();
 
     auto factsAt = [&](Tick t) {
         return crashFactsAt(trace, t, cfg.run.params.threads,
@@ -301,10 +300,11 @@ runCrashSweep(const SweepConfig &cfg)
     }
 
     // Minimize: bisect down from the earliest observed failure to the
-    // earliest failing tick. Checkpointed snapshot reconstruction is
-    // cheap, so probing arbitrary mid ticks (not just harvested ones)
-    // is fine. Interior probes skip the re-entrancy sweep; the full
-    // checker set re-runs at the final minimized tick below.
+    // earliest failing tick. A probe's snapshot replays the journal
+    // from its base, cheap next to the checks it feeds, so probing
+    // arbitrary mid ticks (not just harvested ones) is fine. Interior
+    // probes skip the re-entrancy sweep; the full checker set re-runs
+    // at the final minimized tick below.
     if (!res.failures.empty() && cfg.minimizeFailures) {
         Clock::time_point tMin = Clock::now();
         // Probe one tick through the full adversary: the prefix image

@@ -103,7 +103,7 @@ struct SweepPerf
 {
     double refRunSec = 0;   ///< instrumented reference simulation
     double harvestSec = 0;  ///< trace finalize + harvest + sampling
-    double indexSec = 0;    ///< journal sort + checkpoint build
+    double indexSec = 0;    ///< journal sort
     double snapshotSec = 0; ///< crash-image reconstruction (workers)
     double recoverSec = 0;  ///< recovery passes inside checkers
     /** Recovery::run calls behind recoverSec (workers, and the
@@ -115,8 +115,6 @@ struct SweepPerf
     double totalSec = 0;    ///< whole runCrashSweep call
     /** Journaled NVRAM writes of the reference run. */
     std::uint64_t journalEntries = 0;
-    /** Checkpoints the snapshot index materialized. */
-    std::uint64_t checkpointsBuilt = 0;
     /** Journal entries replayed across every snapshot taken. */
     std::uint64_t entriesReplayed = 0;
     /** Pages cloned by copy-on-write across the sweep. */

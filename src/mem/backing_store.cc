@@ -8,95 +8,6 @@
 namespace snf::mem
 {
 
-// --- JournalEntry (small-buffer payload storage) ---------------------
-
-void
-BackingStore::JournalEntry::adopt(const void *src, std::uint64_t n)
-{
-    SNF_ASSERT(n <= ~std::uint32_t{0}, "journal write of %llu bytes",
-               static_cast<unsigned long long>(n));
-    len = static_cast<std::uint32_t>(n);
-    if (len <= kInlineCapacity) {
-        std::memcpy(inlineBytes, src, len);
-    } else {
-        heapBytes = new std::uint8_t[len];
-        std::memcpy(heapBytes, src, len);
-    }
-}
-
-void
-BackingStore::JournalEntry::release()
-{
-    if (len > kInlineCapacity)
-        delete[] heapBytes;
-    len = 0;
-}
-
-BackingStore::JournalEntry::JournalEntry(Tick done_, Tick issue_,
-                                         PersistOrigin origin_,
-                                         Addr addr_, const void *src,
-                                         std::uint64_t n)
-    : done(done_), issue(issue_), addr(addr_), origin(origin_)
-{
-    adopt(src, n);
-}
-
-BackingStore::JournalEntry::JournalEntry(const JournalEntry &other)
-    : done(other.done), issue(other.issue), addr(other.addr),
-      origin(other.origin)
-{
-    adopt(other.data(), other.len);
-}
-
-BackingStore::JournalEntry::JournalEntry(JournalEntry &&other) noexcept
-    : done(other.done), issue(other.issue), addr(other.addr),
-      origin(other.origin), len(other.len)
-{
-    if (len <= kInlineCapacity)
-        std::memcpy(inlineBytes, other.inlineBytes, len);
-    else
-        heapBytes = other.heapBytes;
-    other.len = 0; // heap payload (if any) now owned here
-}
-
-BackingStore::JournalEntry &
-BackingStore::JournalEntry::operator=(const JournalEntry &other)
-{
-    if (this == &other)
-        return *this;
-    release();
-    done = other.done;
-    issue = other.issue;
-    addr = other.addr;
-    origin = other.origin;
-    adopt(other.data(), other.len);
-    return *this;
-}
-
-BackingStore::JournalEntry &
-BackingStore::JournalEntry::operator=(JournalEntry &&other) noexcept
-{
-    if (this == &other)
-        return *this;
-    release();
-    done = other.done;
-    issue = other.issue;
-    addr = other.addr;
-    origin = other.origin;
-    len = other.len;
-    if (len <= kInlineCapacity)
-        std::memcpy(inlineBytes, other.inlineBytes, len);
-    else
-        heapBytes = other.heapBytes;
-    other.len = 0;
-    return *this;
-}
-
-BackingStore::JournalEntry::~JournalEntry()
-{
-    release();
-}
-
 // --- construction / copying ------------------------------------------
 
 BackingStore::BackingStore(Addr base, std::uint64_t size)
@@ -113,11 +24,8 @@ BackingStore::copyFrom(const BackingStore &other)
     journalOn = other.journalOn;
     journalBase = other.journalBase;
     journal = other.journal;
-    ckptInterval = other.ckptInterval;
-    indexValid = other.indexValid;
-    indexedEntries = other.indexedEntries;
+    journalBytes = other.journalBytes;
     sortedIdx = other.sortedIdx;
-    checkpoints = other.checkpoints;
     statReplayed = other.statReplayed.load();
     statCloned = other.statCloned.load();
 }
@@ -131,15 +39,10 @@ BackingStore::moveFrom(BackingStore &&other) noexcept
     journalOn = other.journalOn;
     journalBase = std::move(other.journalBase);
     journal = std::move(other.journal);
-    ckptInterval = other.ckptInterval;
-    indexValid = other.indexValid;
-    indexedEntries = other.indexedEntries;
+    journalBytes = std::move(other.journalBytes);
     sortedIdx = std::move(other.sortedIdx);
-    checkpoints = std::move(other.checkpoints);
     statReplayed = other.statReplayed.load();
     statCloned = other.statCloned.load();
-    other.indexValid = false;
-    other.indexedEntries = 0;
 }
 
 BackingStore::BackingStore(const BackingStore &other)
@@ -184,9 +87,9 @@ BackingStore::pagePtr(std::uint64_t pageIdx) const
 std::uint8_t *
 BackingStore::pagePtrMut(std::uint64_t pageIdx)
 {
-    // Shared with a snapshot, checkpoint, or sibling image: unshare
-    // the leaf, then the page, before the first write diverges us
-    // from them. Cloning a leaf adds a ref to each of its pages, so
+    // Shared with a snapshot, the journal base or a sibling image:
+    // unshare the leaf, then the page, before the first write diverges
+    // us from them. Cloning a leaf adds a ref to each of its pages, so
     // the page step below then clones the written page too.
     const std::uint64_t leaf = pageIdx / kLeafPages;
     if (leaf >= pages.size())
@@ -296,11 +199,16 @@ BackingStore::write(Addr addr, std::uint64_t size, const void *in,
                static_cast<unsigned long long>(size));
     rawWrite(addr, size, in);
     if (journalOn) {
+        SNF_ASSERT(size <= ~std::uint32_t{0}, "journal write of %llu bytes",
+                   static_cast<unsigned long long>(size));
         // Default issue == done: the write is never observed as
         // pending, so untimed call sites stay inert under reorder.
         Tick issue = issueTick == kTickNever ? doneTick
                                              : std::min(issueTick, doneTick);
-        journal.emplace_back(doneTick, issue, origin, addr, in, size);
+        journal.push_back({doneTick, issue, addr, journalBytes.size(),
+                           static_cast<std::uint32_t>(size), origin});
+        const auto *src = static_cast<const std::uint8_t *>(in);
+        journalBytes.insert(journalBytes.end(), src, src + size);
     }
 }
 
@@ -429,13 +337,7 @@ BackingStore::enableJournal()
     journalOn = true;
     journalBase = pages; // COW share: O(leaves) refcount bumps
     journal.clear();
-    invalidateIndex();
-}
-
-void
-BackingStore::setCheckpointInterval(std::size_t k)
-{
-    ckptInterval = k;
+    journalBytes.clear();
     invalidateIndex();
 }
 
@@ -443,24 +345,14 @@ void
 BackingStore::invalidateIndex()
 {
     std::lock_guard<std::mutex> guard(indexMutex);
-    indexValid = false;
-    indexedEntries = 0;
     sortedIdx.clear();
-    checkpoints.clear();
-}
-
-std::size_t
-BackingStore::checkpointCount() const
-{
-    std::lock_guard<std::mutex> guard(indexMutex);
-    return checkpoints.size();
 }
 
 void
 BackingStore::ensureIndex() const
 {
     std::lock_guard<std::mutex> guard(indexMutex);
-    if (indexValid && indexedEntries == journal.size())
+    if (sortedIdx.size() == journal.size())
         return;
 
     // Writes are journaled in issue order but can complete out of
@@ -477,74 +369,13 @@ BackingStore::ensureIndex() const
                       return journal[a].done < journal[b].done;
                   return a < b;
               });
-
-    // Materialize a checkpoint image every ckptInterval entries. The
-    // working image and every checkpoint share leaves and pages
-    // copy-on-write, so each checkpoint costs O(leaves) refcount bumps
-    // plus one clone per leaf and page changed in the following
-    // interval.
-    checkpoints.clear();
-    if (ckptInterval != 0 && journal.size() >= ckptInterval) {
-        BackingStore work(rangeBase, rangeSize);
-        work.pages = journalBase;
-        std::size_t applied = 0;
-        for (std::uint32_t idx : sortedIdx) {
-            const JournalEntry &e = journal[idx];
-            work.rawWrite(e.addr, e.size(), e.data());
-            ++applied;
-            if (applied % ckptInterval == 0) {
-                checkpoints.push_back(
-                    Checkpoint{e.done, applied, work.pages});
-            }
-        }
-        statCloned.fetch_add(work.statCloned.load(),
-                             std::memory_order_relaxed);
-    }
-
-    indexValid = true;
-    indexedEntries = journal.size();
-}
-
-const BackingStore::Checkpoint *
-BackingStore::checkpointFor(Tick tick) const
-{
-    // Last checkpoint whose newest entry completed at or before tick;
-    // lastDone values are non-decreasing in checkpoint order.
-    auto it = std::upper_bound(
-        checkpoints.begin(), checkpoints.end(), tick,
-        [](Tick t, const Checkpoint &c) { return t < c.lastDone; });
-    if (it == checkpoints.begin())
-        return nullptr;
-    return &*(it - 1);
 }
 
 BackingStore
 BackingStore::snapshotAt(Tick tick) const
 {
     SNF_ASSERT(journalOn, "snapshotAt without journaling");
-    ensureIndex();
-
-    BackingStore snap(rangeBase, rangeSize);
-    std::size_t start = 0;
-    if (const Checkpoint *ck = checkpointFor(tick)) {
-        snap.pages = ck->pages;
-        start = ck->count;
-    } else {
-        snap.pages = journalBase;
-    }
-    std::uint64_t replayed = 0;
-    for (std::size_t i = start; i < sortedIdx.size(); ++i) {
-        const JournalEntry &e = journal[sortedIdx[i]];
-        if (e.done > tick)
-            break;
-        snap.rawWrite(e.addr, e.size(), e.data());
-        ++replayed;
-    }
-    statReplayed.fetch_add(replayed, std::memory_order_relaxed);
-    statCloned.fetch_add(snap.statCloned.load(),
-                         std::memory_order_relaxed);
-    snap.statCloned = 0;
-    return snap;
+    return Cursor(*this).imageAt(tick);
 }
 
 // --- monotone cursor --------------------------------------------------
@@ -571,24 +402,13 @@ BackingStore::Cursor::imageAt(Tick t)
     started = true;
     lastTick = t;
 
-    // Fast-forward through checkpoints when that skips at least one
-    // full interval of replay; re-basing the image is only O(leaves)
-    // refcount bumps.
-    if (const Checkpoint *ck = src->checkpointFor(t)) {
-        if (ck->count > pos &&
-            ck->count - pos >= std::max<std::size_t>(
-                                   1, src->ckptInterval / 2)) {
-            image->pages = ck->pages;
-            pos = ck->count;
-        }
-    }
-
+    // The one loop that applies journal entries to an image.
     std::uint64_t replayed = 0;
     while (pos < src->sortedIdx.size()) {
         const JournalEntry &e = src->journal[src->sortedIdx[pos]];
         if (e.done > t)
             break;
-        image->rawWrite(e.addr, e.size(), e.data());
+        image->rawWrite(e.addr, e.len, src->journalBytes.data() + e.off);
         ++pos;
         ++replayed;
     }
@@ -611,18 +431,9 @@ BackingStore::assignFrom(const BackingStore &other)
     if (journalOn) {
         journalBase = pages;
         journal.clear();
+        journalBytes.clear();
         invalidateIndex();
     }
-}
-
-void
-BackingStore::forEachJournalWrite(
-    Tick maxTick,
-    const std::function<void(Addr, std::uint64_t)> &fn) const
-{
-    for (const auto &e : journal)
-        if (e.done <= maxTick)
-            fn(e.addr, e.size());
 }
 
 void
@@ -631,8 +442,8 @@ BackingStore::forEachJournalRecord(
 {
     for (std::uint32_t i = 0; i < journal.size(); ++i) {
         const JournalEntry &e = journal[i];
-        fn(JournalRecord{e.issue, e.done, e.addr, e.size(), e.origin,
-                         i, e.data()});
+        fn(JournalRecord{e.issue, e.done, e.addr, e.len, e.origin, i,
+                         journalBytes.data() + e.off});
     }
 }
 

@@ -11,15 +11,13 @@
  * is two array indexes, and a write unshares first its leaf, then its
  * page. A write that changes no bytes leaves the table untouched (no
  * allocation, no clone), so replaying values an image already holds
- * keeps it sharing every page with its parent. The journal keeps a lazily
- * built completion-tick index with materialized checkpoints every K
- * entries, so snapshotAt(t) replays only the delta past the nearest
- * checkpoint instead of the whole journal; and journal entries store
- * payloads of up to 32 bytes (the common line/word write) inline,
- * eliminating one heap allocation per journaled NVRAM write. The
- * monotone Cursor turns a sequence of ascending-tick snapshots (a
- * crash sweep) into a single incremental replay: O(journal + points ×
- * delta) instead of O(points × journal).
+ * keeps it sharing every page with its parent. Journal payloads live
+ * in one byte arena, so journaling a write allocates only when the
+ * record table or the arena grows. The monotone Cursor replays the
+ * journal from its base image in completion-tick order; a crash
+ * sweep walks one cursor in ascending tick order, so its whole walk
+ * costs one journal replay, and snapshotAt(t) is a fresh cursor's
+ * imageAt(t).
  */
 
 #ifndef SNF_MEM_BACKING_STORE_HH
@@ -136,27 +134,11 @@ class BackingStore
     std::size_t journalSize() const { return journal.size(); }
 
     /**
-     * Set the journal-checkpoint interval: a materialized image is
-     * kept every @p k journal entries (in completion-tick order), and
-     * snapshotAt(t) replays only the delta past the nearest
-     * checkpoint at or before t. 0 disables checkpoints (every
-     * snapshot replays the full prefix — the naive reference mode the
-     * equivalence tests and sweep_perf compare against). Resets any
-     * index already built.
-     */
-    void setCheckpointInterval(std::size_t k);
-
-    std::size_t checkpointInterval() const { return ckptInterval; }
-
-    /**
-     * Build the completion-tick index and checkpoints now (they are
-     * otherwise built lazily by the first snapshotAt/Cursor). Exposed
-     * so sweeps can time the build as its own phase.
+     * Sort the journal into completion-tick order now (otherwise the
+     * first snapshotAt/Cursor does it). Exposed so sweeps can time the
+     * sort as its own phase.
      */
     void buildSnapshotIndex() const { ensureIndex(); }
-
-    /** Checkpoints materialized by the last index build. */
-    std::size_t checkpointCount() const;
 
     /** Journal entries replayed by snapshots/cursors so far. */
     std::uint64_t entriesReplayed() const { return statReplayed; }
@@ -169,8 +151,9 @@ class BackingStore
      * image plus every journaled write with doneTick <= @p tick,
      * applied in completion-tick order (the bus serializes by
      * completion, not by issue). Requires enableJournal(). The
-     * returned image shares unmodified pages with this store
-     * (copy-on-write), so the call is O(leaves + replay delta).
+     * returned image shares unmodified pages with the journal base
+     * (copy-on-write); the call replays every entry up to @p tick,
+     * through a fresh Cursor.
      */
     BackingStore snapshotAt(Tick tick) const;
 
@@ -211,15 +194,6 @@ class BackingStore
      * keeping crash snapshots of the new generation possible.
      */
     void assignFrom(const BackingStore &other);
-
-    /**
-     * Visit every journaled write with doneTick <= @p maxTick as
-     * (addr, size). Lifecycle's cross-generation invariant I9 uses
-     * this to exclude legitimately-overwritten lines.
-     */
-    void forEachJournalWrite(
-        Tick maxTick,
-        const std::function<void(Addr, std::uint64_t)> &fn) const;
 
     /**
      * Read-only view of one journaled write, including the persist
@@ -269,7 +243,6 @@ class BackingStore
     static constexpr std::uint64_t kPageBytes = 4096;
     /** Page refs per page-table leaf: 2 MB of address space. */
     static constexpr std::uint64_t kLeafPages = 512;
-    static constexpr std::size_t kDefaultCheckpointInterval = 1024;
 
     struct Page
     {
@@ -295,56 +268,16 @@ class BackingStore
     /** The all-zero page an absent page reads as. */
     static const Page kZeroPage;
 
-    /**
-     * One journaled write. Payloads of up to kInlineCapacity bytes
-     * (the common case: words, log slots, half-lines) live inside the
-     * entry; larger ones on the heap.
-     */
-    class JournalEntry
+    /** One journaled write; its bytes are journalBytes[off, off+len). */
+    struct JournalEntry
     {
-      public:
-        JournalEntry(Tick done, Tick issue, PersistOrigin origin,
-                     Addr addr, const void *src, std::uint64_t len);
-        JournalEntry(const JournalEntry &other);
-        JournalEntry(JournalEntry &&other) noexcept;
-        JournalEntry &operator=(const JournalEntry &other);
-        JournalEntry &operator=(JournalEntry &&other) noexcept;
-        ~JournalEntry();
-
         Tick done;
         /** Channel-acceptance tick; == done for non-pending writes. */
         Tick issue;
         Addr addr;
-        PersistOrigin origin;
-
-        std::uint32_t size() const { return len; }
-
-        const std::uint8_t *
-        data() const
-        {
-            return len <= kInlineCapacity ? inlineBytes : heapBytes;
-        }
-
-      private:
-        static constexpr std::uint32_t kInlineCapacity = 32;
-
-        void adopt(const void *src, std::uint64_t n);
-        void release();
-
+        std::uint64_t off;
         std::uint32_t len;
-        union
-        {
-            std::uint8_t inlineBytes[kInlineCapacity];
-            std::uint8_t *heapBytes;
-        };
-    };
-
-    /** Image after the first `count` index entries, for delta replay. */
-    struct Checkpoint
-    {
-        Tick lastDone;     ///< doneTick of the last entry included
-        std::size_t count; ///< index entries materialized
-        PageTable pages;
+        PersistOrigin origin;
     };
 
     const Page *pagePtr(std::uint64_t pageIdx) const;
@@ -357,9 +290,6 @@ class BackingStore
     void invalidateIndex();
     void ensureIndex() const;
 
-    /** Largest checkpoint with lastDone <= tick, or nullptr. */
-    const Checkpoint *checkpointFor(Tick tick) const;
-
     Addr rangeBase;
     std::uint64_t rangeSize;
     PageTable pages;
@@ -367,15 +297,15 @@ class BackingStore
     bool journalOn = false;
     PageTable journalBase;
     std::vector<JournalEntry> journal;
-    std::size_t ckptInterval = kDefaultCheckpointInterval;
+    /** Every journaled payload, in issue order. */
+    std::vector<std::uint8_t> journalBytes;
 
-    /** Lazily built snapshot index (guarded by indexMutex). */
+    /**
+     * Journal indices sorted by (doneTick, issue order), built lazily
+     * under indexMutex; current while it is as long as the journal.
+     */
     mutable std::mutex indexMutex;
-    mutable bool indexValid = false;
-    mutable std::size_t indexedEntries = 0;
-    /** Journal indices, sorted by (doneTick, issue order). */
     mutable std::vector<std::uint32_t> sortedIdx;
-    mutable std::vector<Checkpoint> checkpoints;
 
     mutable std::atomic<std::uint64_t> statReplayed{0};
     mutable std::atomic<std::uint64_t> statCloned{0};

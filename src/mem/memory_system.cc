@@ -53,11 +53,8 @@ MemorySystem::MemorySystem(const SystemConfig &config)
     statGroup.addChild(&dramDev.stats());
     statGroup.addChild(&wcbuf.stats());
     statGroup.addChild(&busMonitor.stats());
-    if (cfg.persist.crashJournal) {
-        nvramDev.store().setCheckpointInterval(
-            cfg.persist.snapshotCheckpointK);
+    if (cfg.persist.crashJournal)
         nvramDev.store().enableJournal();
-    }
 }
 
 MemDevice &

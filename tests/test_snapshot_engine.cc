@@ -1,16 +1,18 @@
 /**
  * @file
- * Property tests of the checkpointed copy-on-write snapshot engine
- * (the `perf` ctest label): the checkpointed/COW `snapshotAt` must be
- * byte-identical to a naive full-replay reference at every sampled
- * tick, COW images must never alias their parent or siblings, and the
- * monotone Cursor must agree with snapshotAt along an ascending tick
- * walk.
+ * Property tests of the copy-on-write snapshot engine (the `perf`
+ * ctest label): `snapshotAt` and the monotone Cursor must be
+ * byte-identical to a reference replay written here — the journal's
+ * records sorted by (completion tick, issue order) and applied to a
+ * copy of the pre-journal image — at every sampled tick, COW images
+ * must never alias their parent or siblings, and journal payloads of
+ * every size must replay byte-exactly.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "mem/backing_store.hh"
@@ -26,38 +28,31 @@ constexpr Addr kBase = 0x100000;
 constexpr std::uint64_t kSize = 1 << 20;
 
 /**
- * Build two identically journaled stores — one with checkpoints every
- * @p interval entries, one naive (interval 0, full replay) — from the
- * same deterministic write stream. Completion ticks are issued out of
- * order in bursts, like a real memory bus.
+ * A journaled store, the image it held when journaling began, and a
+ * deterministic write stream whose completion ticks come in bursts,
+ * out of issue order, like a real memory bus.
  */
-struct EnginePair
+struct Journaled
 {
-    BackingStore ckpt{kBase, kSize};
-    BackingStore naive{kBase, kSize};
+    BackingStore store{kBase, kSize};
+    BackingStore base{kBase, kSize};
     std::vector<Tick> doneTicks; // every journaled completion tick
     Tick lastTick = 0;
 
-    EnginePair(std::size_t interval, std::uint64_t entries,
-               std::uint64_t seed)
+    Journaled(std::uint64_t entries, std::uint64_t seed)
     {
         sim::Rng rng(seed);
         // Pre-journal contents become the tick-0 baseline.
         for (int i = 0; i < 32; ++i) {
             std::uint64_t v = rng.next();
             Addr a = kBase + (rng.next() % (kSize - 8)) / 8 * 8;
-            ckpt.write(a, sizeof(v), &v);
-            naive.write(a, sizeof(v), &v);
+            store.write(a, sizeof(v), &v);
         }
-        ckpt.setCheckpointInterval(interval);
-        naive.setCheckpointInterval(0);
-        ckpt.enableJournal();
-        naive.enableJournal();
+        base = store;
+        store.enableJournal();
 
         Tick now = 0;
         for (std::uint64_t i = 0; i < entries; ++i) {
-            // Bursts of writes completing around a common instant,
-            // deliberately out of issue order.
             now += rng.next() % 7;
             Tick done = now + rng.next() % 5;
             std::uint8_t buf[48];
@@ -65,83 +60,125 @@ struct EnginePair
             for (std::uint64_t b = 0; b < len; ++b)
                 buf[b] = static_cast<std::uint8_t>(rng.next());
             Addr a = kBase + rng.next() % (kSize - sizeof(buf));
-            ckpt.write(a, len, buf, done);
-            naive.write(a, len, buf, done);
+            store.write(a, len, buf, done);
             doneTicks.push_back(done);
             lastTick = std::max(lastTick, done);
         }
     }
+
+    /**
+     * The reference image at @p t: every journal record with
+     * done <= t, sorted by (done, seq), written over a copy of the
+     * pre-journal image.
+     */
+    BackingStore
+    replayTo(Tick t) const
+    {
+        std::vector<BackingStore::JournalRecord> recs;
+        store.forEachJournalRecord(
+            [&](const BackingStore::JournalRecord &r) {
+                recs.push_back(r);
+            });
+        std::sort(recs.begin(), recs.end(),
+                  [](const BackingStore::JournalRecord &a,
+                     const BackingStore::JournalRecord &b) {
+                      if (a.done != b.done)
+                          return a.done < b.done;
+                      return a.seq < b.seq;
+                  });
+        BackingStore image = base;
+        for (const BackingStore::JournalRecord &r : recs)
+            if (r.done <= t)
+                image.write(r.addr, r.size, r.data);
+        return image;
+    }
 };
+
+/** Ticks 0, 1, the last completion tick, beyond it, and samples. */
+std::vector<Tick>
+sampleTicks(const Journaled &j, std::uint64_t seed)
+{
+    std::vector<Tick> ticks{0, 1, j.lastTick, j.lastTick + 1000};
+    sim::Rng rng(seed);
+    for (int i = 0; i < 40; ++i)
+        ticks.push_back(rng.next() % (j.lastTick + 2));
+    for (int i = 0; i < 20; ++i)
+        ticks.push_back(j.doneTicks[rng.next() % j.doneTicks.size()]);
+    std::sort(ticks.begin(), ticks.end());
+    return ticks;
+}
 
 } // namespace
 
-TEST(SnapshotEngine, CheckpointedMatchesNaiveAtSampledTicks)
+TEST(SnapshotEngine, SnapshotAtMatchesReferenceReplay)
 {
-    constexpr std::size_t kInterval = 64;
-    EnginePair eng(kInterval, 1000, 42);
-
-    // Checkpoint-boundary-straddling ticks: the completion ticks in
-    // sorted order; checkpoints land every kInterval entries, so the
-    // ticks at sorted positions K-1, K, K+1 (for each multiple K)
-    // straddle a materialized checkpoint.
-    std::vector<Tick> sorted = eng.doneTicks;
-    std::sort(sorted.begin(), sorted.end());
-    std::vector<Tick> samples{0, 1, eng.lastTick,
-                              eng.lastTick + 1000};
-    for (std::size_t k = kInterval; k < sorted.size();
-         k += kInterval) {
-        samples.push_back(sorted[k - 1]);
-        samples.push_back(sorted[k]);
-        if (k + 1 < sorted.size())
-            samples.push_back(sorted[k + 1]);
-    }
-    sim::Rng rng(7);
-    for (int i = 0; i < 40; ++i)
-        samples.push_back(rng.next() % (eng.lastTick + 2));
-
-    eng.ckpt.buildSnapshotIndex();
-    ASSERT_GT(eng.ckpt.checkpointCount(), 0u)
-        << "test must actually exercise checkpoints";
-    EXPECT_EQ(eng.naive.checkpointCount(), 0u);
-
-    for (Tick t : samples) {
-        BackingStore a = eng.ckpt.snapshotAt(t);
-        BackingStore b = eng.naive.snapshotAt(t);
-        EXPECT_EQ(a.firstDifference(b, kBase, kSize), std::nullopt)
-            << "checkpointed and naive snapshots diverge at tick "
+    Journaled j(1000, 42);
+    // Some write completes before one issued ahead of it.
+    ASSERT_FALSE(std::is_sorted(j.doneTicks.begin(), j.doneTicks.end()));
+    for (Tick t : sampleTicks(j, 7)) {
+        EXPECT_EQ(j.store.snapshotAt(t).firstDifference(j.replayTo(t),
+                                                        kBase, kSize),
+                  std::nullopt)
+            << "snapshotAt diverges from the reference replay at tick "
             << t;
     }
 }
 
 TEST(SnapshotEngine, CursorMatchesSnapshotAtAlongAscendingWalk)
 {
-    EnginePair eng(32, 600, 99);
-
-    std::vector<Tick> walk{0};
-    sim::Rng rng(5);
-    for (int i = 0; i < 50; ++i)
-        walk.push_back(rng.next() % (eng.lastTick + 2));
-    walk.push_back(eng.lastTick);
-    std::sort(walk.begin(), walk.end());
-
-    BackingStore::Cursor cursor(eng.ckpt);
-    for (Tick t : walk) {
+    Journaled j(600, 99);
+    BackingStore::Cursor cursor(j.store);
+    for (Tick t : sampleTicks(j, 5)) {
         BackingStore inc = cursor.imageAt(t);
-        BackingStore ref = eng.naive.snapshotAt(t);
-        EXPECT_EQ(inc.firstDifference(ref, kBase, kSize),
+        EXPECT_EQ(inc.firstDifference(j.replayTo(t), kBase, kSize),
                   std::nullopt)
-            << "cursor image diverges from naive replay at tick "
+            << "cursor image diverges from the reference replay at tick "
+            << t;
+        EXPECT_EQ(inc.firstDifference(j.store.snapshotAt(t), kBase,
+                                      kSize),
+                  std::nullopt)
+            << "cursor image diverges from snapshotAt at tick " << t;
+    }
+}
+
+TEST(SnapshotEngine, IdenticalRewritesMatchReferenceReplay)
+{
+    Journaled j(300, 23);
+    // Append writes that each put back the bytes the live image holds
+    // (no-ops on the live image), completing at random earlier ticks,
+    // so in the snapshots they land out of order and do matter.
+    sim::Rng rng(29);
+    for (int i = 0; i < 300; ++i) {
+        std::uint8_t buf[48];
+        std::uint64_t len = 1 + rng.next() % sizeof(buf);
+        Addr a = kBase + rng.next() % (kSize - sizeof(buf));
+        j.store.read(a, len, buf);
+        j.store.write(a, len, buf, rng.next() % (j.lastTick + 1));
+    }
+    ASSERT_EQ(j.store.journalSize(), 600u);
+
+    BackingStore::Cursor cursor(j.store);
+    for (Tick t = 0; t <= j.lastTick + 1; t += 1 + j.lastTick / 60) {
+        BackingStore ref = j.replayTo(t);
+        EXPECT_EQ(j.store.snapshotAt(t).firstDifference(ref, kBase,
+                                                        kSize),
+                  std::nullopt)
+            << "snapshotAt diverges from the reference replay at tick "
+            << t;
+        EXPECT_EQ(cursor.imageAt(t).firstDifference(ref, kBase, kSize),
+                  std::nullopt)
+            << "cursor image diverges from the reference replay at tick "
             << t;
     }
 }
 
 TEST(SnapshotEngine, SnapshotMutationNeverLeaksIntoParentOrSiblings)
 {
-    EnginePair eng(16, 200, 7);
-    Tick mid = eng.lastTick / 2;
+    Journaled j(200, 7);
+    Tick mid = j.lastTick / 2;
 
-    BackingStore sibling = eng.ckpt.snapshotAt(mid);
-    BackingStore victim = eng.ckpt.snapshotAt(mid);
+    BackingStore sibling = j.store.snapshotAt(mid);
+    BackingStore victim = j.store.snapshotAt(mid);
     ASSERT_EQ(victim.firstDifference(sibling, kBase, kSize),
               std::nullopt);
 
@@ -153,21 +190,19 @@ TEST(SnapshotEngine, SnapshotMutationNeverLeaksIntoParentOrSiblings)
         victim.write64(a, v);
         EXPECT_EQ(victim.read64(a), v);
     }
-    EXPECT_EQ(sibling.firstDifference(eng.naive.snapshotAt(mid),
-                                      kBase, kSize),
+    EXPECT_EQ(sibling.firstDifference(j.replayTo(mid), kBase, kSize),
               std::nullopt)
         << "sibling snapshot observed a write to another snapshot";
-    EXPECT_EQ(eng.ckpt.snapshotAt(mid).firstDifference(sibling, kBase,
-                                                       kSize),
+    EXPECT_EQ(j.store.snapshotAt(mid).firstDifference(sibling, kBase,
+                                                      kSize),
               std::nullopt)
         << "parent store observed a write to a snapshot";
 
     // And the reverse: mutating the parent must not change images
-    // already taken (checkpoint sharing included).
+    // already taken (journal-base sharing included).
     std::uint64_t marker = 0xfeedfacecafebeefULL;
-    BackingStore before = eng.ckpt.snapshotAt(mid);
-    eng.ckpt.write64(kBase + 512, marker, eng.lastTick + 10);
-    eng.naive.write64(kBase + 512, marker, eng.lastTick + 10);
+    BackingStore before = j.store.snapshotAt(mid);
+    j.store.write64(kBase + 512, marker, j.lastTick + 10);
     EXPECT_EQ(before.firstDifference(sibling, kBase, kSize),
               std::nullopt)
         << "parent mutation leaked into an existing snapshot";
@@ -178,29 +213,57 @@ TEST(SnapshotEngine, InlineAndHeapJournalPayloadsRoundTrip)
     BackingStore bs(kBase, kSize);
     bs.enableJournal();
 
-    // <= 32 bytes stores inline, > 32 bytes on the heap; both must
-    // replay byte-exactly (and survive the journal's vector growth).
-    std::vector<std::uint8_t> small(32), large(200);
-    for (std::size_t i = 0; i < small.size(); ++i)
-        small[i] = static_cast<std::uint8_t>(0xa0 + i);
-    for (std::size_t i = 0; i < large.size(); ++i)
-        large[i] = static_cast<std::uint8_t>(i * 3 + 1);
-    bs.write(kBase + 64, small.size(), small.data(), 10);
-    bs.write(kBase + 4096 - 50, large.size(), large.data(), 20);
-    for (int i = 0; i < 1000; ++i) // force reallocations
-        bs.write64(kBase + 8 * i, i, 30 + i);
+    // One payload of each size, the page-crossing ones straddling a
+    // page boundary, each followed by 1 000 word writes so the byte
+    // arena regrows after it: every payload must replay byte-exactly,
+    // from its completion tick on and not before.
+    const std::uint64_t sizes[] = {1, 8, 32, 33, 64, 200};
+    constexpr std::size_t kPayloads = std::size(sizes);
+    std::vector<std::vector<std::uint8_t>> payloads;
+    std::vector<Addr> addrs;
+    std::vector<Tick> ticks;
+    Tick now = 0;
+    for (std::size_t k = 0; k < kPayloads; ++k) {
+        std::vector<std::uint8_t> p(sizes[k]);
+        for (std::size_t i = 0; i < p.size(); ++i)
+            p[i] = static_cast<std::uint8_t>(k * 37 + i * 3 + 1);
+        addrs.push_back(kBase + 4096 * (k + 1) - 50);
+        ticks.push_back(++now);
+        bs.write(addrs[k], p.size(), p.data(), now);
+        payloads.push_back(std::move(p));
+        for (int i = 0; i < 1000; ++i)
+            bs.write64(kBase + 0x10000 + 8 * i, k * 1000 + i, ++now);
+    }
 
-    BackingStore snap = bs.snapshotAt(25);
-    std::vector<std::uint8_t> out(large.size());
-    snap.read(kBase + 64, small.size(), out.data());
-    EXPECT_TRUE(std::equal(small.begin(), small.end(), out.begin()));
-    snap.read(kBase + 4096 - 50, large.size(), out.data());
-    EXPECT_EQ(out, large);
-    // Tick 15: the large write (done 20) must not be visible yet.
-    BackingStore early = bs.snapshotAt(15);
-    early.read(kBase + 4096 - 50, large.size(), out.data());
-    for (std::size_t i = 0; i < out.size(); ++i)
-        ASSERT_EQ(out[i], 0) << "at offset " << i;
+    std::size_t seen = 0;
+    bs.forEachJournalRecord([&](const BackingStore::JournalRecord &r) {
+        for (std::size_t k = 0; k < kPayloads; ++k) {
+            if (r.addr != addrs[k])
+                continue;
+            ++seen;
+            ASSERT_EQ(r.size, payloads[k].size());
+            EXPECT_TRUE(std::equal(payloads[k].begin(),
+                                   payloads[k].end(), r.data))
+                << "journal record of the " << r.size
+                << "-byte payload";
+        }
+    });
+    EXPECT_EQ(seen, kPayloads);
+
+    std::vector<std::uint8_t> out;
+    for (std::size_t k = 0; k < kPayloads; ++k) {
+        out.assign(payloads[k].size(), 0xff);
+        bs.snapshotAt(ticks[k] - 1)
+            .read(addrs[k], out.size(), out.data());
+        EXPECT_EQ(out, std::vector<std::uint8_t>(out.size(), 0))
+            << "the " << out.size() << "-byte payload before its tick";
+        bs.snapshotAt(ticks[k]).read(addrs[k], out.size(), out.data());
+        EXPECT_EQ(out, payloads[k])
+            << "the " << out.size() << "-byte payload at its tick";
+        bs.snapshotAt(now).read(addrs[k], out.size(), out.data());
+        EXPECT_EQ(out, payloads[k])
+            << "the " << out.size() << "-byte payload at the end";
+    }
 }
 
 TEST(SnapshotEngine, IdenticalWritesAreJournaledAndReplayed)
@@ -210,7 +273,6 @@ TEST(SnapshotEngine, IdenticalWritesAreJournaledAndReplayed)
     // so it alone decides the word between the two completions. The
     // same holds for zeros written over a never-written page.
     BackingStore bs(kBase, kSize);
-    bs.setCheckpointInterval(0);
     bs.enableJournal();
     const Addr y = kBase + 64;
     const Addr z = kBase + 5 * 4096;
@@ -234,54 +296,4 @@ TEST(SnapshotEngine, IdenticalWritesAreJournaledAndReplayed)
     EXPECT_EQ(cursor.imageAt(25).read64(y), 7u);
     EXPECT_EQ(cursor.imageAt(35).read64(z), 9u);
     EXPECT_EQ(cursor.imageAt(45).read64(z), 0u);
-}
-
-TEST(SnapshotEngine, CheckpointedMatchesNaiveWithIdenticalRewrites)
-{
-    EnginePair eng(32, 300, 23);
-    // Append writes that each put back the bytes the live image holds
-    // (no-ops on the live image), completing at random earlier ticks,
-    // so in the snapshots they land out of order and do matter.
-    sim::Rng rng(29);
-    for (int i = 0; i < 300; ++i) {
-        std::uint8_t buf[48];
-        std::uint64_t len = 1 + rng.next() % sizeof(buf);
-        Addr a = kBase + rng.next() % (kSize - sizeof(buf));
-        eng.ckpt.read(a, len, buf);
-        Tick done = rng.next() % (eng.lastTick + 1);
-        eng.ckpt.write(a, len, buf, done);
-        eng.naive.write(a, len, buf, done);
-    }
-    ASSERT_EQ(eng.ckpt.journalSize(), 600u);
-
-    BackingStore::Cursor cursor(eng.ckpt);
-    for (Tick t = 0; t <= eng.lastTick + 1; t += 1 + eng.lastTick / 60) {
-        BackingStore ref = eng.naive.snapshotAt(t);
-        EXPECT_EQ(eng.ckpt.snapshotAt(t).firstDifference(ref, kBase,
-                                                         kSize),
-                  std::nullopt)
-            << "checkpointed and naive snapshots diverge at tick " << t;
-        EXPECT_EQ(cursor.imageAt(t).firstDifference(ref, kBase, kSize),
-                  std::nullopt)
-            << "cursor image diverges from naive replay at tick " << t;
-    }
-}
-
-TEST(SnapshotEngine, ReplayCountersShrinkWithCheckpoints)
-{
-    EnginePair eng(64, 1000, 11);
-    eng.ckpt.buildSnapshotIndex();
-    eng.naive.buildSnapshotIndex();
-
-    std::uint64_t ck0 = eng.ckpt.entriesReplayed();
-    std::uint64_t nv0 = eng.naive.entriesReplayed();
-    Tick late = eng.lastTick - 1;
-    (void)eng.ckpt.snapshotAt(late);
-    (void)eng.naive.snapshotAt(late);
-    std::uint64_t ckDelta = eng.ckpt.entriesReplayed() - ck0;
-    std::uint64_t nvDelta = eng.naive.entriesReplayed() - nv0;
-    EXPECT_LT(ckDelta, nvDelta)
-        << "a late-tick snapshot should replay only the delta past "
-           "the nearest checkpoint";
-    EXPECT_LE(ckDelta, eng.ckpt.checkpointInterval());
 }
